@@ -3,8 +3,9 @@
 Media kinds: MovingPoint trajectories, MovingDouble sensor series, STPhoto
 geo-tagged photos with a field of view, and MovingVideo tracks whose FoV
 varies over a timeline. The package bundles the value types, the GeoMedia
-JSON codec, FoV geometry, an embedded spatio-temporal feature store, a
-WFS-3-style HTTP service, and a CLI.
+JSON codec, FoV geometry, an embedded feature store (a 2-D spatial R-tree
+per collection; time is filtered exactly per candidate), a WFS-3-style HTTP
+service, and a CLI.
 """
 
 from .codec import (

@@ -18,6 +18,7 @@ from .codec import (
     geojson_feature_collection,
     geojson_point,
     geojson_polygon,
+    interval_str,
     parse_document,
     serialize_document,
 )
@@ -29,16 +30,10 @@ from .errors import (
     StoreIoError,
     WrongKindError,
 )
-from .fov import fov_sector_polygon, resolve_direction
-from .media import KINDS, MovingVideo, STPhoto
-from .query import QuerySpec, evaluate, fov_at, position_at, visible_intervals
-from .service import (
-    GeoMediaServer,
-    decode_query_spec,
-    interval_str,
-    parse_instant,
-    parse_lonlat,
-)
+from .fov import fov_sector_polygon
+from .media import KINDS
+from .query import evaluate, fov_at, position_at, visible_intervals
+from .service import GeoMediaServer, decode_query_spec, parse_instant, parse_lonlat
 from .store import MediaStore
 
 EXIT_OK = 0
@@ -86,8 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datetime", metavar="INSTANT|START/END")
     p.add_argument("--near", metavar="LON,LAT,RADIUS_M")
     p.add_argument("--visible-from", metavar="LON,LAT")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--offset", type=int, default=0)
+    p.add_argument("--limit", metavar="N")
+    p.add_argument("--offset", metavar="N")
     p.add_argument("--format", choices=("ids", "geojson", "geomedia"), default="ids")
     p.set_defaults(func=_cmd_query)
 
@@ -200,18 +195,9 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_query(args) -> int:
     store = _open_store(args)
-    params = {}
-    if args.bbox:
-        params["bbox"] = args.bbox
-    if args.datetime:
-        params["datetime"] = args.datetime
-    if args.near:
-        params["near"] = args.near
-    if args.visible_from:
-        params["visibleFrom"] = args.visible_from
-    spec = decode_query_spec(params)
-    spec = QuerySpec(bbox=spec.bbox, interval=spec.interval, near=spec.near,
-                     visible_from=spec.visible_from, limit=args.limit, offset=args.offset)
+    flags = {"bbox": args.bbox, "datetime": args.datetime, "near": args.near,
+             "visibleFrom": args.visible_from, "limit": args.limit, "offset": args.offset}
+    spec = decode_query_spec({k: v for k, v in flags.items() if v is not None})
     records = evaluate(store, args.collection, spec)
     if args.format == "ids":
         for record in records:
@@ -241,18 +227,9 @@ def _cmd_at(args) -> int:
 
 def _cmd_fov(args) -> int:
     doc = _select_document(args)
-    payload = doc.payload
-    if isinstance(payload, STPhoto):
-        sector = fov_sector_polygon(payload.loc, resolve_direction(payload.fov),
-                                    payload.fov, args.arc_step)
-    elif isinstance(payload, MovingVideo):
-        if not args.at:
-            raise BadQueryError("--at is required for a moving video")
-        state = fov_at(payload, parse_instant(args.at))
-        sector = fov_sector_polygon(state.camera, state.direction, state.fov, args.arc_step)
-    else:
-        raise WrongKindError(f"{doc.kind} has no field of view")
-    _print_json(geojson_polygon(sector))
+    state = fov_at(doc, parse_instant(args.at) if args.at else None)
+    _print_json(geojson_polygon(
+        fov_sector_polygon(state.camera, state.direction, state.fov, args.arc_step)))
     return EXIT_OK
 
 

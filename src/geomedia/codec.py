@@ -53,9 +53,9 @@ from .media import (
     MovingVideo,
     STPhoto,
 )
-from .temporal import InterpolationMode, MovingDouble, MovingPoint, TimeStamp
+from .temporal import InterpolationMode, MovingDouble, MovingPoint, TimeInterval, TimeStamp
 
-_CANONICAL_KINDS = {
+CANONICAL_KINDS = {
     "movingpoint": KIND_MOVING_POINT,
     "movingdouble": KIND_MOVING_DOUBLE,
     "stphoto": KIND_STPHOTO,
@@ -106,6 +106,11 @@ def epoch_to_iso(t: TimeStamp) -> str:
     if millis:
         return f"{base}.{millis:03d}Z"
     return f"{base}Z"
+
+
+def interval_str(iv: TimeInterval) -> str:
+    """ISO-8601 "start/end" form of a time interval."""
+    return f"{epoch_to_iso(iv.start)}/{epoch_to_iso(iv.end)}"
 
 
 # -- parsing -------------------------------------------------------------------
@@ -358,7 +363,7 @@ def parse_document(text: bytes | str) -> GeoMediaDocument:
     tag = obj.get("type")
     if not isinstance(tag, str):
         raise UnknownTypeError("missing 'type' member", "/type")
-    kind = _CANONICAL_KINDS.get(tag.strip().lower())
+    kind = CANONICAL_KINDS.get(tag.strip().lower())
     if kind is None:
         raise UnknownTypeError(f"unknown media type {tag!r}", "/type")
     try:

@@ -46,6 +46,9 @@ class STPhoto:
     def time_extent(self) -> TimeInterval:
         return TimeInterval(self.t, self.t)
 
+    def vertices(self) -> tuple[GeoPoint, ...]:
+        return (self.loc,)
+
 
 @dataclass(frozen=True)
 class MovingVideo:
@@ -66,6 +69,9 @@ class MovingVideo:
 
     def time_extent(self) -> TimeInterval:
         return self.track.time_extent()
+
+    def vertices(self) -> tuple[GeoPoint, ...]:
+        return self.track.points
 
     def fov_index_at(self, t: TimeStamp) -> int:
         """Index of the FoV entry governing time t (stepwise selection)."""
@@ -110,19 +116,14 @@ def document_of(payload: MediaPayload) -> GeoMediaDocument:
     return GeoMediaDocument(kind_of(payload), payload)
 
 
-def _unwrap(x) -> MediaPayload:
+def payload_of(x) -> MediaPayload:
+    """The media value of a document, or x itself when it is already one."""
     return x.payload if isinstance(x, GeoMediaDocument) else x
 
 
 def time_extent(x) -> TimeInterval:
     """[first, last] sample time of a media value or document."""
-    return _unwrap(x).time_extent()
-
-
-def _points_bbox(points) -> Bbox:
-    lons = [p.lon for p in points]
-    lats = [p.lat for p in points]
-    return (min(lons), min(lats), max(lons), max(lats))
+    return payload_of(x).time_extent()
 
 
 def spatial_bbox(x) -> Bbox | None:
@@ -132,16 +133,12 @@ def spatial_bbox(x) -> Bbox | None:
     "what can see location X" queries hit the spatial index. Sensor series
     without a track have no spatial extent and yield None.
     """
-    payload = _unwrap(x)
-    if isinstance(payload, MovingPoint):
-        return _points_bbox(payload.points)
-    if isinstance(payload, MovingVideo):
-        return _points_bbox(payload.track.points)
+    payload = payload_of(x)
+    points = payload.vertices()
     if isinstance(payload, STPhoto):
-        ring = fov_sector_polygon(payload.loc, payload.fov.direction2d, payload.fov).ring
-        return _points_bbox((payload.loc, *ring))
-    if isinstance(payload, MovingDouble):
-        if payload.track is None:
-            return None
-        return _points_bbox(payload.track)
-    raise TypeError(f"not a media payload: {type(payload).__name__}")
+        points += fov_sector_polygon(payload.loc, payload.fov.direction2d, payload.fov).ring
+    if not points:
+        return None
+    lons = [p.lon for p in points]
+    lats = [p.lat for p in points]
+    return (min(lons), min(lats), max(lons), max(lats))

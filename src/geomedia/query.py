@@ -13,42 +13,33 @@ from typing import NamedTuple
 from .errors import BadQueryError, NoTemporalOverlapError, WrongKindError
 from .fov import FieldOfView, fov_contains, resolve_direction
 from .geo import EARTH_RADIUS_M, GeoPoint, geo_distance
-from .media import (
-    KIND_MOVING_VIDEO,
-    KIND_STPHOTO,
-    Bbox,
-    GeoMediaDocument,
-    MovingVideo,
-    STPhoto,
-)
-from .store import FeatureRecord, MediaStore
-from .temporal import (
-    InterpolationMode,
-    MovingDouble,
-    MovingPoint,
-    TimeInterval,
-    TimeStamp,
-)
+from .media import KIND_MOVING_VIDEO, KIND_STPHOTO, Bbox, MovingVideo, STPhoto, payload_of
+from .store import FeatureRecord, MediaStore, _check_bbox, _check_interval, _check_page, page
+from .temporal import InterpolationMode, MovingPoint, TimeInterval, TimeStamp
 
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """Declarative feature query: spatial box, time window, proximity, visibility."""
+    """Declarative feature query: spatial box, time window, proximity, visibility.
+
+    The one place query arguments are checked: bbox shape and inversion,
+    interval order (a (start, end) pair becomes a TimeInterval), near
+    radius, limit and offset. Bad values raise BadQueryError.
+    """
 
     bbox: Bbox | None = None
-    interval: TimeInterval | None = None
+    interval: TimeInterval | tuple[int, int] | None = None
     near: tuple[GeoPoint, float] | None = None
     visible_from: GeoPoint | None = None
     limit: int | None = None
     offset: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "bbox", _check_bbox(self.bbox))
+        object.__setattr__(self, "interval", _check_interval(self.interval))
         if self.near is not None and self.near[1] <= 0:
             raise BadQueryError(f"near radius must be > 0, got {self.near[1]}")
-        if self.limit is not None and self.limit < 1:
-            raise BadQueryError(f"limit must be >= 1, got {self.limit}")
-        if self.offset < 0:
-            raise BadQueryError(f"offset must be >= 0, got {self.offset}")
+        _check_page(self.limit, self.offset)
 
 
 class FovState(NamedTuple):
@@ -59,13 +50,9 @@ class FovState(NamedTuple):
     fov: FieldOfView
 
 
-def _payload(x):
-    return x.payload if isinstance(x, GeoMediaDocument) else x
-
-
 def position_at(x, t: TimeStamp) -> GeoPoint:
     """Interpolated position of a trajectory or video at time t."""
-    payload = _payload(x)
+    payload = payload_of(x)
     if isinstance(payload, MovingPoint):
         return payload.at(t)
     if isinstance(payload, MovingVideo):
@@ -73,16 +60,20 @@ def position_at(x, t: TimeStamp) -> GeoPoint:
     raise WrongKindError(f"{type(payload).__name__} has no evaluable position")
 
 
-def fov_at(x, t: TimeStamp) -> FovState:
-    """Camera, absolute direction, and FoV of a video at time t.
+def fov_at(x, t: TimeStamp | None = None) -> FovState:
+    """Camera, absolute direction, and FoV of a photo, or of a video at time t.
 
-    Per-sample FoV lists select stepwise (the entry of the latest sample at
-    or before t); mount-relative directions resolve against the track
-    heading at t.
+    A photo's camera is fixed, so t is ignored; a video needs t. Per-sample
+    FoV lists select stepwise (the entry of the latest sample at or before
+    t); mount-relative directions resolve against the track heading at t.
     """
-    payload = _payload(x)
+    payload = payload_of(x)
+    if isinstance(payload, STPhoto):
+        return FovState(payload.loc, resolve_direction(payload.fov), payload.fov)
     if not isinstance(payload, MovingVideo):
-        raise WrongKindError(f"{type(payload).__name__} has no field of view over time")
+        raise WrongKindError(f"{type(payload).__name__} has no field of view")
+    if t is None:
+        raise BadQueryError("a time ('at') is required for a moving video")
     camera = payload.track.at(t)
     fov = payload.fovs[payload.fov_index_at(t)]
     if fov.is_relative:
@@ -93,23 +84,29 @@ def fov_at(x, t: TimeStamp) -> FovState:
 
 
 def visible_intervals(x, p: GeoPoint, sample_step_ms: int = 100) -> list[TimeInterval]:
-    """Maximal time intervals during which p lies inside the video's FoV.
+    """Maximal time intervals during which p lies inside a photo's or video's FoV.
 
-    Containment is sampled at every track timestamp plus a sample_step_ms
-    grid over the extent; interval boundaries are sample times, so they are
-    accurate to within one step.
+    A photo sees p at its one instant or never. A video is sampled at every
+    track timestamp plus a sample_step_ms grid over the extent; interval
+    boundaries are sample times, so they are accurate to within one step. A
+    discrete track has positions only at its samples, so only those count.
     """
     if sample_step_ms < 1:
         raise BadQueryError(f"sample step must be >= 1 ms, got {sample_step_ms}")
-    payload = _payload(x)
+    payload = payload_of(x)
+    if isinstance(payload, STPhoto):
+        state = fov_at(payload)
+        if fov_contains(state.camera, state.direction, state.fov, p):
+            return [TimeInterval(payload.t, payload.t)]
+        return []
     if not isinstance(payload, MovingVideo):
-        raise WrongKindError(f"{type(payload).__name__} has no field of view over time")
-    extent = payload.time_extent()
-    times = set(payload.track.times)
-    t = extent.start
-    while t <= extent.end:
-        times.add(t)
-        t += sample_step_ms
+        raise WrongKindError(f"{type(payload).__name__} has no field of view")
+    if not _maybe_visible(payload, p):
+        return []
+    track = payload.track
+    times = set(track.times)
+    if track.mode is not InterpolationMode.DISCRETE:
+        times.update(range(track.times[0], track.times[-1] + 1, sample_step_ms))
     out: list[TimeInterval] = []
     run_start = run_end = None
     for t in sorted(times):
@@ -140,8 +137,8 @@ def trajectory_similarity(a, b) -> float:
     linear evaluation; symmetric by construction. A simple synchronized
     distance, not a view-based measure.
     """
-    ta = _payload(a)
-    tb = _payload(b)
+    ta = payload_of(a)
+    tb = payload_of(b)
     if not isinstance(ta, MovingPoint) or not isinstance(tb, MovingPoint):
         raise WrongKindError("similarity is defined between two trajectories")
     start = max(ta.times[0], tb.times[0])
@@ -154,19 +151,6 @@ def trajectory_similarity(a, b) -> float:
     times = sorted(t for t in set(ta.times) | set(tb.times) if start <= t <= end)
     total = sum(geo_distance(_linear_at(ta, t), _linear_at(tb, t)) for t in times)
     return total / len(times)
-
-
-def _near_candidates(record: FeatureRecord) -> list[GeoPoint]:
-    payload = record.doc.payload
-    if isinstance(payload, MovingPoint):
-        return list(payload.points)
-    if isinstance(payload, MovingVideo):
-        return list(payload.track.points)
-    if isinstance(payload, STPhoto):
-        return [payload.loc]
-    if isinstance(payload, MovingDouble):
-        return list(payload.track) if payload.track else []
-    return []
 
 
 def _maybe_visible(payload: MovingVideo, p: GeoPoint) -> bool:
@@ -187,15 +171,6 @@ def _maybe_visible(payload: MovingVideo, p: GeoPoint) -> bool:
     return any(geo_distance(v, p) <= reach for v in pts)
 
 
-def _is_visible_from(record: FeatureRecord, p: GeoPoint) -> bool:
-    payload = record.doc.payload
-    if isinstance(payload, STPhoto):
-        return fov_contains(payload.loc, resolve_direction(payload.fov), payload.fov, p)
-    if isinstance(payload, MovingVideo):
-        return _maybe_visible(payload, p) and bool(visible_intervals(payload, p))
-    raise WrongKindError(f"{record.doc.kind} has no field of view")
-
-
 def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord]:
     """Run a QuerySpec against one collection; ordered by fid, then paged."""
     meta = store.get_collection(cid)
@@ -206,16 +181,14 @@ def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord
         raise WrongKindError(
             f"visibleFrom applies to photo/video collections, not {meta.media_type}"
         )
-    candidates = store.st_query(cid, bbox=spec.bbox, interval=spec.interval)
     out = []
-    for record in candidates:
+    for record in store.st_query(cid, bbox=spec.bbox, interval=spec.interval):
+        payload = record.doc.payload
         if spec.near is not None:
             point, radius = spec.near
-            if not any(geo_distance(c, point) <= radius for c in _near_candidates(record)):
+            if not any(geo_distance(v, point) <= radius for v in payload.vertices()):
                 continue
-        if spec.visible_from is not None and not _is_visible_from(record, spec.visible_from):
+        if spec.visible_from is not None and not visible_intervals(payload, spec.visible_from):
             continue
         out.append(record)
-    if spec.limit is None:
-        return out[spec.offset :]
-    return out[spec.offset : spec.offset + spec.limit]
+    return page(out, spec.limit, spec.offset)

@@ -12,6 +12,7 @@ data, so they are deterministic given store state.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import re
@@ -20,32 +21,19 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 
 from . import media
 from .codec import (
+    CANONICAL_KINDS,
     document_to_obj,
-    epoch_to_iso,
     geojson_point,
     geojson_polygon,
+    interval_str,
     parse_datetime,
     parse_document,
 )
-from .errors import (
-    BadAnnotationError,
-    BadDateTimeError,
-    BadQueryError,
-    CorruptStoreError,
-    DuplicateIdError,
-    GeoMediaError,
-    KindMismatchError,
-    NotFoundError,
-    ParseError,
-    StoreIoError,
-    WrongKindError,
-)
-from .fov import fov_contains, fov_sector_polygon, resolve_direction
+from .errors import BadDateTimeError, BadQueryError, GeoMediaError, NotFoundError, ParseError
+from .fov import fov_sector_polygon
 from .geo import GeoPoint
-from .media import MovingVideo, STPhoto
 from .query import QuerySpec, evaluate, fov_at, position_at, visible_intervals
-from .store import Annotation, MediaStore
-from .temporal import TimeInterval
+from .store import Annotation, MediaStore, annotation_from_obj, annotation_to_obj, page
 
 LOGGER = logging.getLogger(__name__)
 
@@ -59,8 +47,6 @@ _STATUS_BY_CODE = {
     "Conflict": 409,
     "Internal": 500,
 }
-
-_CANONICAL_MEDIA_TYPES = {kind.lower(): kind for kind in media.KINDS}
 
 
 def _api_error(code: str, message: str, path: str) -> tuple[int, dict]:
@@ -82,21 +68,10 @@ class GeoMediaApi:
             params = _decode_params(parts.query)
             segments = [unquote(s) for s in path.split("/") if s]
             return self._route(method, segments, params, body, path)
-        except BadQueryError as exc:
-            return _api_error("BadQuery", str(exc), path)
-        except (ParseError, BadAnnotationError) as exc:
-            return _api_error("BadBody", str(exc), path)
-        except NotFoundError as exc:
-            return _api_error("NotFound", str(exc), path)
-        except DuplicateIdError as exc:
-            return _api_error("Conflict", str(exc), path)
-        except (KindMismatchError, WrongKindError) as exc:
-            return _api_error("KindMismatch", str(exc), path)
-        except (StoreIoError, CorruptStoreError) as exc:
-            LOGGER.error("store failure for %s %s: %s", method, target, exc)
-            return _api_error("Internal", str(exc), path)
         except GeoMediaError as exc:
-            return _api_error("BadQuery", str(exc), path)
+            if exc.code == "Internal":
+                LOGGER.error("store failure for %s %s: %s", method, target, exc)
+            return _api_error(exc.code, str(exc), path)
         except Exception:  # pragma: no cover - last-resort guard
             LOGGER.exception("unhandled error for %s %s", method, target)
             return _api_error("Internal", "internal error", path)
@@ -174,7 +149,7 @@ class GeoMediaApi:
         if not isinstance(title, str):
             raise ParseError("'title' must be a string", "/title")
         raw_type = obj.get("mediaType")
-        media_type = _CANONICAL_MEDIA_TYPES.get(raw_type.lower()) if isinstance(raw_type, str) else None
+        media_type = CANONICAL_KINDS.get(raw_type.lower()) if isinstance(raw_type, str) else None
         if media_type is None:
             raise ParseError(f"'mediaType' must be one of {list(media.KINDS)}", "/mediaType")
         try:
@@ -202,17 +177,14 @@ class GeoMediaApi:
             raise NotFoundError(f"no route for {method} {path}")
         _allow_params(params, {"bbox", "datetime", "near", "visibleFrom", "limit", "offset"})
         spec = decode_query_spec(params)
-        matched = evaluate(self.store, cid, QuerySpec(
-            bbox=spec.bbox, interval=spec.interval, near=spec.near,
-            visible_from=spec.visible_from,
-        ))
-        page = matched[spec.offset : spec.offset + (spec.limit or DEFAULT_LIMIT)]
+        matched = evaluate(self.store, cid, dataclasses.replace(spec, limit=None, offset=0))
+        returned = page(matched, spec.limit or DEFAULT_LIMIT, spec.offset)
         return 200, {
             "numberMatched": len(matched),
-            "numberReturned": len(page),
+            "numberReturned": len(returned),
             "query": _echo_query(params),
             "features": [
-                {"fid": r.fid, "document": document_to_obj(r.doc, "epoch")} for r in page
+                {"fid": r.fid, "document": document_to_obj(r.doc, "epoch")} for r in returned
             ],
         }
 
@@ -246,32 +218,13 @@ class GeoMediaApi:
     def _item_fov(self, cid, fid, params):
         _allow_params(params, {"at"})
         record = self.store.get_feature(cid, fid)
-        payload = record.doc.payload
-        if isinstance(payload, STPhoto):
-            sector = fov_sector_polygon(
-                payload.loc, resolve_direction(payload.fov), payload.fov
-            )
-        elif isinstance(payload, MovingVideo):
-            if "at" not in params:
-                raise BadQueryError("'at' is required for a moving video")
-            state = fov_at(payload, parse_instant(params["at"]))
-            sector = fov_sector_polygon(state.camera, state.direction, state.fov)
-        else:
-            raise WrongKindError(f"{record.doc.kind} has no field of view")
-        return 200, geojson_polygon(sector)
+        state = fov_at(record.doc, parse_instant(params["at"]) if "at" in params else None)
+        return 200, geojson_polygon(fov_sector_polygon(state.camera, state.direction, state.fov))
 
     def _item_visible(self, cid, fid, params):
         _allow_params(params, {"point"}, required={"point"})
         p = parse_lonlat(params["point"], "point")
-        record = self.store.get_feature(cid, fid)
-        payload = record.doc.payload
-        if isinstance(payload, STPhoto):
-            visible = fov_contains(payload.loc, resolve_direction(payload.fov), payload.fov, p)
-            intervals = [TimeInterval(payload.t, payload.t)] if visible else []
-        elif isinstance(payload, MovingVideo):
-            intervals = visible_intervals(payload, p)
-        else:
-            raise WrongKindError(f"{record.doc.kind} has no field of view")
+        intervals = visible_intervals(self.store.get_feature(cid, fid).doc, p)
         return 200, {"intervals": [interval_str(iv) for iv in intervals]}
 
     # -- annotations ---------------------------------------------------------------
@@ -283,14 +236,14 @@ class GeoMediaApi:
         aid = tail[0] if tail else None
         if aid is None and method == "GET":
             anns = self.store.list_annotations(cid, fid)
-            return 200, {"annotations": [_annotation_obj(a) for a in anns]}
+            return 200, {"annotations": [annotation_to_obj(a, "iso") for a in anns]}
         if aid is None and method == "POST":
             ann = self._decode_annotation(body, cid, fid)
             self.store.put_annotation(cid, fid, ann)
             self._persist()
-            return 201, _annotation_obj(ann)
+            return 201, annotation_to_obj(ann, "iso")
         if aid is not None and method == "GET":
-            return 200, _annotation_obj(self.store.get_annotation(cid, fid, aid))
+            return 200, annotation_to_obj(self.store.get_annotation(cid, fid, aid), "iso")
         if aid is not None and method == "DELETE":
             self.store.delete_annotation(cid, fid, aid)
             self._persist()
@@ -299,26 +252,13 @@ class GeoMediaApi:
 
     def _decode_annotation(self, body, cid, fid) -> Annotation:
         obj = _decode_body(body)
-        aid = obj.get("aid")
-        if aid is None:
+        if obj.get("aid") is None:
             existing = {a.aid for a in self.store.list_annotations(cid, fid)}
             n = len(existing) + 1
             while f"a{n}" in existing:
                 n += 1
-            aid = f"a{n}"
-        elif not isinstance(aid, str):
-            raise ParseError("'aid' must be a string", "/aid")
-        time_range = None
-        if obj.get("timeRange") is not None:
-            raw = obj["timeRange"]
-            if not isinstance(raw, str) or "/" not in raw:
-                raise ParseError("'timeRange' must be \"start/end\" ISO instants", "/timeRange")
-            start, end = raw.split("/", 1)
-            try:
-                time_range = TimeInterval(parse_datetime(start), parse_datetime(end))
-            except (BadDateTimeError, ValueError) as exc:
-                raise ParseError(f"bad timeRange: {exc}", "/timeRange") from None
-        return Annotation(aid, obj.get("kind"), obj.get("body"), time_range)
+            obj["aid"] = f"a{n}"
+        return annotation_from_obj(obj, "iso")
 
     def _persist(self) -> None:
         if self.store.directory is not None:
@@ -397,28 +337,16 @@ def _parse_int(raw: str, name: str) -> int:
 
 
 def decode_query_spec(params: dict[str, str]) -> QuerySpec:
-    bbox = None
-    if "bbox" in params:
-        b = _parse_floats(params["bbox"], 4, "bbox")
-        if b[0] > b[2] or b[1] > b[3]:
-            raise BadQueryError(f"inverted bbox {params['bbox']!r}")
-        bbox = (b[0], b[1], b[2], b[3])
+    """Turn WFS-style query strings into a QuerySpec, which checks the values."""
+    bbox = _parse_floats(params["bbox"], 4, "bbox") if "bbox" in params else None
     interval = None
     if "datetime" in params:
-        raw = params["datetime"]
-        if "/" in raw:
-            start, end = raw.split("/", 1)
-            lo, hi = parse_instant(start), parse_instant(end)
-        else:
-            lo = hi = parse_instant(raw)
-        if lo > hi:
-            raise BadQueryError(f"inverted datetime interval {raw!r}")
-        interval = TimeInterval(lo, hi)
+        start, sep, end = params["datetime"].partition("/")
+        lo = parse_instant(start)
+        interval = (lo, parse_instant(end) if sep else lo)
     near = None
     if "near" in params:
         lon, lat, radius = _parse_floats(params["near"], 3, "near")
-        if radius <= 0:
-            raise BadQueryError(f"near radius must be > 0, got {radius}")
         try:
             near = (GeoPoint(lon, lat), radius)
         except ValueError as exc:
@@ -427,31 +355,13 @@ def decode_query_spec(params: dict[str, str]) -> QuerySpec:
     if "visibleFrom" in params:
         visible_from = parse_lonlat(params["visibleFrom"], "visibleFrom")
     limit = _parse_int(params["limit"], "limit") if "limit" in params else None
-    if limit is not None and limit < 1:
-        raise BadQueryError(f"limit must be >= 1, got {limit}")
     offset = _parse_int(params["offset"], "offset") if "offset" in params else 0
-    if offset < 0:
-        raise BadQueryError(f"offset must be >= 0, got {offset}")
     return QuerySpec(bbox=bbox, interval=interval, near=near,
                      visible_from=visible_from, limit=limit, offset=offset)
 
 
 def _echo_query(params: dict[str, str]) -> dict:
     return {key: params[key] for key in sorted(params)}
-
-
-def interval_str(iv: TimeInterval) -> str:
-    return f"{epoch_to_iso(iv.start)}/{epoch_to_iso(iv.end)}"
-
-
-def _annotation_obj(ann: Annotation) -> dict:
-    body = [list(v) for v in ann.body] if ann.kind == "polygon" else ann.body
-    return {
-        "aid": ann.aid,
-        "kind": ann.kind,
-        "body": body,
-        "timeRange": None if ann.time_range is None else interval_str(ann.time_range),
-    }
 
 
 def _feature_exists(store: MediaStore, cid: str, fid: str) -> bool:
@@ -471,13 +381,21 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def _dispatch(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else None
-        status, payload = self.server.api.handle(self.command, self.path, body)
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        framed = raw_length.isascii() and raw_length.isdigit()
+        if framed:
+            length = int(raw_length)
+            body = self.rfile.read(length) if length else None
+            status, payload = self.server.api.handle(self.command, self.path, body)
+        else:
+            message = f"Content-Length must be a byte count, got {raw_length!r}"
+            status, payload = _api_error("BadBody", message, urlsplit(self.path).path)
         data = b"" if payload is None else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if not framed:
+            self.send_header("Connection", "close")  # the unread body cannot be skipped
         self.end_headers()
         if data:
             self.wfile.write(data)

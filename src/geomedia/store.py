@@ -1,4 +1,7 @@
-"""Persistent collections ("layers") of geo-tagged media with a spatio-temporal index.
+"""Persistent collections ("layers") of geo-tagged media with a spatial index.
+
+Each collection keeps a 2-D (lon, lat) R-tree over its features' bounding
+boxes; time windows are not indexed but checked exactly on each candidate.
 
 A store is a directory: manifest.json with collection metadata and content
 checksums, one <cid>.ndjson of features, and one <cid>.ann.ndjson of
@@ -21,9 +24,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import media
-from .codec import document_to_obj, parse_document
+from .codec import document_to_obj, interval_str, parse_datetime, parse_document
 from .errors import (
     BadAnnotationError,
+    BadDateTimeError,
     BadQueryError,
     CorruptStoreError,
     DuplicateIdError,
@@ -69,8 +73,8 @@ class Annotation:
     time_range: TimeInterval | None = None
 
     def __post_init__(self):
-        if not self.aid:
-            raise BadAnnotationError("annotation id must be non-empty")
+        if not isinstance(self.aid, str) or not self.aid:
+            raise BadAnnotationError("annotation id must be a non-empty string")
         if self.kind not in ANNOTATION_KINDS:
             raise BadAnnotationError(f"annotation kind {self.kind!r} unknown")
         if self.kind == "polygon":
@@ -90,6 +94,38 @@ class Annotation:
             object.__setattr__(self, "body", tuple((float(x), float(y)) for x, y in body))
         elif not isinstance(self.body, str) or not self.body:
             raise BadAnnotationError(f"{self.kind} body must be a non-empty string")
+
+
+def annotation_to_obj(ann: Annotation, time_style: str) -> dict:
+    """JSON object form of an annotation.
+
+    time_style "epoch" (store files) writes the time range as [start, end]
+    epoch milliseconds, "iso" (HTTP) as one "start/end" ISO interval string.
+    """
+    time_range = ann.time_range
+    if time_range is not None:
+        if time_style == "epoch":
+            time_range = [time_range.start, time_range.end]
+        else:
+            time_range = interval_str(time_range)
+    body = [list(v) for v in ann.body] if ann.kind == "polygon" else ann.body
+    return {"aid": ann.aid, "kind": ann.kind, "body": body, "timeRange": time_range}
+
+
+def annotation_from_obj(obj: dict, time_style: str) -> Annotation:
+    """Inverse of annotation_to_obj; a malformed time range is a ParseError."""
+    raw = obj.get("timeRange")
+    time_range = None
+    if raw is not None:
+        try:
+            if time_style == "epoch":
+                start, end = raw
+            else:
+                start, end = (parse_datetime(part) for part in raw.split("/"))
+            time_range = TimeInterval(start, end)
+        except (AttributeError, TypeError, ValueError, BadDateTimeError) as exc:
+            raise ParseError(f"bad timeRange {raw!r}: {exc}", "/timeRange") from None
+    return Annotation(obj.get("aid"), obj.get("kind"), obj.get("body"), time_range)
 
 
 @dataclass(frozen=True)
@@ -224,7 +260,7 @@ class MediaStore:
             state = self._state(cid)
             return [state.features[fid] for fid in sorted(state.features)]
 
-    # -- spatio-temporal query ----------------------------------------------
+    # -- spatial index plus exact time filter ----------------------------------
 
     def st_query(
         self,
@@ -236,32 +272,20 @@ class MediaStore:
     ) -> list[FeatureRecord]:
         """Features intersecting bbox and overlapping interval, ordered by fid.
 
-        Index candidates are re-checked against the exact predicates, so the
-        result equals a linear scan.
+        The index holds each feature's exact bbox under the same inclusive
+        test, so its hits need no re-check; the interval is checked per hit.
+        The result equals a linear scan.
         """
         bbox = _check_bbox(bbox)
         interval = _check_interval(interval)
-        if limit is not None and limit < 1:
-            raise BadQueryError(f"limit must be >= 1, got {limit}")
-        if offset < 0:
-            raise BadQueryError(f"offset must be >= 0, got {offset}")
+        _check_page(limit, offset)
         with self._lock:
             state = self._state(cid)
-            if bbox is not None:
-                fids = state.index.search(bbox)
-            else:
-                fids = list(state.features)
-            out = []
-            for fid in sorted(set(fids)):
-                record = state.features[fid]
-                if bbox is not None and not _bbox_intersects(record.bbox, bbox):
-                    continue
-                if interval is not None and not record.extent.overlaps(interval):
-                    continue
-                out.append(record)
-            if limit is None:
-                return out[offset:]
-            return out[offset : offset + limit]
+            fids = state.index.search(bbox) if bbox is not None else state.features
+            records = (state.features[fid] for fid in sorted(fids))
+            if interval is not None:
+                records = (r for r in records if r.extent.overlaps(interval))
+            return page(list(records), limit, offset)
 
     def collection_bbox(self, cid: str) -> Bbox | None:
         with self._lock:
@@ -357,7 +381,8 @@ class MediaStore:
             ann_lines = []
             for fid in sorted(state.annotations):
                 for aid in sorted(state.annotations[fid]):
-                    ann_lines.append(_annotation_line(fid, state.annotations[fid][aid]) + "\n")
+                    obj = {"fid": fid, **annotation_to_obj(state.annotations[fid][aid], "epoch")}
+                    ann_lines.append(json.dumps(obj, separators=(", ", ": ")) + "\n")
             feature_bytes = "".join(feature_lines).encode("utf-8")
             ann_bytes = "".join(ann_lines).encode("utf-8")
             meta = state.meta
@@ -439,9 +464,9 @@ class MediaStore:
         for line_no, line in enumerate(ann_bytes.decode("utf-8").splitlines(), 1):
             try:
                 obj = json.loads(line)
-                ann = _annotation_from_obj(obj)
+                ann = annotation_from_obj(obj, "epoch")
                 fid = obj["fid"]
-            except (ValueError, KeyError, TypeError, BadAnnotationError) as exc:
+            except (ValueError, KeyError, TypeError, BadAnnotationError, ParseError) as exc:
                 raise CorruptStoreError(f"{cid}.ann.ndjson line {line_no}: {exc}") from None
             if fid not in state.features:
                 raise CorruptStoreError(f"{cid}.ann.ndjson line {line_no}: unknown feature {fid!r}")
@@ -459,26 +484,6 @@ def _read_file(path: Path) -> bytes:
         return path.read_bytes()
     except OSError as exc:
         raise CorruptStoreError(f"missing store file: {exc}") from None
-
-
-def _annotation_line(fid: str, ann: Annotation) -> str:
-    body = [list(v) for v in ann.body] if ann.kind == "polygon" else ann.body
-    obj = {
-        "fid": fid,
-        "aid": ann.aid,
-        "kind": ann.kind,
-        "body": body,
-        "timeRange": None
-        if ann.time_range is None
-        else [ann.time_range.start, ann.time_range.end],
-    }
-    return json.dumps(obj, separators=(", ", ": "))
-
-
-def _annotation_from_obj(obj: dict) -> Annotation:
-    tr = obj.get("timeRange")
-    time_range = None if tr is None else TimeInterval(tr[0], tr[1])
-    return Annotation(obj["aid"], obj["kind"], obj["body"], time_range)
 
 
 def _check_bbox(bbox) -> Bbox | None:
@@ -503,7 +508,13 @@ def _check_interval(interval) -> TimeInterval | None:
         raise BadQueryError(f"bad interval {interval!r}: {exc}") from None
 
 
-def _bbox_intersects(a: Bbox | None, b: Bbox) -> bool:
-    if a is None:
-        return False
-    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
+def _check_page(limit: int | None, offset: int) -> None:
+    if limit is not None and limit < 1:
+        raise BadQueryError(f"limit must be >= 1, got {limit}")
+    if offset < 0:
+        raise BadQueryError(f"offset must be >= 0, got {offset}")
+
+
+def page(items: list, limit: int | None, offset: int) -> list:
+    """items[offset:offset + limit]; no limit means everything from offset on."""
+    return items[offset:] if limit is None else items[offset : offset + limit]

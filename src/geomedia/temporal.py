@@ -101,6 +101,9 @@ class MovingPoint:
     def time_extent(self) -> TimeInterval:
         return TimeInterval(self.times[0], self.times[-1])
 
+    def vertices(self) -> tuple[GeoPoint, ...]:
+        return self.points
+
     def at(self, t: TimeStamp) -> GeoPoint:
         """Position at time t under this track's interpolation mode."""
         where, i, frac = _locate(self.times, t, self.mode)
@@ -190,6 +193,10 @@ class MovingDouble:
 
     def time_extent(self) -> TimeInterval:
         return TimeInterval(self.times[0], self.times[-1])
+
+    def vertices(self) -> tuple[GeoPoint, ...]:
+        """Sample positions; empty for a series without a coordinate track."""
+        return self.track or ()
 
     def at(self, t: TimeStamp) -> float:
         """Scalar value at time t under this series' interpolation mode."""

@@ -222,6 +222,23 @@ class TestAtFovVisible:
         out = json.loads(capsys.readouterr().out)
         assert out["intervals"]
 
+    def test_visible_photo_matches_http(self, capsys):
+        # 14 m east of a camera facing east with a 30 m view distance
+        code = main(["visible", "--file", str(FIXTURES / "stphoto.json"),
+                     "--point=-122.0878,37.4184889"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"intervals": ["2018-08-01T13:01:01Z/2018-08-01T13:01:01Z"]}
+        from geomedia import GeoMediaApi
+
+        api = GeoMediaApi(MediaStore())
+        api.handle("POST", "/collections", b'{"id": "pics", "mediaType": "stphoto"}')
+        api.handle("PUT", "/collections/pics/items/p1",
+                   (FIXTURES / "stphoto.json").read_bytes())
+        status, body = api.handle(
+            "GET", "/collections/pics/items/p1/visible?point=-122.0878,37.4184889")
+        assert (status, body) == (200, out)
+
     def test_selector_required(self):
         assert main(["at", "--at", "0"]) == 2
 

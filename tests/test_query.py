@@ -172,6 +172,22 @@ class TestVisibleIntervals:
         with pytest.raises(BadQueryError):
             visible_intervals(moving_video_doc, GeoPoint(0, 0), 0)
 
+    def test_discrete_track_only_at_samples(self, store):
+        # a discrete track has no position between its samples, so neither
+        # the sweep nor visibleFrom may evaluate the grid in between
+        pts = (GeoPoint(0, 0), GeoPoint(0.001, 0), GeoPoint(0.002, 0))
+        video = MovingVideo(
+            "u:dashcam",
+            MovingPoint((0, 1000, 2000), pts, InterpolationMode.DISCRETE),
+            (FieldOfView(direction2d=0, view_distance=100),),
+        )
+        p = destination(pts[1], 0, 50)  # ahead of the middle sample only
+        intervals = visible_intervals(video, p)
+        assert [(iv.start, iv.end) for iv in intervals] == [(1000, 1000)]
+        store.create_collection("dashcam", "Dashcam", "MovingVideo")
+        store.put_feature("dashcam", "d1", document_of(video))
+        assert [r.fid for r in evaluate(store, "dashcam", QuerySpec(visible_from=p))] == ["d1"]
+
 
 class TestTrajectorySimilarity:
     def test_identical_tracks(self):

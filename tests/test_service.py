@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.request
 
@@ -335,3 +336,23 @@ class TestHttpAdapter:
         finally:
             server.shutdown()
             server.server_close()
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_malformed_content_length(self, tmp_path, length):
+        server = GeoMediaServer(MediaStore(tmp_path / "s"), "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            # the timeout turns a hung server into a failure, not a hung test
+            with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+                sock.sendall(b"POST /collections HTTP/1.1\r\nHost: t\r\n"
+                             b"Content-Length: " + length.encode() + b"\r\n\r\n{}")
+                chunks = []
+                while chunk := sock.recv(65536):  # ends only when the server closes
+                    chunks.append(chunk)
+        finally:
+            server.shutdown()
+            server.server_close()
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["code"] == "BadBody"
