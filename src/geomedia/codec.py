@@ -117,12 +117,27 @@ def interval_str(iv: TimeInterval) -> str:
 
 
 def _reject_duplicates(pairs):
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise BadJsonError(f"duplicate member {key!r}")
-        out[key] = value
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise BadJsonError(f"duplicate member {key!r}")
+            seen.add(key)
     return out
+
+
+def decode_json(text: bytes | str):
+    """Decode UTF-8 JSON text, rejecting duplicate members at any depth."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BadJsonError(f"not UTF-8: {exc}") from None
+    try:
+        return json.loads(text, object_pairs_hook=_reject_duplicates)
+    except json.JSONDecodeError as exc:
+        raise BadJsonError(f"malformed JSON: {exc.msg} (line {exc.lineno})") from None
 
 
 _KNOWN_KEYS = {
@@ -150,17 +165,18 @@ def _is_number(x) -> bool:
 
 
 def _read_point(value, path: str) -> GeoPoint:
-    if (
-        not isinstance(value, list)
-        or len(value) not in (2, 3)
-        or not all(_is_number(c) for c in value)
-    ):
-        raise BadFieldValueError("position must be [lon, lat] or [lon, lat, alt]", path)
-    try:
-        alt = float(value[2]) if len(value) == 3 else None
-        return GeoPoint(float(value[0]), float(value[1]), alt)
-    except ValueError as exc:
-        raise BadFieldValueError(str(exc), path) from None
+    if isinstance(value, list) and 2 <= len(value) <= 3:
+        for c in value:
+            if type(c) is not float and not _is_number(c):  # exact float: the common case
+                break
+        else:
+            try:
+                if len(value) == 2:
+                    return GeoPoint(float(value[0]), float(value[1]))
+                return GeoPoint(float(value[0]), float(value[1]), float(value[2]))
+            except ValueError as exc:
+                raise BadFieldValueError(str(exc), path) from None
+    raise BadFieldValueError("position must be [lon, lat] or [lon, lat, alt]", path)
 
 
 def _read_times(obj: dict, count: int | None, path: str = "") -> tuple[TimeStamp, ...]:
@@ -346,17 +362,11 @@ def parse_document(text: bytes | str) -> GeoMediaDocument:
     Unrecognized top-level members are preserved on the returned document and
     re-emitted by serialize_document. Errors carry a JSON-pointer-style path.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise BadJsonError(f"not UTF-8: {exc}") from None
-    try:
-        obj = json.loads(text, object_pairs_hook=_reject_duplicates)
-    except BadJsonError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise BadJsonError(f"malformed JSON: {exc.msg} (line {exc.lineno})") from None
+    return parse_obj(decode_json(text))
+
+
+def parse_obj(obj) -> GeoMediaDocument:
+    """parse_document for an already decoded JSON value."""
     if not isinstance(obj, dict):
         raise BadJsonError("document must be a JSON object")
     obj = _normalize_keys(obj)

@@ -4,9 +4,17 @@ Keys are (minx, miny, maxx, maxy) rectangles; items are opaque hashable ids.
 Node capacity is 16 with a 40% minimum fill. Search is inclusive: touching
 rectangles intersect. Deletion condenses underfull nodes by reinserting
 their leaf entries.
+
+bulk_load packs a whole set of entries at once by Sort-Tile-Recursive
+(Leutenegger, Lopez & Edgington, ICDE 1997). Its nodes are full except the
+last of each tile, which may hold fewer than the minimum fill; insert and
+delete work on such a tree as on any other.
 """
 
 from __future__ import annotations
+
+import math
+from collections.abc import Iterable
 
 Rect = tuple[float, float, float, float]
 
@@ -55,6 +63,21 @@ class RTree:
 
     def __len__(self) -> int:
         return self._size
+
+    @classmethod
+    def bulk_load(cls, entries: Iterable[tuple[object, Rect]]) -> "RTree":
+        """A packed tree of (item, rect) entries, built level by level."""
+        tree = cls()
+        level = [(rect, item) for item, rect in entries]
+        tree._size = len(level)
+        is_leaf = True
+        while len(level) > tree._max:
+            nodes = _str_pack(level, tree._max, is_leaf)
+            level = [(node.rect(), node) for node in nodes]
+            is_leaf = False
+        tree._root = _Node(is_leaf)
+        tree._root.entries = level
+        return tree
 
     def insert(self, item, rect: Rect) -> None:
         self._insert_entry(rect, item)
@@ -196,6 +219,22 @@ class RTree:
                 node.entries[k] = (child.rect(), child)
             return True, orphans
         return False, []
+
+
+def _str_pack(entries: list[tuple[Rect, object]], cap: int, is_leaf: bool) -> list[_Node]:
+    """One STR level: sort by x centre into vertical slices of whole nodes,
+    then each slice by y centre into nodes of cap entries."""
+    slices = math.ceil(math.sqrt(math.ceil(len(entries) / cap)))
+    per_slice = slices * cap
+    entries.sort(key=lambda e: e[0][0] + e[0][2])
+    nodes = []
+    for s in range(0, len(entries), per_slice):
+        run = sorted(entries[s : s + per_slice], key=lambda e: e[0][1] + e[0][3])
+        for k in range(0, len(run), cap):
+            node = _Node(is_leaf)
+            node.entries = run[k : k + cap]
+            nodes.append(node)
+    return nodes
 
 
 def _leaf_entries(node: _Node) -> list[tuple[Rect, object]]:

@@ -38,11 +38,13 @@ from .store import Annotation, MediaStore, annotation_from_obj, annotation_to_ob
 LOGGER = logging.getLogger(__name__)
 
 DEFAULT_LIMIT = 10
+MAX_BODY_BYTES = 64 * 1024 * 1024  # a larger Content-Length is refused unread
 
 _STATUS_BY_CODE = {
     "NotFound": 404,
     "BadQuery": 400,
     "BadBody": 400,
+    "TooLarge": 413,
     "KindMismatch": 422,
     "Conflict": 409,
     "Internal": 500,
@@ -198,8 +200,9 @@ class GeoMediaApi:
             if body is None:
                 raise ParseError("request body required")
             doc = parse_document(body)
-            existed = _feature_exists(self.store, cid, fid)
-            record = self.store.put_feature(cid, fid, doc)
+            with self.store.lock:  # so that of two PUTs of a new fid only one sees it new
+                existed = self.store.has_feature(cid, fid)
+                record = self.store.put_feature(cid, fid, doc)
             self._persist()
             return (200 if existed else 201), document_to_obj(record.doc, "epoch")
         if method == "DELETE":
@@ -299,12 +302,12 @@ def _decode_body(body: bytes | None) -> dict:
     return obj
 
 
-_INT_RE = re.compile(r"^-?\d+$")
+_INT_RE = re.compile(r"-?[0-9]+")  # ASCII only: int() also takes "1_0", " 5" and "١٢"
 
 
 def parse_instant(raw: str) -> int:
-    if _INT_RE.match(raw.strip()):
-        return int(raw.strip())
+    if _INT_RE.fullmatch(raw):
+        return int(raw)
     try:
         return parse_datetime(raw)
     except BadDateTimeError as exc:
@@ -330,10 +333,9 @@ def parse_lonlat(raw: str, name: str) -> GeoPoint:
 
 
 def _parse_int(raw: str, name: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadQueryError(f"{name} must be an integer, got {raw!r}") from None
+    if not _INT_RE.fullmatch(raw):
+        raise BadQueryError(f"{name} must be an integer, got {raw!r}")
+    return int(raw)
 
 
 def decode_query_spec(params: dict[str, str]) -> QuerySpec:
@@ -364,15 +366,6 @@ def _echo_query(params: dict[str, str]) -> dict:
     return {key: params[key] for key in sorted(params)}
 
 
-def _feature_exists(store: MediaStore, cid: str, fid: str) -> bool:
-    try:
-        store.get_feature(cid, fid)
-        return True
-    except NotFoundError:
-        store.get_collection(cid)  # 404 on missing collection, not missing feature
-        return False
-
-
 # -- stdlib HTTP adapter --------------------------------------------------------------
 
 
@@ -382,11 +375,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self):
         raw_length = (self.headers.get("Content-Length") or "0").strip()
-        framed = raw_length.isascii() and raw_length.isdigit()
-        if framed:
-            length = int(raw_length)
+        length = int(raw_length) if raw_length.isascii() and raw_length.isdigit() else None
+        read = length is not None and length <= MAX_BODY_BYTES
+        if read:
             body = self.rfile.read(length) if length else None
             status, payload = self.server.api.handle(self.command, self.path, body)
+        elif length is not None:
+            message = f"body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}"
+            status, payload = _api_error("TooLarge", message, urlsplit(self.path).path)
         else:
             message = f"Content-Length must be a byte count, got {raw_length!r}"
             status, payload = _api_error("BadBody", message, urlsplit(self.path).path)
@@ -394,7 +390,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
-        if not framed:
+        if not read:
             self.send_header("Connection", "close")  # the unread body cannot be skipped
         self.end_headers()
         if data:

@@ -2,6 +2,9 @@
 
 Each collection keeps a 2-D (lon, lat) R-tree over its features' bounding
 boxes; time windows are not indexed but checked exactly on each candidate.
+The tree is bulk-loaded (STR) by load(), and for a collection filled since
+it was created by the first spatial search; after that every put and delete
+updates it one entry at a time.
 
 A store is a directory: manifest.json with collection metadata and content
 checksums, one <cid>.ndjson of features, and one <cid>.ann.ndjson of
@@ -11,6 +14,8 @@ always detected by checksum at load time instead of loading silently.
 
 Concurrency: one writer at a time, readers any time; every public method
 takes the store lock, so no partially applied mutation is ever observable.
+A caller that makes one step of several calls holds the (re-entrant) lock
+across them.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import media
-from .codec import document_to_obj, interval_str, parse_datetime, parse_document
+from .codec import decode_json, document_to_obj, interval_str, parse_datetime, parse_obj
 from .errors import (
     BadAnnotationError,
     BadDateTimeError,
@@ -145,7 +150,14 @@ class _CollectionState:
         self.meta = meta
         self.features: dict[str, FeatureRecord] = {}
         self.annotations: dict[str, dict[str, Annotation]] = {}
-        self.index = RTree()
+        self.index: RTree | None = None  # built by spatial_index() when first needed
+
+    def spatial_index(self) -> RTree:
+        if self.index is None:
+            self.index = RTree.bulk_load(
+                (fid, r.bbox) for fid, r in self.features.items() if r.bbox is not None
+            )
+        return self.index
 
 
 def _now_ms() -> int:
@@ -163,6 +175,11 @@ class MediaStore:
     @property
     def directory(self) -> Path | None:
         return self._dir
+
+    @property
+    def lock(self) -> threading.RLock:
+        """The store lock, for a caller that makes one step of several calls."""
+        return self._lock
 
     # -- collections ------------------------------------------------------
 
@@ -215,11 +232,12 @@ class MediaStore:
                 )
             record = FeatureRecord(fid, doc, media.spatial_bbox(doc), media.time_extent(doc))
             old = state.features.get(fid)
-            if old is not None and old.bbox is not None:
-                state.index.delete(fid, old.bbox)
+            if state.index is not None:
+                if old is not None and old.bbox is not None:
+                    state.index.delete(fid, old.bbox)
+                if record.bbox is not None:
+                    state.index.insert(fid, record.bbox)
             state.features[fid] = record
-            if record.bbox is not None:
-                state.index.insert(fid, record.bbox)
             anns = state.annotations.get(fid)
             if anns:
                 kept = {
@@ -246,10 +264,14 @@ class MediaStore:
         with self._lock:
             record = self.get_feature(cid, fid)
             state = self._collections[cid]
-            if record.bbox is not None:
+            if state.index is not None and record.bbox is not None:
                 state.index.delete(fid, record.bbox)
             del state.features[fid]
             state.annotations.pop(fid, None)
+
+    def has_feature(self, cid: str, fid: str) -> bool:
+        with self._lock:
+            return fid in self._state(cid).features
 
     def feature_count(self, cid: str) -> int:
         with self._lock:
@@ -281,7 +303,7 @@ class MediaStore:
         _check_page(limit, offset)
         with self._lock:
             state = self._state(cid)
-            fids = state.index.search(bbox) if bbox is not None else state.features
+            fids = state.spatial_index().search(bbox) if bbox is not None else state.features
             records = (state.features[fid] for fid in sorted(fids))
             if interval is not None:
                 records = (r for r in records if r.extent.overlaps(interval))
@@ -448,22 +470,21 @@ class MediaStore:
         self._collections[cid] = state
         for line_no, line in enumerate(feature_bytes.decode("utf-8").splitlines(), 1):
             try:
-                wrapper = json.loads(line)
+                wrapper = decode_json(line)
                 fid = wrapper["fid"]
-                doc = parse_document(json.dumps(wrapper["document"]))
+                doc = parse_obj(wrapper["document"])
             except (ValueError, KeyError, TypeError, ParseError) as exc:
                 raise CorruptStoreError(f"{cid}.ndjson line {line_no}: {exc}") from None
             record = FeatureRecord(fid, doc, media.spatial_bbox(doc), media.time_extent(doc))
             state.features[fid] = record
-            if record.bbox is not None:
-                state.index.insert(fid, record.bbox)
         if len(state.features) != want_features:
             raise CorruptStoreError(
                 f"{cid}: manifest says {want_features} features, file has {len(state.features)}"
             )
+        state.spatial_index()
         for line_no, line in enumerate(ann_bytes.decode("utf-8").splitlines(), 1):
             try:
-                obj = json.loads(line)
+                obj = decode_json(line)
                 ann = annotation_from_obj(obj, "epoch")
                 fid = obj["fid"]
             except (ValueError, KeyError, TypeError, BadAnnotationError, ParseError) as exc:

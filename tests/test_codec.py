@@ -16,12 +16,14 @@ from geomedia import (
     parse_document,
     serialize_document,
 )
+from geomedia.codec import parse_obj
 from geomedia.errors import (
     BadDateTimeError,
     BadFieldValueError,
     BadJsonError,
     LengthMismatchError,
     NonIncreasingTimeError,
+    ParseError,
     UnknownTypeError,
 )
 
@@ -402,3 +404,44 @@ class TestVideoFovSpellings:
         video = parse_document(text).payload
         assert len(video.fovs) == 1
         assert video.fovs[0].view_distance == 100.0
+
+
+FIXTURE_NAMES = ["moving_point.json", "moving_double.json", "stphoto.json", "moving_video.json"]
+
+
+class TestParseObj:
+    """parse_obj takes the decoded value; it must agree with parse_document."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_agrees_with_parse_document(self, name):
+        obj = json.loads(fixture_bytes(name))
+        assert parse_obj(obj) == parse_document(json.dumps(obj))
+        assert parse_obj(obj) == parse_document(fixture_bytes(name))
+
+    @pytest.mark.parametrize("bad", [
+        [1, 2, 3],
+        "MovingPoint",
+        {"type": "MovingBlob"},
+        {"coordinates": [[1, 2]], "timeline": [0]},
+        {"type": "MovingPoint", "coordinates": [[1, 2], [3, 4]], "timeline": [0]},
+        {"type": "MovingPoint", "coordinates": [[1, 2], [3, 4]], "timeline": [5, 5]},
+        {"type": "MovingPoint", "coordinates": [[1, 2], [300, 4]], "timeline": [0, 1]},
+        {"type": "MovingPoint", "coordinates": [[1, 2], [3, True]], "timeline": [0, 1]},
+        {"type": "MovingPoint", "coordinates": [[1, 2], [3]], "timeline": [0, 1]},
+        {"type": "MovingPoint", "coordinates": [[1, 2], [3, 4, 5, 6]], "timeline": [0, 1]},
+        {"type": "MovingPoint", "coordinates": [[1, 2], "3, 4"], "timeline": [0, 1]},
+        {"type": "MovingPoint", "coordinates": [[1, 2], [3, 4, 5]], "timeline": [0, 1]},
+        {"type": "stphoto", "uri": "u", "coordinates": [0, 95], "timeline": [0]},
+        {"type": "stphoto", "uri": "u", "coordinates": [0, 0], "datetimes": ["2018-13-01T00:00:00Z"]},
+        {"type": "MovingVideo", "uri": "u", "coordinates": [[0, 0]], "timeline": [0],
+         "fov": [{"horizontalAngle": "wide"}]},
+        {"type": "MovingDouble", "values": [1, None], "timeline": [0, 1]},
+    ])
+    def test_same_errors_as_parse_document(self, bad):
+        with pytest.raises(ParseError) as via_obj:
+            parse_obj(bad)
+        with pytest.raises(ParseError) as via_text:
+            parse_document(json.dumps(bad))
+        assert type(via_obj.value) is type(via_text.value)
+        assert (via_obj.value.message, via_obj.value.path) == (
+            via_text.value.message, via_text.value.path)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from geomedia.rtree import MAX_ENTRIES, RTree
+from geomedia.rtree import MAX_ENTRIES, MIN_ENTRIES, RTree
 
 
 def brute_force_search(entries, rect):
@@ -120,3 +120,59 @@ def test_items_enumerates_everything():
         entries[i] = rect
         tree.insert(i, rect)
     assert sorted(tree.items()) == sorted((k, v) for k, v in entries.items())
+
+
+def leaf_depths_and_sizes(tree):
+    """(depth, entry count) of every leaf of a tree."""
+    out = []
+    stack = [(tree._root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.is_leaf:
+            out.append((depth, len(node.entries)))
+        else:
+            stack.extend((child, depth + 1) for _, child in node.entries)
+    return out
+
+
+# 4 * MAX_ENTRIES + 3 entries pack into 5 leaves in 3 slices of up to 3 leaves:
+# the second slice holds 19 entries, a full leaf and one of 3 (< MIN_ENTRIES).
+@pytest.mark.parametrize("n", [0, 1, MAX_ENTRIES, MAX_ENTRIES + 1, 4 * MAX_ENTRIES + 3, 1000])
+def test_bulk_load_matches_brute_force_then_stays_mutable(n):
+    rng = random.Random(f"rtree-bulk-{n}")
+    entries = {i: random_rect(rng) for i in range(n)}
+    tree = RTree.bulk_load(entries.items())
+    assert len(tree) == n
+    assert sorted(tree.items()) == sorted(entries.items())
+    leaves = leaf_depths_and_sizes(tree)
+    assert len({depth for depth, _ in leaves}) == 1  # every leaf on one level
+    assert all(size <= MAX_ENTRIES for _, size in leaves)
+    if n in (MAX_ENTRIES + 1, 4 * MAX_ENTRIES + 3):
+        assert min(size for _, size in leaves) < MIN_ENTRIES
+    for _ in range(50):
+        q = random_rect(rng, span=150.0)
+        assert sorted(tree.search(q)) == brute_force_search(entries, q)
+    next_id = n
+    for _ in range(600):
+        action = rng.random()
+        if action < 0.4 or not entries:
+            rect = random_rect(rng)
+            entries[next_id] = rect
+            tree.insert(next_id, rect)
+            next_id += 1
+        elif action < 0.8:
+            victim = rng.choice(list(entries))
+            tree.delete(victim, entries.pop(victim))
+        else:
+            q = random_rect(rng, span=150.0)
+            assert sorted(tree.search(q)) == brute_force_search(entries, q)
+        assert len(tree) == len(entries)
+    assert sorted(tree.items()) == sorted(entries.items())
+
+
+def test_bulk_load_keeps_duplicate_rectangles():
+    rect = (1, 1, 2, 2)
+    tree = RTree.bulk_load((name, rect) for name in "abcdefghijklmnopqrstu")
+    assert sorted(tree.search(rect)) == list("abcdefghijklmnopqrstu")
+    tree.delete("b", rect)
+    assert "b" not in tree.search(rect)

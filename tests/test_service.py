@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 import urllib.request
 
 import pytest
 
 from geomedia import GeoMediaApi, GeoMediaServer, MediaStore, evaluate
+from geomedia import service
 from geomedia.service import decode_query_spec
 
 from conftest import T0, T1, fixture_bytes
@@ -139,6 +141,49 @@ class TestItems:
         status, body = api.handle(
             "GET", "/collections/taxi/items?datetime=2018-08-01T13:05:00Z/2018-08-01T13:06:00Z")
         assert (status, body["numberReturned"]) == (200, 0)
+
+    @pytest.mark.parametrize("query", [
+        "limit=1_0", "limit=%205", "limit=5%0A", "limit=%2B5", "offset=0_1",
+        "datetime=%D9%A1%D9%A2", "datetime=12%0A", "datetime=%2012/1533128463000",
+    ])
+    def test_integers_are_ascii_digits_only(self, api, query):
+        put_reference_track(api)
+        status, body = api.handle("GET", f"/collections/taxi/items?{query}")
+        assert (status, body["code"]) == (400, "BadQuery")
+
+    def test_plain_integers_accepted(self, api):
+        put_reference_track(api)
+        status, body = api.handle(
+            "GET", f"/collections/taxi/items?limit=1&offset=0&datetime=-5/{T1}")
+        assert (status, body["numberReturned"]) == (200, 1)
+
+    def test_concurrent_puts_of_a_new_fid_create_it_once(self, api, monkeypatch):
+        put_reference_track(api)
+        real_put = api.store.put_feature
+        inside = threading.Event()
+
+        def slow_put(cid, fid, doc):
+            inside.set()
+            time.sleep(0.2)  # the second PUT decides "existed" meanwhile, unless it waits
+            return real_put(cid, fid, doc)
+
+        monkeypatch.setattr(api.store, "put_feature", slow_put)
+        statuses = []
+
+        def put():
+            status, _ = api.handle("PUT", "/collections/taxi/items/t2",
+                                   fixture_bytes("moving_point.json"))
+            statuses.append(status)
+
+        first = threading.Thread(target=put)
+        first.start()
+        assert inside.wait(5)
+        second = threading.Thread(target=put)
+        second.start()
+        first.join(5)
+        second.join(5)
+        assert not first.is_alive() and not second.is_alive()
+        assert sorted(statuses) == [200, 201]
 
     def test_delete_feature(self, api):
         put_reference_track(api)
@@ -356,3 +401,41 @@ class TestHttpAdapter:
         head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
         assert json.loads(body)["code"] == "BadBody"
+
+
+def raw_exchange(tmp_path, request: bytes) -> tuple[bytes, bytes]:
+    """Send raw bytes to a live server; (head, body) of all it sends before closing."""
+    server = GeoMediaServer(MediaStore(tmp_path / "s"), "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        # the timeout turns a hung server into a failure, not a hung test
+        with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+            sock.sendall(request)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+    finally:
+        server.shutdown()
+        server.server_close()
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return head, body
+
+
+def test_oversized_body_refused_unread(tmp_path):
+    length = str(service.MAX_BODY_BYTES + 1).encode()
+    head, body = raw_exchange(tmp_path, b"POST /collections HTTP/1.1\r\nHost: t\r\n"
+                                        b"Content-Length: " + length + b"\r\n\r\n{}")
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert b"Connection: close" in head
+    assert json.loads(body)["code"] == "TooLarge"
+
+
+@pytest.mark.parametrize("spare, status", [(0, 201), (-1, 413)])
+def test_body_limit_boundary(tmp_path, monkeypatch, spare, status):
+    doc = b'{"id": "taxi", "title": "T", "mediaType": "MovingPoint"}'
+    monkeypatch.setattr(service, "MAX_BODY_BYTES", len(doc) + spare)
+    head, _ = raw_exchange(tmp_path, b"POST /collections HTTP/1.1\r\nHost: t\r\n"
+                                     b"Connection: close\r\nContent-Length: "
+                                     + str(len(doc)).encode() + b"\r\n\r\n" + doc)
+    assert head.startswith(f"HTTP/1.1 {status} ".encode())

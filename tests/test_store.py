@@ -28,6 +28,8 @@ from geomedia.errors import (
     StoreIoError,
 )
 
+from geomedia.rtree import RTree
+
 from conftest import T0, fixture_bytes
 
 
@@ -237,6 +239,73 @@ class TestAnnotations:
         assert store.list_annotations("pics", "p1") == []
 
 
+class TestIndexUpkeep:
+    """The R-tree is bulk-loaded once per collection and then kept up to date."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"bulk_load": 0, "insert": 0}
+        real_bulk, real_insert = RTree.bulk_load.__func__, RTree.insert
+
+        def bulk_load(cls, entries):
+            calls["bulk_load"] += 1
+            return real_bulk(cls, entries)
+
+        def insert(self, item, rect):
+            calls["insert"] += 1
+            return real_insert(self, item, rect)
+
+        monkeypatch.setattr(RTree, "bulk_load", classmethod(bulk_load))
+        monkeypatch.setattr(RTree, "insert", insert)
+        return calls
+
+    @staticmethod
+    def _scan(store, cid, bbox):
+        return [r.fid for r in store.list_features(cid)
+                if r.bbox[0] <= bbox[2] and bbox[0] <= r.bbox[2]
+                and r.bbox[1] <= bbox[3] and bbox[1] <= r.bbox[3]]
+
+    def test_fresh_collection_indexed_at_first_search(self, store, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        rng = random.Random("fresh-index")
+        store.create_collection("c", "t", "MovingPoint")
+        for i in range(60):
+            store.put_feature("c", f"f{i:02d}", track_doc(rng))
+        store.put_feature("c", "f07", track_doc(rng))
+        store.delete_feature("c", "f11")
+        assert calls == {"bulk_load": 0, "insert": 0}  # no index upkeep during the fill
+        whole = (-180, -90, 180, 90)
+        assert [r.fid for r in store.st_query("c", bbox=whole)] == self._scan(store, "c", whole)
+        assert calls == {"bulk_load": 1, "insert": 0}
+        for i in range(60, 90):
+            store.put_feature("c", f"f{i:02d}", track_doc(rng))
+        for fid in ("f00", "f30", "f61"):
+            store.delete_feature("c", fid)
+        store.put_feature("c", "f05", track_doc(rng))
+        assert calls == {"bulk_load": 1, "insert": 31}  # one entry at a time from now on
+        for _ in range(30):
+            lon0, lat0 = rng.uniform(-180, 140), rng.uniform(-90, 50)
+            bbox = (lon0, lat0, lon0 + 40, lat0 + 40)
+            assert [r.fid for r in store.st_query("c", bbox=bbox)] == self._scan(store, "c", bbox)
+        assert calls["bulk_load"] == 1
+
+    def test_load_indexes_every_collection_eagerly(self, tmp_path, monkeypatch):
+        rng = random.Random("eager-index")
+        store = MediaStore(tmp_path / "s")
+        for cid in ("a", "b"):
+            store.create_collection(cid, "t", "MovingPoint")
+            for i in range(40):
+                store.put_feature(cid, f"f{i:02d}", track_doc(rng))
+        store.flush()
+        calls = self._count_calls(monkeypatch)
+        loaded = MediaStore.load(tmp_path / "s")
+        assert calls == {"bulk_load": 2, "insert": 0}
+        bbox = (-100, -60, 60, 60)
+        for cid in ("a", "b"):
+            assert [r.fid for r in loaded.st_query(cid, bbox=bbox)] == self._scan(store, cid, bbox)
+        assert calls == {"bulk_load": 2, "insert": 0}
+
+
 class TestDurability:
     def _populate(self, store):
         rng = random.Random("durable")
@@ -371,3 +440,32 @@ class TestDurability:
         line = json.loads(raw.decode("utf-8").splitlines()[0])
         assert line["fid"] == "p1"
         assert line["document"]["type"] == "stphoto"
+
+    @pytest.mark.parametrize("file, member, repeat", [
+        ("tracks.ndjson", "fid", b'"f99", "fid": '),
+        ("tracks.ndjson", "interpolation", b'"stepwise", "interpolation": '),
+        ("pics.ann.ndjson", "kind", b'"icon", "kind": '),
+    ], ids=["wrapper", "document", "annotation"])
+    def test_duplicate_member_in_store_line_detected(self, tmp_path, file, member, repeat):
+        """A line that repeats a member is corrupt even when its checksum matches."""
+        import hashlib
+
+        target = tmp_path / "s"
+        store = MediaStore(target)
+        self._populate(store)
+        store.flush()
+        data = (target / file).read_bytes()
+        first = data.split(b"\n", 1)[0]
+        key = f'"{member}": '.encode()
+        line = first.replace(key, key + repeat, 1)
+        assert line != first
+        data = data.replace(first, line, 1)
+        (target / file).write_bytes(data)
+        manifest = json.loads((target / "manifest.json").read_text())
+        cid, kind = file.split(".")[0], "annotations" if ".ann." in file else "features"
+        for entry in manifest["collections"]:
+            if entry["id"] == cid:
+                entry["sha256"][kind] = hashlib.sha256(data).hexdigest()
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptStoreError, match=f"{file} line 1: duplicate member"):
+            MediaStore.load(target)
