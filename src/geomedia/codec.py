@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import calendar
 import json
+import math
 import re
 from datetime import datetime, timezone
 
@@ -49,18 +50,14 @@ from .media import (
     KIND_MOVING_POINT,
     KIND_MOVING_VIDEO,
     KIND_STPHOTO,
+    KINDS,
     GeoMediaDocument,
     MovingVideo,
     STPhoto,
 )
 from .temporal import InterpolationMode, MovingDouble, MovingPoint, TimeInterval, TimeStamp
 
-CANONICAL_KINDS = {
-    "movingpoint": KIND_MOVING_POINT,
-    "movingdouble": KIND_MOVING_DOUBLE,
-    "stphoto": KIND_STPHOTO,
-    "movingvideo": KIND_MOVING_VIDEO,
-}
+CANONICAL_KINDS = {kind.lower(): kind for kind in KINDS}
 
 _DATETIME_RE = re.compile(
     r"^(\d{4})-(\d{1,2})-(\d{1,2})T(\d{2}):(\d{2}):(\d{2})(\.\d{1,3})?Z$"
@@ -164,6 +161,24 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def is_finite_number(x) -> bool:
+    """A JSON number a double holds: not NaN, not infinite, not an over-long integer."""
+    try:
+        return _is_number(x) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _reject_non_finite(value, path: str) -> None:
+    """Unrecognized members are re-emitted as they are, so they must be JSON too."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise BadFieldValueError("numbers must be finite", path)
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            _reject_non_finite(item, f"{path}/{key}")
+
+
 def _read_point(value, path: str) -> GeoPoint:
     if isinstance(value, list) and 2 <= len(value) <= 3:
         for c in value:
@@ -174,7 +189,7 @@ def _read_point(value, path: str) -> GeoPoint:
                 if len(value) == 2:
                     return GeoPoint(float(value[0]), float(value[1]))
                 return GeoPoint(float(value[0]), float(value[1]), float(value[2]))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise BadFieldValueError(str(exc), path) from None
     raise BadFieldValueError("position must be [lon, lat] or [lon, lat, alt]", path)
 
@@ -241,8 +256,8 @@ def _read_number(obj: dict, member: str, default: float, path: str) -> float:
     if member not in obj:
         return default
     value = obj[member]
-    if not _is_number(value):
-        raise BadFieldValueError(f"'{member}' must be a number", f"{path}/{member}")
+    if not is_finite_number(value):
+        raise BadFieldValueError(f"'{member}' must be a finite number", f"{path}/{member}")
     return float(value)
 
 
@@ -286,8 +301,8 @@ def _build_moving_double(obj: dict) -> tuple[MovingDouble, set[str]]:
     if not isinstance(raw_values, list) or not raw_values:
         raise BadFieldValueError("'values' must be a non-empty array", "/values")
     for i, v in enumerate(raw_values):
-        if not _is_number(v):
-            raise BadFieldValueError("values must be numbers", f"/values/{i}")
+        if not is_finite_number(v):
+            raise BadFieldValueError("values must be finite numbers", f"/values/{i}")
     times = _read_times(obj, len(raw_values))
     mode = _read_interpolation(obj)
     track = None
@@ -348,14 +363,6 @@ def _build_moving_video(obj: dict) -> tuple[MovingVideo, set[str]]:
     }
 
 
-_BUILDERS = {
-    KIND_MOVING_POINT: _build_moving_point,
-    KIND_MOVING_DOUBLE: _build_moving_double,
-    KIND_STPHOTO: _build_stphoto,
-    KIND_MOVING_VIDEO: _build_moving_video,
-}
-
-
 def parse_document(text: bytes | str) -> GeoMediaDocument:
     """Parse one GeoMedia JSON document, normalizing times to epoch milliseconds.
 
@@ -377,12 +384,14 @@ def parse_obj(obj) -> GeoMediaDocument:
     if kind is None:
         raise UnknownTypeError(f"unknown media type {tag!r}", "/type")
     try:
-        payload, consumed = _BUILDERS[kind](obj)
+        payload, consumed = _CODECS[kind][0](obj)
     except ParseError:
         raise
     except ValueError as exc:
         raise BadFieldValueError(str(exc)) from None
     extras = tuple((k, v) for k, v in obj.items() if k != "type" and k not in consumed)
+    for key, value in extras:
+        _reject_non_finite(value, f"/{key}")
     return GeoMediaDocument(kind, payload, extras)
 
 
@@ -402,66 +411,59 @@ def _coord(p: GeoPoint) -> list:
     return [_num(p.lon), _num(p.lat), _num(p.alt)]
 
 
-def _time_member(times, time_style: str) -> tuple[str, list]:
+def _time_member(times, time_style: str) -> dict:
     if time_style == "epoch":
-        return "timeline", [int(t) for t in times]
+        return {"timeline": [int(t) for t in times]}
     if time_style == "iso":
-        return "datetimes", [epoch_to_iso(t) for t in times]
+        return {"datetimes": [epoch_to_iso(t) for t in times]}
     raise ValueError(f"time style must be 'iso' or 'epoch', got {time_style!r}")
 
 
-def _photo_fov_obj(fov: FieldOfView) -> dict:
-    return {
-        "type": "fov",
-        "horizontalAngle": _num(fov.h_angle),
-        "verticalAngle": _num(fov.v_angle),
-        "direction2d": _num(fov.direction2d),
-        "distance": _num(fov.view_distance),
-    }
+def _write_moving_point(mp: MovingPoint, time_style: str) -> dict:
+    return {"coordinates": [_coord(p) for p in mp.points], **_time_member(mp.times, time_style),
+            "interpolation": mp.mode.value}
 
 
-def _video_fov_obj(fov: FieldOfView) -> dict:
-    return {
-        "verticalAngle": _num(fov.v_angle),
-        "horizontalAngle": _num(fov.h_angle),
-        "viewDistance": _num(fov.view_distance),
-        "direction2d": _num(fov.direction2d),
-    }
+def _write_moving_double(md: MovingDouble, time_style: str) -> dict:
+    out = {"values": [_num(v) for v in md.values], **_time_member(md.times, time_style)}
+    if md.track is not None:
+        out["coordinates"] = [_coord(p) for p in md.track]
+    out["interpolation"] = md.mode.value
+    return out
+
+
+def _write_stphoto(photo: STPhoto, time_style: str) -> dict:
+    fov = photo.fov
+    return {"uri": photo.imguri, "coordinates": _coord(photo.loc),
+            **_time_member((photo.t,), time_style),
+            "fov": {"type": "fov", "horizontalAngle": _num(fov.h_angle),
+                    "verticalAngle": _num(fov.v_angle), "direction2d": _num(fov.direction2d),
+                    "distance": _num(fov.view_distance)}}
+
+
+def _write_moving_video(video: MovingVideo, time_style: str) -> dict:
+    fovs = [{"verticalAngle": _num(f.v_angle), "horizontalAngle": _num(f.h_angle),
+             "viewDistance": _num(f.view_distance), "direction2d": _num(f.direction2d)}
+            for f in video.fovs]
+    return {"uri": video.videouri, "coordinates": [_coord(p) for p in video.track.points],
+            "fov": fovs, **_time_member(video.track.times, time_style),
+            "interpolation": video.track.mode.value}
+
+
+# Each kind's wire shape: its reader and its writer (member order fixed per kind).
+_CODECS = {
+    KIND_MOVING_POINT: (_build_moving_point, _write_moving_point),
+    KIND_MOVING_DOUBLE: (_build_moving_double, _write_moving_double),
+    KIND_STPHOTO: (_build_stphoto, _write_stphoto),
+    KIND_MOVING_VIDEO: (_build_moving_video, _write_moving_video),
+}
 
 
 def document_to_obj(doc: GeoMediaDocument, time_style: str = "epoch") -> dict:
     """Canonical JSON object form of a document (member order fixed per kind)."""
-    payload = doc.payload
-    out: dict = {"type": doc.kind}
-    if isinstance(payload, MovingPoint):
-        out["coordinates"] = [_coord(p) for p in payload.points]
-        key, value = _time_member(payload.times, time_style)
-        out[key] = value
-        out["interpolation"] = payload.mode.value
-    elif isinstance(payload, MovingDouble):
-        out["values"] = [_num(v) for v in payload.values]
-        key, value = _time_member(payload.times, time_style)
-        out[key] = value
-        if payload.track is not None:
-            out["coordinates"] = [_coord(p) for p in payload.track]
-        out["interpolation"] = payload.mode.value
-    elif isinstance(payload, STPhoto):
-        out["uri"] = payload.imguri
-        out["coordinates"] = _coord(payload.loc)
-        key, value = _time_member((payload.t,), time_style)
-        out[key] = value
-        out["fov"] = _photo_fov_obj(payload.fov)
-    elif isinstance(payload, MovingVideo):
-        out["uri"] = payload.videouri
-        out["coordinates"] = [_coord(p) for p in payload.track.points]
-        out["fov"] = [_video_fov_obj(f) for f in payload.fovs]
-        key, value = _time_member(payload.track.times, time_style)
-        out[key] = value
-        out["interpolation"] = payload.track.mode.value
-    else:
-        raise TypeError(f"not a media payload: {type(payload).__name__}")
-    for key, value in doc.extras:
-        out[key] = value
+    out = {"type": doc.kind}
+    out.update(_CODECS[doc.kind][1](doc.payload, time_style))
+    out.update(doc.extras)
     return out
 
 
@@ -475,10 +477,6 @@ def serialize_document(doc: GeoMediaDocument, time_style: str = "epoch") -> byte
 
 def geojson_point(p: GeoPoint) -> dict:
     return {"type": "Point", "coordinates": _coord(p)}
-
-
-def geojson_linestring(points) -> dict:
-    return {"type": "LineString", "coordinates": [_coord(p) for p in points]}
 
 
 def geojson_polygon(sector: SectorPolygon) -> dict:

@@ -27,6 +27,8 @@ class GeoPoint:
             raise ValueError(f"longitude {self.lon} outside [-180, 180]")
         if not -90.0 <= self.lat <= 90.0:
             raise ValueError(f"latitude {self.lat} outside [-90, 90]")
+        if self.alt is not None and not math.isfinite(self.alt):
+            raise ValueError(f"altitude {self.alt} is not finite")
 
     def same_position(self, other: "GeoPoint") -> bool:
         """True when lon/lat are exactly equal (altitude ignored)."""

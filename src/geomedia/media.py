@@ -1,27 +1,46 @@
-"""Geo-tagged media records and the generic extent/bbox views over them.
+"""Geo-tagged media records, what each kind can answer, and the extent/bbox views.
 
 Four kinds exist: "MovingPoint" (GPS trajectory), "MovingDouble" (sensor
 series), "stphoto" (single photo with a field of view), and "MovingVideo"
 (track plus per-sample or constant fields of view). The lowercase "stphoto"
 tag is intentional; it is the wire spelling.
+
+A kind's behaviour lives here and its wire shape in codec.py; query, store,
+service and cli ask this module what a kind can do.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .fov import FieldOfView, fov_sector_polygon
-from .geo import GeoPoint
-from .temporal import MovingDouble, MovingPoint, TimeInterval, TimeStamp
+from .errors import BadQueryError, WrongKindError
+from .fov import FieldOfView, fov_sector_polygon, resolve_direction
+from .geo import EARTH_RADIUS_M, GeoPoint, geo_distance
+from .temporal import InterpolationMode, MovingDouble, MovingPoint, TimeInterval, TimeStamp
 
 KIND_MOVING_POINT = "MovingPoint"
 KIND_MOVING_DOUBLE = "MovingDouble"
 KIND_STPHOTO = "stphoto"
 KIND_MOVING_VIDEO = "MovingVideo"
-KINDS = (KIND_MOVING_POINT, KIND_MOVING_DOUBLE, KIND_STPHOTO, KIND_MOVING_VIDEO)
+
+# What a kind can answer: a camera (fov_at, visible_intervals), a position
+# track (position_at), and annotations with a time range.
+CAMERA_KINDS = frozenset({KIND_STPHOTO, KIND_MOVING_VIDEO})
+TRACK_KINDS = frozenset({KIND_MOVING_POINT, KIND_MOVING_VIDEO})
+TIME_RANGE_KINDS = frozenset({KIND_MOVING_VIDEO})
 
 Bbox = tuple[float, float, float, float]
+
+
+class FovState(NamedTuple):
+    """Camera position, resolved absolute direction, and FoV entry at one instant."""
+
+    camera: GeoPoint
+    direction: float
+    fov: FieldOfView
 
 
 @dataclass(frozen=True)
@@ -49,6 +68,14 @@ class STPhoto:
     def vertices(self) -> tuple[GeoPoint, ...]:
         return (self.loc,)
 
+    def fov_at(self, t: TimeStamp | None = None) -> FovState:
+        """The fixed camera; t is ignored."""
+        return FovState(self.loc, resolve_direction(self.fov), self.fov)
+
+    def visibility_samples(self, p: GeoPoint, step_ms: int) -> tuple[TimeStamp, ...]:
+        """A photo sees p at its one instant or never."""
+        return (self.t,)
+
 
 @dataclass(frozen=True)
 class MovingVideo:
@@ -73,11 +100,44 @@ class MovingVideo:
     def vertices(self) -> tuple[GeoPoint, ...]:
         return self.track.points
 
-    def fov_index_at(self, t: TimeStamp) -> int:
-        """Index of the FoV entry governing time t (stepwise selection)."""
-        if len(self.fovs) == 1:
-            return 0
-        return bisect_right(self.track.times, t) - 1
+    def at(self, t: TimeStamp) -> GeoPoint:
+        """Camera position at time t."""
+        return self.track.at(t)
+
+    def fov_at(self, t: TimeStamp | None) -> FovState:
+        """Camera, absolute direction and FoV at time t; a video needs t."""
+        if t is None:
+            raise BadQueryError("a time ('at') is required for a moving video")
+        camera = self.track.at(t)
+        fov = self.fovs[bisect_right(self.track.times, t) - 1 if len(self.fovs) > 1 else 0]
+        heading = self.track.heading_at(t) if fov.is_relative else None
+        return FovState(camera, resolve_direction(fov, heading), fov)
+
+    def visibility_samples(self, p: GeoPoint, step_ms: int) -> list[TimeStamp]:
+        """Sorted instants to test p at; none when p is out of reach."""
+        if not self._maybe_visible(p):
+            return []
+        times = set(self.track.times)
+        if self.track.mode is not InterpolationMode.DISCRETE:
+            times.update(range(self.track.times[0], self.track.times[-1] + 1, step_ms))
+        return sorted(times)
+
+    def _maybe_visible(self, p: GeoPoint) -> bool:
+        """Sound quick reject before the sampling sweep.
+
+        The interpolated camera stays within one leg's path length of that leg's
+        endpoints; the path length of a degree-space lerp is bounded by the
+        meridian+parallel arc sum (raw degree differences, so longitude wrap
+        costs what the lerp actually traverses). A point beyond every vertex's
+        view distance plus that slack can never be visible.
+        """
+        pts = self.track.points
+        slack = 0.0
+        for a, b in zip(pts, pts[1:]):
+            arc = math.radians(abs(a.lat - b.lat)) + math.radians(abs(a.lon - b.lon))
+            slack = max(slack, arc * EARTH_RADIUS_M)
+        reach = max(f.view_distance for f in self.fovs) + slack
+        return any(geo_distance(v, p) <= reach for v in pts)
 
 
 MediaPayload = MovingPoint | MovingDouble | STPhoto | MovingVideo
@@ -88,6 +148,7 @@ _KIND_BY_TYPE = {
     STPhoto: KIND_STPHOTO,
     MovingVideo: KIND_MOVING_VIDEO,
 }
+KINDS = tuple(_KIND_BY_TYPE.values())
 
 
 def kind_of(payload: MediaPayload) -> str:
@@ -119,6 +180,15 @@ def document_of(payload: MediaPayload) -> GeoMediaDocument:
 def payload_of(x) -> MediaPayload:
     """The media value of a document, or x itself when it is already one."""
     return x.payload if isinstance(x, GeoMediaDocument) else x
+
+
+def payload_of_kind(x, kinds: frozenset[str], lacks: str) -> MediaPayload:
+    """The media value of x if its kind is in kinds, else WrongKindError "<type> has no <lacks>"."""
+    # payload_of, inlined: the visibility sweep calls this once per sample
+    payload = x.payload if isinstance(x, GeoMediaDocument) else x
+    if _KIND_BY_TYPE.get(type(payload)) not in kinds:
+        raise WrongKindError(f"{type(payload).__name__} has no {lacks}")
+    return payload
 
 
 def time_extent(x) -> TimeInterval:

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import BadQueryError, NoTemporalOverlapError, WrongKindError
-from .fov import FieldOfView, fov_contains, resolve_direction
-from .geo import EARTH_RADIUS_M, GeoPoint, geo_distance
-from .media import KIND_MOVING_VIDEO, KIND_STPHOTO, Bbox, MovingVideo, STPhoto, payload_of
+from .fov import fov_contains
+from .geo import GeoPoint, geo_distance
+from .media import CAMERA_KINDS, TRACK_KINDS, Bbox, FovState, payload_of, payload_of_kind
 from .store import FeatureRecord, MediaStore, _check_bbox, _check_interval, _check_page, page
 from .temporal import InterpolationMode, MovingPoint, TimeInterval, TimeStamp
 
@@ -37,27 +36,14 @@ class QuerySpec:
     def __post_init__(self):
         object.__setattr__(self, "bbox", _check_bbox(self.bbox))
         object.__setattr__(self, "interval", _check_interval(self.interval))
-        if self.near is not None and self.near[1] <= 0:
-            raise BadQueryError(f"near radius must be > 0, got {self.near[1]}")
+        if self.near is not None and not 0 < self.near[1] < math.inf:
+            raise BadQueryError(f"near radius must be finite and > 0, got {self.near[1]}")
         _check_page(self.limit, self.offset)
-
-
-class FovState(NamedTuple):
-    """Camera position, resolved absolute direction, and FoV entry at one instant."""
-
-    camera: GeoPoint
-    direction: float
-    fov: FieldOfView
 
 
 def position_at(x, t: TimeStamp) -> GeoPoint:
     """Interpolated position of a trajectory or video at time t."""
-    payload = payload_of(x)
-    if isinstance(payload, MovingPoint):
-        return payload.at(t)
-    if isinstance(payload, MovingVideo):
-        return payload.track.at(t)
-    raise WrongKindError(f"{type(payload).__name__} has no evaluable position")
+    return payload_of_kind(x, TRACK_KINDS, "evaluable position").at(t)
 
 
 def fov_at(x, t: TimeStamp | None = None) -> FovState:
@@ -67,20 +53,7 @@ def fov_at(x, t: TimeStamp | None = None) -> FovState:
     FoV lists select stepwise (the entry of the latest sample at or before
     t); mount-relative directions resolve against the track heading at t.
     """
-    payload = payload_of(x)
-    if isinstance(payload, STPhoto):
-        return FovState(payload.loc, resolve_direction(payload.fov), payload.fov)
-    if not isinstance(payload, MovingVideo):
-        raise WrongKindError(f"{type(payload).__name__} has no field of view")
-    if t is None:
-        raise BadQueryError("a time ('at') is required for a moving video")
-    camera = payload.track.at(t)
-    fov = payload.fovs[payload.fov_index_at(t)]
-    if fov.is_relative:
-        direction = resolve_direction(fov, payload.track.heading_at(t))
-    else:
-        direction = resolve_direction(fov)
-    return FovState(camera, direction, fov)
+    return payload_of_kind(x, CAMERA_KINDS, "field of view").fov_at(t)
 
 
 def visible_intervals(x, p: GeoPoint, sample_step_ms: int = 100) -> list[TimeInterval]:
@@ -93,24 +66,11 @@ def visible_intervals(x, p: GeoPoint, sample_step_ms: int = 100) -> list[TimeInt
     """
     if sample_step_ms < 1:
         raise BadQueryError(f"sample step must be >= 1 ms, got {sample_step_ms}")
-    payload = payload_of(x)
-    if isinstance(payload, STPhoto):
-        state = fov_at(payload)
-        if fov_contains(state.camera, state.direction, state.fov, p):
-            return [TimeInterval(payload.t, payload.t)]
-        return []
-    if not isinstance(payload, MovingVideo):
-        raise WrongKindError(f"{type(payload).__name__} has no field of view")
-    if not _maybe_visible(payload, p):
-        return []
-    track = payload.track
-    times = set(track.times)
-    if track.mode is not InterpolationMode.DISCRETE:
-        times.update(range(track.times[0], track.times[-1] + 1, sample_step_ms))
+    camera = payload_of_kind(x, CAMERA_KINDS, "field of view")
     out: list[TimeInterval] = []
     run_start = run_end = None
-    for t in sorted(times):
-        state = fov_at(payload, t)
+    for t in camera.visibility_samples(p, sample_step_ms):
+        state = fov_at(camera, t)
         if fov_contains(state.camera, state.direction, state.fov, p):
             if run_start is None:
                 run_start = t
@@ -153,31 +113,10 @@ def trajectory_similarity(a, b) -> float:
     return total / len(times)
 
 
-def _maybe_visible(payload: MovingVideo, p: GeoPoint) -> bool:
-    """Sound quick reject before the sampling sweep.
-
-    The interpolated camera stays within one leg's path length of that leg's
-    endpoints; the path length of a degree-space lerp is bounded by the
-    meridian+parallel arc sum (raw degree differences, so longitude wrap
-    costs what the lerp actually traverses). A point beyond every vertex's
-    view distance plus that slack can never be visible.
-    """
-    pts = payload.track.points
-    slack = 0.0
-    for a, b in zip(pts, pts[1:]):
-        arc = math.radians(abs(a.lat - b.lat)) + math.radians(abs(a.lon - b.lon))
-        slack = max(slack, arc * EARTH_RADIUS_M)
-    reach = max(f.view_distance for f in payload.fovs) + slack
-    return any(geo_distance(v, p) <= reach for v in pts)
-
-
 def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord]:
     """Run a QuerySpec against one collection; ordered by fid, then paged."""
     meta = store.get_collection(cid)
-    if spec.visible_from is not None and meta.media_type not in (
-        KIND_STPHOTO,
-        KIND_MOVING_VIDEO,
-    ):
+    if spec.visible_from is not None and meta.media_type not in CAMERA_KINDS:
         raise WrongKindError(
             f"visibleFrom applies to photo/video collections, not {meta.media_type}"
         )

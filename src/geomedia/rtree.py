@@ -53,11 +53,7 @@ class _Node:
 
 
 class RTree:
-    def __init__(self, max_entries: int = MAX_ENTRIES, min_entries: int = MIN_ENTRIES):
-        if not 2 <= min_entries <= max_entries // 2:
-            raise ValueError("min_entries must be in [2, max_entries/2]")
-        self._max = max_entries
-        self._min = min_entries
+    def __init__(self):
         self._root = _Node(is_leaf=True)
         self._size = 0
 
@@ -71,8 +67,8 @@ class RTree:
         level = [(rect, item) for item, rect in entries]
         tree._size = len(level)
         is_leaf = True
-        while len(level) > tree._max:
-            nodes = _str_pack(level, tree._max, is_leaf)
+        while len(level) > MAX_ENTRIES:
+            nodes = _str_pack(level, MAX_ENTRIES, is_leaf)
             level = [(node.rect(), node) for node in nodes]
             is_leaf = False
         tree._root = _Node(is_leaf)
@@ -101,7 +97,7 @@ class RTree:
             node.entries[idx] = (child.rect(), child)
             if split is not None:
                 node.entries.append((split.rect(), split))
-        if len(node.entries) > self._max:
+        if len(node.entries) > MAX_ENTRIES:
             return self._quadratic_split(node)
         return None
 
@@ -132,11 +128,11 @@ class RTree:
         rect_b = entries[seed_b][0]
         rest = [e for k, e in enumerate(entries) if k not in (seed_a, seed_b)]
         while rest:
-            if len(group_a) + len(rest) == self._min:
+            if len(group_a) + len(rest) == MIN_ENTRIES:
                 group_a.extend(rest)
                 rest = []
                 break
-            if len(group_b) + len(rest) == self._min:
+            if len(group_b) + len(rest) == MIN_ENTRIES:
                 group_b.extend(rest)
                 rest = []
                 break
@@ -212,7 +208,7 @@ class RTree:
             found, orphans = self._delete(child, rect, item)
             if not found:
                 continue
-            if not child.entries or len(child.entries) < self._min:
+            if not child.entries or len(child.entries) < MIN_ENTRIES:
                 del node.entries[k]
                 orphans.extend(_leaf_entries(child))
             else:

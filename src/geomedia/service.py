@@ -22,6 +22,7 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 from . import media
 from .codec import (
     CANONICAL_KINDS,
+    decode_json,
     document_to_obj,
     geojson_point,
     geojson_polygon,
@@ -293,10 +294,7 @@ def _allow_params(params: dict, allowed: set, required: set = frozenset()) -> No
 def _decode_body(body: bytes | None) -> dict:
     if not body:
         raise ParseError("request body required")
-    try:
-        obj = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ParseError(f"malformed JSON body: {exc}") from None
+    obj = decode_json(body)
     if not isinstance(obj, dict):
         raise ParseError("body must be a JSON object")
     return obj

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import threading
 import time
@@ -29,7 +30,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import media
-from .codec import decode_json, document_to_obj, interval_str, parse_datetime, parse_obj
+from .codec import (
+    decode_json,
+    document_to_obj,
+    interval_str,
+    is_finite_number,
+    parse_datetime,
+    parse_obj,
+)
 from .errors import (
     BadAnnotationError,
     BadDateTimeError,
@@ -90,7 +98,7 @@ class Annotation:
                 and all(
                     isinstance(v, (list, tuple))
                     and len(v) == 2
-                    and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
+                    and all(is_finite_number(c) for c in v)
                     for v in body
                 )
             )
@@ -334,7 +342,7 @@ class MediaStore:
         with self._lock:
             record = self.get_feature(cid, fid)
             if ann.time_range is not None:
-                if record.doc.kind != media.KIND_MOVING_VIDEO:
+                if record.doc.kind not in media.TIME_RANGE_KINDS:
                     raise BadAnnotationError("time ranges apply to video annotations only")
                 extent = record.extent
                 if not (extent.contains(ann.time_range.start) and extent.contains(ann.time_range.end)):
@@ -512,8 +520,10 @@ def _check_bbox(bbox) -> Bbox | None:
         return None
     try:
         min_lon, min_lat, max_lon, max_lat = (float(v) for v in bbox)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise BadQueryError(f"bbox must be four numbers, got {bbox!r}") from None
+    if not all(map(math.isfinite, (min_lon, min_lat, max_lon, max_lat))):
+        raise BadQueryError(f"bbox members must be finite, got {bbox!r}")
     if min_lon > max_lon or min_lat > max_lat:
         raise BadQueryError(f"inverted bbox {bbox!r}")
     return (min_lon, min_lat, max_lon, max_lat)
@@ -525,7 +535,7 @@ def _check_interval(interval) -> TimeInterval | None:
     try:
         start, end = interval
         return TimeInterval(int(start), int(end))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadQueryError(f"bad interval {interval!r}: {exc}") from None
 
 

@@ -45,9 +45,6 @@ class TimeInterval:
     def overlaps(self, other: "TimeInterval") -> bool:
         return self.start <= other.end and other.start <= self.end
 
-    def duration_ms(self) -> int:
-        return self.end - self.start
-
 
 def _check_times(times: tuple[TimeStamp, ...]) -> None:
     if not times:
@@ -93,10 +90,6 @@ class MovingPoint:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def has_alt(self) -> bool:
-        return self.points[0].alt is not None
 
     def time_extent(self) -> TimeInterval:
         return TimeInterval(self.times[0], self.times[-1])

@@ -317,3 +317,9 @@ class TestServe:
         # restart: the PUT must have been flushed before its response
         restarted = MediaStore.load(store_dir)
         assert {r.fid for r in restarted.list_features("taxi")} == {"t1", "t2"}
+
+
+@pytest.mark.parametrize("flag, value", [("--bbox", "nan,nan,nan,nan"), ("--near", "1,2,inf")])
+def test_non_finite_query_values_exit_two(store_dir, tmp_path, flag, value):
+    ingest_reference_track(store_dir, tmp_path)
+    assert main(["query", "--store", str(store_dir), "--collection", "taxi", f"{flag}={value}"]) == 2

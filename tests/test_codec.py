@@ -445,3 +445,44 @@ class TestParseObj:
         assert type(via_obj.value) is type(via_text.value)
         assert (via_obj.value.message, via_obj.value.path) == (
             via_text.value.message, via_text.value.path)
+
+
+BIG = "1" + "0" * 400  # a JSON integer past a double's range
+
+
+class TestNumbersAreFinite:
+    @pytest.mark.parametrize("text, path", [
+        ('{"type": "MovingPoint", "coordinates": [[1, 2], [%s, 3]], "timeline": [0, 1]}' % BIG,
+         "/coordinates/1"),
+        ('{"type": "MovingPoint", "coordinates": [[1, 2, %s]], "timeline": [0]}' % BIG,
+         "/coordinates/0"),
+        ('{"type": "MovingPoint", "coordinates": [[1, 2, NaN]], "timeline": [0]}', "/coordinates/0"),
+        ('{"type": "MovingPoint", "coordinates": [[1, 2, -Infinity]], "timeline": [0]}',
+         "/coordinates/0"),
+        ('{"type": "MovingPoint", "coordinates": [[1, 2, 1e400]], "timeline": [0]}', "/coordinates/0"),
+        ('{"type": "MovingDouble", "values": [1, NaN], "timeline": [0, 1]}', "/values/1"),
+        ('{"type": "MovingDouble", "values": [Infinity, 1], "timeline": [0, 1]}', "/values/0"),
+        ('{"type": "MovingDouble", "values": [1e400], "timeline": [0]}', "/values/0"),
+        ('{"type": "MovingDouble", "values": [%s], "timeline": [0]}' % BIG, "/values/0"),
+        ('{"type": "stphoto", "uri": "u:1", "coordinates": [0, 0], "timeline": [0],'
+         ' "fov": {"distance": Infinity}}', "/fov/distance"),
+        ('{"type": "stphoto", "uri": "u:1", "coordinates": [0, 0], "timeline": [0],'
+         ' "fov": {"horizontalAngle": %s}}' % BIG, "/fov/horizontalAngle"),
+        ('{"type": "MovingVideo", "uri": "u:1", "coordinates": [[0, 0]], "timeline": [0],'
+         ' "fov": [{"viewDistance": 1e400}]}', "/fov/0/viewDistance"),
+        ('{"type": "MovingPoint", "coordinates": [[1, 2]], "timeline": [0], "note": {"k": [1, NaN]}}',
+         "/note/k/1"),
+    ], ids=["long-int-lon", "long-int-alt", "nan-alt", "-inf-alt", "1e400-alt", "nan-value",
+            "inf-value", "1e400-value", "long-int-value", "inf-photo-distance",
+            "long-int-photo-angle", "1e400-video-distance", "nan-in-unknown-member"])
+    def test_non_finite_or_unrepresentable_rejected_with_path(self, text, path):
+        with pytest.raises(BadFieldValueError) as err:
+            parse_document(text)
+        assert err.value.path == path
+
+    def test_large_finite_numbers_kept(self):
+        doc = parse_document(
+            '{"type": "MovingDouble", "values": [1e308, -%s], "timeline": [0, 1], "note": %s}'
+            % ("9" * 300, BIG))
+        assert doc.payload.values == (1e308, -float("9" * 300))
+        assert dict(doc.extras) == {"note": int(BIG)}

@@ -334,3 +334,15 @@ class TestEvaluate:
         assert all_fids == [f"f{i}" for i in range(8)]
         page = evaluate(store, "taxi", QuerySpec(limit=3, offset=2))
         assert [r.fid for r in page] == all_fids[2:5]
+
+
+@pytest.mark.parametrize("spec", [
+    dict(bbox=(float("nan"), 0, 1, 1)),
+    dict(bbox=(0, 0, 10**400, 1)),
+    dict(near=(GeoPoint(0, 0), float("nan"))),
+    dict(near=(GeoPoint(0, 0), float("inf"))),
+    dict(interval=(0, float("inf"))),
+])
+def test_query_spec_needs_finite_values(spec):
+    with pytest.raises(BadQueryError):
+        QuerySpec(**spec)

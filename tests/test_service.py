@@ -439,3 +439,64 @@ def test_body_limit_boundary(tmp_path, monkeypatch, spare, status):
                                      b"Connection: close\r\nContent-Length: "
                                      + str(len(doc)).encode() + b"\r\n\r\n" + doc)
     assert head.startswith(f"HTTP/1.1 {status} ".encode())
+
+
+class TestOutsideNumbers:
+    @pytest.mark.parametrize("doc, pointer", [
+        (b'{"type": "MovingDouble", "values": [NaN, Infinity], "timeline": [0, 1]}', "/values/0"),
+        (b'{"type": "MovingDouble", "values": [' + b"7" * 401 + b'], "timeline": [0]}', "/values/0"),
+        (b'{"type": "MovingDouble", "values": [1], "timeline": [0],'
+         b' "coordinates": [[1, 2, ' + b"7" * 401 + b']]}', "/coordinates/0"),
+    ], ids=["nan-values", "long-int-value", "long-int-alt"])
+    def test_put_non_finite_is_bad_body(self, api, doc, pointer):
+        api.handle("POST", "/collections", b'{"id": "s", "mediaType": "MovingDouble"}')
+        status, body = api.handle("PUT", "/collections/s/items/x", doc)
+        assert (status, body["code"]) == (400, "BadBody")
+        assert body["message"].startswith(pointer + ":")
+        assert api.handle("GET", "/collections/s/items/x")[0] == 404
+
+    def test_put_photo_with_infinite_view_distance(self, api):
+        api.handle("POST", "/collections", b'{"id": "pics", "mediaType": "stphoto"}')
+        status, body = api.handle(
+            "PUT", "/collections/pics/items/p1",
+            b'{"type": "stphoto", "uri": "u:1", "coordinates": [0, 0], "timeline": [0],'
+            b' "fov": {"distance": Infinity}}')
+        assert (status, body["code"]) == (400, "BadBody")
+        assert body["message"].startswith("/fov/distance:")
+
+    @pytest.mark.parametrize("vertex", [b"[0, NaN]", b"[" + b"1" * 401 + b", 0]"],
+                             ids=["nan", "long-int"])
+    def test_polygon_annotation_needs_finite_vertices(self, api, vertex):
+        api.handle("POST", "/collections", b'{"id": "pics", "mediaType": "stphoto"}')
+        api.handle("PUT", "/collections/pics/items/p1", fixture_bytes("stphoto.json"))
+        status, body = api.handle(
+            "POST", "/collections/pics/items/p1/annotations",
+            b'{"kind": "polygon", "body": [[0, 0], [1, 1], ' + vertex + b"]}")
+        assert (status, body["code"]) == (400, "BadBody")
+
+    @pytest.mark.parametrize("query", [
+        "bbox=nan,nan,nan,nan", "bbox=0,0,inf,1", "bbox=-inf,0,1,1",
+        "near=1,2,nan", "near=1,2,inf",
+    ])
+    def test_non_finite_query_values_rejected(self, api, query):
+        put_reference_track(api)
+        status, body = api.handle("GET", f"/collections/taxi/items?{query}")
+        assert (status, body["code"]) == (400, "BadQuery")
+
+
+class TestBodyDecoding:
+    def test_duplicate_member_in_collection_body(self, api):
+        status, body = api.handle(
+            "POST", "/collections", b'{"id": "u", "id": "v", "mediaType": "MovingPoint"}')
+        assert (status, body["code"]) == (400, "BadBody")
+        assert "duplicate member 'id'" in body["message"]
+        assert api.handle("GET", "/collections")[1] == {"collections": []}
+
+    def test_duplicate_member_in_annotation_body(self, api):
+        api.handle("POST", "/collections", b'{"id": "pics", "mediaType": "stphoto"}')
+        api.handle("PUT", "/collections/pics/items/p1", fixture_bytes("stphoto.json"))
+        status, body = api.handle(
+            "POST", "/collections/pics/items/p1/annotations",
+            b'{"kind": "text", "body": "first", "body": "second"}')
+        assert (status, body["code"]) == (400, "BadBody")
+        assert api.handle("GET", "/collections/pics/items/p1/annotations")[1] == {"annotations": []}
