@@ -182,10 +182,7 @@ def _cmd_ingest(args) -> int:
             doc = parse_document(Path(path).read_bytes())
             store.put_feature(args.collection, fid, doc)
             ingested += 1
-        except OSError as exc:
-            failures += 1
-            print(f"{path}: {exc}", file=sys.stderr)
-        except (ParseError, KindMismatchError, BadQueryError) as exc:
+        except (OSError, ParseError, KindMismatchError, BadQueryError) as exc:
             failures += 1
             print(f"{path}: {exc}", file=sys.stderr)
     store.flush()
@@ -226,6 +223,8 @@ def _cmd_at(args) -> int:
 
 
 def _cmd_fov(args) -> int:
+    if not args.arc_step > 0:
+        raise BadQueryError(f"--arc-step must be > 0, got {args.arc_step}")
     doc = _select_document(args)
     state = fov_at(doc, parse_instant(args.at) if args.at else None)
     _print_json(geojson_polygon(

@@ -25,7 +25,7 @@ import calendar
 import json
 import math
 import re
-from datetime import datetime, timezone
+from datetime import datetime, timedelta
 
 from .errors import (
     BadDateTimeError,
@@ -79,6 +79,8 @@ def parse_datetime(s: str) -> TimeStamp:
         raise BadDateTimeError(f"not a UTC ISO-8601 instant: {s!r}")
     year, month, day, hour, minute, sec = (int(g) for g in m.groups()[:6])
     frac = m.group(7)
+    if year < 1:
+        raise BadDateTimeError(f"year {year} out of range in {s!r}")
     if not 1 <= month <= 12:
         raise BadDateTimeError(f"month {month} out of range in {s!r}")
     days = _DAYS_IN_MONTH[month - 1]
@@ -95,11 +97,16 @@ def parse_datetime(s: str) -> TimeStamp:
     return seconds * 1000 + millis
 
 
+# The instants an ISO-8601 datetime can spell, in epoch milliseconds.
+_MIN_TIME = parse_datetime("0001-01-01T00:00:00Z")
+_MAX_TIME = parse_datetime("9999-12-31T23:59:59.999Z")
+_EPOCH = datetime(1970, 1, 1)
+
+
 def epoch_to_iso(t: TimeStamp) -> str:
     """Epoch milliseconds to zero-padded UTC ISO-8601; ".000" is suppressed."""
     seconds, millis = divmod(int(t), 1000)
-    dt = datetime.fromtimestamp(seconds, tz=timezone.utc)
-    base = dt.strftime("%Y-%m-%dT%H:%M:%S")
+    base = (_EPOCH + timedelta(seconds=seconds)).isoformat()
     if millis:
         return f"{base}.{millis:03d}Z"
     return f"{base}Z"
@@ -219,6 +226,8 @@ def _read_times(obj: dict, count: int | None, path: str = "") -> tuple[TimeStamp
         else:
             if isinstance(entry, bool) or not isinstance(entry, int):
                 raise BadFieldValueError("timeline entries must be integers", f"{mpath}/{i}")
+            if not _MIN_TIME <= entry <= _MAX_TIME:
+                raise BadFieldValueError("timeline entries must lie in years 1-9999", f"{mpath}/{i}")
             times.append(entry)
     if count is not None and len(times) != count:
         raise LengthMismatchError(

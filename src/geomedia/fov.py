@@ -97,7 +97,7 @@ def fov_sector_polygon(
     arc_step_deg apart, both endpoints included, each at view_distance from
     the camera. A 360-degree aperture yields a full circle without the apex.
     """
-    if arc_step_deg <= 0:
+    if not arc_step_deg > 0:  # NaN too
         raise ValueError("arc step must be > 0")
     segments = max(1, math.ceil(fov.h_angle / arc_step_deg))
     start = abs_direction - fov.h_angle / 2.0

@@ -83,13 +83,6 @@ def visible_intervals(x, p: GeoPoint, sample_step_ms: int = 100) -> list[TimeInt
     return out
 
 
-def _linear_at(mp: MovingPoint, t: TimeStamp) -> GeoPoint:
-    """Linear-mode evaluation regardless of the track's own mode."""
-    if mp.mode is not InterpolationMode.LINEAR:
-        mp = MovingPoint(mp.times, mp.points, InterpolationMode.LINEAR)
-    return mp.at(t)
-
-
 def trajectory_similarity(a, b) -> float:
     """Mean separation in meters over the tracks' shared time window.
 
@@ -109,7 +102,9 @@ def trajectory_similarity(a, b) -> float:
             f"[{tb.times[0]}, {tb.times[-1]}] do not overlap"
         )
     times = sorted(t for t in set(ta.times) | set(tb.times) if start <= t <= end)
-    total = sum(geo_distance(_linear_at(ta, t), _linear_at(tb, t)) for t in times)
+    la = MovingPoint(ta.times, ta.points, InterpolationMode.LINEAR)
+    lb = MovingPoint(tb.times, tb.points, InterpolationMode.LINEAR)
+    total = sum(geo_distance(la.at(t), lb.at(t)) for t in times)
     return total / len(times)
 
 

@@ -1,14 +1,15 @@
-"""In-memory 2D R-tree with quadratic split (Guttman).
+"""In-memory 2D R-tree.
 
 Keys are (minx, miny, maxx, maxy) rectangles; items are opaque hashable ids.
-Node capacity is 16 with a 40% minimum fill. Search is inclusive: touching
-rectangles intersect. Deletion condenses underfull nodes by reinserting
-their leaf entries.
+Node capacity is 16 and no node has a minimum fill. Search is inclusive:
+touching rectangles intersect. An overflowing node sorts its entries by
+rectangle centre along the axis where the centres spread widest and splits
+into halves. Delete refreshes the rectangles on the entry's path and drops
+every node it leaves empty.
 
 bulk_load packs a whole set of entries at once by Sort-Tile-Recursive
-(Leutenegger, Lopez & Edgington, ICDE 1997). Its nodes are full except the
-last of each tile, which may hold fewer than the minimum fill; insert and
-delete work on such a tree as on any other.
+(Leutenegger, Lopez & Edgington, ICDE 1997); insert and delete work on such
+a tree as on any other.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections.abc import Iterable
 Rect = tuple[float, float, float, float]
 
 MAX_ENTRIES = 16
-MIN_ENTRIES = 6
+MIN_ENTRIES = 6  # the classic 40 % fill, for reference only: no node is held to it
 
 
 def _intersects(a: Rect, b: Rect) -> bool:
@@ -76,16 +77,13 @@ class RTree:
         return tree
 
     def insert(self, item, rect: Rect) -> None:
-        self._insert_entry(rect, item)
-        self._size += 1
-
-    def _insert_entry(self, rect: Rect, item) -> None:
         split = self._insert(self._root, rect, item)
         if split is not None:
             old = self._root
             root = _Node(is_leaf=False)
             root.entries = [(old.rect(), old), (split.rect(), split)]
             self._root = root
+        self._size += 1
 
     def _insert(self, node: _Node, rect: Rect, item) -> "_Node | None":
         if node.is_leaf:
@@ -98,7 +96,7 @@ class RTree:
             if split is not None:
                 node.entries.append((split.rect(), split))
         if len(node.entries) > MAX_ENTRIES:
-            return self._quadratic_split(node)
+            return self._split(node)
         return None
 
     @staticmethod
@@ -111,49 +109,17 @@ class RTree:
                 best, best_key = i, key
         return best
 
-    def _quadratic_split(self, node: _Node) -> _Node:
-        entries = node.entries
-        seed_a = seed_b = 0
-        worst = -1.0
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                waste = _area(_combine(entries[i][0], entries[j][0])) - _area(
-                    entries[i][0]
-                ) - _area(entries[j][0])
-                if waste > worst:
-                    worst, seed_a, seed_b = waste, i, j
-        group_a = [entries[seed_a]]
-        group_b = [entries[seed_b]]
-        rect_a = entries[seed_a][0]
-        rect_b = entries[seed_b][0]
-        rest = [e for k, e in enumerate(entries) if k not in (seed_a, seed_b)]
-        while rest:
-            if len(group_a) + len(rest) == MIN_ENTRIES:
-                group_a.extend(rest)
-                rest = []
-                break
-            if len(group_b) + len(rest) == MIN_ENTRIES:
-                group_b.extend(rest)
-                rest = []
-                break
-            pick, prefer_a, best_diff = 0, True, -1.0
-            for k, (r, _) in enumerate(rest):
-                da = _enlargement(rect_a, r)
-                db = _enlargement(rect_b, r)
-                diff = abs(da - db)
-                if diff > best_diff:
-                    pick, best_diff = k, diff
-                    prefer_a = da < db or (da == db and _area(rect_a) <= _area(rect_b))
-            entry = rest.pop(pick)
-            if prefer_a:
-                group_a.append(entry)
-                rect_a = _combine(rect_a, entry[0])
-            else:
-                group_b.append(entry)
-                rect_b = _combine(rect_b, entry[0])
-        node.entries = group_a
+    @staticmethod
+    def _split(node: _Node) -> _Node:
+        """Halve node's entries, sorted by centre on the axis they spread widest."""
+        xs = [r[0] + r[2] for r, _ in node.entries]
+        ys = [r[1] + r[3] for r, _ in node.entries]
+        axis = 0 if max(xs) - min(xs) >= max(ys) - min(ys) else 1
+        node.entries.sort(key=lambda e: e[0][axis] + e[0][axis + 2])
+        half = len(node.entries) // 2
         sibling = _Node(is_leaf=node.is_leaf)
-        sibling.entries = group_b
+        sibling.entries = node.entries[half:]
+        del node.entries[half:]
         return sibling
 
     def search(self, rect: Rect) -> list:
@@ -184,37 +150,29 @@ class RTree:
 
     def delete(self, item, rect: Rect) -> None:
         """Remove one (item, rect) entry; KeyError when absent."""
-        found, orphans = self._delete(self._root, rect, item)
-        if not found:
+        if not self._delete(self._root, rect, item):
             raise KeyError(item)
         self._size -= 1
-        if not self._root.is_leaf and len(self._root.entries) == 1:
+        # Collapse one-child roots: an inner root then has two or more children,
+        # and a delete drops at most one of them, so the root never empties.
+        while not self._root.is_leaf and len(self._root.entries) == 1:
             self._root = self._root.entries[0][1]
-        if not self._root.is_leaf and not self._root.entries:
-            self._root = _Node(is_leaf=True)
-        for r, it in orphans:
-            self._insert_entry(r, it)
 
-    def _delete(self, node: _Node, rect: Rect, item):
+    def _delete(self, node: _Node, rect: Rect, item) -> bool:
         if node.is_leaf:
             for k, (r, it) in enumerate(node.entries):
                 if it == item and r == rect:
                     del node.entries[k]
-                    return True, []
-            return False, []
+                    return True
+            return False
         for k, (r, child) in enumerate(node.entries):
-            if not _intersects(r, rect):
-                continue
-            found, orphans = self._delete(child, rect, item)
-            if not found:
-                continue
-            if not child.entries or len(child.entries) < MIN_ENTRIES:
-                del node.entries[k]
-                orphans.extend(_leaf_entries(child))
-            else:
-                node.entries[k] = (child.rect(), child)
-            return True, orphans
-        return False, []
+            if _intersects(r, rect) and self._delete(child, rect, item):
+                if child.entries:
+                    node.entries[k] = (child.rect(), child)
+                else:
+                    del node.entries[k]
+                return True
+        return False
 
 
 def _str_pack(entries: list[tuple[Rect, object]], cap: int, is_leaf: bool) -> list[_Node]:
@@ -231,12 +189,3 @@ def _str_pack(entries: list[tuple[Rect, object]], cap: int, is_leaf: bool) -> li
             node.entries = run[k : k + cap]
             nodes.append(node)
     return nodes
-
-
-def _leaf_entries(node: _Node) -> list[tuple[Rect, object]]:
-    if node.is_leaf:
-        return list(node.entries)
-    out: list = []
-    for _, child in node.entries:
-        out.extend(_leaf_entries(child))
-    return out

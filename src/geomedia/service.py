@@ -2,7 +2,7 @@
 
 GeoMediaApi is framework-agnostic: handle() maps (method, target, body) to
 (status, JSON-serializable payload), which keeps every route testable
-without sockets. serve() wraps it in a threading stdlib HTTP server.
+without sockets. GeoMediaServer wraps it in a threading stdlib HTTP server.
 
 Contract notes: unknown or repeated query parameters are rejected with 400
 (fail-closed against filter typos); every mutation is flushed to disk
@@ -414,8 +414,3 @@ class GeoMediaServer(ThreadingHTTPServer):
     def address(self) -> str:
         host, port = self.server_address[:2]
         return f"{host}:{port}"
-
-
-def serve(store: MediaStore, host: str, port: int) -> GeoMediaServer:
-    """Bind and return a server; callers drive serve_forever()/shutdown()."""
-    return GeoMediaServer(store, host, port)

@@ -215,6 +215,12 @@ class TestAtFovVisible:
                      "--at", str(T0)])
         assert code == 0
 
+    @pytest.mark.parametrize("step", ["0", "-1", "nan"])
+    def test_fov_arc_step_must_be_positive(self, capsys, step):
+        code = main(["fov", "--file", str(FIXTURES / "stphoto.json"), f"--arc-step={step}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --arc-step must be > 0")
+
     def test_visible(self, capsys):
         code = main(["visible", "--file", str(FIXTURES / "moving_video.json"),
                      "--point", "160.0002,60"])

@@ -57,6 +57,10 @@ class TestParseDatetime:
         with pytest.raises(BadDateTimeError):
             parse_datetime(bad)
 
+    def test_year_zero_rejected(self):
+        with pytest.raises(BadDateTimeError):
+            parse_datetime("0000-01-01T00:00:00Z")
+
     def test_leap_day(self):
         assert parse_datetime("2020-02-29T00:00:00Z") == parse_datetime("2020-02-28T00:00:00Z") + 86_400_000
         with pytest.raises(BadDateTimeError):
@@ -72,6 +76,17 @@ class TestEpochToIso:
 
     def test_millis_emitted(self):
         assert epoch_to_iso(T0 + 500) == "2018-08-01T13:01:01.500Z"
+
+    def test_years_below_1000_zero_padded(self):
+        t = parse_datetime("0500-01-01T00:00:00Z")
+        assert epoch_to_iso(t) == "0500-01-01T00:00:00Z"
+        assert parse_datetime(epoch_to_iso(t)) == t
+
+    def test_first_and_last_spellable_instants(self):
+        first = parse_datetime("0001-01-01T00:00:00Z")
+        last = parse_datetime("9999-12-31T23:59:59.999Z")
+        assert epoch_to_iso(first) == "0001-01-01T00:00:00Z"
+        assert epoch_to_iso(last) == "9999-12-31T23:59:59.999Z"
 
     def test_pre_epoch(self):
         assert epoch_to_iso(-1) == "1969-12-31T23:59:59.999Z"
@@ -333,6 +348,26 @@ class TestParseErrors:
             parse_document(
                 b'{"type": "MovingPoint", "coordinates": [[1, 2, 3], [4, 5]], "timeline": [0, 1]}'
             )
+
+    def test_year_zero_datetime_with_path(self):
+        with pytest.raises(BadDateTimeError) as err:
+            parse_document(b'{"type": "MovingDouble", "values": [1, 2],'
+                           b' "datetimes": ["2018-08-01T13:01:01Z", "0000-01-01T00:00:00Z"]}')
+        assert err.value.path == "/datetimes/1"
+
+    @pytest.mark.parametrize("entry", [
+        b"100000000000000000000", b"253402300800000", b"-62135596800001",
+    ], ids=["huge", "year-10000", "year-0"])
+    def test_timeline_outside_iso_years_rejected(self, entry):
+        with pytest.raises(BadFieldValueError) as err:
+            parse_document(b'{"type": "MovingDouble", "values": [1, 2], "timeline": [0, ' + entry + b"]}")
+        assert err.value.path == "/timeline/1"
+
+    def test_timeline_iso_year_bounds_accepted(self):
+        doc = parse_document(b'{"type": "MovingDouble", "values": [1, 2],'
+                             b' "timeline": [-62135596800000, 253402300799999]}')
+        obj = json.loads(serialize_document(doc, "iso"))
+        assert obj["datetimes"] == ["0001-01-01T00:00:00Z", "9999-12-31T23:59:59.999Z"]
 
     def test_timeline_floats_rejected(self):
         with pytest.raises(BadFieldValueError) as err:

@@ -186,6 +186,11 @@ class TestSectorPolygon:
         assert len(ring) == 16
         assert ring[0] == ring[-1]
 
+    @pytest.mark.parametrize("step", [0, -1, float("nan")])
+    def test_arc_step_must_be_positive(self, step):
+        with pytest.raises(ValueError, match="arc step"):
+            fov_sector_polygon(GeoPoint(0, 0), 0, FieldOfView(), step)
+
     def test_arc_points_at_view_distance(self):
         camera = GeoPoint(8, 47)
         fov = FieldOfView(h_angle=120, view_distance=250)

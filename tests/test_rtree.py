@@ -176,3 +176,29 @@ def test_bulk_load_keeps_duplicate_rectangles():
     assert sorted(tree.search(rect)) == list("abcdefghijklmnopqrstu")
     tree.delete("b", rect)
     assert "b" not in tree.search(rect)
+
+
+def test_deleting_every_entry_of_a_bulk_loaded_tree():
+    rng = random.Random("rtree-drain")
+    entries = {i: random_rect(rng) for i in range(1000)}
+    tree = RTree.bulk_load(entries.items())
+    order = list(entries)
+    rng.shuffle(order)
+    for k, victim in enumerate(order, 1):
+        tree.delete(victim, entries.pop(victim))
+        if k % 100 == 0 or len(entries) < 20:
+            assert len(tree) == len(entries)
+            assert len({depth for depth, _ in leaf_depths_and_sizes(tree)}) == 1
+            for _ in range(20):
+                q = random_rect(rng, span=150.0)
+                assert sorted(tree.search(q)) == brute_force_search(entries, q)
+    assert tree._root.is_leaf and tree._root.entries == []
+    assert tree.search((-1000, -1000, 1000, 1000)) == []
+    for i in range(3 * MAX_ENTRIES):
+        rect = random_rect(rng)
+        entries[i] = rect
+        tree.insert(i, rect)
+    assert len(tree) == len(entries)
+    assert sorted(tree.items()) == sorted(entries.items())
+    q = random_rect(rng, span=150.0)
+    assert sorted(tree.search(q)) == brute_force_search(entries, q)

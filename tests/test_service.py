@@ -474,6 +474,25 @@ class TestOutsideNumbers:
             b'{"kind": "polygon", "body": [[0, 0], [1, 1], ' + vertex + b"]}")
         assert (status, body["code"]) == (400, "BadBody")
 
+    def test_timeline_outside_iso_years_is_bad_body(self, api):
+        api.handle("POST", "/collections", b'{"id": "s", "mediaType": "MovingDouble"}')
+        status, body = api.handle("PUT", "/collections/s/items/x",
+                                  b'{"type": "MovingDouble", "values": [1], "timeline": [100000000000000000000]}')
+        assert (status, body["code"]) == (400, "BadBody")
+        assert body["message"].startswith("/timeline/0:")
+        assert api.handle("GET", "/collections")[0] == 200
+        assert api.handle("GET", "/collections/s")[0] == 200
+
+    def test_year_zero_datetime_is_an_error_not_a_crash(self, api):
+        put_reference_track(api)
+        status, body = api.handle("GET", "/collections/taxi/items?datetime=0000-01-01T00:00:00Z")
+        assert (status, body["code"]) == (400, "BadQuery")
+        status, body = api.handle("PUT", "/collections/taxi/items/t2",
+                                  b'{"type": "MovingPoint", "coordinates": [[1, 2]],'
+                                  b' "datetimes": ["0000-01-01T00:00:00Z"]}')
+        assert (status, body["code"]) == (400, "BadBody")
+        assert body["message"].startswith("/datetimes/0:")
+
     @pytest.mark.parametrize("query", [
         "bbox=nan,nan,nan,nan", "bbox=0,0,inf,1", "bbox=-inf,0,1,1",
         "near=1,2,nan", "near=1,2,inf",

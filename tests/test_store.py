@@ -427,6 +427,28 @@ class TestDurability:
         loaded = MediaStore.load(tmp_path / "s")
         assert [c.id for c in loaded.list_collections()] == ["pics"]
 
+    def test_timeline_outside_iso_years_in_store_line_is_corrupt(self, tmp_path):
+        """A line whose timeline no ISO-8601 datetime can spell fails load, checksum or not."""
+        import hashlib
+
+        target = tmp_path / "s"
+        store = MediaStore(target)
+        self._populate(store)
+        store.flush()
+        lines = (target / "tracks.ndjson").read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record["document"]["timeline"][0] = -10**20
+        lines[0] = json.dumps(record) + "\n"
+        data = "".join(lines).encode()
+        (target / "tracks.ndjson").write_bytes(data)
+        manifest = json.loads((target / "manifest.json").read_text())
+        for entry in manifest["collections"]:
+            if entry["id"] == "tracks":
+                entry["sha256"]["features"] = hashlib.sha256(data).hexdigest()
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptStoreError, match="tracks.ndjson line 1: /timeline/0"):
+            MediaStore.load(target)
+
     def test_flush_requires_directory(self):
         with pytest.raises(StoreIoError):
             MediaStore().flush()
