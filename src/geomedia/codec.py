@@ -366,6 +366,12 @@ def _build_moving_video(obj: dict) -> tuple[MovingVideo, set[str]]:
             )
     else:
         fovs = (FieldOfView(),)
+    relative = [i for i, fov in enumerate(fovs) if fov.is_relative]
+    if relative and all(p.same_position(points[0]) for p in points):
+        # the direction resolves against the track heading, which a still track lacks
+        raise BadFieldValueError(
+            "a mount-relative direction needs a moving track", f"/fov/{relative[0]}/direction2d"
+        )
     track = MovingPoint(times, points, mode)
     return MovingVideo(uri, track, fovs), {
         "uri", "coordinates", "fov", "datetimes", "timeline", "interpolation",

@@ -184,8 +184,7 @@ def payload_of(x) -> MediaPayload:
 
 def payload_of_kind(x, kinds: frozenset[str], lacks: str) -> MediaPayload:
     """The media value of x if its kind is in kinds, else WrongKindError "<type> has no <lacks>"."""
-    # payload_of, inlined: the visibility sweep calls this once per sample
-    payload = x.payload if isinstance(x, GeoMediaDocument) else x
+    payload = payload_of(x)
     if _KIND_BY_TYPE.get(type(payload)) not in kinds:
         raise WrongKindError(f"{type(payload).__name__} has no {lacks}")
     return payload

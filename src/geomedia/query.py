@@ -70,7 +70,7 @@ def visible_intervals(x, p: GeoPoint, sample_step_ms: int = 100) -> list[TimeInt
     out: list[TimeInterval] = []
     run_start = run_end = None
     for t in camera.visibility_samples(p, sample_step_ms):
-        state = fov_at(camera, t)
+        state = camera.fov_at(t)
         if fov_contains(state.camera, state.direction, state.fov, p):
             if run_start is None:
                 run_start = t

@@ -34,7 +34,7 @@ from .errors import BadDateTimeError, BadQueryError, GeoMediaError, NotFoundErro
 from .fov import fov_sector_polygon
 from .geo import GeoPoint
 from .query import QuerySpec, evaluate, fov_at, position_at, visible_intervals
-from .store import Annotation, MediaStore, annotation_from_obj, annotation_to_obj, page
+from .store import MediaStore, annotation_from_obj, annotation_to_obj, page
 
 LOGGER = logging.getLogger(__name__)
 
@@ -82,42 +82,16 @@ class GeoMediaApi:
     # -- routing -----------------------------------------------------------
 
     def _route(self, method, segments, params, body, path):
-        if not segments:
-            return self._root(method, params, path)
-        if segments[0] != "collections":
-            raise NotFoundError(f"no route for {path}")
-        rest = segments[1:]
-        if not rest:
-            if method == "GET":
-                _allow_params(params, set())
-                return 200, {"collections": [self._collection_obj(c.id) for c in self.store.list_collections()]}
-            if method == "POST":
-                _allow_params(params, set())
-                return self._create_collection(body)
-            raise NotFoundError(f"no route for {method} {path}")
-        cid = rest[0]
-        if len(rest) == 1:
-            return self._collection(method, cid, params, path)
-        if rest[1] != "items":
-            raise NotFoundError(f"no route for {path}")
-        if len(rest) == 2:
-            return self._items(method, cid, params, path)
-        fid = rest[2]
-        if len(rest) == 3:
-            return self._item(method, cid, fid, params, body, path)
-        tail = rest[3]
-        if len(rest) == 4 and tail in ("position", "fov", "visible"):
-            if method != "GET":
-                raise NotFoundError(f"no route for {method} {path}")
-            return getattr(self, f"_item_{tail}")(cid, fid, params)
-        if tail == "annotations":
-            return self._annotations(method, cid, fid, rest[4:], params, body, path)
-        raise NotFoundError(f"no route for {path}")
+        template = "/" + "/".join("{}" if i % 2 else s for i, s in enumerate(segments))
+        route = ROUTES.get((method, template))
+        if route is None:
+            where = f"{method} {path}" if template in _TEMPLATES else path
+            raise NotFoundError(f"no route for {where}")
+        handler, allowed, required = route
+        _allow_params(params, allowed, required)
+        return handler(self, params, body, *segments[1::2])
 
-    def _root(self, method, params, path):
-        if method != "GET":
-            raise NotFoundError(f"no route for {method} {path}")
-        _allow_params(params, set())
+    def _landing(self, params, body):
         return 200, {
             "title": "geomedia",
             "description": "geo-tagged media collections with spatio-temporal queries",
@@ -143,7 +117,10 @@ class GeoMediaApi:
             "extent": interval_str(extent) if extent else None,
         }
 
-    def _create_collection(self, body):
+    def _list_collections(self, params, body):
+        return 200, {"collections": [self._collection_obj(c.id) for c in self.store.list_collections()]}
+
+    def _post_collection(self, params, body):
         obj = _decode_body(body)
         cid = obj.get("id")
         if not isinstance(cid, str):
@@ -162,23 +139,17 @@ class GeoMediaApi:
         self._persist()
         return 201, self._collection_obj(cid)
 
-    def _collection(self, method, cid, params, path):
-        if method == "GET":
-            _allow_params(params, set())
-            return 200, self._collection_obj(cid)
-        if method == "DELETE":
-            _allow_params(params, set())
-            self.store.delete_collection(cid)
-            self._persist()
-            return 204, None
-        raise NotFoundError(f"no route for {method} {path}")
+    def _get_collection(self, params, body, cid):
+        return 200, self._collection_obj(cid)
+
+    def _delete_collection(self, params, body, cid):
+        self.store.delete_collection(cid)
+        self._persist()
+        return 204, None
 
     # -- items ------------------------------------------------------------------
 
-    def _items(self, method, cid, params, path):
-        if method != "GET":
-            raise NotFoundError(f"no route for {method} {path}")
-        _allow_params(params, {"bbox", "datetime", "near", "visibleFrom", "limit", "offset"})
+    def _list_items(self, params, body, cid):
         spec = decode_query_spec(params)
         matched = evaluate(self.store, cid, dataclasses.replace(spec, limit=None, offset=0))
         returned = page(matched, spec.limit or DEFAULT_LIMIT, spec.offset)
@@ -191,70 +162,46 @@ class GeoMediaApi:
             ],
         }
 
-    def _item(self, method, cid, fid, params, body, path):
-        if method == "GET":
-            _allow_params(params, set())
-            record = self.store.get_feature(cid, fid)
-            return 200, document_to_obj(record.doc, "epoch")
-        if method == "PUT":
-            _allow_params(params, set())
-            if body is None:
-                raise ParseError("request body required")
-            doc = parse_document(body)
-            with self.store.lock:  # so that of two PUTs of a new fid only one sees it new
-                existed = self.store.has_feature(cid, fid)
-                record = self.store.put_feature(cid, fid, doc)
-            self._persist()
-            return (200 if existed else 201), document_to_obj(record.doc, "epoch")
-        if method == "DELETE":
-            _allow_params(params, set())
-            self.store.delete_feature(cid, fid)
-            self._persist()
-            return 204, None
-        raise NotFoundError(f"no route for {method} {path}")
+    def _get_item(self, params, body, cid, fid):
+        return 200, document_to_obj(self.store.get_feature(cid, fid).doc, "epoch")
 
-    def _item_position(self, cid, fid, params):
-        _allow_params(params, {"at"}, required={"at"})
+    def _put_item(self, params, body, cid, fid):
+        if body is None:
+            raise ParseError("request body required")
+        doc = parse_document(body)
+        with self.store.lock:  # so that of two PUTs of a new fid only one sees it new
+            existed = self.store.has_feature(cid, fid)
+            record = self.store.put_feature(cid, fid, doc)
+        self._persist()
+        return (200 if existed else 201), document_to_obj(record.doc, "epoch")
+
+    def _delete_item(self, params, body, cid, fid):
+        self.store.delete_feature(cid, fid)
+        self._persist()
+        return 204, None
+
+    def _position(self, params, body, cid, fid):
         t = parse_instant(params["at"])
         record = self.store.get_feature(cid, fid)
         return 200, geojson_point(position_at(record.doc, t))
 
-    def _item_fov(self, cid, fid, params):
-        _allow_params(params, {"at"})
+    def _fov(self, params, body, cid, fid):
         record = self.store.get_feature(cid, fid)
         state = fov_at(record.doc, parse_instant(params["at"]) if "at" in params else None)
         return 200, geojson_polygon(fov_sector_polygon(state.camera, state.direction, state.fov))
 
-    def _item_visible(self, cid, fid, params):
-        _allow_params(params, {"point"}, required={"point"})
+    def _visible(self, params, body, cid, fid):
         p = parse_lonlat(params["point"], "point")
         intervals = visible_intervals(self.store.get_feature(cid, fid).doc, p)
         return 200, {"intervals": [interval_str(iv) for iv in intervals]}
 
     # -- annotations ---------------------------------------------------------------
 
-    def _annotations(self, method, cid, fid, tail, params, body, path):
-        _allow_params(params, set())
-        if len(tail) > 1:
-            raise NotFoundError(f"no route for {path}")
-        aid = tail[0] if tail else None
-        if aid is None and method == "GET":
-            anns = self.store.list_annotations(cid, fid)
-            return 200, {"annotations": [annotation_to_obj(a, "iso") for a in anns]}
-        if aid is None and method == "POST":
-            ann = self._decode_annotation(body, cid, fid)
-            self.store.put_annotation(cid, fid, ann)
-            self._persist()
-            return 201, annotation_to_obj(ann, "iso")
-        if aid is not None and method == "GET":
-            return 200, annotation_to_obj(self.store.get_annotation(cid, fid, aid), "iso")
-        if aid is not None and method == "DELETE":
-            self.store.delete_annotation(cid, fid, aid)
-            self._persist()
-            return 204, None
-        raise NotFoundError(f"no route for {method} {path}")
+    def _list_annotations(self, params, body, cid, fid):
+        anns = self.store.list_annotations(cid, fid)
+        return 200, {"annotations": [annotation_to_obj(a, "iso") for a in anns]}
 
-    def _decode_annotation(self, body, cid, fid) -> Annotation:
+    def _post_annotation(self, params, body, cid, fid):
         obj = _decode_body(body)
         if obj.get("aid") is None:
             existing = {a.aid for a in self.store.list_annotations(cid, fid)}
@@ -262,11 +209,58 @@ class GeoMediaApi:
             while f"a{n}" in existing:
                 n += 1
             obj["aid"] = f"a{n}"
-        return annotation_from_obj(obj, "iso")
+        ann = annotation_from_obj(obj, "iso")
+        self.store.put_annotation(cid, fid, ann)
+        self._persist()
+        return 201, annotation_to_obj(ann, "iso")
+
+    def _get_annotation(self, params, body, cid, fid, aid):
+        return 200, annotation_to_obj(self.store.get_annotation(cid, fid, aid), "iso")
+
+    def _delete_annotation(self, params, body, cid, fid, aid):
+        self.store.delete_annotation(cid, fid, aid)
+        self._persist()
+        return 204, None
 
     def _persist(self) -> None:
         if self.store.directory is not None:
             self.store.flush()
+
+
+_NONE = frozenset()
+
+# The service's routes, in the order README lists them: (method, template) ->
+# (handler, allowed query parameters, required ones). Ids sit at the odd path
+# positions, so a request's template is its path with every odd segment as {}.
+ROUTES = {
+    ("GET", "/"): (GeoMediaApi._landing, _NONE, _NONE),
+    ("GET", "/collections"): (GeoMediaApi._list_collections, _NONE, _NONE),
+    ("POST", "/collections"): (GeoMediaApi._post_collection, _NONE, _NONE),
+    ("GET", "/collections/{}"): (GeoMediaApi._get_collection, _NONE, _NONE),
+    ("DELETE", "/collections/{}"): (GeoMediaApi._delete_collection, _NONE, _NONE),
+    ("GET", "/collections/{}/items"): (
+        GeoMediaApi._list_items,
+        frozenset({"bbox", "datetime", "near", "visibleFrom", "limit", "offset"}),
+        _NONE,
+    ),
+    ("GET", "/collections/{}/items/{}"): (GeoMediaApi._get_item, _NONE, _NONE),
+    ("PUT", "/collections/{}/items/{}"): (GeoMediaApi._put_item, _NONE, _NONE),
+    ("DELETE", "/collections/{}/items/{}"): (GeoMediaApi._delete_item, _NONE, _NONE),
+    ("GET", "/collections/{}/items/{}/position"): (
+        GeoMediaApi._position, frozenset({"at"}), frozenset({"at"})),
+    ("GET", "/collections/{}/items/{}/fov"): (GeoMediaApi._fov, frozenset({"at"}), _NONE),
+    ("GET", "/collections/{}/items/{}/visible"): (
+        GeoMediaApi._visible, frozenset({"point"}), frozenset({"point"})),
+    ("GET", "/collections/{}/items/{}/annotations"): (
+        GeoMediaApi._list_annotations, _NONE, _NONE),
+    ("POST", "/collections/{}/items/{}/annotations"): (
+        GeoMediaApi._post_annotation, _NONE, _NONE),
+    ("GET", "/collections/{}/items/{}/annotations/{}"): (
+        GeoMediaApi._get_annotation, _NONE, _NONE),
+    ("DELETE", "/collections/{}/items/{}/annotations/{}"): (
+        GeoMediaApi._delete_annotation, _NONE, _NONE),
+}
+_TEMPLATES = {template for _, template in ROUTES}
 
 
 # -- request decoding helpers -------------------------------------------------------
@@ -282,7 +276,7 @@ def _decode_params(query: str) -> dict[str, str]:
     return params
 
 
-def _allow_params(params: dict, allowed: set, required: set = frozenset()) -> None:
+def _allow_params(params: dict, allowed: frozenset, required: frozenset) -> None:
     unknown = set(params) - allowed
     if unknown:
         raise BadQueryError(f"unknown query parameters: {sorted(unknown)}")

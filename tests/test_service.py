@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 import socket
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,90 @@ class TestRoot:
         assert status == 404
         assert body["code"] == "NotFound"
         assert body["path"] == "/nope"
+
+
+# Every route of the service, with a query and a body that succeed against
+# the seeded store: collection "vids", video "v1", annotation "a1".
+ROUTE_MATRIX = {
+    ("GET", "/"): ("", None),
+    ("GET", "/collections"): ("", None),
+    ("POST", "/collections"): ("", b'{"id": "new", "mediaType": "MovingPoint"}'),
+    ("GET", "/collections/{cid}"): ("", None),
+    ("DELETE", "/collections/{cid}"): ("", None),
+    ("GET", "/collections/{cid}/items"): ("bbox=140,40,180,70", None),
+    ("GET", "/collections/{cid}/items/{fid}"): ("", None),
+    ("PUT", "/collections/{cid}/items/{fid}"): ("", fixture_bytes("moving_video.json")),
+    ("DELETE", "/collections/{cid}/items/{fid}"): ("", None),
+    ("GET", "/collections/{cid}/items/{fid}/position"): (f"at={T1}", None),
+    ("GET", "/collections/{cid}/items/{fid}/fov"): (f"at={T1}", None),
+    ("GET", "/collections/{cid}/items/{fid}/visible"): ("point=160.0002,60", None),
+    ("GET", "/collections/{cid}/items/{fid}/annotations"): ("", None),
+    ("POST", "/collections/{cid}/items/{fid}/annotations"): ("", b'{"kind": "text", "body": "x"}'),
+    ("GET", "/collections/{cid}/items/{fid}/annotations/{aid}"): ("", None),
+    ("DELETE", "/collections/{cid}/items/{fid}/annotations/{aid}"): ("", None),
+}
+UNDECLARED = [
+    (method, template)
+    for template in dict.fromkeys(t for _, t in ROUTE_MATRIX)
+    for method in ("GET", "POST", "PUT", "DELETE")
+    if (method, template) not in ROUTE_MATRIX
+]
+
+
+def route_id(route) -> str:
+    return " ".join(route)
+
+
+def route_target(template: str, query: str = "") -> str:
+    path = template.format(cid="vids", fid="v1", aid="a1")
+    return f"{path}?{query}" if query else path
+
+
+@pytest.fixture
+def seeded_api(api):
+    assert api.handle("POST", "/collections",
+                      b'{"id": "vids", "mediaType": "MovingVideo"}')[0] == 201
+    assert api.handle("PUT", "/collections/vids/items/v1",
+                      fixture_bytes("moving_video.json"))[0] == 201
+    assert api.handle("POST", "/collections/vids/items/v1/annotations",
+                      b'{"aid": "a1", "kind": "text", "body": "seed"}')[0] == 201
+    return api
+
+
+class TestRouteMatrix:
+    @pytest.mark.parametrize("route", ROUTE_MATRIX, ids=route_id)
+    def test_declared_route_answers(self, seeded_api, route):
+        method, template = route
+        query, body = ROUTE_MATRIX[route]
+        status, payload = seeded_api.handle(method, route_target(template, query), body)
+        assert status != 404, payload
+        assert 200 <= status < 300, payload
+
+    @pytest.mark.parametrize("route", UNDECLARED, ids=route_id)
+    def test_undeclared_method_is_not_found(self, seeded_api, route):
+        method, template = route
+        status, payload = seeded_api.handle(method, route_target(template), b"{}")
+        assert (status, payload["code"]) == (404, "NotFound")
+
+    @pytest.mark.parametrize("route", ROUTE_MATRIX, ids=route_id)
+    def test_unknown_parameter_is_bad_query(self, seeded_api, route):
+        method, template = route
+        query, body = ROUTE_MATRIX[route]
+        target = route_target(template, f"{query}&bogus=1" if query else "bogus=1")
+        status, payload = seeded_api.handle(method, target, body)
+        assert (status, payload["code"]) == (400, "BadQuery")
+        assert "bogus" in payload["message"]
+
+
+def test_readme_lists_the_route_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## HTTP service", 1)[1].split("```", 2)[1]
+    listed = []
+    for line in block.strip().splitlines():
+        method, target = line.split()[:2]
+        listed.append((method, re.sub(r"\{\w+\}", "{}", target.partition("?")[0])))
+    assert listed == list(service.ROUTES)
+    assert set(listed) == {(m, re.sub(r"\{\w+\}", "{}", t)) for m, t in ROUTE_MATRIX}
 
 
 class TestCollections:
@@ -272,6 +358,25 @@ class TestEvaluationRoutes:
         assert body["intervals"]  # non-empty
         for iv in body["intervals"]:
             assert "/" in iv
+
+    @pytest.mark.parametrize("coordinates, timeline, fov, pointer", [
+        ([[160, 60], [160, 60]], [T0, T1], [{"direction2d": -360}], "/fov/0/direction2d"),
+        ([[160, 60]], [T0], [{"direction2d": -90}], "/fov/0/direction2d"),
+        ([[160, 60], [160, 60]], [T0, T1],
+         [{"direction2d": 90}, {"direction2d": -180}], "/fov/1/direction2d"),
+    ])
+    def test_stationary_relative_video_refused(self, api, coordinates, timeline, fov, pointer):
+        api.handle("POST", "/collections", b'{"id": "vids", "mediaType": "MovingVideo"}')
+        api.handle("PUT", "/collections/vids/items/v1", fixture_bytes("moving_video.json"))
+        still = {"type": "MovingVideo", "uri": "u:still", "coordinates": coordinates,
+                 "timeline": timeline, "fov": fov}
+        status, body = api.handle("PUT", "/collections/vids/items/still",
+                                  json.dumps(still).encode())
+        assert (status, body["code"]) == (400, "BadBody")
+        assert pointer in body["message"]
+        status, body = api.handle("GET", "/collections/vids/items?visibleFrom=160.0002,60")
+        assert status == 200, body
+        assert [f["fid"] for f in body["features"]] == ["v1"]
 
     def test_visible_wrong_kind(self, api):
         put_reference_track(api)

@@ -9,10 +9,12 @@ import pytest
 
 from geomedia import (
     Annotation,
+    FieldOfView,
     GeoPoint,
     InterpolationMode,
     MediaStore,
     MovingPoint,
+    MovingVideo,
     TimeInterval,
     document_of,
     parse_document,
@@ -365,6 +367,18 @@ class TestDurability:
         self._populate(store)
         store.flush()
         (tmp_path / "s" / "pics.ann.ndjson").unlink()
+        with pytest.raises(CorruptStoreError):
+            MediaStore.load(tmp_path / "s")
+
+    def test_stationary_relative_video_line_detected(self, tmp_path):
+        """The codec refuses a still track with a relative FoV, so load does too."""
+        store = MediaStore(tmp_path / "s")
+        store.create_collection("vids", "Videos", "MovingVideo")
+        still = MovingVideo(
+            "u:v", MovingPoint((T0,), (GeoPoint(0, 0),)), (FieldOfView(direction2d=-360),)
+        )
+        store.put_feature("vids", "v1", document_of(still))
+        store.flush()
         with pytest.raises(CorruptStoreError):
             MediaStore.load(tmp_path / "s")
 
