@@ -19,7 +19,6 @@ from .fov import (
     FieldOfView,
     SectorPolygon,
     fov_contains,
-    fov_overlap,
     fov_sector_polygon,
     resolve_direction,
 )
@@ -37,7 +36,6 @@ from .query import (
     evaluate,
     fov_at,
     position_at,
-    trajectory_similarity,
     visible_intervals,
 )
 from .service import GeoMediaApi, GeoMediaServer
@@ -79,7 +77,6 @@ __all__ = [
     "evaluate",
     "fov_at",
     "fov_contains",
-    "fov_overlap",
     "fov_sector_polygon",
     "geo_distance",
     "parse_datetime",
@@ -89,6 +86,5 @@ __all__ = [
     "serialize_document",
     "spatial_bbox",
     "time_extent",
-    "trajectory_similarity",
     "visible_intervals",
 ]

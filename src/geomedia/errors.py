@@ -23,12 +23,6 @@ class NotASampleError(GeoMediaError):
     code = "BadQuery"
 
 
-class NoOverlapError(GeoMediaError):
-    """Slice interval does not overlap the track extent."""
-
-    code = "BadQuery"
-
-
 class DegenerateTrackError(GeoMediaError):
     """Heading requested on a track with no spatial motion."""
 
@@ -141,9 +135,3 @@ class WrongKindError(GeoMediaError):
     """Operation applied to a media kind that does not support it."""
 
     code = "KindMismatch"
-
-
-class NoTemporalOverlapError(GeoMediaError):
-    """Similarity requested for tracks with disjoint time extents."""
-
-    code = "BadQuery"

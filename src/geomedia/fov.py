@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .errors import MissingHeadingError
 from .geo import (
-    EARTH_RADIUS_M,
     GeoPoint,
     angle_between,
     bearing,
@@ -122,89 +121,3 @@ def fov_contains(
     if d == 0.0:
         return True
     return angle_between(bearing(camera, p), abs_direction % 360.0) <= fov.h_angle / 2.0
-
-
-def fov_overlap(
-    camera_a: GeoPoint,
-    dir_a: float,
-    fov_a: FieldOfView,
-    camera_b: GeoPoint,
-    dir_b: float,
-    fov_b: FieldOfView,
-    arc_step_deg: float = 5.0,
-) -> bool:
-    """True when the two discretized sectors intersect (shared apex counts).
-
-    The rings are projected onto a local tangent plane centered at camera_a
-    and tested by standard polygon intersection.
-    """
-    if geo_distance(camera_a, camera_b) > fov_a.view_distance + fov_b.view_distance:
-        return False
-    ring_a = fov_sector_polygon(camera_a, dir_a, fov_a, arc_step_deg).ring
-    ring_b = fov_sector_polygon(camera_b, dir_b, fov_b, arc_step_deg).ring
-    poly_a = [_to_plane(camera_a, p) for p in ring_a]
-    poly_b = [_to_plane(camera_a, p) for p in ring_b]
-    return _rings_intersect(poly_a, poly_b)
-
-
-def _to_plane(origin: GeoPoint, p: GeoPoint) -> tuple[float, float]:
-    dlon = (p.lon - origin.lon + 180.0) % 360.0 - 180.0
-    x = math.radians(dlon) * math.cos(math.radians(origin.lat)) * EARTH_RADIUS_M
-    y = math.radians(p.lat - origin.lat) * EARTH_RADIUS_M
-    return (x, y)
-
-
-def _orient(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _on_segment(a, b, p) -> bool:
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
-
-
-def _segments_intersect(a, b, c, d) -> bool:
-    o1 = _orient(a, b, c)
-    o2 = _orient(a, b, d)
-    o3 = _orient(c, d, a)
-    o4 = _orient(c, d, b)
-    if o1 * o2 < 0 and o3 * o4 < 0:
-        return True
-    if o1 == 0 and _on_segment(a, b, c):
-        return True
-    if o2 == 0 and _on_segment(a, b, d):
-        return True
-    if o3 == 0 and _on_segment(c, d, a):
-        return True
-    if o4 == 0 and _on_segment(c, d, b):
-        return True
-    return False
-
-
-def _point_in_ring(pt, ring) -> bool:
-    """Ray-cast point-in-polygon; points on the boundary count as inside."""
-    x, y = pt
-    inside = False
-    for a, b in zip(ring, ring[1:]):
-        if _orient(a, b, pt) == 0 and _on_segment(a, b, pt):
-            return True
-        ay, by = a[1], b[1]
-        if (ay > y) != (by > y):
-            xcross = a[0] + (y - ay) * (b[0] - a[0]) / (by - ay)
-            if x < xcross:
-                inside = not inside
-    return inside
-
-
-def _rings_intersect(ring_a, ring_b) -> bool:
-    for a, b in zip(ring_a, ring_a[1:]):
-        for c, d in zip(ring_b, ring_b[1:]):
-            if _segments_intersect(a, b, c, d):
-                return True
-    if any(_point_in_ring(p, ring_b) for p in ring_a):
-        return True
-    if any(_point_in_ring(p, ring_a) for p in ring_b):
-        return True
-    return False

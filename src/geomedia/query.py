@@ -1,4 +1,4 @@
-"""Exact spatio-temporal predicates and analysis over stored media.
+"""Exact spatio-temporal predicates over stored media, and query paging.
 
 evaluate() refines the store's index candidates with exact predicates, so
 its results are identical to a linear scan; the index only buys speed.
@@ -9,12 +9,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadQueryError, NoTemporalOverlapError, WrongKindError
+from .errors import BadQueryError, WrongKindError
 from .fov import fov_contains
 from .geo import GeoPoint, geo_distance
-from .media import CAMERA_KINDS, TRACK_KINDS, Bbox, FovState, payload_of, payload_of_kind
-from .store import FeatureRecord, MediaStore, _check_bbox, _check_interval, _check_page, page
-from .temporal import InterpolationMode, MovingPoint, TimeInterval, TimeStamp
+from .media import CAMERA_KINDS, TRACK_KINDS, Bbox, FovState, payload_of_kind
+from .store import FeatureRecord, MediaStore, _check_bbox, _check_interval
+from .temporal import TimeInterval, TimeStamp
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,15 @@ class QuerySpec:
         object.__setattr__(self, "interval", _check_interval(self.interval))
         if self.near is not None and not 0 < self.near[1] < math.inf:
             raise BadQueryError(f"near radius must be finite and > 0, got {self.near[1]}")
-        _check_page(self.limit, self.offset)
+        if self.limit is not None and self.limit < 1:
+            raise BadQueryError(f"limit must be >= 1, got {self.limit}")
+        if self.offset < 0:
+            raise BadQueryError(f"offset must be >= 0, got {self.offset}")
+
+
+def page(items: list, limit: int | None, offset: int) -> list:
+    """items[offset:offset + limit]; no limit means everything from offset on."""
+    return items[offset:] if limit is None else items[offset : offset + limit]
 
 
 def position_at(x, t: TimeStamp) -> GeoPoint:
@@ -81,31 +89,6 @@ def visible_intervals(x, p: GeoPoint, sample_step_ms: int = 100) -> list[TimeInt
     if run_start is not None:
         out.append(TimeInterval(run_start, run_end))
     return out
-
-
-def trajectory_similarity(a, b) -> float:
-    """Mean separation in meters over the tracks' shared time window.
-
-    Sampled at the union of both sample-time sets inside the overlap, with
-    linear evaluation; symmetric by construction. A simple synchronized
-    distance, not a view-based measure.
-    """
-    ta = payload_of(a)
-    tb = payload_of(b)
-    if not isinstance(ta, MovingPoint) or not isinstance(tb, MovingPoint):
-        raise WrongKindError("similarity is defined between two trajectories")
-    start = max(ta.times[0], tb.times[0])
-    end = min(ta.times[-1], tb.times[-1])
-    if start > end:
-        raise NoTemporalOverlapError(
-            f"extents [{ta.times[0]}, {ta.times[-1]}] and "
-            f"[{tb.times[0]}, {tb.times[-1]}] do not overlap"
-        )
-    times = sorted(t for t in set(ta.times) | set(tb.times) if start <= t <= end)
-    la = MovingPoint(ta.times, ta.points, InterpolationMode.LINEAR)
-    lb = MovingPoint(tb.times, tb.points, InterpolationMode.LINEAR)
-    total = sum(geo_distance(la.at(t), lb.at(t)) for t in times)
-    return total / len(times)
 
 
 def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord]:

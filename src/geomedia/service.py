@@ -33,8 +33,8 @@ from .codec import (
 from .errors import BadDateTimeError, BadQueryError, GeoMediaError, NotFoundError, ParseError
 from .fov import fov_sector_polygon
 from .geo import GeoPoint
-from .query import QuerySpec, evaluate, fov_at, position_at, visible_intervals
-from .store import MediaStore, annotation_from_obj, annotation_to_obj, page
+from .query import QuerySpec, evaluate, fov_at, page, position_at, visible_intervals
+from .store import MediaStore, annotation_from_obj, annotation_to_obj
 
 LOGGER = logging.getLogger(__name__)
 
@@ -368,10 +368,14 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self):
         raw_length = (self.headers.get("Content-Length") or "0").strip()
         length = int(raw_length) if raw_length.isascii() and raw_length.isdigit() else None
-        read = length is not None and length <= MAX_BODY_BYTES
+        chunked = "Transfer-Encoding" in self.headers
+        read = length is not None and length <= MAX_BODY_BYTES and not chunked
         if read:
             body = self.rfile.read(length) if length else None
             status, payload = self.server.api.handle(self.command, self.path, body)
+        elif chunked:
+            message = "Transfer-Encoding is not supported; send a Content-Length"
+            status, payload = _api_error("BadBody", message, urlsplit(self.path).path)
         elif length is not None:
             message = f"body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}"
             status, payload = _api_error("TooLarge", message, urlsplit(self.path).path)

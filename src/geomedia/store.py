@@ -297,8 +297,6 @@ class MediaStore:
         cid: str,
         bbox: Bbox | None = None,
         interval: TimeInterval | tuple[int, int] | None = None,
-        limit: int | None = None,
-        offset: int = 0,
     ) -> list[FeatureRecord]:
         """Features intersecting bbox and overlapping interval, ordered by fid.
 
@@ -308,14 +306,13 @@ class MediaStore:
         """
         bbox = _check_bbox(bbox)
         interval = _check_interval(interval)
-        _check_page(limit, offset)
         with self._lock:
             state = self._state(cid)
             fids = state.spatial_index().search(bbox) if bbox is not None else state.features
             records = (state.features[fid] for fid in sorted(fids))
             if interval is not None:
                 records = (r for r in records if r.extent.overlaps(interval))
-            return page(list(records), limit, offset)
+            return list(records)
 
     def collection_bbox(self, cid: str) -> Bbox | None:
         with self._lock:
@@ -537,15 +534,3 @@ def _check_interval(interval) -> TimeInterval | None:
         return TimeInterval(int(start), int(end))
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadQueryError(f"bad interval {interval!r}: {exc}") from None
-
-
-def _check_page(limit: int | None, offset: int) -> None:
-    if limit is not None and limit < 1:
-        raise BadQueryError(f"limit must be >= 1, got {limit}")
-    if offset < 0:
-        raise BadQueryError(f"offset must be >= 0, got {offset}")
-
-
-def page(items: list, limit: int | None, offset: int) -> list:
-    """items[offset:offset + limit]; no limit means everything from offset on."""
-    return items[offset:] if limit is None else items[offset : offset + limit]

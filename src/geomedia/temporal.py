@@ -7,13 +7,12 @@ operations are pure and thread-safe.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
     DegenerateTrackError,
-    NoOverlapError,
     NotASampleError,
     OutOfRangeError,
 )
@@ -107,33 +106,6 @@ class MovingPoint:
         if a.alt is not None and b.alt is not None:
             alt = a.alt + (b.alt - a.alt) * frac
         return GeoPoint(a.lon + (b.lon - a.lon) * frac, a.lat + (b.lat - a.lat) * frac, alt)
-
-    def sliced(self, iv: TimeInterval) -> "MovingPoint":
-        """Restrict the track to iv, interpolating boundary samples where the mode allows.
-
-        Linear and stepwise tracks gain evaluated samples at clipped interval
-        boundaries that fall strictly between original samples, so at() inside
-        the slice agrees with the original. Discrete tracks keep exact samples
-        only; an overlap containing none of them raises NoOverlapError.
-        """
-        if iv.end < self.times[0] or iv.start > self.times[-1]:
-            raise NoOverlapError(f"interval [{iv.start}, {iv.end}] outside track extent")
-        start = max(iv.start, self.times[0])
-        end = min(iv.end, self.times[-1])
-        lo = bisect_left(self.times, start)
-        hi = bisect_right(self.times, end)
-        times = list(self.times[lo:hi])
-        points = list(self.points[lo:hi])
-        if self.mode is not InterpolationMode.DISCRETE:
-            if not times or times[0] != start:
-                times.insert(0, start)
-                points.insert(0, self.at(start))
-            if end != start and times[-1] != end:
-                times.append(end)
-                points.append(self.at(end))
-        if not times:
-            raise NoOverlapError("no discrete samples inside the interval")
-        return MovingPoint(tuple(times), tuple(points), self.mode)
 
     def heading_at(self, t: TimeStamp) -> float:
         """Bearing (degrees clockwise from north) of the segment containing t.

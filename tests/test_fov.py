@@ -13,12 +13,12 @@ from geomedia import (
     bearing,
     destination,
     fov_contains,
-    fov_overlap,
     fov_sector_polygon,
     geo_distance,
     resolve_direction,
 )
 from geomedia.errors import CoincidentPointsError, MissingHeadingError
+from geomedia.geo import angle_between
 
 RADIUS = 6371008.8
 
@@ -128,6 +128,54 @@ class TestDestination:
             q = destination(p, brg, 500)
             diff = abs(bearing(p, q) - brg) % 360
             assert min(diff, 360 - diff) == pytest.approx(0.0, abs=1e-3)
+
+    def test_negative_distance_rejected(self):
+        with pytest.raises(ValueError):
+            destination(GeoPoint(0, 0), 90, -1)
+
+    def test_crosses_antimeridian_eastward(self):
+        p = GeoPoint(179.9995, 10)
+        q = destination(p, 90, 200)
+        assert -180 <= q.lon < -179.99
+        assert geo_distance(p, q) == pytest.approx(200, rel=1e-6)
+        assert oracle_distance(p, q) == pytest.approx(200, rel=1e-6)
+
+    def test_crosses_antimeridian_westward(self):
+        p = GeoPoint(-179.9995, -10)
+        q = destination(p, 270, 200)
+        assert 179.99 < q.lon <= 180
+        assert geo_distance(p, q) == pytest.approx(200, rel=1e-6)
+
+
+class TestGeoPoint:
+    @pytest.mark.parametrize("lon, lat", [(-180, 0), (180, 0), (0, -90), (0, 90)])
+    def test_range_bounds_are_inclusive(self, lon, lat):
+        p = GeoPoint(lon, lat)
+        assert (p.lon, p.lat) == (lon, lat)
+
+    @pytest.mark.parametrize("alt", [math.nan, math.inf, -math.inf])
+    def test_altitude_must_be_finite(self, alt):
+        with pytest.raises(ValueError):
+            GeoPoint(0, 0, alt)
+
+    def test_same_position_ignores_altitude(self):
+        assert GeoPoint(1, 2, 5.0).same_position(GeoPoint(1, 2))
+        assert not GeoPoint(1, 2).same_position(GeoPoint(1, 2.000001))
+
+
+class TestAngleBetween:
+    @pytest.mark.parametrize("a, b, want", [
+        (0, 0, 0),
+        (10, 350, 20),
+        (350, 10, 20),
+        (90, 270, 180),
+        (725, 0, 5),
+        (-30, 30, 60),
+        (0, 359.5, 0.5),
+    ])
+    def test_smallest_circular_difference(self, a, b, want):
+        assert angle_between(a, b) == pytest.approx(want, abs=1e-12)
+        assert angle_between(b, a) == pytest.approx(want, abs=1e-12)
 
 
 class TestResolveDirection:
@@ -275,73 +323,3 @@ class TestFovContains:
                 rng.uniform(1, 500),
             )
             assert not fov_contains(camera, 45, fov, off_axis)
-
-
-class TestFovOverlap:
-    def test_identical_sectors(self):
-        camera = GeoPoint(0, 0)
-        fov = FieldOfView()
-        assert fov_overlap(camera, 0, fov, camera, 0, fov)
-
-    def test_far_apart(self):
-        a = GeoPoint(0, 0)
-        b = destination(a, 90, 10_000)
-        fov = FieldOfView(view_distance=100)
-        assert not fov_overlap(a, 90, fov, b, 270, fov)
-
-    def test_facing_cameras_overlap(self):
-        a = GeoPoint(0, 0)
-        b = destination(a, 90, 150)
-        fov = FieldOfView(h_angle=63, view_distance=100)
-        assert fov_overlap(a, 90, fov, b, 270, fov)
-
-    def test_facing_away_do_not_overlap(self):
-        a = GeoPoint(0, 0)
-        b = destination(a, 90, 150)
-        fov = FieldOfView(h_angle=63, view_distance=100)
-        assert not fov_overlap(a, 270, fov, b, 90, fov)
-
-    def test_contained_sector_overlaps(self):
-        camera = GeoPoint(0, 0)
-        big = FieldOfView(h_angle=360, view_distance=1000)
-        small = FieldOfView(h_angle=20, view_distance=50)
-        inner = destination(camera, 10, 200)
-        assert fov_overlap(camera, 0, big, inner, 10, small)
-
-    def test_apex_touch_counts(self):
-        apex = GeoPoint(0, 0)
-        fov = FieldOfView(h_angle=60, view_distance=100)
-        # both wedges start at the same apex but open in opposite directions
-        assert fov_overlap(apex, 0, fov, apex, 180, fov)
-
-    def test_symmetry(self):
-        rng = random.Random("overlap-sym")
-        for _ in range(100):
-            a = GeoPoint(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            b = destination(a, rng.uniform(0, 360), rng.uniform(0, 400))
-            fa = FieldOfView(h_angle=rng.uniform(10, 350),
-                             view_distance=rng.uniform(10, 300))
-            fb = FieldOfView(h_angle=rng.uniform(10, 350),
-                             view_distance=rng.uniform(10, 300))
-            da, db = rng.uniform(0, 360), rng.uniform(0, 360)
-            assert fov_overlap(a, da, fa, b, db, fb) == fov_overlap(b, db, fb, a, da, fa)
-
-    def test_agrees_with_point_sampling(self):
-        # dense sampling of sector A: if any sampled point falls in B (or the
-        # apexes coincide inside), the polygons must report an overlap
-        rng = random.Random("overlap-sample")
-        for _ in range(40):
-            a = GeoPoint(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            b = destination(a, rng.uniform(0, 360), rng.uniform(0, 350))
-            fa = FieldOfView(h_angle=rng.uniform(30, 180), view_distance=rng.uniform(50, 200))
-            fb = FieldOfView(h_angle=rng.uniform(30, 180), view_distance=rng.uniform(50, 200))
-            da, db = rng.uniform(0, 360), rng.uniform(0, 360)
-            sampled_hit = False
-            for _ in range(400):
-                brg = da + rng.uniform(-fa.h_angle / 2, fa.h_angle / 2)
-                p = destination(a, brg, rng.uniform(0, fa.view_distance))
-                if fov_contains(b, db, fb, p):
-                    sampled_hit = True
-                    break
-            if sampled_hit:
-                assert fov_overlap(a, da, fa, b, db, fb)

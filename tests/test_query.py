@@ -19,13 +19,11 @@ from geomedia import (
     fov_at,
     geo_distance,
     position_at,
-    trajectory_similarity,
     visible_intervals,
 )
 from geomedia.errors import (
     BadQueryError,
     DegenerateTrackError,
-    NoTemporalOverlapError,
     OutOfRangeError,
     WrongKindError,
 )
@@ -187,45 +185,6 @@ class TestVisibleIntervals:
         store.create_collection("dashcam", "Dashcam", "MovingVideo")
         store.put_feature("dashcam", "d1", document_of(video))
         assert [r.fid for r in evaluate(store, "dashcam", QuerySpec(visible_from=p))] == ["d1"]
-
-
-class TestTrajectorySimilarity:
-    def test_identical_tracks(self):
-        a = track([(0, 0), (0.001, 0), (0.002, 0)])
-        assert trajectory_similarity(a, a) == 0.0
-
-    def test_constant_offset_north(self):
-        a = track([(0, 0), (0.001, 0), (0.002, 0), (0.003, 0)])
-        b = MovingPoint(a.times, tuple(GeoPoint(p.lon, p.lat + 0.001) for p in a.points))
-        sim = trajectory_similarity(a, b)
-        want = geo_distance(GeoPoint(0, 0), GeoPoint(0, 0.001))
-        assert sim == pytest.approx(want, rel=1e-6)
-        assert sim == pytest.approx(111.195, abs=0.01)
-
-    def test_symmetric(self):
-        rng = random.Random("sym")
-        for _ in range(50):
-            times_a = tuple(sorted(rng.sample(range(0, 100_000), 4)))
-            times_b = tuple(sorted(rng.sample(range(0, 100_000), 5)))
-            a = MovingPoint(times_a, tuple(GeoPoint(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in times_a))
-            b = MovingPoint(times_b, tuple(GeoPoint(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in times_b))
-            if max(times_a[0], times_b[0]) > min(times_a[-1], times_b[-1]):
-                continue
-            assert trajectory_similarity(a, b) == pytest.approx(trajectory_similarity(b, a), abs=1e-9)
-
-    def test_disjoint_extents(self):
-        a = track([(0, 0), (1, 1)], times=(0, 1000))
-        b = track([(0, 0), (1, 1)], times=(5000, 6000))
-        with pytest.raises(NoTemporalOverlapError):
-            trajectory_similarity(a, b)
-
-    def test_mean_over_union_of_sample_times(self):
-        # hand-computed: a linear 0->2 over [0, 2000]; b constant 0; overlap full
-        a = track([(0, 0), (0, 0.002)], times=(0, 2000))
-        b = track([(0, 0), (0, 0)], times=(0, 2000))
-        # union times {0, 2000}: distances 0 and ~222.39
-        want = (0 + geo_distance(GeoPoint(0, 0), GeoPoint(0, 0.002))) / 2
-        assert trajectory_similarity(a, b) == pytest.approx(want, rel=1e-9)
 
 
 class TestEvaluate:

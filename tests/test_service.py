@@ -546,6 +546,20 @@ def test_body_limit_boundary(tmp_path, monkeypatch, spare, status):
     assert head.startswith(f"HTTP/1.1 {status} ".encode())
 
 
+def test_chunked_body_refused_and_connection_closed(tmp_path):
+    chunk = b'{"id": "taxi"}'
+    head, body = raw_exchange(tmp_path, b"PUT /collections/taxi/items/f1 HTTP/1.1\r\nHost: t\r\n"
+                                        b"Transfer-Encoding: chunked\r\n\r\n"
+                                        + f"{len(chunk):x}\r\n".encode() + chunk + b"\r\n0\r\n\r\n"
+                                        b"GET /collections HTTP/1.1\r\nHost: t\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    # one JSON error and nothing after it: the chunk lines are never read as requests
+    assert json.loads(body) == {
+        "httpStatus": 400, "code": "BadBody", "path": "/collections/taxi/items/f1",
+        "message": "Transfer-Encoding is not supported; send a Content-Length"}
+
+
 class TestOutsideNumbers:
     @pytest.mark.parametrize("doc, pointer", [
         (b'{"type": "MovingDouble", "values": [NaN, Infinity], "timeline": [0, 1]}', "/values/0"),

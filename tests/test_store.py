@@ -136,10 +136,6 @@ class TestStQuery:
             store.st_query("taxi", bbox=(1, 2, 0, 3))
         with pytest.raises(BadQueryError):
             store.st_query("taxi", interval=(10, 5))
-        with pytest.raises(BadQueryError):
-            store.st_query("taxi", limit=0)
-        with pytest.raises(BadQueryError):
-            store.st_query("taxi", offset=-1)
 
     def test_matches_linear_scan(self, store):
         rng = random.Random("stq")
@@ -171,17 +167,6 @@ class TestStQuery:
                     continue
                 want.append(fid)
             assert got == want
-
-    def test_paging(self, store):
-        rng = random.Random("page")
-        store.create_collection("c", "t", "MovingPoint")
-        for i in range(10):
-            store.put_feature("c", f"f{i}", track_doc(rng))
-        full = [r.fid for r in store.st_query("c")]
-        assert full == sorted(full)
-        assert [r.fid for r in store.st_query("c", limit=3)] == full[:3]
-        assert [r.fid for r in store.st_query("c", limit=3, offset=8)] == full[8:]
-
 
 class TestAnnotations:
     def test_text_annotation(self, store, stphoto_doc):

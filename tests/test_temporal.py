@@ -15,7 +15,6 @@ from geomedia import (
 )
 from geomedia.errors import (
     DegenerateTrackError,
-    NoOverlapError,
     NotASampleError,
     OutOfRangeError,
 )
@@ -98,6 +97,28 @@ class TestMovingDoubleAt:
         md = MovingDouble((0, 1000), (2.0, 4.0))
         assert md.at(250) == pytest.approx(2.5, abs=1e-12)
 
+    def test_discrete_rejects_off_sample(self):
+        md = MovingDouble((0, 1000), (2.0, 4.0), InterpolationMode.DISCRETE)
+        assert md.at(1000) == 4.0
+        with pytest.raises(NotASampleError):
+            md.at(500)
+
+    def test_stepwise_holds_last(self):
+        md = MovingDouble((0, 1000, 2000), (1.0, 3.0, 7.0), InterpolationMode.STEPWISE)
+        assert md.at(999) == 1.0
+        assert md.at(1000) == 3.0
+        assert md.at(2000) == 7.0
+
+    def test_after_extent(self):
+        md = MovingDouble((0, 1000), (2.0, 4.0))
+        with pytest.raises(OutOfRangeError):
+            md.at(1001)
+
+    def test_vertices_follow_track(self):
+        assert MovingDouble((0, 1000), (2.0, 4.0)).vertices() == ()
+        track = (GeoPoint(0, 0), GeoPoint(1, 1))
+        assert MovingDouble((0, 1000), (2.0, 4.0), track=track).vertices() == track
+
 
 class TestConstruction:
     def test_needs_samples(self):
@@ -124,6 +145,52 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GeoPoint(0, -91)
 
+    def test_points_length_checked(self):
+        with pytest.raises(ValueError):
+            MovingPoint((0, 1), (GeoPoint(0, 0),))
+
+    def test_values_length_checked(self):
+        with pytest.raises(ValueError):
+            MovingDouble((0, 1), (1.0,))
+
+    def test_mode_given_by_name(self):
+        mp = make_mp([0, 1000], [(0, 0), (1, 1)], "stepwise")
+        assert mp.mode is InterpolationMode.STEPWISE
+        assert MovingDouble((0, 1), (1, 2), "discrete").mode is InterpolationMode.DISCRETE
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            make_mp([0, 1000], [(0, 0), (1, 1)], "cubic")
+
+
+class TestTimeInterval:
+    def test_inverted_rejected(self):
+        with pytest.raises(ValueError):
+            TimeInterval(10, 5)
+
+    def test_contains_is_closed(self):
+        iv = TimeInterval(10, 20)
+        assert iv.contains(10) and iv.contains(15) and iv.contains(20)
+        assert not iv.contains(9) and not iv.contains(21)
+
+    def test_instant_contains_only_itself(self):
+        iv = TimeInterval(7, 7)
+        assert iv.contains(7)
+        assert not iv.contains(6) and not iv.contains(8)
+
+    @pytest.mark.parametrize("a, b, want", [
+        ((0, 10), (10, 20), True),   # touching at one end
+        ((0, 10), (11, 20), False),  # one millisecond apart
+        ((0, 100), (40, 60), True),  # nested
+        ((0, 10), (5, 5), True),     # instant inside
+        ((0, 10), (-5, -5), False),  # instant before
+        ((3, 3), (3, 3), True),      # equal instants
+    ])
+    def test_overlaps_is_closed_and_symmetric(self, a, b, want):
+        x, y = TimeInterval(*a), TimeInterval(*b)
+        assert x.overlaps(y) is want
+        assert y.overlaps(x) is want
+
 
 class TestTimeExtent:
     def test_reference_listing(self, reference_mp):
@@ -136,50 +203,6 @@ class TestTimeExtent:
 
     def test_moving_double(self, moving_double_doc):
         assert moving_double_doc.payload.time_extent() == TimeInterval(T0, T2)
-
-
-class TestSlice:
-    def test_exact_boundaries(self, reference_mp):
-        out = reference_mp.sliced(TimeInterval(T0, T1))
-        assert out.times == (T0, T1)
-        assert out.points == reference_mp.points[:2]
-        assert out.mode is reference_mp.mode
-
-    def test_interpolated_boundary(self, reference_mp):
-        out = reference_mp.sliced(TimeInterval(T0 + 500, T2))
-        assert out.times[0] == T0 + 500
-        first = out.points[0]
-        assert (first.lon, first.lat, first.alt) == pytest.approx((155.0, 55.0, 11.0), abs=1e-9)
-
-    def test_no_overlap(self, reference_mp):
-        with pytest.raises(NoOverlapError):
-            reference_mp.sliced(TimeInterval(T2 + 60_000, T2 + 120_000))
-
-    def test_inside_single_segment(self):
-        mp = make_mp([0, 1000], [(0, 0), (10, 10)])
-        out = mp.sliced(TimeInterval(250, 750))
-        assert out.times == (250, 750)
-        assert out.points[0].lon == pytest.approx(2.5)
-        assert out.points[1].lat == pytest.approx(7.5)
-
-    def test_degenerate_interval(self):
-        mp = make_mp([0, 1000], [(0, 0), (10, 10)])
-        out = mp.sliced(TimeInterval(400, 400))
-        assert out.times == (400,)
-
-    def test_discrete_keeps_exact_samples_only(self):
-        mp = make_mp([0, 1000, 2000], [(0, 0), (1, 1), (2, 2)], InterpolationMode.DISCRETE)
-        out = mp.sliced(TimeInterval(500, 1500))
-        assert out.times == (1000,)
-        with pytest.raises(NoOverlapError):
-            mp.sliced(TimeInterval(100, 900))
-
-    def test_stepwise_boundary_holds_value(self):
-        mp = make_mp([0, 1000, 2000], [(0, 0), (1, 1), (2, 2)], InterpolationMode.STEPWISE)
-        out = mp.sliced(TimeInterval(500, 1500))
-        assert out.times == (500, 1000, 1500)
-        assert out.points[0] == GeoPoint(0, 0)
-        assert out.points[2] == GeoPoint(1, 1)
 
 
 class TestHeading:
@@ -289,22 +312,6 @@ class TestAgainstReferenceEvaluator:
             for t in range(mp.times[i], mp.times[i + 1]):
                 if rng.random() < 0.01:
                     assert mp.at(t) == mp.points[i]
-
-    def test_slice_preserves_evaluation(self):
-        rng = random.Random("slice")
-        for mode in (InterpolationMode.LINEAR, InterpolationMode.STEPWISE):
-            for _ in range(60):
-                mp = random_track(rng, mode, n=rng.randint(2, 10))
-                lo = rng.randint(mp.times[0], mp.times[-1])
-                hi = rng.randint(lo, mp.times[-1])
-                out = mp.sliced(TimeInterval(lo, hi))
-                extent = out.time_extent()
-                assert lo <= extent.start and extent.end <= hi
-                for _ in range(20):
-                    t = rng.randint(extent.start, extent.end)
-                    a, b = mp.at(t), out.at(t)
-                    assert b.lon == pytest.approx(a.lon, abs=1e-9)
-                    assert b.lat == pytest.approx(a.lat, abs=1e-9)
 
     def test_bbox_contains_all_interpolated_positions(self):
         from geomedia import spatial_bbox
