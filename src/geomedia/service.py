@@ -5,9 +5,10 @@ GeoMediaApi is framework-agnostic: handle() maps (method, target, body) to
 without sockets. GeoMediaServer wraps it in a threading stdlib HTTP server.
 
 Contract notes: unknown or repeated query parameters are rejected with 400
-(fail-closed against filter typos); every mutation is flushed to disk
-before its response; responses contain no wall-clock values, only stored
-data, so they are deterministic given store state.
+(fail-closed against filter typos); every mutation is appended to the
+store's log and fsynced before its response; responses contain no
+wall-clock values, only stored data, so they are deterministic given store
+state.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ class GeoMediaApi:
 
     def _persist(self) -> None:
         if self.store.directory is not None:
-            self.store.flush()
+            self.store.commit()
 
 
 _NONE = frozenset()
@@ -389,13 +390,13 @@ class _Handler(BaseHTTPRequestHandler):
         if not read:
             self.send_header("Connection", "close")  # the unread body cannot be skipped
         self.end_headers()
-        if data:
+        if data and self.command != "HEAD":  # a HEAD answer has headers only
             self.wfile.write(data)
 
-    do_GET = _dispatch
-    do_POST = _dispatch
-    do_PUT = _dispatch
-    do_DELETE = _dispatch
+    # Methods no route declares get the same JSON 404 as from handle(),
+    # not the stdlib's HTML 501.
+    do_GET = do_POST = do_PUT = do_DELETE = _dispatch
+    do_HEAD = do_PATCH = do_OPTIONS = _dispatch
 
     def log_message(self, fmt, *args):
         LOGGER.debug("%s %s", self.address_string(), fmt % args)

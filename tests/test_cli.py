@@ -299,6 +299,59 @@ class TestServe:
             proc.terminate()
             proc.wait(timeout=5)
 
+    def test_sigkill_keeps_every_acknowledged_write(self, store_dir, tmp_path):
+        """Writes answered by a `serve` that is then killed outright are all
+        served back by the next `serve`, from the snapshot plus the log."""
+        import signal
+        import subprocess
+        import sys
+
+        ingest_reference_track(store_dir, tmp_path)
+
+        def serve():
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "geomedia.cli", "serve",
+                 "--store", str(store_dir), "--addr", "127.0.0.1:0"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            return proc, proc.stdout.readline().strip().split("on ", 1)[1]
+
+        def call(base, method, path, data=None):
+            req = urllib.request.Request(base + path, data=data, method=method)
+            with urllib.request.urlopen(req, timeout=5) as resp:
+                body = resp.read()
+                return resp.status, json.loads(body) if body else None
+
+        proc, base = serve()
+        try:
+            doc = (FIXTURES / "moving_point.json").read_bytes()
+            status, stored = call(base, "PUT", "/collections/taxi/items/t2", doc)
+            assert status == 201
+            for text in ("keep", "drop"):
+                status, _ = call(base, "POST", "/collections/taxi/items/t2/annotations",
+                                 json.dumps({"kind": "text", "body": text}).encode())
+                assert status == 201
+            assert call(base, "DELETE", "/collections/taxi/items/t2/annotations/a2")[0] == 204
+            _, want = call(base, "GET", "/collections/taxi/items/t2/annotations")
+            assert (store_dir / "wal.log").is_file()
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=5)
+            proc.stdout.close()
+            proc.stderr.close()
+        proc, base = serve()
+        try:
+            _, listing = call(base, "GET", "/collections/taxi/items")
+            assert [f["fid"] for f in listing["features"]] == ["t1", "t2"]
+            assert call(base, "GET", "/collections/taxi/items/t2") == (200, stored)
+            assert call(base, "GET", "/collections/taxi/items/t2/annotations") == (200, want)
+            assert [a["body"] for a in want["annotations"]] == ["keep"]
+        finally:
+            proc.terminate()
+            proc.wait(timeout=5)
+            proc.stdout.close()
+            proc.stderr.close()
+
     def test_serve_round_trip_and_durability(self, store_dir, tmp_path, capsys):
         ingest_reference_track(store_dir, tmp_path)
 

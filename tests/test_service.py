@@ -560,6 +560,27 @@ def test_chunked_body_refused_and_connection_closed(tmp_path):
         "message": "Transfer-Encoding is not supported; send a Content-Length"}
 
 
+@pytest.mark.parametrize("method", ["HEAD", "PATCH", "OPTIONS"])
+def test_undeclared_method_gets_json_error_and_stream_stays_framed(tmp_path, method):
+    """The socket answers as handle() does; a HEAD answer carries no body, so
+    the pipelined GET after it is still read as the next response."""
+    head, rest = raw_exchange(tmp_path, f"{method} /collections HTTP/1.1\r\nHost: t\r\n"
+                                        "Content-Length: 0\r\n\r\n".encode()
+                                        + b"GET /collections HTTP/1.1\r\nHost: t\r\n"
+                                          b"Connection: close\r\n\r\n")
+    want_status, want = GeoMediaApi(MediaStore()).handle(method, "/collections")
+    assert head.startswith(f"HTTP/1.1 {want_status} ".encode())
+    assert b"Content-Type: application/json" in head
+    length = int(re.search(rb"Content-Length: (\d+)", head)[1])
+    assert length == len(json.dumps(want).encode())
+    body = b"" if method == "HEAD" else rest[:length]
+    if body:
+        assert json.loads(body) == want
+    second_head, _, second_body = rest[len(body):].partition(b"\r\n\r\n")
+    assert second_head.startswith(b"HTTP/1.1 200 ")
+    assert json.loads(second_body) == {"collections": []}
+
+
 class TestOutsideNumbers:
     @pytest.mark.parametrize("doc, pointer", [
         (b'{"type": "MovingDouble", "values": [NaN, Infinity], "timeline": [0, 1]}', "/values/0"),
