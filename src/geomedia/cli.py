@@ -25,7 +25,6 @@ from .codec import (
 from .errors import (
     BadQueryError,
     GeoMediaError,
-    KindMismatchError,
     ParseError,
     StoreIoError,
     WrongKindError,
@@ -182,7 +181,7 @@ def _cmd_ingest(args) -> int:
             doc = parse_document(Path(path).read_bytes())
             store.put_feature(args.collection, fid, doc)
             ingested += 1
-        except (OSError, ParseError, KindMismatchError, BadQueryError) as exc:
+        except (OSError, ParseError, WrongKindError, BadQueryError) as exc:
             failures += 1
             print(f"{path}: {exc}", file=sys.stderr)
     store.flush()

@@ -27,15 +27,7 @@ import math
 import re
 from datetime import datetime, timedelta
 
-from .errors import (
-    BadDateTimeError,
-    BadFieldValueError,
-    BadJsonError,
-    LengthMismatchError,
-    NonIncreasingTimeError,
-    ParseError,
-    UnknownTypeError,
-)
+from .errors import ParseError
 from .fov import (
     DEFAULT_DIRECTION,
     DEFAULT_H_ANGLE,
@@ -73,23 +65,23 @@ def parse_datetime(s: str) -> TimeStamp:
     surrounding whitespace (both occur in the wild).
     """
     if not isinstance(s, str):
-        raise BadDateTimeError(f"datetime must be a string, got {type(s).__name__}")
+        raise ParseError(f"datetime must be a string, got {type(s).__name__}")
     m = _DATETIME_RE.match(s.strip())
     if not m:
-        raise BadDateTimeError(f"not a UTC ISO-8601 instant: {s!r}")
+        raise ParseError(f"not a UTC ISO-8601 instant: {s!r}")
     year, month, day, hour, minute, sec = (int(g) for g in m.groups()[:6])
     frac = m.group(7)
     if year < 1:
-        raise BadDateTimeError(f"year {year} out of range in {s!r}")
+        raise ParseError(f"year {year} out of range in {s!r}")
     if not 1 <= month <= 12:
-        raise BadDateTimeError(f"month {month} out of range in {s!r}")
+        raise ParseError(f"month {month} out of range in {s!r}")
     days = _DAYS_IN_MONTH[month - 1]
     if month == 2 and (year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)):
         days = 29
     if not 1 <= day <= days:
-        raise BadDateTimeError(f"day {day} out of range in {s!r}")
+        raise ParseError(f"day {day} out of range in {s!r}")
     if hour > 23 or minute > 59 or sec > 59:
-        raise BadDateTimeError(f"time of day out of range in {s!r}")
+        raise ParseError(f"time of day out of range in {s!r}")
     seconds = calendar.timegm((year, month, day, hour, minute, sec, 0, 0, 0))
     millis = 0
     if frac:
@@ -126,7 +118,7 @@ def _reject_duplicates(pairs):
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise BadJsonError(f"duplicate member {key!r}")
+                raise ParseError(f"duplicate member {key!r}")
             seen.add(key)
     return out
 
@@ -137,11 +129,11 @@ def decode_json(text: bytes | str):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise BadJsonError(f"not UTF-8: {exc}") from None
+            raise ParseError(f"not UTF-8: {exc}") from None
     try:
         return json.loads(text, object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as exc:
-        raise BadJsonError(f"malformed JSON: {exc.msg} (line {exc.lineno})") from None
+        raise ParseError(f"malformed JSON: {exc.msg} (line {exc.lineno})") from None
 
 
 _KNOWN_KEYS = {
@@ -159,7 +151,7 @@ def _normalize_keys(obj: dict) -> dict:
         if trimmed != key and trimmed in _KNOWN_KEYS and trimmed not in obj:
             key = trimmed
         if key in out:
-            raise BadJsonError(f"duplicate member {key!r} after trimming whitespace")
+            raise ParseError(f"duplicate member {key!r} after trimming whitespace")
         out[key] = value
     return out
 
@@ -179,7 +171,7 @@ def is_finite_number(x) -> bool:
 def _reject_non_finite(value, path: str) -> None:
     """Unrecognized members are re-emitted as they are, so they must be JSON too."""
     if isinstance(value, float) and not math.isfinite(value):
-        raise BadFieldValueError("numbers must be finite", path)
+        raise ParseError("numbers must be finite", path)
     if isinstance(value, (dict, list)):
         items = value.items() if isinstance(value, dict) else enumerate(value)
         for key, item in items:
@@ -197,8 +189,8 @@ def _read_point(value, path: str) -> GeoPoint:
                     return GeoPoint(float(value[0]), float(value[1]))
                 return GeoPoint(float(value[0]), float(value[1]), float(value[2]))
             except (ValueError, OverflowError) as exc:
-                raise BadFieldValueError(str(exc), path) from None
-    raise BadFieldValueError("position must be [lon, lat] or [lon, lat, alt]", path)
+                raise ParseError(str(exc), path) from None
+    raise ParseError("position must be [lon, lat] or [lon, lat, alt]", path)
 
 
 def _read_times(obj: dict, count: int | None, path: str = "") -> tuple[TimeStamp, ...]:
@@ -206,36 +198,32 @@ def _read_times(obj: dict, count: int | None, path: str = "") -> tuple[TimeStamp
     has_dt = "datetimes" in obj
     has_tl = "timeline" in obj
     if has_dt and has_tl:
-        raise BadFieldValueError(
-            "both 'datetimes' and 'timeline' present; ambiguous", f"{path}/timeline"
-        )
+        raise ParseError("both 'datetimes' and 'timeline' present; ambiguous", f"{path}/timeline")
     if not has_dt and not has_tl:
-        raise BadFieldValueError("missing 'datetimes' or 'timeline'", path or "/")
+        raise ParseError("missing 'datetimes' or 'timeline'", path or "/")
     member = "datetimes" if has_dt else "timeline"
     raw = obj[member]
     mpath = f"{path}/{member}"
     if not isinstance(raw, list) or not raw:
-        raise BadFieldValueError(f"'{member}' must be a non-empty array", mpath)
+        raise ParseError(f"'{member}' must be a non-empty array", mpath)
     times = []
     for i, entry in enumerate(raw):
         if has_dt:
             try:
                 times.append(parse_datetime(entry))
-            except BadDateTimeError as exc:
-                raise BadDateTimeError(exc.message, f"{mpath}/{i}") from None
+            except ParseError as exc:
+                raise ParseError(exc.message, f"{mpath}/{i}") from None
         else:
             if isinstance(entry, bool) or not isinstance(entry, int):
-                raise BadFieldValueError("timeline entries must be integers", f"{mpath}/{i}")
+                raise ParseError("timeline entries must be integers", f"{mpath}/{i}")
             if not _MIN_TIME <= entry <= _MAX_TIME:
-                raise BadFieldValueError("timeline entries must lie in years 1-9999", f"{mpath}/{i}")
+                raise ParseError("timeline entries must lie in years 1-9999", f"{mpath}/{i}")
             times.append(entry)
     if count is not None and len(times) != count:
-        raise LengthMismatchError(
-            f"{len(times)} times for {count} samples", mpath
-        )
+        raise ParseError(f"{len(times)} times for {count} samples", mpath)
     for i in range(1, len(times)):
         if times[i] <= times[i - 1]:
-            raise NonIncreasingTimeError(
+            raise ParseError(
                 f"time {times[i]} does not increase past {times[i - 1]}", f"{mpath}/{i}"
             )
     return tuple(times)
@@ -248,7 +236,7 @@ def _read_interpolation(obj: dict, path: str = "") -> InterpolationMode:
             return InterpolationMode(raw.strip().lower())
         except ValueError:
             pass
-    raise BadFieldValueError(
+    raise ParseError(
         f"interpolation must be one of discrete/linear/stepwise, got {raw!r}",
         f"{path}/interpolation",
     )
@@ -257,7 +245,7 @@ def _read_interpolation(obj: dict, path: str = "") -> InterpolationMode:
 def _read_track(obj: dict, path: str = "") -> tuple[GeoPoint, ...]:
     raw = obj.get("coordinates")
     if not isinstance(raw, list) or not raw:
-        raise BadFieldValueError("'coordinates' must be a non-empty array", f"{path}/coordinates")
+        raise ParseError("'coordinates' must be a non-empty array", f"{path}/coordinates")
     return tuple(_read_point(entry, f"{path}/coordinates/{i}") for i, entry in enumerate(raw))
 
 
@@ -266,21 +254,19 @@ def _read_number(obj: dict, member: str, default: float, path: str) -> float:
         return default
     value = obj[member]
     if not is_finite_number(value):
-        raise BadFieldValueError(f"'{member}' must be a finite number", f"{path}/{member}")
+        raise ParseError(f"'{member}' must be a finite number", f"{path}/{member}")
     return float(value)
 
 
 def _read_fov(obj, path: str) -> FieldOfView:
     if not isinstance(obj, dict):
-        raise BadFieldValueError("fov must be an object", path)
+        raise ParseError("fov must be an object", path)
     obj = _normalize_keys(obj)
     tag = obj.get("type")
     if tag is not None and (not isinstance(tag, str) or tag.lower() != "fov"):
-        raise BadFieldValueError(f"fov type tag must be 'fov', got {tag!r}", f"{path}/type")
+        raise ParseError(f"fov type tag must be 'fov', got {tag!r}", f"{path}/type")
     if "distance" in obj and "viewDistance" in obj:
-        raise BadFieldValueError(
-            "both 'distance' and 'viewDistance' present", f"{path}/viewDistance"
-        )
+        raise ParseError("both 'distance' and 'viewDistance' present", f"{path}/viewDistance")
     distance_member = "viewDistance" if "viewDistance" in obj else "distance"
     try:
         return FieldOfView(
@@ -290,7 +276,7 @@ def _read_fov(obj, path: str) -> FieldOfView:
             view_distance=_read_number(obj, distance_member, DEFAULT_VIEW_DISTANCE, path),
         )
     except ValueError as exc:
-        raise BadFieldValueError(str(exc), path) from None
+        raise ParseError(str(exc), path) from None
 
 
 def _build_moving_point(obj: dict) -> tuple[MovingPoint, set[str]]:
@@ -299,26 +285,24 @@ def _build_moving_point(obj: dict) -> tuple[MovingPoint, set[str]]:
     mode = _read_interpolation(obj)
     with_alt = sum(1 for p in points if p.alt is not None)
     if with_alt not in (0, len(points)):
-        raise BadFieldValueError(
-            "coordinates mix 2- and 3-component positions", "/coordinates"
-        )
+        raise ParseError("coordinates mix 2- and 3-component positions", "/coordinates")
     return MovingPoint(times, points, mode), {"coordinates", "datetimes", "timeline", "interpolation"}
 
 
 def _build_moving_double(obj: dict) -> tuple[MovingDouble, set[str]]:
     raw_values = obj.get("values")
     if not isinstance(raw_values, list) or not raw_values:
-        raise BadFieldValueError("'values' must be a non-empty array", "/values")
+        raise ParseError("'values' must be a non-empty array", "/values")
     for i, v in enumerate(raw_values):
         if not is_finite_number(v):
-            raise BadFieldValueError("values must be finite numbers", f"/values/{i}")
+            raise ParseError("values must be finite numbers", f"/values/{i}")
     times = _read_times(obj, len(raw_values))
     mode = _read_interpolation(obj)
     track = None
     if "coordinates" in obj:
         track = _read_track(obj)
         if len(track) != len(raw_values):
-            raise LengthMismatchError(
+            raise ParseError(
                 f"{len(track)} coordinates for {len(raw_values)} values", "/coordinates"
             )
     md = MovingDouble(times, tuple(float(v) for v in raw_values), mode, track)
@@ -328,7 +312,7 @@ def _build_moving_double(obj: dict) -> tuple[MovingDouble, set[str]]:
 def _read_uri(obj: dict) -> str:
     uri = obj.get("uri")
     if not isinstance(uri, str) or not uri:
-        raise BadFieldValueError("'uri' must be a non-empty string", "/uri")
+        raise ParseError("'uri' must be a non-empty string", "/uri")
     return uri
 
 
@@ -337,7 +321,7 @@ def _build_stphoto(obj: dict) -> tuple[STPhoto, set[str]]:
     loc = _read_point(obj.get("coordinates"), "/coordinates")
     times = _read_times(obj, None)
     if len(times) != 1:
-        raise LengthMismatchError(
+        raise ParseError(
             f"a photo has exactly one timestamp, got {len(times)}",
             "/datetimes" if "datetimes" in obj else "/timeline",
         )
@@ -345,7 +329,7 @@ def _build_stphoto(obj: dict) -> tuple[STPhoto, set[str]]:
     try:
         photo = STPhoto(uri, loc, times[0], fov)
     except ValueError as exc:
-        raise BadFieldValueError(str(exc), "/fov/direction2d") from None
+        raise ParseError(str(exc), "/fov/direction2d") from None
     return photo, {"uri", "coordinates", "datetimes", "timeline", "fov"}
 
 
@@ -358,18 +342,16 @@ def _build_moving_video(obj: dict) -> tuple[MovingVideo, set[str]]:
     if "fov" in obj:
         raw = obj["fov"]
         if not isinstance(raw, list) or not raw:
-            raise BadFieldValueError("'fov' must be a non-empty array", "/fov")
+            raise ParseError("'fov' must be a non-empty array", "/fov")
         fovs = tuple(_read_fov(entry, f"/fov/{i}") for i, entry in enumerate(raw))
         if len(fovs) not in (1, len(points)):
-            raise LengthMismatchError(
-                f"{len(fovs)} fov entries for {len(points)} samples", "/fov"
-            )
+            raise ParseError(f"{len(fovs)} fov entries for {len(points)} samples", "/fov")
     else:
         fovs = (FieldOfView(),)
     relative = [i for i, fov in enumerate(fovs) if fov.is_relative]
     if relative and all(p.same_position(points[0]) for p in points):
         # the direction resolves against the track heading, which a still track lacks
-        raise BadFieldValueError(
+        raise ParseError(
             "a mount-relative direction needs a moving track", f"/fov/{relative[0]}/direction2d"
         )
     track = MovingPoint(times, points, mode)
@@ -390,20 +372,20 @@ def parse_document(text: bytes | str) -> GeoMediaDocument:
 def parse_obj(obj) -> GeoMediaDocument:
     """parse_document for an already decoded JSON value."""
     if not isinstance(obj, dict):
-        raise BadJsonError("document must be a JSON object")
+        raise ParseError("document must be a JSON object")
     obj = _normalize_keys(obj)
     tag = obj.get("type")
     if not isinstance(tag, str):
-        raise UnknownTypeError("missing 'type' member", "/type")
+        raise ParseError("missing 'type' member", "/type")
     kind = CANONICAL_KINDS.get(tag.strip().lower())
     if kind is None:
-        raise UnknownTypeError(f"unknown media type {tag!r}", "/type")
+        raise ParseError(f"unknown media type {tag!r}", "/type")
     try:
         payload, consumed = _CODECS[kind][0](obj)
     except ParseError:
         raise
     except ValueError as exc:
-        raise BadFieldValueError(str(exc)) from None
+        raise ParseError(str(exc)) from None
     extras = tuple((k, v) for k, v in obj.items() if k != "type" and k not in consumed)
     for key, value in extras:
         _reject_non_finite(value, f"/{key}")

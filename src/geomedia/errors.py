@@ -46,7 +46,7 @@ class MissingHeadingError(GeoMediaError):
 # -- codec ----------------------------------------------------------------------
 
 class ParseError(GeoMediaError):
-    """A GeoMedia JSON document failed to parse or validate.
+    """A JSON body, GeoMedia document, datetime or annotation is malformed.
 
     ``path`` is a JSON-pointer-style location of the offending member
     ("" for whole-document problems).
@@ -65,30 +65,6 @@ class ParseError(GeoMediaError):
         return self.message
 
 
-class BadJsonError(ParseError):
-    """Input is not well-formed JSON (or uses duplicate members)."""
-
-
-class UnknownTypeError(ParseError):
-    """Document "type" tag is not a known GeoMedia kind."""
-
-
-class LengthMismatchError(ParseError):
-    """Parallel arrays (coordinates/values/times/fov) disagree in length."""
-
-
-class NonIncreasingTimeError(ParseError):
-    """Timeline values are not strictly increasing."""
-
-
-class BadFieldValueError(ParseError):
-    """A member holds a value outside its allowed range or shape."""
-
-
-class BadDateTimeError(ParseError):
-    """A datetime string could not be read as UTC ISO-8601."""
-
-
 # -- store -----------------------------------------------------------------------
 
 class DuplicateIdError(GeoMediaError):
@@ -101,18 +77,6 @@ class NotFoundError(GeoMediaError):
     """Collection, feature, or annotation does not exist."""
 
     code = "NotFound"
-
-
-class KindMismatchError(GeoMediaError):
-    """Document kind differs from the collection's media type."""
-
-    code = "KindMismatch"
-
-
-class BadAnnotationError(GeoMediaError):
-    """Annotation violates an invariant (arity, kind, time range)."""
-
-    code = "BadBody"
 
 
 class StoreIoError(GeoMediaError):
@@ -132,6 +96,6 @@ class BadQueryError(GeoMediaError):
 
 
 class WrongKindError(GeoMediaError):
-    """Operation applied to a media kind that does not support it."""
+    """Operation or document applied to a media kind that does not fit it."""
 
     code = "KindMismatch"

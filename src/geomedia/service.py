@@ -6,13 +6,15 @@ without sockets. GeoMediaServer wraps it in a threading stdlib HTTP server.
 
 Contract notes: unknown or repeated query parameters are rejected with 400
 (fail-closed against filter typos); every mutation is appended to the
-store's log and fsynced before its response; responses contain no
+store's log and fsynced before its response, and one that fails to commit
+answers 500 and is gone from memory too; responses contain no
 wall-clock values, only stored data, so they are deterministic given store
 state.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -31,7 +33,7 @@ from .codec import (
     parse_datetime,
     parse_document,
 )
-from .errors import BadDateTimeError, BadQueryError, GeoMediaError, NotFoundError, ParseError
+from .errors import BadQueryError, GeoMediaError, NotFoundError, ParseError
 from .fov import fov_sector_polygon
 from .geo import GeoPoint
 from .query import QuerySpec, evaluate, fov_at, page, position_at, visible_intervals
@@ -134,18 +136,18 @@ class GeoMediaApi:
         if media_type is None:
             raise ParseError(f"'mediaType' must be one of {list(media.KINDS)}", "/mediaType")
         try:
-            self.store.create_collection(cid, title, media_type)
+            with self._mutation():
+                self.store.create_collection(cid, title, media_type)
         except ValueError as exc:
             raise ParseError(str(exc), "/id") from None
-        self._persist()
         return 201, self._collection_obj(cid)
 
     def _get_collection(self, params, body, cid):
         return 200, self._collection_obj(cid)
 
     def _delete_collection(self, params, body, cid):
-        self.store.delete_collection(cid)
-        self._persist()
+        with self._mutation():
+            self.store.delete_collection(cid)
         return 204, None
 
     # -- items ------------------------------------------------------------------
@@ -170,15 +172,14 @@ class GeoMediaApi:
         if body is None:
             raise ParseError("request body required")
         doc = parse_document(body)
-        with self.store.lock:  # so that of two PUTs of a new fid only one sees it new
+        with self._mutation():  # so that of two PUTs of a new fid only one sees it new
             existed = self.store.has_feature(cid, fid)
             record = self.store.put_feature(cid, fid, doc)
-        self._persist()
         return (200 if existed else 201), document_to_obj(record.doc, "epoch")
 
     def _delete_item(self, params, body, cid, fid):
-        self.store.delete_feature(cid, fid)
-        self._persist()
+        with self._mutation():
+            self.store.delete_feature(cid, fid)
         return 204, None
 
     def _position(self, params, body, cid, fid):
@@ -211,21 +212,29 @@ class GeoMediaApi:
                 n += 1
             obj["aid"] = f"a{n}"
         ann = annotation_from_obj(obj, "iso")
-        self.store.put_annotation(cid, fid, ann)
-        self._persist()
+        with self._mutation():
+            self.store.put_annotation(cid, fid, ann)
         return 201, annotation_to_obj(ann, "iso")
 
     def _get_annotation(self, params, body, cid, fid, aid):
         return 200, annotation_to_obj(self.store.get_annotation(cid, fid, aid), "iso")
 
     def _delete_annotation(self, params, body, cid, fid, aid):
-        self.store.delete_annotation(cid, fid, aid)
-        self._persist()
+        with self._mutation():
+            self.store.delete_annotation(cid, fid, aid)
         return 204, None
 
-    def _persist(self) -> None:
-        if self.store.directory is not None:
-            self.store.commit()
+    @contextlib.contextmanager
+    def _mutation(self):
+        """Hold the store lock across a mutation and its commit.
+
+        A failed commit reloads the store, which drops every queued op, so
+        no other request's mutation may be queued beside this one's.
+        """
+        with self.store.lock:
+            yield
+            if self.store.directory is not None:
+                self.store.commit()
 
 
 _NONE = frozenset()
@@ -303,7 +312,7 @@ def parse_instant(raw: str) -> int:
         return int(raw)
     try:
         return parse_datetime(raw)
-    except BadDateTimeError as exc:
+    except ParseError as exc:
         raise BadQueryError(str(exc)) from None
 
 

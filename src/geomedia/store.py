@@ -19,7 +19,9 @@ first record names the SHA-256 of the manifest it extends, so load() replays
 a log only over its own snapshot and ignores one that a later flush left
 behind. A torn tail (a final record without its newline or checksum) is
 dropped at load and cut off by the next commit; a damaged record with a
-whole one after it is CorruptStoreError.
+whole one after it is CorruptStoreError. A commit that fails reloads the
+store from its directory, so memory holds no mutation that a restart would
+not find.
 
 Concurrency: one writer at a time, readers any time; every public method
 takes the store lock, so no partially applied mutation is ever observable.
@@ -51,16 +53,14 @@ from .codec import (
     parse_obj,
 )
 from .errors import (
-    BadAnnotationError,
-    BadDateTimeError,
     BadQueryError,
     CorruptStoreError,
     DuplicateIdError,
     GeoMediaError,
-    KindMismatchError,
     NotFoundError,
     ParseError,
     StoreIoError,
+    WrongKindError,
 )
 from .media import Bbox, GeoMediaDocument
 from .rtree import RTree
@@ -110,9 +110,9 @@ class Annotation:
 
     def __post_init__(self):
         if not isinstance(self.aid, str) or not self.aid:
-            raise BadAnnotationError("annotation id must be a non-empty string")
+            raise ParseError("annotation id must be a non-empty string")
         if self.kind not in ANNOTATION_KINDS:
-            raise BadAnnotationError(f"annotation kind {self.kind!r} unknown")
+            raise ParseError(f"annotation kind {self.kind!r} unknown")
         if self.kind == "polygon":
             body = self.body
             ok = (
@@ -126,10 +126,10 @@ class Annotation:
                 )
             )
             if not ok:
-                raise BadAnnotationError("polygon body needs >= 3 [x, y] pixel vertices")
+                raise ParseError("polygon body needs >= 3 [x, y] pixel vertices")
             object.__setattr__(self, "body", tuple((float(x), float(y)) for x, y in body))
         elif not isinstance(self.body, str) or not self.body:
-            raise BadAnnotationError(f"{self.kind} body must be a non-empty string")
+            raise ParseError(f"{self.kind} body must be a non-empty string")
 
 
 def annotation_to_obj(ann: Annotation, time_style: str) -> dict:
@@ -159,7 +159,7 @@ def annotation_from_obj(obj: dict, time_style: str) -> Annotation:
             else:
                 start, end = (parse_datetime(part) for part in raw.split("/"))
             time_range = TimeInterval(start, end)
-        except (AttributeError, TypeError, ValueError, BadDateTimeError) as exc:
+        except (AttributeError, TypeError, ValueError, ParseError) as exc:
             raise ParseError(f"bad timeRange {raw!r}: {exc}", "/timeRange") from None
     return Annotation(obj.get("aid"), obj.get("kind"), obj.get("body"), time_range)
 
@@ -268,7 +268,7 @@ class MediaStore:
         with self._lock:
             state = self._state(cid)
             if doc.kind != state.meta.media_type:
-                raise KindMismatchError(
+                raise WrongKindError(
                     f"document kind {doc.kind} does not match collection "
                     f"media type {state.meta.media_type}"
                 )
@@ -376,10 +376,10 @@ class MediaStore:
             record = self.get_feature(cid, fid)
             if ann.time_range is not None:
                 if record.doc.kind not in media.TIME_RANGE_KINDS:
-                    raise BadAnnotationError("time ranges apply to video annotations only")
+                    raise ParseError("time ranges apply to video annotations only")
                 extent = record.extent
                 if not (extent.contains(ann.time_range.start) and extent.contains(ann.time_range.end)):
-                    raise BadAnnotationError(
+                    raise ParseError(
                         f"time range [{ann.time_range.start}, {ann.time_range.end}] "
                         f"outside feature extent [{extent.start}, {extent.end}]"
                     )
@@ -418,35 +418,47 @@ class MediaStore:
         it, and the directory too when the log is new. A store with no
         snapshot of its own yet, or one whose log would outgrow the
         compaction trigger, is flushed instead. On StoreIoError the log is
-        cut back to its acknowledged records where it can be, and the ops
-        stay queued, so the next successful commit or flush writes them.
+        cut back to its acknowledged records where it can be, and the store
+        reloads itself from its directory, so memory holds what a restart
+        would find; if that reload fails too, memory stays as it is.
         """
         with self._lock:
-            if self._snapshot is None:
-                self.flush()
-                return
-            if not self._pending:
-                return
-            header = b"" if self._log_bytes else _log_line({"snapshot": self._snapshot})
-            data = header + b"".join(_log_line(_op_obj(op)) for op in self._pending)
-            trigger = max(_COMPACT_MIN_BYTES, self._snapshot_bytes // _COMPACT_SHARE)
-            if self._log_bytes + len(data) > trigger:
-                self.flush()
-                return
             try:
-                with open(self._dir / _LOG, "ab") as log:
-                    log.truncate(self._log_bytes)  # a torn tail, or a log an older flush left
-                    log.write(data)
-                    log.flush()
-                    os.fsync(log.fileno())
-                if not self._log_bytes:
-                    _fsync_dir(self._dir)
-            except OSError as exc:
-                with contextlib.suppress(OSError):
-                    os.truncate(self._dir / _LOG, self._log_bytes)
-                raise StoreIoError(f"commit failed: {exc}") from exc
-            self._log_bytes += len(data)
-            self._pending.clear()
+                self._commit_locked()
+            except StoreIoError:
+                if self._dir is not None:
+                    with contextlib.suppress(GeoMediaError):  # unreadable too: keep memory
+                        fresh = MediaStore.load(self._dir)
+                        fresh._lock = self._lock  # a caller may hold it across this commit
+                        vars(self).update(vars(fresh))
+                raise
+
+    def _commit_locked(self) -> None:
+        if self._snapshot is None:
+            self.flush()
+            return
+        if not self._pending:
+            return
+        header = b"" if self._log_bytes else _log_line({"snapshot": self._snapshot})
+        data = header + b"".join(_log_line(_op_obj(op)) for op in self._pending)
+        trigger = max(_COMPACT_MIN_BYTES, self._snapshot_bytes // _COMPACT_SHARE)
+        if self._log_bytes + len(data) > trigger:
+            self.flush()
+            return
+        try:
+            with open(self._dir / _LOG, "ab") as log:
+                log.truncate(self._log_bytes)  # a torn tail, or a log an older flush left
+                log.write(data)
+                log.flush()
+                os.fsync(log.fileno())
+            if not self._log_bytes:
+                _fsync_dir(self._dir)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.truncate(self._dir / _LOG, self._log_bytes)
+            raise StoreIoError(f"commit failed: {exc}") from exc
+        self._log_bytes += len(data)
+        self._pending.clear()
 
     def flush(self) -> Path:
         """Compact: write the whole store as a new snapshot and drop the log.
@@ -609,7 +621,7 @@ class MediaStore:
                 obj = decode_json(line)
                 ann = annotation_from_obj(obj, "epoch")
                 fid = obj["fid"]
-            except (ValueError, KeyError, TypeError, BadAnnotationError, ParseError) as exc:
+            except (ValueError, KeyError, TypeError, ParseError) as exc:
                 raise CorruptStoreError(f"{cid}.ann.ndjson line {line_no}: {exc}") from None
             if fid not in state.features:
                 raise CorruptStoreError(f"{cid}.ann.ndjson line {line_no}: unknown feature {fid!r}")

@@ -284,20 +284,20 @@ class TestServe:
         import subprocess
         import sys
 
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "geomedia.cli", "serve",
              "--store", str(store_dir), "--addr", "127.0.0.1:0"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        try:
-            banner = proc.stdout.readline()
-            assert "http://" in banner
-            base = banner.strip().split("on ", 1)[1]
-            with urllib.request.urlopen(f"{base}/collections", timeout=5) as resp:
-                assert resp.status == 200
-        finally:
-            proc.terminate()
-            proc.wait(timeout=5)
+        ) as proc:  # leaving the block closes both pipes
+            try:
+                banner = proc.stdout.readline()
+                assert "http://" in banner
+                base = banner.strip().split("on ", 1)[1]
+                with urllib.request.urlopen(f"{base}/collections", timeout=5) as resp:
+                    assert resp.status == 200
+            finally:
+                proc.terminate()
+                proc.wait(timeout=5)
 
     def test_sigkill_keeps_every_acknowledged_write(self, store_dir, tmp_path):
         """Writes answered by a `serve` that is then killed outright are all

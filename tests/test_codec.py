@@ -17,17 +17,13 @@ from geomedia import (
     serialize_document,
 )
 from geomedia.codec import parse_obj
-from geomedia.errors import (
-    BadDateTimeError,
-    BadFieldValueError,
-    BadJsonError,
-    LengthMismatchError,
-    NonIncreasingTimeError,
-    ParseError,
-    UnknownTypeError,
-)
+from geomedia.errors import ParseError
 
 from conftest import T0, T1, T2, fixture_bytes
+
+_BAD_DATETIME = (
+    r"^(not a UTC ISO-8601 instant: |(month|day) \d+ out of range in |time of day out of range in )"
+)
 
 
 class TestParseDatetime:
@@ -44,7 +40,7 @@ class TestParseDatetime:
         assert parse_datetime("2018-08-1T13:01:02Z ") == T1
 
     def test_offset_rejected(self):
-        with pytest.raises(BadDateTimeError):
+        with pytest.raises(ParseError, match="not a UTC ISO-8601 instant"):
             parse_datetime("2018-08-01T13:01:01+09:00")
 
     @pytest.mark.parametrize(
@@ -54,16 +50,16 @@ class TestParseDatetime:
          "2018-08-01T00:00:00", "2018-08-01 00:00:00Z"],
     )
     def test_rejects(self, bad):
-        with pytest.raises(BadDateTimeError):
+        with pytest.raises(ParseError, match=_BAD_DATETIME):
             parse_datetime(bad)
 
     def test_year_zero_rejected(self):
-        with pytest.raises(BadDateTimeError):
+        with pytest.raises(ParseError, match="year 0 out of range"):
             parse_datetime("0000-01-01T00:00:00Z")
 
     def test_leap_day(self):
         assert parse_datetime("2020-02-29T00:00:00Z") == parse_datetime("2020-02-28T00:00:00Z") + 86_400_000
-        with pytest.raises(BadDateTimeError):
+        with pytest.raises(ParseError, match="day 29 out of range"):
             parse_datetime("2100-02-29T00:00:00Z")  # 2100 is not a leap year
 
 
@@ -247,11 +243,11 @@ class TestRoundTrips:
 
 class TestParseErrors:
     def test_malformed_json(self):
-        with pytest.raises(BadJsonError):
+        with pytest.raises(ParseError, match="malformed JSON"):
             parse_document(b"{not json")
 
     def test_trailing_comma_rejected(self):
-        with pytest.raises(BadJsonError):
+        with pytest.raises(ParseError, match="malformed JSON"):
             parse_document(b'{"type": "MovingDouble", "values": [1.0], "timeline": [0],}')
 
     def test_duplicate_member_rejected(self):
@@ -261,11 +257,11 @@ class TestParseErrors:
             b' "timeline": [1, 2, 3], "coordinates": [[1, 1], [2, 2], [3, 3]],'
             b' "timeline": [1, 2, 3], "interpolation": "stepwise"}'
         )
-        with pytest.raises(BadJsonError):
+        with pytest.raises(ParseError, match="duplicate member 'timeline'"):
             parse_document(text)
 
     def test_unknown_type(self):
-        with pytest.raises(UnknownTypeError) as err:
+        with pytest.raises(ParseError, match="unknown media type") as err:
             parse_document(b'{"type": "MovingBlob"}')
         assert err.value.path == "/type"
 
@@ -279,12 +275,12 @@ class TestParseErrors:
 
     def test_length_mismatch_with_path(self):
         text = b'{"type": "MovingPoint", "coordinates": [[1, 1], [2, 2], [3, 3]], "datetimes": ["2018-08-01T00:00:00Z", "2018-08-01T00:00:01Z"]}'
-        with pytest.raises(LengthMismatchError) as err:
+        with pytest.raises(ParseError, match="2 times for 3 samples") as err:
             parse_document(text)
         assert err.value.path == "/datetimes"
 
     def test_values_timeline_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ParseError, match="^/timeline: 2 times for 1 samples"):
             parse_document(b'{"type": "MovingDouble", "values": [1.0], "timeline": [0, 1]}')
 
     def test_fov_list_length(self):
@@ -292,12 +288,12 @@ class TestParseErrors:
             b'{"type": "MovingVideo", "uri": "u:1", "coordinates": [[0, 0], [1, 1], [2, 2]],'
             b' "fov": [{}, {}], "timeline": [0, 1, 2]}'
         )
-        with pytest.raises(LengthMismatchError) as err:
+        with pytest.raises(ParseError, match="2 fov entries for 3 samples") as err:
             parse_document(text)
         assert err.value.path == "/fov"
 
     def test_non_increasing_time(self):
-        with pytest.raises(NonIncreasingTimeError) as err:
+        with pytest.raises(ParseError, match="does not increase") as err:
             parse_document(b'{"type": "MovingDouble", "values": [1.0, 2.0], "timeline": [5, 5]}')
         assert err.value.path == "/timeline/1"
 
@@ -306,7 +302,7 @@ class TestParseErrors:
             b'{"type": "MovingDouble", "values": [1.0], "timeline": [0],'
             b' "datetimes": ["1970-01-01T00:00:00Z"]}'
         )
-        with pytest.raises(BadFieldValueError):
+        with pytest.raises(ParseError, match="^/timeline: both 'datetimes' and 'timeline'"):
             parse_document(text)
 
     def test_bad_angle_value(self):
@@ -314,17 +310,17 @@ class TestParseErrors:
             b'{"type": "stphoto", "uri": "u:1", "coordinates": [0, 0], "timeline": [0],'
             b' "fov": {"horizontalAngle": 400}}'
         )
-        with pytest.raises(BadFieldValueError) as err:
+        with pytest.raises(ParseError, match="horizontal angle 400.0 outside") as err:
             parse_document(text)
         assert err.value.path.startswith("/fov")
 
     def test_bad_coordinate_with_path(self):
-        with pytest.raises(BadFieldValueError) as err:
+        with pytest.raises(ParseError, match="longitude 999.0 outside") as err:
             parse_document(b'{"type": "MovingPoint", "coordinates": [[1, 2], [999, 3]], "timeline": [0, 1]}')
         assert err.value.path == "/coordinates/1"
 
     def test_bad_datetime_with_path(self):
-        with pytest.raises(BadDateTimeError) as err:
+        with pytest.raises(ParseError, match="not a UTC ISO-8601 instant") as err:
             parse_document(b'{"type": "MovingPoint", "coordinates": [[1, 2]], "datetimes": ["nope"]}')
         assert err.value.path == "/datetimes/0"
 
@@ -333,24 +329,24 @@ class TestParseErrors:
             b'{"type": "stphoto", "uri": "u:1", "coordinates": [0, 0], "timeline": [0],'
             b' "fov": {"direction2d": -90}}'
         )
-        with pytest.raises(BadFieldValueError) as err:
+        with pytest.raises(ParseError, match="must be absolute") as err:
             parse_document(text)
         assert err.value.path == "/fov/direction2d"
 
     def test_photo_needs_exactly_one_time(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ParseError, match="^/timeline: a photo has exactly one timestamp"):
             parse_document(
                 b'{"type": "stphoto", "uri": "u:1", "coordinates": [0, 0], "timeline": [0, 1]}'
             )
 
     def test_mixed_coordinate_arity_rejected(self):
-        with pytest.raises(BadFieldValueError):
+        with pytest.raises(ParseError, match="^/coordinates: coordinates mix 2- and 3-component"):
             parse_document(
                 b'{"type": "MovingPoint", "coordinates": [[1, 2, 3], [4, 5]], "timeline": [0, 1]}'
             )
 
     def test_year_zero_datetime_with_path(self):
-        with pytest.raises(BadDateTimeError) as err:
+        with pytest.raises(ParseError, match="year 0 out of range") as err:
             parse_document(b'{"type": "MovingDouble", "values": [1, 2],'
                            b' "datetimes": ["2018-08-01T13:01:01Z", "0000-01-01T00:00:00Z"]}')
         assert err.value.path == "/datetimes/1"
@@ -359,7 +355,7 @@ class TestParseErrors:
         b"100000000000000000000", b"253402300800000", b"-62135596800001",
     ], ids=["huge", "year-10000", "year-0"])
     def test_timeline_outside_iso_years_rejected(self, entry):
-        with pytest.raises(BadFieldValueError) as err:
+        with pytest.raises(ParseError, match="must lie in years 1-9999") as err:
             parse_document(b'{"type": "MovingDouble", "values": [1, 2], "timeline": [0, ' + entry + b"]}")
         assert err.value.path == "/timeline/1"
 
@@ -370,27 +366,27 @@ class TestParseErrors:
         assert obj["datetimes"] == ["0001-01-01T00:00:00Z", "9999-12-31T23:59:59.999Z"]
 
     def test_timeline_floats_rejected(self):
-        with pytest.raises(BadFieldValueError) as err:
+        with pytest.raises(ParseError, match="must be integers") as err:
             parse_document(b'{"type": "MovingDouble", "values": [1.0], "timeline": [0.5]}')
         assert err.value.path == "/timeline/0"
 
     def test_bad_interpolation(self):
-        with pytest.raises(BadFieldValueError):
+        with pytest.raises(ParseError, match="^/interpolation: interpolation must be one of"):
             parse_document(
                 b'{"type": "MovingPoint", "coordinates": [[1, 2]], "timeline": [0],'
                 b' "interpolation": "spline"}'
             )
 
     def test_empty_uri(self):
-        with pytest.raises(BadFieldValueError):
+        with pytest.raises(ParseError, match="^/uri: 'uri' must be a non-empty string"):
             parse_document(b'{"type": "stphoto", "uri": "", "coordinates": [0, 0], "timeline": [0]}')
 
     def test_not_utf8(self):
-        with pytest.raises(BadJsonError):
+        with pytest.raises(ParseError, match="not UTF-8"):
             parse_document(b"\xff\xfe{}")
 
     def test_top_level_must_be_object(self):
-        with pytest.raises(BadJsonError):
+        with pytest.raises(ParseError, match="document must be a JSON object"):
             parse_document(b"[1, 2, 3]")
 
 
@@ -413,7 +409,7 @@ class TestMovingDoubleWithTrack:
             b'{"type": "MovingDouble", "values": [5.0, 9.0],'
             b' "timeline": [0, 1], "coordinates": [[0, 0]]}'
         )
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ParseError, match="^/coordinates: 1 coordinates for 2 values"):
             parse_document(text)
 
 
@@ -431,7 +427,7 @@ class TestVideoFovSpellings:
             b'{"type": "MovingVideo", "uri": "u:1", "coordinates": [[0, 0]],'
             b' "fov": [{"distance": 42, "viewDistance": 42}], "timeline": [0]}'
         )
-        with pytest.raises(BadFieldValueError):
+        with pytest.raises(ParseError, match="^/fov/0/viewDistance: both 'distance' and"):
             parse_document(text)
 
     def test_absent_fov_defaults(self):
@@ -511,7 +507,7 @@ class TestNumbersAreFinite:
             "inf-value", "1e400-value", "long-int-value", "inf-photo-distance",
             "long-int-photo-angle", "1e400-video-distance", "nan-in-unknown-member"])
     def test_non_finite_or_unrepresentable_rejected_with_path(self, text, path):
-        with pytest.raises(BadFieldValueError) as err:
+        with pytest.raises(ParseError, match="finite|too large") as err:
             parse_document(text)
         assert err.value.path == path
 

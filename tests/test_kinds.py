@@ -24,7 +24,7 @@ from geomedia import (
     visible_intervals,
 )
 from geomedia import codec, media
-from geomedia.errors import BadAnnotationError, BadQueryError, GeoMediaError, WrongKindError
+from geomedia.errors import BadQueryError, GeoMediaError, ParseError, WrongKindError
 
 from conftest import T0, T2, fixture_bytes
 
@@ -58,7 +58,7 @@ EXPECTED = {
         "spatial_bbox": (150.0, 50.0, 170.0, 60.0),
         "time_extent": TimeInterval(T0, T2),
         "visible_from": WrongKindError,
-        "time_ranged_annotation": BadAnnotationError,
+        "time_ranged_annotation": ParseError,
     },
     "MovingDouble": {
         "position_at": WrongKindError,
@@ -69,7 +69,7 @@ EXPECTED = {
         "spatial_bbox": None,
         "time_extent": TimeInterval(T0, T2),
         "visible_from": WrongKindError,
-        "time_ranged_annotation": BadAnnotationError,
+        "time_ranged_annotation": ParseError,
     },
     "stphoto": {
         "position_at": WrongKindError,
@@ -80,7 +80,7 @@ EXPECTED = {
         "spatial_bbox": (-122.0879583, 37.41834793156691, -122.08761890360921, 37.41862986772647),
         "time_extent": TimeInterval(T0, T0),
         "visible_from": ["f1"],
-        "time_ranged_annotation": BadAnnotationError,
+        "time_ranged_annotation": ParseError,
     },
     "MovingVideo": {
         "position_at": GeoPoint(155.0, 55.0),

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -14,6 +16,7 @@ import pytest
 
 from geomedia import GeoMediaApi, GeoMediaServer, MediaStore, evaluate
 from geomedia import service
+from geomedia.errors import GeoMediaError
 from geomedia.service import decode_query_spec
 
 from conftest import T0, T1, fixture_bytes
@@ -130,6 +133,17 @@ def test_readme_lists_the_route_table():
         listed.append((method, re.sub(r"\{\w+\}", "{}", target.partition("?")[0])))
     assert listed == list(service.ROUTES)
     assert set(listed) == {(m, re.sub(r"\{\w+\}", "{}", t)) for m, t in ROUTE_MATRIX}
+
+
+def test_every_error_code_has_an_http_status():
+    # handle() answers a GeoMediaError by its code; a code without a status
+    # would raise KeyError there and drop the connection unanswered.
+    classes, todo = [], [GeoMediaError]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    assert {c.__name__: c.code for c in classes if c.code not in service._STATUS_BY_CODE} == {}
 
 
 class TestCollections:
@@ -454,6 +468,63 @@ class TestDurabilityThroughApi:
         assert body["timeline"][0] == T0
         status, body = reloaded.handle("GET", "/collections/taxi/items/t1/annotations")
         assert len(body["annotations"]) == 1
+
+
+    def test_failed_commit_answers_500_and_leaves_nothing_visible(self, tmp_path, monkeypatch):
+        api = GeoMediaApi(MediaStore(tmp_path / "s"))
+        put_reference_track(api)
+
+        def failing_fsync(fd):
+            raise OSError("disk gone")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("os.fsync", failing_fsync)
+            status, body = api.handle("PUT", "/collections/taxi/items/t2",
+                                      fixture_bytes("moving_point.json"))
+        assert (status, body["code"]) == (500, "Internal")
+        assert api.handle("GET", "/collections/taxi/items/t2")[0] == 404
+        assert api.handle("GET", "/collections/taxi")[1]["featureCount"] == 1
+
+    def test_concurrent_puts_with_failing_commits_stay_consistent(self, tmp_path, monkeypatch):
+        """Under contention, the fids answered 2xx are exactly those in memory and on disk."""
+        api = GeoMediaApi(MediaStore(tmp_path / "s"))
+        put_reference_track(api)
+        real_fsync = os.fsync
+        calls = []
+        count_lock = threading.Lock()
+
+        def fsync_failing_every_fifth(fd):
+            with count_lock:
+                calls.append(fd)
+                fail = len(calls) % 5 == 0
+            if fail:
+                raise OSError("disk gone")
+            return real_fsync(fd)
+
+        monkeypatch.setattr("os.fsync", fsync_failing_every_fifth)
+        statuses = {}
+
+        def worker(n):
+            for i in range(10):
+                fid = f"w{n}-{i}"
+                statuses[fid], _ = api.handle("PUT", f"/collections/taxi/items/{fid}",
+                                              fixture_bytes("moving_point.json"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert set(statuses.values()) == {201, 500}
+        acknowledged = {fid for fid, status in statuses.items() if status == 201} | {"t1"}
+        assert {r.fid for r in api.store.list_features("taxi")} == acknowledged
+        assert {r.fid for r in MediaStore.load(tmp_path / "s").list_features("taxi")} == acknowledged
 
 
 class TestHttpAdapter:

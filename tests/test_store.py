@@ -21,13 +21,13 @@ from geomedia import (
     serialize_document,
 )
 from geomedia.errors import (
-    BadAnnotationError,
     BadQueryError,
     CorruptStoreError,
     DuplicateIdError,
-    KindMismatchError,
     NotFoundError,
+    ParseError,
     StoreIoError,
+    WrongKindError,
 )
 
 from geomedia.rtree import RTree
@@ -90,7 +90,7 @@ class TestFeatures:
 
     def test_kind_mismatch(self, store, stphoto_doc):
         store.create_collection("taxi", "Taxi GPS", "MovingPoint")
-        with pytest.raises(KindMismatchError):
+        with pytest.raises(WrongKindError, match="does not match collection media type"):
             store.put_feature("taxi", "p1", stphoto_doc)
 
     def test_put_replaces(self, store):
@@ -178,19 +178,19 @@ class TestAnnotations:
         assert anns[0].body == "stop sign"
 
     def test_polygon_needs_three_vertices(self):
-        with pytest.raises(BadAnnotationError):
+        with pytest.raises(ParseError, match="polygon body needs >= 3"):
             Annotation("a1", "polygon", [(0, 0), (1, 1)])
         ann = Annotation("a1", "polygon", [(0, 0), (1, 1), (0, 1)])
         assert len(ann.body) == 3
 
     def test_bad_kind(self):
-        with pytest.raises(BadAnnotationError):
+        with pytest.raises(ParseError, match="annotation kind 'sticker' unknown"):
             Annotation("a1", "sticker", "x")
 
     def test_time_range_only_on_videos(self, store, stphoto_doc, moving_video_doc):
         store.create_collection("pics", "t", "stphoto")
         store.put_feature("pics", "p1", stphoto_doc)
-        with pytest.raises(BadAnnotationError):
+        with pytest.raises(ParseError, match="time ranges apply to video annotations only"):
             store.put_annotation(
                 "pics", "p1", Annotation("a1", "text", "x", TimeInterval(T0, T0))
             )
@@ -203,7 +203,7 @@ class TestAnnotations:
     def test_time_range_must_fit_extent(self, store, moving_video_doc):
         store.create_collection("vids", "t", "MovingVideo")
         store.put_feature("vids", "v1", moving_video_doc)
-        with pytest.raises(BadAnnotationError):
+        with pytest.raises(ParseError, match="outside feature extent"):
             store.put_annotation(
                 "vids", "v1", Annotation("a1", "text", "x", TimeInterval(0, 10))
             )

@@ -248,20 +248,48 @@ def test_queued_op_without_commit_is_absent(tmp_path):
     assert [r.fid for r in loaded.list_features("tracks")] == ["t0", "t1", "t2"]
 
 
-def test_failed_commit_keeps_ops_for_the_next(tmp_path, monkeypatch):
+def failing_fsync(fd):
+    raise OSError("disk gone")
+
+
+def test_failed_commit_leaves_memory_as_a_restart_finds_it(tmp_path, monkeypatch):
     target = tmp_path / "s"
     store = committed_store(target)
     acknowledged = fingerprint(store)
+    lock = store.lock
     store.put_feature("tracks", "late", random_doc(random.Random(3), "MovingPoint"))
-
-    def failing_fsync(fd):
-        raise OSError("disk gone")
-
     with monkeypatch.context() as patch:
         patch.setattr("os.fsync", failing_fsync)
         with pytest.raises(StoreIoError, match="commit failed"):
             store.commit()
-    # The records written before the failed fsync are cut off again.
+    # The records written before the failed fsync are cut off again, and
+    # memory is reloaded from what is left.
     assert fingerprint(MediaStore.load(target)) == acknowledged
+    assert fingerprint(store) == acknowledged
+    assert store.lock is lock
+    files = {p.name: p.read_bytes() for p in target.iterdir()}
     store.commit()
-    assert fingerprint(MediaStore.load(target)) == fingerprint(store)
+    assert {p.name: p.read_bytes() for p in target.iterdir()} == files
+
+
+def test_failed_compaction_in_commit_reloads_too(tmp_path, monkeypatch):
+    target = tmp_path / "s"
+    store = committed_store(target)
+    acknowledged = fingerprint(store)
+    monkeypatch.setattr("geomedia.store._COMPACT_MIN_BYTES", 0)  # this commit compacts
+    store.put_feature("tracks", "late", random_doc(random.Random(3), "MovingPoint"))
+    with monkeypatch.context() as patch:
+        patch.setattr("os.fsync", failing_fsync)
+        with pytest.raises(StoreIoError, match="flush failed"):
+            store.commit()
+    assert fingerprint(store) == acknowledged == fingerprint(MediaStore.load(target))
+
+
+def test_failed_commit_that_cannot_reload_keeps_memory(tmp_path, monkeypatch):
+    store = MediaStore(tmp_path / "s")
+    store.create_collection("tracks", "tracks", "MovingPoint", created=7)
+    with monkeypatch.context() as patch:
+        patch.setattr("os.fsync", failing_fsync)
+        with pytest.raises(StoreIoError, match="flush failed"):
+            store.commit()  # the first commit compacts, and no manifest is left to load
+    assert [c.id for c in store.list_collections()] == ["tracks"]
