@@ -45,6 +45,26 @@ def geo_distance(p: GeoPoint, q: GeoPoint) -> float:
     return 2 * EARTH_RADIUS_M * math.atan2(math.sqrt(a), math.sqrt(1 - a))
 
 
+def disk_bbox(p: GeoPoint, r: float) -> tuple[float, float, float, float]:
+    """A (minLon, minLat, maxLon, maxLat) box holding every point within r meters of p.
+
+    Such a point is at most dlat = r / R (in degrees) from p's latitude, and
+    the great circle to it stays in that latitude band, so it is at most
+    dlat / cos(max |lat| of the band) from p's longitude. Where the band comes
+    within 1 degree of a pole, or those longitudes reach +-180, the box spans
+    every longitude instead. Latitudes are not clamped to [-90, 90]. dlat
+    carries a relative and an absolute slack of 1e-9 against float rounding.
+    """
+    dlat = min(180.0, math.degrees(r / EARTH_RADIUS_M) * (1 + 1e-9) + 1e-9)
+    min_lat, max_lat = p.lat - dlat, p.lat + dlat
+    top = max(abs(min_lat), abs(max_lat))
+    if top < 89.0:
+        dlon = dlat / math.cos(math.radians(top))
+        if -180.0 < p.lon - dlon and p.lon + dlon < 180.0:
+            return (p.lon - dlon, min_lat, p.lon + dlon, max_lat)
+    return (-180.0, min_lat, 180.0, max_lat)
+
+
 def bearing(p: GeoPoint, q: GeoPoint) -> float:
     """Initial great-circle bearing from p to q, degrees clockwise from north in [0, 360)."""
     if p.same_position(q):

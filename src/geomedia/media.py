@@ -26,8 +26,8 @@ KIND_MOVING_DOUBLE = "MovingDouble"
 KIND_STPHOTO = "stphoto"
 KIND_MOVING_VIDEO = "MovingVideo"
 
-# What a kind can answer: a camera (fov_at, visible_intervals), a position
-# track (position_at), and annotations with a time range.
+# What a kind can answer: a camera (fov_at, visible_intervals, view_reach), a
+# position track (position_at), and annotations with a time range.
 CAMERA_KINDS = frozenset({KIND_STPHOTO, KIND_MOVING_VIDEO})
 TRACK_KINDS = frozenset({KIND_MOVING_POINT, KIND_MOVING_VIDEO})
 TIME_RANGE_KINDS = frozenset({KIND_MOVING_VIDEO})
@@ -68,6 +68,10 @@ class STPhoto:
     def vertices(self) -> tuple[GeoPoint, ...]:
         return (self.loc,)
 
+    def view_reach(self) -> float:
+        """How far the camera sees, in meters."""
+        return self.fov.view_distance
+
     def fov_at(self, t: TimeStamp | None = None) -> FovState:
         """The fixed camera; t is ignored."""
         return FovState(self.loc, resolve_direction(self.fov), self.fov)
@@ -104,6 +108,10 @@ class MovingVideo:
         """Camera position at time t."""
         return self.track.at(t)
 
+    def view_reach(self) -> float:
+        """The largest view distance of any of its FoVs, in meters."""
+        return max(f.view_distance for f in self.fovs)
+
     def fov_at(self, t: TimeStamp | None) -> FovState:
         """Camera, absolute direction and FoV at time t; a video needs t."""
         if t is None:
@@ -136,7 +144,7 @@ class MovingVideo:
         for a, b in zip(pts, pts[1:]):
             arc = math.radians(abs(a.lat - b.lat)) + math.radians(abs(a.lon - b.lon))
             slack = max(slack, arc * EARTH_RADIUS_M)
-        reach = max(f.view_distance for f in self.fovs) + slack
+        reach = self.view_reach() + slack
         return any(geo_distance(v, p) <= reach for v in pts)
 
 
@@ -193,6 +201,16 @@ def payload_of_kind(x, kinds: frozenset[str], lacks: str) -> MediaPayload:
 def time_extent(x) -> TimeInterval:
     """[first, last] sample time of a media value or document."""
     return payload_of(x).time_extent()
+
+
+def view_reach(x) -> float:
+    """How far any camera of a media value sees, in meters; 0 for a kind with none.
+
+    Every camera position lies inside the value's spatial_bbox, so whatever
+    it sees lies within this distance of that box.
+    """
+    payload = payload_of(x)
+    return payload.view_reach() if kind_of(payload) in CAMERA_KINDS else 0.0
 
 
 def spatial_bbox(x) -> Bbox | None:

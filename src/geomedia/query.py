@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 from .errors import BadQueryError, WrongKindError
 from .fov import fov_contains
-from .geo import GeoPoint, geo_distance
+from .geo import GeoPoint, disk_bbox, geo_distance
 from .media import CAMERA_KINDS, TRACK_KINDS, Bbox, FovState, payload_of_kind
+from .rtree import _intersects
 from .store import FeatureRecord, MediaStore, _check_bbox, _check_interval
 from .temporal import TimeInterval, TimeStamp
 
@@ -92,14 +93,34 @@ def visible_intervals(x, p: GeoPoint, sample_step_ms: int = 100) -> list[TimeInt
 
 
 def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord]:
-    """Run a QuerySpec against one collection; ordered by fid, then paged."""
+    """Run a QuerySpec against one collection; ordered by fid, then paged.
+
+    A feature can only match if its bbox meets every box of the query: the
+    given bbox, the box around near's disk (a matching vertex lies inside the
+    feature's bbox) and the box around visibleFrom's point out to the
+    collection's view reach (so does every camera position). The store's
+    index is searched with the smallest of them, the others are tested per
+    candidate under the index's inclusive test, and the exact predicates
+    decide. A query with none of them reads the whole collection.
+    """
     meta = store.get_collection(cid)
     if spec.visible_from is not None and meta.media_type not in CAMERA_KINDS:
         raise WrongKindError(
             f"visibleFrom applies to photo/video collections, not {meta.media_type}"
         )
+    boxes = [] if spec.bbox is None else [spec.bbox]
+    if spec.near is not None:
+        boxes.append(disk_bbox(*spec.near))
+    with store.lock:  # the reach and the candidates come from one state of the store
+        if spec.visible_from is not None:
+            boxes.append(disk_bbox(spec.visible_from, store.view_reach(cid)))
+        search = min(boxes, key=lambda b: (b[2] - b[0]) * (b[3] - b[1]), default=None)
+        candidates = store.st_query(cid, bbox=search, interval=spec.interval)
+    others = [b for b in boxes if b is not search]
+    if others:
+        candidates = [r for r in candidates if all(_intersects(r.bbox, b) for b in others)]
     out = []
-    for record in store.st_query(cid, bbox=spec.bbox, interval=spec.interval):
+    for record in candidates:
         payload = record.doc.payload
         if spec.near is not None:
             point, radius = spec.near

@@ -205,15 +205,14 @@ class GeoMediaApi:
 
     def _post_annotation(self, params, body, cid, fid):
         obj = _decode_body(body)
-        if obj.get("aid") is None:
-            existing = {a.aid for a in self.store.list_annotations(cid, fid)}
-            n = len(existing) + 1
-            while f"a{n}" in existing:
-                n += 1
-            obj["aid"] = f"a{n}"
-        ann = annotation_from_obj(obj, "iso")
-        with self._mutation():
-            self.store.put_annotation(cid, fid, ann)
+        with self._mutation():  # so that two POSTs without an aid never pick the same one
+            if obj.get("aid") is None:
+                existing = {a.aid for a in self.store.list_annotations(cid, fid)}
+                n = len(existing) + 1
+                while f"a{n}" in existing:
+                    n += 1
+                obj["aid"] = f"a{n}"
+            ann = self.store.put_annotation(cid, fid, annotation_from_obj(obj, "iso"))
         return 201, annotation_to_obj(ann, "iso")
 
     def _get_annotation(self, params, body, cid, fid, aid):

@@ -4,7 +4,8 @@ Each collection keeps a 2-D (lon, lat) R-tree over its features' bounding
 boxes; time windows are not indexed but checked exactly on each candidate.
 The tree is bulk-loaded (STR) by load(), and for a collection filled since
 it was created by the first spatial search; after that every put and delete
-updates it one entry at a time.
+updates it one entry at a time. Next to the tree a collection keeps its view
+reach, an upper bound on how far any of its cameras sees (view_reach()).
 
 A store is a directory holding a snapshot and a write log. The snapshot is
 manifest.json with collection metadata and content checksums, one
@@ -175,19 +176,24 @@ class FeatureRecord:
 
 
 class _CollectionState:
-    __slots__ = ("meta", "features", "annotations", "index")
+    __slots__ = ("meta", "features", "annotations", "index", "reach")
 
     def __init__(self, meta: Collection):
         self.meta = meta
         self.features: dict[str, FeatureRecord] = {}
         self.annotations: dict[str, dict[str, Annotation]] = {}
         self.index: RTree | None = None  # built by spatial_index() when first needed
+        # With the index: the largest view reach of any feature put since it was
+        # built. Puts raise it, deletes leave it, so it only ever overestimates.
+        self.reach = 0.0
 
     def spatial_index(self) -> RTree:
         if self.index is None:
             self.index = RTree.bulk_load(
                 (fid, r.bbox) for fid, r in self.features.items() if r.bbox is not None
             )
+            self.reach = max((media.view_reach(r.doc) for r in self.features.values()),
+                             default=0.0)
         return self.index
 
 
@@ -279,6 +285,7 @@ class MediaStore:
                     state.index.delete(fid, old.bbox)
                 if record.bbox is not None:
                     state.index.insert(fid, record.bbox)
+                state.reach = max(state.reach, media.view_reach(doc))
             state.features[fid] = record
             anns = state.annotations.get(fid)
             if anns:
@@ -349,6 +356,17 @@ class MediaStore:
             if interval is not None:
                 records = (r for r in records if r.extent.overlaps(interval))
             return list(records)
+
+    def view_reach(self, cid: str) -> float:
+        """At least how far, in meters, any camera in the collection sees.
+
+        Each camera position lies inside its feature's bbox, so a feature
+        that sees a point p has a bbox within this distance of p.
+        """
+        with self._lock:
+            state = self._state(cid)
+            state.spatial_index()
+            return state.reach
 
     def collection_bbox(self, cid: str) -> Bbox | None:
         with self._lock:

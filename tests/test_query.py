@@ -2,31 +2,41 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from geomedia import (
     FieldOfView,
+    GeoMediaApi,
     GeoPoint,
     InterpolationMode,
+    MediaStore,
+    MovingDouble,
     MovingPoint,
     MovingVideo,
     QuerySpec,
+    STPhoto,
     destination,
     document_of,
     evaluate,
     fov_at,
     geo_distance,
+    parse_document,
     position_at,
+    serialize_document,
     visible_intervals,
 )
+from geomedia.cli import main
 from geomedia.errors import (
     BadQueryError,
     DegenerateTrackError,
     OutOfRangeError,
     WrongKindError,
 )
+from geomedia.media import view_reach
 
 from conftest import T0, T1, T2
 
@@ -41,6 +51,29 @@ def eastbound_video(fov, lat=0.0, seconds=100):
     pts = [GeoPoint(i * 0.0001, lat) for i in range(seconds + 1)]
     times = [i * 1000 for i in range(seconds + 1)]
     return MovingVideo("u:video", MovingPoint(tuple(times), tuple(pts)), (fov,))
+
+
+def boxes_meet(a, b) -> bool:
+    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
+
+
+def linear_scan(store, cid, spec):
+    """The fids evaluate must return: every feature tested with the exact predicates."""
+    out = []
+    for record in store.list_features(cid):
+        payload = record.doc.payload
+        if spec.bbox is not None and not (record.bbox and boxes_meet(record.bbox, spec.bbox)):
+            continue
+        if spec.interval is not None and not record.extent.overlaps(spec.interval):
+            continue
+        if spec.near is not None:
+            point, radius = spec.near
+            if not any(geo_distance(v, point) <= radius for v in payload.vertices()):
+                continue
+        if spec.visible_from is not None and not visible_intervals(payload, spec.visible_from):
+            continue
+        out.append(record.fid)
+    return out
 
 
 class TestPositionAt:
@@ -230,7 +263,6 @@ class TestEvaluate:
     def test_matches_brute_force(self, store):
         rng = random.Random("evaluate")
         store.create_collection("vids", "Videos", "MovingVideo")
-        records = {}
         for i in range(60):
             lon0 = rng.uniform(-10, 10)
             lat0 = rng.uniform(-10, 10)
@@ -244,7 +276,6 @@ class TestEvaluate:
                 view_distance=rng.uniform(50, 2000),
             )
             doc = document_of(MovingVideo(f"u:{i}", MovingPoint(times, pts), (fov,)))
-            records[f"v{i:02d}"] = doc
             store.put_feature("vids", f"v{i:02d}", doc)
         from geomedia import TimeInterval
 
@@ -263,25 +294,7 @@ class TestEvaluate:
                 visible_from = GeoPoint(rng.uniform(-11, 11), rng.uniform(-11, 11))
             spec = QuerySpec(bbox=bbox, interval=interval, near=near, visible_from=visible_from)
             got = [r.fid for r in evaluate(store, "vids", spec)]
-            want = []
-            for fid in sorted(records):
-                record = store.get_feature("vids", fid)
-                if spec.bbox is not None:
-                    b, q = record.bbox, spec.bbox
-                    if not (b[0] <= q[2] and q[0] <= b[2] and b[1] <= q[3] and q[1] <= b[3]):
-                        continue
-                if spec.interval is not None and not record.extent.overlaps(spec.interval):
-                    continue
-                if spec.near is not None:
-                    p, radius = spec.near
-                    pts = record.doc.payload.track.points
-                    if not any(geo_distance(v, p) <= radius for v in pts):
-                        continue
-                if spec.visible_from is not None:
-                    if not visible_intervals(record.doc.payload, spec.visible_from):
-                        continue
-                want.append(fid)
-            assert got == want
+            assert got == linear_scan(store, "vids", spec)
 
     def test_paging_after_refinement(self, store):
         rng = random.Random("page2")
@@ -305,3 +318,208 @@ class TestEvaluate:
 def test_query_spec_needs_finite_values(spec):
     with pytest.raises(BadQueryError):
         QuerySpec(**spec)
+
+
+# -- index push-down: near and visibleFrom search the R-tree ----------------------
+
+# Query anchors at the poles and on the antimeridian, plus one ordinary spot.
+ANCHORS = [GeoPoint(179.6, 0.3), GeoPoint(-179.7, -0.4), GeoPoint(10.0, 89.6),
+           GeoPoint(-20.0, -89.7), GeoPoint(179.9, 89.9), GeoPoint(-179.9, -89.4),
+           GeoPoint(5.0, 45.0)]
+
+
+def scale(rng) -> float:
+    """A distance from 1 m to 1000 km, log-uniform."""
+    return 10 ** rng.uniform(0, 6)
+
+
+def around(rng, p: GeoPoint) -> GeoPoint:
+    return destination(p, rng.uniform(0, 360), scale(rng))
+
+
+def random_fov(rng) -> FieldOfView:
+    return FieldOfView(h_angle=rng.choice([30.0, 90.0, 200.0, 360.0]),
+                       direction2d=rng.uniform(0, 359.9), view_distance=scale(rng))
+
+
+def random_track(rng, start: GeoPoint, n: int) -> list[GeoPoint]:
+    pts = [start]
+    while len(pts) < n:
+        pts.append(destination(pts[-1], rng.uniform(0, 360), scale(rng) / 10))
+    return pts
+
+
+def random_payload(rng, kind: str, i: int):
+    start = around(rng, rng.choice(ANCHORS))
+    n = rng.randint(1, 4)
+    times = tuple(1000 * k for k in range(n))
+    pts = tuple(random_track(rng, start, n))
+    if kind == "MovingPoint":
+        return MovingPoint(times, pts)
+    if kind == "MovingDouble":
+        return MovingDouble(times, tuple(range(n)), track=pts if rng.random() < 0.7 else None)
+    if kind == "stphoto":
+        return STPhoto(f"u:{i}", start, 0, random_fov(rng))
+    mode = rng.choice([InterpolationMode.LINEAR, InterpolationMode.DISCRETE])
+    fovs = tuple(random_fov(rng) for _ in range(rng.choice([1, n])))
+    return MovingVideo(f"u:{i}", MovingPoint(times, pts, mode), fovs)
+
+
+def query_point(rng, store, cid) -> GeoPoint:
+    """An anchor, a point near one, or a point a camera or vertex could reach."""
+    roll = rng.random()
+    if roll < 0.2:
+        return rng.choice(ANCHORS)
+    if roll < 0.5:
+        return around(rng, rng.choice(ANCHORS))
+    payload = rng.choice(store.list_features(cid)).doc.payload
+    vertices = payload.vertices() or (rng.choice(ANCHORS),)
+    reach = view_reach(payload) or scale(rng)
+    return destination(rng.choice(vertices), rng.uniform(0, 360), rng.uniform(0, 1.2) * reach)
+
+
+class TestPushDown:
+    @pytest.mark.parametrize("kind", ["MovingPoint", "MovingDouble", "stphoto", "MovingVideo"])
+    def test_equals_linear_scan_at_poles_and_antimeridian(self, store, kind):
+        rng = random.Random(f"push-down {kind}")
+        store.create_collection("c", "c", kind)
+        for i in range(40):
+            store.put_feature("c", f"f{i:02d}", document_of(random_payload(rng, kind, i)))
+        is_camera = kind in ("stphoto", "MovingVideo")
+        matched = {"near": 0, "visibleFrom": 0}
+        for _ in range(60):
+            p = query_point(rng, store, "c")
+            bbox = None
+            if rng.random() < 0.5:
+                w, h = 10 ** rng.uniform(-5, 1.5), 10 ** rng.uniform(-5, 1.5)
+                bbox = (p.lon - w * rng.random(), p.lat - h * rng.random(),
+                        p.lon + w * rng.random(), p.lat + h * rng.random())
+            specs = {"near": QuerySpec(bbox=bbox, near=(p, scale(rng)))}
+            if is_camera:
+                specs["visibleFrom"] = QuerySpec(bbox=bbox, visible_from=p)
+            for name, spec in specs.items():
+                want = linear_scan(store, "c", spec)
+                assert [r.fid for r in evaluate(store, "c", spec)] == want, spec
+                matched[name] += len(want)
+        assert matched["near"] > 0 and (matched["visibleFrom"] > 0 or not is_camera)
+
+    @pytest.mark.parametrize("center", [GeoPoint(0, 0), GeoPoint(30, 60), GeoPoint(-100, -75),
+                                        GeoPoint(179.5, 45), GeoPoint(-179.99, 88.5)])
+    @pytest.mark.parametrize("radius", [1.0, 1000.0, 1_000_000.0])
+    def test_near_finds_vertices_on_the_edge_of_its_disk(self, store, center, radius):
+        store.create_collection("taxi", "t", "MovingPoint")
+        for b in range(0, 360, 5):
+            edge = destination(center, b, radius * (1 - 1e-6))
+            store.put_feature("taxi", f"b{b:03d}", document_of(track([(edge.lon, edge.lat)])))
+        spec = QuerySpec(near=(center, radius))
+        got = [r.fid for r in evaluate(store, "taxi", spec)]
+        assert got == linear_scan(store, "taxi", spec)
+        assert len(got) >= 70
+
+    def test_long_track_meets_bbox_and_near_box_but_not_their_overlap(self, store):
+        # The track's box (0, 0)-(10, 10) meets the query box only at its
+        # north-east corner and the near box only at its north-west corner.
+        store.create_collection("taxi", "t", "MovingPoint")
+        store.put_feature("taxi", "long", document_of(track([(0, 10), (10, 0)])))
+        spec = QuerySpec(bbox=(9, 9, 11, 11), near=(GeoPoint(0, 10), 1000.0))
+        assert [r.fid for r in evaluate(store, "taxi", spec)] == ["long"]
+
+    def test_long_video_meets_bbox_and_reach_box_but_not_their_overlap(self, store):
+        store.create_collection("vids", "v", "MovingVideo")
+        fov = FieldOfView(h_angle=90, direction2d=90, view_distance=1000)
+        video = MovingVideo("u:long", track([(0, 10), (10, 0)]), (fov,))
+        store.put_feature("vids", "long", document_of(video))
+        seen = destination(GeoPoint(0, 10), 90, 500)
+        spec = QuerySpec(bbox=(9, 9, 11, 11), visible_from=seen)
+        assert [r.fid for r in evaluate(store, "vids", spec)] == ["long"]
+
+    def test_visible_from_refines_only_nearby_photos(self, store, monkeypatch):
+        store.create_collection("pics", "p", "stphoto")
+        for i in range(1000):
+            loc = GeoPoint(-170 + (i % 40) * 8.5, -60 + (i // 40) * 5)
+            store.put_feature("pics", f"p{i:04d}", document_of(STPhoto(f"u:{i}", loc, 0)))
+        calls = []
+
+        def counted(x, p, *args):
+            calls.append(x)
+            return visible_intervals(x, p, *args)
+
+        monkeypatch.setattr("geomedia.query.visible_intervals", counted)
+        seen = destination(GeoPoint(-170 + 7 * 8.5, -60 + 3 * 5), 0, 50)  # north of p0127
+        assert [r.fid for r in evaluate(store, "pics", QuerySpec(visible_from=seen))] == ["p0127"]
+        assert len(calls) < 50
+
+
+FAR = 50_000.0  # the far-seeing camera's view distance, 500 times the others'
+
+
+def camera(kind: str, lon: float, view_distance: float = 100.0):
+    """A photo, or a two-sample video, at (lon, 10) looking due east.
+
+    The video sees view_distance only at its last sample, 100 m before it.
+    """
+    fov = FieldOfView(direction2d=90, view_distance=view_distance)
+    if kind == "stphoto":
+        return document_of(STPhoto("u:p", GeoPoint(lon, 10), 0, fov))
+    fovs = (FieldOfView(direction2d=90), fov)
+    return document_of(MovingVideo("u:v", track([(lon, 10), (lon, 10.0001)]), fovs))
+
+
+class TestViewReach:
+    """A camera that sees farther than any other is found as soon as it is stored."""
+
+    SEEN = destination(GeoPoint(20, 10), 90, 0.9 * FAR)  # east of the far camera at (20, 10)
+
+    def visible(self, store, cid):
+        return [r.fid for r in evaluate(store, cid, QuerySpec(visible_from=self.SEEN))]
+
+    @pytest.mark.parametrize("kind", ["stphoto", "MovingVideo"])
+    def test_put_then_load_then_flush(self, tmp_path, kind):
+        api = GeoMediaApi(MediaStore(tmp_path / "store"))
+        api.handle("POST", "/collections", json.dumps({"id": "c", "mediaType": kind}).encode())
+        for i in range(3):
+            api.handle("PUT", f"/collections/c/items/n{i}", serialize_document(camera(kind, i)))
+        status, body = api.handle("GET", f"/collections/c/items?visibleFrom={self.SEEN.lon},10")
+        assert (status, body["numberMatched"]) == (200, 0)  # the index is built by now
+        status, _ = api.handle("PUT", "/collections/c/items/far",
+                               serialize_document(camera(kind, 20, FAR)))
+        assert status == 201
+        query = f"visibleFrom={self.SEEN.lon},{self.SEEN.lat}"
+        status, body = api.handle("GET", f"/collections/c/items?{query}")
+        assert [f["fid"] for f in body["features"]] == ["far"]
+        loaded = MediaStore.load(tmp_path / "store")
+        assert self.visible(loaded, "c") == ["far"]
+        loaded.flush()
+        assert self.visible(loaded, "c") == ["far"]
+        assert self.visible(MediaStore.load(tmp_path / "store"), "c") == ["far"]
+        api.handle("DELETE", "/collections/c/items/far")
+        for p in (self.SEEN, destination(GeoPoint(1, 10), 90, 50)):
+            spec = QuerySpec(visible_from=p)
+            got = [r.fid for r in evaluate(api.store, "c", spec)]
+            assert got == linear_scan(api.store, "c", spec)
+
+    @pytest.mark.parametrize("kind", ["stphoto", "MovingVideo"])
+    def test_ingested_collection(self, tmp_path, capsys, kind):
+        files = []
+        for fid, lon, reach in (("n0", 0, 100.0), ("n1", 1, 100.0), ("far", 20, FAR)):
+            path = tmp_path / f"{fid}.json"
+            path.write_bytes(serialize_document(camera(kind, lon, reach)))
+            files.append(str(path))
+        target = str(tmp_path / "store")
+        assert main(["init", "--store", target]) == 0
+        assert main(["ingest", "--store", target, "--collection", "c", "--create",
+                     "--media-type", kind, *files]) == 0
+        capsys.readouterr()
+        assert main(["query", "--store", target, "--collection", "c",
+                     "--visible-from", f"{self.SEEN.lon},{self.SEEN.lat}"]) == 0
+        assert capsys.readouterr().out.split() == ["far"]
+        # Filled as ingest fills a collection: all puts come before its first
+        # search, which builds the index and the reach with the far camera in.
+        store = MediaStore.load(target)
+        store.create_collection("c2", "c2", kind)
+        for fid, path in zip(("n0", "n1", "far"), files):
+            store.put_feature("c2", fid, parse_document(Path(path).read_bytes()))
+        assert self.visible(store, "c2") == ["far"]
+        store.delete_feature("c2", "far")
+        spec = QuerySpec(visible_from=self.SEEN)
+        assert [r.fid for r in evaluate(store, "c2", spec)] == linear_scan(store, "c2", spec) == []

@@ -444,6 +444,33 @@ class TestAnnotations:
             }).encode())
         assert (status, body["code"]) == (400, "BadBody")
 
+    def test_concurrent_posts_get_distinct_aids(self, api, monkeypatch):
+        api.handle("POST", "/collections", b'{"id": "pics", "mediaType": "stphoto"}')
+        api.handle("PUT", "/collections/pics/items/p1", fixture_bytes("stphoto.json"))
+        list_annotations = MediaStore.list_annotations
+
+        def slow_list(store, cid, fid):
+            anns = list_annotations(store, cid, fid)
+            time.sleep(0.2)  # the other request lists too before this one stores its pick
+            return anns
+
+        monkeypatch.setattr(MediaStore, "list_annotations", slow_list)
+        replies = []
+
+        def post(text):
+            replies.append(api.handle("POST", "/collections/pics/items/p1/annotations",
+                                      json.dumps({"kind": "text", "body": text}).encode()))
+
+        threads = [threading.Thread(target=post, args=(text,)) for text in ("first", "second")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted(status for status, _ in replies) == [201, 201]
+        assert sorted(body["aid"] for _, body in replies) == ["a1", "a2"]
+        stored = api.store.list_annotations("pics", "p1")
+        assert sorted(a.body for a in stored) == ["first", "second"]
+
 
 class TestDeterminism:
     def test_identical_requests_identical_payloads(self, api):
