@@ -25,6 +25,7 @@ import calendar
 import json
 import math
 import re
+from array import array
 from datetime import datetime, timedelta
 
 from .errors import ParseError
@@ -36,7 +37,7 @@ from .fov import (
     FieldOfView,
     SectorPolygon,
 )
-from .geo import GeoPoint
+from .geo import GeoPoint, check_position
 from .media import (
     KIND_MOVING_DOUBLE,
     KIND_MOVING_POINT,
@@ -47,7 +48,14 @@ from .media import (
     MovingVideo,
     STPhoto,
 )
-from .temporal import InterpolationMode, MovingDouble, MovingPoint, TimeInterval, TimeStamp
+from .temporal import (
+    InterpolationMode,
+    MovingDouble,
+    MovingPoint,
+    PositionColumns,
+    TimeInterval,
+    TimeStamp,
+)
 
 CANONICAL_KINDS = {kind.lower(): kind for kind in KINDS}
 
@@ -123,6 +131,9 @@ def _reject_duplicates(pairs):
     return out
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_reject_duplicates)
+
+
 def decode_json(text: bytes | str):
     """Decode UTF-8 JSON text, rejecting duplicate members at any depth."""
     if isinstance(text, bytes):
@@ -131,7 +142,9 @@ def decode_json(text: bytes | str):
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8: {exc}") from None
     try:
-        return json.loads(text, object_pairs_hook=_reject_duplicates)
+        if text.startswith("\ufeff"):  # json.loads refuses a BOM by name; so does this
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg} (line {exc.lineno})") from None
 
@@ -178,19 +191,25 @@ def _reject_non_finite(value, path: str) -> None:
             _reject_non_finite(item, f"{path}/{key}")
 
 
-def _read_point(value, path: str) -> GeoPoint:
+def _read_position(value) -> tuple[float, float, float | None]:
+    """lon, lat and alt (or None) of a valid position; ValueError or OverflowError if not."""
     if isinstance(value, list) and 2 <= len(value) <= 3:
         for c in value:
             if type(c) is not float and not _is_number(c):  # exact float: the common case
                 break
         else:
-            try:
-                if len(value) == 2:
-                    return GeoPoint(float(value[0]), float(value[1]))
-                return GeoPoint(float(value[0]), float(value[1]), float(value[2]))
-            except (ValueError, OverflowError) as exc:
-                raise ParseError(str(exc), path) from None
-    raise ParseError("position must be [lon, lat] or [lon, lat, alt]", path)
+            lon, lat = float(value[0]), float(value[1])
+            alt = float(value[2]) if len(value) == 3 else None
+            check_position(lon, lat, alt)
+            return lon, lat, alt
+    raise ValueError("position must be [lon, lat] or [lon, lat, alt]")
+
+
+def _read_point(value, path: str) -> GeoPoint:
+    try:
+        return GeoPoint(*_read_position(value))
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(str(exc), path) from None
 
 
 def _read_times(obj: dict, count: int | None, path: str = "") -> tuple[TimeStamp, ...]:
@@ -242,11 +261,24 @@ def _read_interpolation(obj: dict, path: str = "") -> InterpolationMode:
     )
 
 
-def _read_track(obj: dict, path: str = "") -> tuple[GeoPoint, ...]:
+def _read_track(obj: dict, path: str = "") -> PositionColumns:
+    """The "coordinates" array as position columns, without a GeoPoint per entry."""
     raw = obj.get("coordinates")
     if not isinstance(raw, list) or not raw:
         raise ParseError("'coordinates' must be a non-empty array", f"{path}/coordinates")
-    return tuple(_read_point(entry, f"{path}/coordinates/{i}") for i, entry in enumerate(raw))
+    lons, lats, alts = array("d"), array("d"), None
+    for i, entry in enumerate(raw):
+        try:
+            lon, lat, alt = _read_position(entry)
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(str(exc), f"{path}/coordinates/{i}") from None
+        lons.append(lon)
+        lats.append(lat)
+        if alt is not None and alts is None:
+            alts = array("d", [math.nan]) * i
+        if alts is not None:
+            alts.append(math.nan if alt is None else alt)
+    return lons, lats, alts
 
 
 def _read_number(obj: dict, member: str, default: float, path: str) -> float:
@@ -280,13 +312,14 @@ def _read_fov(obj, path: str) -> FieldOfView:
 
 
 def _build_moving_point(obj: dict) -> tuple[MovingPoint, set[str]]:
-    points = _read_track(obj)
-    times = _read_times(obj, len(points))
+    columns = _read_track(obj)
+    times = _read_times(obj, len(columns[0]))
     mode = _read_interpolation(obj)
-    with_alt = sum(1 for p in points if p.alt is not None)
-    if with_alt not in (0, len(points)):
+    if columns[2] is not None and any(map(math.isnan, columns[2])):
         raise ParseError("coordinates mix 2- and 3-component positions", "/coordinates")
-    return MovingPoint(times, points, mode), {"coordinates", "datetimes", "timeline", "interpolation"}
+    return MovingPoint.from_columns(times, columns, mode), {
+        "coordinates", "datetimes", "timeline", "interpolation",
+    }
 
 
 def _build_moving_double(obj: dict) -> tuple[MovingDouble, set[str]]:
@@ -298,14 +331,14 @@ def _build_moving_double(obj: dict) -> tuple[MovingDouble, set[str]]:
             raise ParseError("values must be finite numbers", f"/values/{i}")
     times = _read_times(obj, len(raw_values))
     mode = _read_interpolation(obj)
-    track = None
+    columns = None
     if "coordinates" in obj:
-        track = _read_track(obj)
-        if len(track) != len(raw_values):
+        columns = _read_track(obj)
+        if len(columns[0]) != len(raw_values):
             raise ParseError(
-                f"{len(track)} coordinates for {len(raw_values)} values", "/coordinates"
+                f"{len(columns[0])} coordinates for {len(raw_values)} values", "/coordinates"
             )
-    md = MovingDouble(times, tuple(float(v) for v in raw_values), mode, track)
+    md = MovingDouble.from_columns(times, raw_values, mode, columns)
     return md, {"values", "datetimes", "timeline", "coordinates", "interpolation"}
 
 
@@ -335,8 +368,9 @@ def _build_stphoto(obj: dict) -> tuple[STPhoto, set[str]]:
 
 def _build_moving_video(obj: dict) -> tuple[MovingVideo, set[str]]:
     uri = _read_uri(obj)
-    points = _read_track(obj)
-    times = _read_times(obj, len(points))
+    columns = _read_track(obj)
+    lons, lats, _ = columns
+    times = _read_times(obj, len(lons))
     mode = _read_interpolation(obj)
     fovs: tuple[FieldOfView, ...]
     if "fov" in obj:
@@ -344,17 +378,17 @@ def _build_moving_video(obj: dict) -> tuple[MovingVideo, set[str]]:
         if not isinstance(raw, list) or not raw:
             raise ParseError("'fov' must be a non-empty array", "/fov")
         fovs = tuple(_read_fov(entry, f"/fov/{i}") for i, entry in enumerate(raw))
-        if len(fovs) not in (1, len(points)):
-            raise ParseError(f"{len(fovs)} fov entries for {len(points)} samples", "/fov")
+        if len(fovs) not in (1, len(lons)):
+            raise ParseError(f"{len(fovs)} fov entries for {len(lons)} samples", "/fov")
     else:
         fovs = (FieldOfView(),)
     relative = [i for i, fov in enumerate(fovs) if fov.is_relative]
-    if relative and all(p.same_position(points[0]) for p in points):
+    if relative and lons.count(lons[0]) == len(lons) and lats.count(lats[0]) == len(lats):
         # the direction resolves against the track heading, which a still track lacks
         raise ParseError(
             "a mount-relative direction needs a moving track", f"/fov/{relative[0]}/direction2d"
         )
-    track = MovingPoint(times, points, mode)
+    track = MovingPoint.from_columns(times, columns, mode)
     return MovingVideo(uri, track, fovs), {
         "uri", "coordinates", "fov", "datetimes", "timeline", "interpolation",
     }
@@ -408,6 +442,15 @@ def _coord(p: GeoPoint) -> list:
     return [_num(p.lon), _num(p.lat), _num(p.alt)]
 
 
+def _coords(track: MovingPoint | MovingDouble) -> list:
+    """Wire positions of a track's position columns; NaN altitude means none."""
+    lons, lats, alts = track.lons, track.lats, track.alts
+    if alts is None:
+        return [[_num(x), _num(y)] for x, y in zip(lons, lats)]
+    return [[_num(x), _num(y)] if z != z else [_num(x), _num(y), _num(z)]
+            for x, y, z in zip(lons, lats, alts)]
+
+
 def _time_member(times, time_style: str) -> dict:
     if time_style == "epoch":
         return {"timeline": [int(t) for t in times]}
@@ -417,14 +460,14 @@ def _time_member(times, time_style: str) -> dict:
 
 
 def _write_moving_point(mp: MovingPoint, time_style: str) -> dict:
-    return {"coordinates": [_coord(p) for p in mp.points], **_time_member(mp.times, time_style),
+    return {"coordinates": _coords(mp), **_time_member(mp.times, time_style),
             "interpolation": mp.mode.value}
 
 
 def _write_moving_double(md: MovingDouble, time_style: str) -> dict:
     out = {"values": [_num(v) for v in md.values], **_time_member(md.times, time_style)}
-    if md.track is not None:
-        out["coordinates"] = [_coord(p) for p in md.track]
+    if md.lons is not None:
+        out["coordinates"] = _coords(md)
     out["interpolation"] = md.mode.value
     return out
 
@@ -442,7 +485,7 @@ def _write_moving_video(video: MovingVideo, time_style: str) -> dict:
     fovs = [{"verticalAngle": _num(f.v_angle), "horizontalAngle": _num(f.h_angle),
              "viewDistance": _num(f.view_distance), "direction2d": _num(f.direction2d)}
             for f in video.fovs]
-    return {"uri": video.videouri, "coordinates": [_coord(p) for p in video.track.points],
+    return {"uri": video.videouri, "coordinates": _coords(video.track),
             "fov": fovs, **_time_member(video.track.times, time_style),
             "interpolation": video.track.mode.value}
 

@@ -28,7 +28,7 @@ DEFAULT_DIRECTION = 0.0  # due north
 DEFAULT_VIEW_DISTANCE = 100.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldOfView:
     """Camera view descriptor: apertures in degrees, view distance in meters."""
 
@@ -53,7 +53,7 @@ class FieldOfView:
         return self.direction2d < 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SectorPolygon:
     """Closed ring approximating the visible wedge; first position equals the last."""
 

@@ -14,7 +14,17 @@ from .errors import CoincidentPointsError
 EARTH_RADIUS_M = 6371008.8
 
 
-@dataclass(frozen=True)
+def check_position(lon: float, lat: float, alt: float | None = None) -> None:
+    """ValueError unless lon, lat and alt make a valid position."""
+    if not -180.0 <= lon <= 180.0:
+        raise ValueError(f"longitude {lon} outside [-180, 180]")
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"latitude {lat} outside [-90, 90]")
+    if alt is not None and not math.isfinite(alt):
+        raise ValueError(f"altitude {alt} is not finite")
+
+
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A WGS84 position: longitude and latitude in degrees, optional altitude in meters."""
 
@@ -23,12 +33,7 @@ class GeoPoint:
     alt: float | None = None
 
     def __post_init__(self):
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude {self.lon} outside [-180, 180]")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat} outside [-90, 90]")
-        if self.alt is not None and not math.isfinite(self.alt):
-            raise ValueError(f"altitude {self.alt} is not finite")
+        check_position(self.lon, self.lat, self.alt)
 
     def same_position(self, other: "GeoPoint") -> bool:
         """True when lon/lat are exactly equal (altitude ignored)."""

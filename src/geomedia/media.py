@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BadQueryError, WrongKindError
-from .fov import FieldOfView, fov_sector_polygon, resolve_direction
-from .geo import EARTH_RADIUS_M, GeoPoint, geo_distance
+from .fov import FieldOfView, resolve_direction
+from .geo import EARTH_RADIUS_M, GeoPoint, angle_between, destination, geo_distance
 from .temporal import InterpolationMode, MovingDouble, MovingPoint, TimeInterval, TimeStamp
 
 KIND_MOVING_POINT = "MovingPoint"
@@ -43,7 +43,7 @@ class FovState(NamedTuple):
     fov: FieldOfView
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class STPhoto:
     """A geo-tagged photo: image URI, camera position, capture time, field of view.
 
@@ -68,6 +68,52 @@ class STPhoto:
     def vertices(self) -> tuple[GeoPoint, ...]:
         return (self.loc,)
 
+    def spatial_bbox(self) -> Bbox:
+        """Bounds of the camera and the whole wedge it sees, in closed form.
+
+        The wedge's extremes lie on its arc or its two radii. Along a radius
+        longitude is monotone, and latitude grows as cos(bearing) does, up
+        to the great circle's turning point (its vertex). So latitude peaks
+        on the radius nearest north (bearing 0 if it is in the wedge) and
+        bottoms out on the one nearest south, at the arc or at that radius's
+        vertex. Along the arc longitude peaks at the tangent bearings theta*
+        and 360 - theta*, cos(theta*) = tan(delta) * tan(phi). A view circle
+        that reaches a pole spans every longitude, and a view distance of a
+        quarter of the earth or more the whole globe.
+        """
+        camera, fov = self.loc, self.fov
+        delta = fov.view_distance / EARTH_RADIUS_M
+        if delta >= math.pi / 2:
+            return (-180.0, -90.0, 180.0, 90.0)
+        direction, half = resolve_direction(fov), fov.h_angle / 2.0
+        edges = () if fov.h_angle == 360.0 else (direction - half, direction + half)
+
+        def inside(b: float) -> bool:
+            return not edges or angle_between(b, direction) <= half
+
+        def cos_deg(b: float) -> float:
+            return math.cos(math.radians(b))
+
+        north = 0.0 if inside(0.0) else max(edges, key=cos_deg)
+        south = 180.0 if inside(180.0) else min(edges, key=cos_deg)
+        arc = dict.fromkeys((*edges, north, south))
+        points = [camera, *(destination(camera, b, fov.view_distance) for b in arc)]
+        phi = math.radians(camera.lat)
+        for b, turn in ((north, 0.0), (south, math.pi)):
+            # the radius's latitude is extreme where tan(s) = cos(phi) cos(b) / sin(phi)
+            s = math.atan2(math.cos(phi) * cos_deg(b), math.sin(phi)) + turn
+            if 0.0 < s < delta:
+                points.append(destination(camera, b, s * EARTH_RADIUS_M))
+        lats = [p.lat for p in points]
+        tangent = math.tan(delta) * math.tan(phi)
+        if abs(tangent) >= 1.0:
+            return (-180.0, min(lats), 180.0, max(lats))
+        theta = math.degrees(math.acos(tangent))
+        points += [destination(camera, b, fov.view_distance) for b in (theta, 360.0 - theta)
+                   if inside(b)]
+        lons = [p.lon for p in points]
+        return (min(lons), min(lats), max(lons), max(lats))
+
     def view_reach(self) -> float:
         """How far the camera sees, in meters."""
         return self.fov.view_distance
@@ -81,7 +127,7 @@ class STPhoto:
         return (self.t,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MovingVideo:
     """A geo-tagged video: URI, camera track, and one FoV per sample (or one for all)."""
 
@@ -103,6 +149,9 @@ class MovingVideo:
 
     def vertices(self) -> tuple[GeoPoint, ...]:
         return self.track.points
+
+    def spatial_bbox(self) -> Bbox:
+        return self.track.spatial_bbox()
 
     def at(self, t: TimeStamp) -> GeoPoint:
         """Camera position at time t."""
@@ -167,7 +216,7 @@ def kind_of(payload: MediaPayload) -> str:
         raise TypeError(f"not a media payload: {type(payload).__name__}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoMediaDocument:
     """A media value plus its kind tag and any unrecognized top-level members."""
 
@@ -216,16 +265,8 @@ def view_reach(x) -> float:
 def spatial_bbox(x) -> Bbox | None:
     """Tight (minLon, minLat, maxLon, maxLat) bounds of a media value.
 
-    Photos cover their FoV sector polygon, not just the camera point, so
-    "what can see location X" queries hit the spatial index. Sensor series
-    without a track have no spatial extent and yield None.
+    Photos cover their whole field-of-view wedge, not just the camera point,
+    so "what can see location X" queries hit the spatial index. Sensor
+    series without a track have no spatial extent and yield None.
     """
-    payload = payload_of(x)
-    points = payload.vertices()
-    if isinstance(payload, STPhoto):
-        points += fov_sector_polygon(payload.loc, payload.fov.direction2d, payload.fov).ring
-    if not points:
-        return None
-    lons = [p.lon for p in points]
-    lats = [p.lat for p in points]
-    return (min(lons), min(lats), max(lons), max(lats))
+    return payload_of(x).spatial_bbox()

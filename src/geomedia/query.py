@@ -18,7 +18,7 @@ from .store import FeatureRecord, MediaStore, _check_bbox, _check_interval
 from .temporal import TimeInterval, TimeStamp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuerySpec:
     """Declarative feature query: spatial box, time window, proximity, visibility.
 

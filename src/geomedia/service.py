@@ -206,14 +206,14 @@ class GeoMediaApi:
     def _post_annotation(self, params, body, cid, fid):
         obj = _decode_body(body)
         with self._mutation():  # so that two POSTs without an aid never pick the same one
+            existing = {a.aid for a in self.store.list_annotations(cid, fid)}
             if obj.get("aid") is None:
-                existing = {a.aid for a in self.store.list_annotations(cid, fid)}
                 n = len(existing) + 1
                 while f"a{n}" in existing:
                     n += 1
                 obj["aid"] = f"a{n}"
             ann = self.store.put_annotation(cid, fid, annotation_from_obj(obj, "iso"))
-        return 201, annotation_to_obj(ann, "iso")
+        return (200 if ann.aid in existing else 201), annotation_to_obj(ann, "iso")
 
     def _get_annotation(self, params, body, cid, fid, aid):
         return 200, annotation_to_obj(self.store.get_annotation(cid, fid, aid), "iso")

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -84,7 +85,7 @@ _COMPACT_SHARE = 32
 ANNOTATION_KINDS = ("text", "icon", "polygon")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Collection:
     """A named layer of homogeneous geo-tagged media."""
 
@@ -100,7 +101,7 @@ class Collection:
             raise ValueError(f"unknown media type {self.media_type!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     """A text, icon, or image-space polygon annotation on one feature."""
 
@@ -165,7 +166,7 @@ def annotation_from_obj(obj: dict, time_style: str) -> Annotation:
     return Annotation(obj.get("aid"), obj.get("kind"), obj.get("body"), time_range)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureRecord:
     """A stored document plus its cached spatial bbox and temporal extent."""
 
@@ -620,7 +621,8 @@ class MediaStore:
             raise CorruptStoreError(f"checksum mismatch for {cid}.ann.ndjson")
         state = _CollectionState(meta)
         self._collections[cid] = state
-        for line_no, line in enumerate(feature_bytes.decode("utf-8").splitlines(), 1):
+        # one line at a time: a decoded copy of the whole file would add to the load's peak
+        for line_no, line in enumerate(io.BytesIO(feature_bytes), 1):
             try:
                 wrapper = decode_json(line)
                 fid = wrapper["fid"]
@@ -634,7 +636,7 @@ class MediaStore:
                 f"{cid}: manifest says {want_features} features, file has {len(state.features)}"
             )
         state.spatial_index()
-        for line_no, line in enumerate(ann_bytes.decode("utf-8").splitlines(), 1):
+        for line_no, line in enumerate(io.BytesIO(ann_bytes), 1):
             try:
                 obj = decode_json(line)
                 ann = annotation_from_obj(obj, "epoch")

@@ -7,9 +7,12 @@ operations are pure and thread-safe.
 
 from __future__ import annotations
 
+import math
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .errors import (
     DegenerateTrackError,
@@ -27,7 +30,7 @@ class InterpolationMode(str, Enum):
     STEPWISE = "stepwise"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeInterval:
     """Closed interval [start, end] of epoch-millisecond timestamps; instants allowed."""
 
@@ -68,24 +71,92 @@ def _locate(times: tuple[TimeStamp, ...], t: TimeStamp, mode: InterpolationMode)
     return ("between", i, frac)
 
 
-@dataclass(frozen=True)
+# Flat longitude, latitude and altitude columns of a sequence of positions.
+# The altitude column is None when no position has an altitude, and holds NaN
+# for a position without one (altitudes are finite, so NaN is free).
+PositionColumns = tuple[array, array, array | None]
+
+
+def _columns_of(points) -> PositionColumns:
+    """The columns of GeoPoints; each point has been validated by GeoPoint."""
+    points = tuple(points)
+    lons = array("d", [p.lon for p in points])
+    lats = array("d", [p.lat for p in points])
+    if all(p.alt is None for p in points):
+        return lons, lats, None
+    return lons, lats, array("d", [math.nan if p.alt is None else p.alt for p in points])
+
+
+def _point(lons: array, lats: array, alts: array | None, i: int) -> GeoPoint:
+    alt = None if alts is None or math.isnan(alts[i]) else alts[i]
+    return GeoPoint(lons[i], lats[i], alt)
+
+
+def _points(lons: array, lats: array, alts: array | None) -> tuple[GeoPoint, ...]:
+    return tuple(_point(lons, lats, alts, i) for i in range(len(lons)))
+
+
+def _same_alts(a: array | None, b: array | None) -> bool:
+    """Equal altitude columns, NaN (no altitude) matching NaN."""
+    if a is None or b is None:
+        return a is b
+    return len(a) == len(b) and all(x == y or (x != x and y != y) for x, y in zip(a, b))
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class MovingPoint:
-    """A trajectory: positions sampled on a timeline plus an interpolation rule."""
+    """A trajectory: positions sampled on a timeline plus an interpolation rule.
+
+    Positions are held as position columns (lons, lats, alts), which are
+    never mutated; points builds GeoPoints from them on demand.
+    """
 
     times: tuple[TimeStamp, ...]
-    points: tuple[GeoPoint, ...]
-    mode: InterpolationMode = InterpolationMode.LINEAR
+    lons: array
+    lats: array
+    alts: array | None
+    mode: InterpolationMode
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", tuple(self.times))
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "mode", InterpolationMode(self.mode))
-        _check_times(self.times)
-        if len(self.points) != len(self.times):
+    def __init__(self, times, points, mode=InterpolationMode.LINEAR):
+        self._set(times, _columns_of(points), mode)
+
+    @classmethod
+    def from_columns(cls, times, columns: PositionColumns,
+                     mode=InterpolationMode.LINEAR) -> "MovingPoint":
+        """A track over columns of valid positions (see geo.check_position)."""
+        mp = object.__new__(cls)
+        mp._set(times, columns, mode)
+        return mp
+
+    def _set(self, times, columns: PositionColumns, mode) -> None:
+        times = tuple(times)
+        lons, lats, alts = columns
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "lons", lons)
+        object.__setattr__(self, "lats", lats)
+        object.__setattr__(self, "alts", alts)
+        object.__setattr__(self, "mode", InterpolationMode(mode))
+        _check_times(times)
+        if len(lons) != len(times):
             raise ValueError("points and times differ in length")
-        with_alt = sum(1 for p in self.points if p.alt is not None)
-        if with_alt not in (0, len(self.points)):
+        if alts is not None and any(map(math.isnan, alts)):
             raise ValueError("either all samples carry altitude or none do")
+
+    @property
+    def points(self) -> tuple[GeoPoint, ...]:
+        return _points(self.lons, self.lats, self.alts)
+
+    def __eq__(self, other):
+        if type(other) is not MovingPoint:
+            return NotImplemented
+        return (self.times, self.lons, self.lats, self.alts, self.mode) == (
+            other.times, other.lons, other.lats, other.alts, other.mode)
+
+    def __hash__(self):
+        return hash((self.times, self.mode))
+
+    def __repr__(self) -> str:
+        return f"MovingPoint(times={self.times!r}, points={self.points!r}, mode={self.mode!r})"
 
     def __len__(self) -> int:
         return len(self.times)
@@ -96,16 +167,18 @@ class MovingPoint:
     def vertices(self) -> tuple[GeoPoint, ...]:
         return self.points
 
+    def spatial_bbox(self) -> tuple[float, float, float, float]:
+        return (min(self.lons), min(self.lats), max(self.lons), max(self.lats))
+
     def at(self, t: TimeStamp) -> GeoPoint:
         """Position at time t under this track's interpolation mode."""
         where, i, frac = _locate(self.times, t, self.mode)
         if where == "exact":
-            return self.points[i]
-        a, b = self.points[i], self.points[i + 1]
-        alt = None
-        if a.alt is not None and b.alt is not None:
-            alt = a.alt + (b.alt - a.alt) * frac
-        return GeoPoint(a.lon + (b.lon - a.lon) * frac, a.lat + (b.lat - a.lat) * frac, alt)
+            return _point(self.lons, self.lats, self.alts, i)
+        lons, lats, alts = self.lons, self.lats, self.alts
+        alt = None if alts is None else alts[i] + (alts[i + 1] - alts[i]) * frac
+        return GeoPoint(lons[i] + (lons[i + 1] - lons[i]) * frac,
+                        lats[i] + (lats[i + 1] - lats[i]) * frac, alt)
 
     def heading_at(self, t: TimeStamp) -> float:
         """Bearing (degrees clockwise from north) of the segment containing t.
@@ -120,38 +193,72 @@ class MovingPoint:
         if t < self.times[0] or t > self.times[-1]:
             raise OutOfRangeError(f"time {t} outside extent")
         last_seg = len(self.times) - 2
-        i = bisect_right(self.times, t) - 1
-        if i > last_seg:
-            i = last_seg
-        for j in range(i, -1, -1):
-            if not self.points[j].same_position(self.points[j + 1]):
-                return bearing(self.points[j], self.points[j + 1])
-        for j in range(i + 1, last_seg + 1):
-            if not self.points[j].same_position(self.points[j + 1]):
-                return bearing(self.points[j], self.points[j + 1])
+        i = min(bisect_right(self.times, t) - 1, last_seg)
+        lons, lats = self.lons, self.lats
+        for j in chain(range(i, -1, -1), range(i + 1, last_seg + 1)):
+            if lons[j] != lons[j + 1] or lats[j] != lats[j + 1]:
+                return bearing(_point(lons, lats, None, j), _point(lons, lats, None, j + 1))
         raise DegenerateTrackError("all track points are identical")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class MovingDouble:
-    """Scalar sensor values sampled on a timeline, optionally tied to positions."""
+    """Scalar sensor values sampled on a timeline, optionally tied to positions.
+
+    The positions are held as position columns (all None without a track),
+    never mutated; track builds GeoPoints from them on demand.
+    """
 
     times: tuple[TimeStamp, ...]
     values: tuple[float, ...]
-    mode: InterpolationMode = InterpolationMode.LINEAR
-    track: tuple[GeoPoint, ...] | None = field(default=None)
+    mode: InterpolationMode
+    lons: array | None
+    lats: array | None
+    alts: array | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", tuple(self.times))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "mode", InterpolationMode(self.mode))
-        if self.track is not None:
-            object.__setattr__(self, "track", tuple(self.track))
-        _check_times(self.times)
-        if len(self.values) != len(self.times):
+    def __init__(self, times, values, mode=InterpolationMode.LINEAR, track=None):
+        self._set(times, values, mode, None if track is None else _columns_of(track))
+
+    @classmethod
+    def from_columns(cls, times, values, mode=InterpolationMode.LINEAR,
+                     columns: PositionColumns | None = None) -> "MovingDouble":
+        """A series over columns of valid positions (see geo.check_position), or none."""
+        md = object.__new__(cls)
+        md._set(times, values, mode, columns)
+        return md
+
+    def _set(self, times, values, mode, columns: PositionColumns | None) -> None:
+        times = tuple(times)
+        lons, lats, alts = (None, None, None) if columns is None else columns
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", tuple(float(v) for v in values))
+        object.__setattr__(self, "mode", InterpolationMode(mode))
+        object.__setattr__(self, "lons", lons)
+        object.__setattr__(self, "lats", lats)
+        object.__setattr__(self, "alts", alts)
+        _check_times(times)
+        if len(self.values) != len(times):
             raise ValueError("values and times differ in length")
-        if self.track is not None and len(self.track) != len(self.times):
+        if lons is not None and len(lons) != len(times):
             raise ValueError("track length differs from sample count")
+
+    @property
+    def track(self) -> tuple[GeoPoint, ...] | None:
+        return None if self.lons is None else _points(self.lons, self.lats, self.alts)
+
+    def __eq__(self, other):
+        if type(other) is not MovingDouble:
+            return NotImplemented
+        return (self.times, self.values, self.mode, self.lons, self.lats) == (
+            other.times, other.values, other.mode, other.lons, other.lats
+        ) and _same_alts(self.alts, other.alts)
+
+    def __hash__(self):
+        return hash((self.times, self.values, self.mode))
+
+    def __repr__(self) -> str:
+        return (f"MovingDouble(times={self.times!r}, values={self.values!r}, "
+                f"mode={self.mode!r}, track={self.track!r})")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -162,6 +269,12 @@ class MovingDouble:
     def vertices(self) -> tuple[GeoPoint, ...]:
         """Sample positions; empty for a series without a coordinate track."""
         return self.track or ()
+
+    def spatial_bbox(self) -> tuple[float, float, float, float] | None:
+        """Bounds of the track; None for a series without one."""
+        if self.lons is None:
+            return None
+        return (min(self.lons), min(self.lats), max(self.lons), max(self.lats))
 
     def at(self, t: TimeStamp) -> float:
         """Scalar value at time t under this series' interpolation mode."""

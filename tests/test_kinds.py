@@ -77,7 +77,7 @@ EXPECTED = {
         "fov_at_t": (PHOTO_CAMERA, 90.0, PHOTO_FOV),
         "visible_intervals": [TimeInterval(T0, T0)],
         "visible_intervals_step_0": BadQueryError,
-        "spatial_bbox": (-122.0879583, 37.41834793156691, -122.08761890360921, 37.41862986772647),
+        "spatial_bbox": (-122.0879583, 37.41834793156691, -122.08761859992923, 37.41862986772647),
         "time_extent": TimeInterval(T0, T0),
         "visible_from": ["f1"],
         "time_ranged_annotation": ParseError,

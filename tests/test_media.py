@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from geomedia import (
@@ -41,22 +43,57 @@ class TestSpatialBbox:
 
     def test_photo_covers_sector(self):
         # camera at the origin looking north, 100 m: the bbox must reach the
-        # sector's far edge, about 0.0009 degrees north. Oracle: arc vertices
-        # by the destination formula at ceil(63/5)=13 segment bearings.
-        from geomedia import destination
+        # sector's far edge, about 0.0009 degrees north: the arc point at
+        # bearing 0, at or past every vertex of the 5-degree sector polygon.
+        from geomedia import destination, fov_sector_polygon
 
         camera = GeoPoint(0, 0)
-        photo = STPhoto(
-            "u:p", camera, 0,
-            FieldOfView(h_angle=63, direction2d=0, view_distance=100),
-        )
+        fov = FieldOfView(h_angle=63, direction2d=0, view_distance=100)
+        photo = STPhoto("u:p", camera, 0, fov)
         min_lon, min_lat, max_lon, max_lat = spatial_bbox(photo)
-        bearings = [-31.5 + k * 63 / 13 for k in range(14)]
-        want_max_lat = max(destination(camera, b, 100).lat for b in bearings)
+        ring = fov_sector_polygon(camera, 0, fov).ring
         assert min_lat == 0.0
-        assert max_lat == pytest.approx(want_max_lat, rel=1e-12)
+        assert max_lat == destination(camera, 0, 100).lat
+        assert all(max_lat >= p.lat for p in ring)
+        assert all(min_lon <= p.lon <= max_lon for p in ring)
         assert max_lat == pytest.approx(0.0009, abs=2e-6)
         assert min_lon < 0 < max_lon
+
+    def test_random_photo_boxes_hold_the_arc_and_camera(self):
+        # latitudes up to 85, wedges across north or east (or a full circle),
+        # view distances up to 200 km; longitudes keep clear of +-180. The
+        # radii are swept too: near a pole one bulges past both its ends.
+        from geomedia import destination
+
+        rng = random.Random(15)
+        for _ in range(12):
+            camera = GeoPoint(rng.uniform(-150, 150), rng.uniform(-85, 85))
+            h_angle = rng.choice([360.0, rng.uniform(1, 359)])
+            across = rng.choice([0.0, 90.0])
+            direction = (across + rng.uniform(-h_angle, h_angle) / 2) % 360
+            distance = rng.uniform(1, 200_000)
+            fov = FieldOfView(h_angle=h_angle, direction2d=direction, view_distance=distance)
+            min_lon, min_lat, max_lon, max_lat = spatial_bbox(STPhoto("u:p", camera, 0, fov))
+            start, steps = direction - h_angle / 2, int(h_angle / 0.01)
+            arc = [destination(camera, start + k * h_angle / steps, distance)
+                   for k in range(steps + 1)]
+            radii = [destination(camera, b, k * distance / 200)
+                     for b in (start, start + h_angle) for k in range(1, 200)]
+            for p in [camera, *arc, *radii]:
+                assert min_lon <= p.lon <= max_lon and min_lat <= p.lat <= max_lat, (fov, camera, p)
+
+    def test_photo_box_holds_the_turn_of_a_radius(self):
+        # at 80 N a radius at bearing 85 turns south after ~100 km, so the
+        # wedge's northmost point lies inside it, above the camera and both arc ends
+        from geomedia import destination
+
+        camera = GeoPoint(10, 80)
+        photo = STPhoto("u:p", camera, 0, FieldOfView(h_angle=10, direction2d=90,
+                                                      view_distance=200_000))
+        max_lat = spatial_bbox(photo)[3]
+        radius = [destination(camera, 85, k * 1000) for k in range(201)]
+        assert max_lat >= max(p.lat for p in radius)
+        assert max_lat > max(camera.lat, radius[-1].lat, destination(camera, 95, 200_000).lat)
 
     def test_video_uses_track(self, moving_video_doc):
         assert spatial_bbox(moving_video_doc) == (150.0, 50.0, 170.0, 60.0)

@@ -417,6 +417,19 @@ class TestAnnotations:
         status, body = api.handle("GET", "/collections/pics/items/p1/annotations")
         assert body["annotations"] == []
 
+    def test_post_with_an_existing_aid_replaces_and_answers_200(self, api):
+        api.handle("POST", "/collections", b'{"id": "pics", "mediaType": "stphoto"}')
+        api.handle("PUT", "/collections/pics/items/p1", fixture_bytes("stphoto.json"))
+        target = "/collections/pics/items/p1/annotations"
+        status, _ = api.handle("POST", target, b'{"aid": "x", "kind": "text", "body": "one"}')
+        assert status == 201
+        status, body = api.handle("POST", target, b'{"aid": "x", "kind": "text", "body": "two"}')
+        assert (status, body["body"]) == (200, "two")
+        status, body = api.handle("POST", target, b'{"aid": "y", "kind": "text", "body": "new"}')
+        assert status == 201
+        _, body = api.handle("GET", target)
+        assert [(a["aid"], a["body"]) for a in body["annotations"]] == [("x", "two"), ("y", "new")]
+
     def test_polygon_arity_rejected(self, api):
         api.handle("POST", "/collections", b'{"id": "pics", "mediaType": "stphoto"}')
         api.handle("PUT", "/collections/pics/items/p1", fixture_bytes("stphoto.json"))
