@@ -460,12 +460,13 @@ def _time_member(times, time_style: str) -> dict:
 
 
 def _write_moving_point(mp: MovingPoint, time_style: str) -> dict:
-    return {"coordinates": _coords(mp), **_time_member(mp.times, time_style),
+    return {"coordinates": _coords(mp), **_time_member(mp.time_column, time_style),
             "interpolation": mp.mode.value}
 
 
 def _write_moving_double(md: MovingDouble, time_style: str) -> dict:
-    out = {"values": [_num(v) for v in md.values], **_time_member(md.times, time_style)}
+    out = {"values": [_num(v) for v in md.value_column],
+           **_time_member(md.time_column, time_style)}
     if md.lons is not None:
         out["coordinates"] = _coords(md)
     out["interpolation"] = md.mode.value
@@ -486,7 +487,7 @@ def _write_moving_video(video: MovingVideo, time_style: str) -> dict:
              "viewDistance": _num(f.view_distance), "direction2d": _num(f.direction2d)}
             for f in video.fovs]
     return {"uri": video.videouri, "coordinates": _coords(video.track),
-            "fov": fovs, **_time_member(video.track.times, time_style),
+            "fov": fovs, **_time_member(video.track.time_column, time_style),
             "interpolation": video.track.mode.value}
 
 

@@ -166,7 +166,8 @@ class MovingVideo:
         if t is None:
             raise BadQueryError("a time ('at') is required for a moving video")
         camera = self.track.at(t)
-        fov = self.fovs[bisect_right(self.track.times, t) - 1 if len(self.fovs) > 1 else 0]
+        fovs = self.fovs
+        fov = fovs[bisect_right(self.track.time_column, t) - 1 if len(fovs) > 1 else 0]
         heading = self.track.heading_at(t) if fov.is_relative else None
         return FovState(camera, resolve_direction(fov, heading), fov)
 
@@ -174,9 +175,10 @@ class MovingVideo:
         """Sorted instants to test p at; none when p is out of reach."""
         if not self._maybe_visible(p):
             return []
-        times = set(self.track.times)
+        column = self.track.time_column
+        times = set(column)
         if self.track.mode is not InterpolationMode.DISCRETE:
-            times.update(range(self.track.times[0], self.track.times[-1] + 1, step_ms))
+            times.update(range(column[0], column[-1] + 1, step_ms))
         return sorted(times)
 
     def _maybe_visible(self, p: GeoPoint) -> bool:

@@ -12,7 +12,9 @@ manifest.json with collection metadata and content checksums, one
 <cid>.ndjson of features, and one <cid>.ann.ndjson of annotations per
 collection (UTF-8, LF). flush() compacts: it stages every file, fsyncs it,
 renames data files first and the manifest last, so an interrupted flush is
-always detected by checksum at load time instead of loading silently.
+always detected by checksum at load time instead of loading silently. Both
+flush() and load() stream each file a line at a time, hashing as they go, so
+neither holds a whole file in memory.
 
 Mutating methods change memory and queue an op; commit() appends the queued
 ops to wal.log as checksummed NDJSON records and fsyncs the log. The log's
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import json
 import math
 import os
@@ -81,6 +82,7 @@ _FORMAT_VERSION = 1
 # mutations, between compactions of ~0.2 s each.
 _COMPACT_MIN_BYTES = 64 * 1024
 _COMPACT_SHARE = 32
+_HASH_CHUNK = 64 * 1024  # bytes load() reads at a time to checksum a snapshot file
 
 ANNOTATION_KINDS = ("text", "icon", "polygon")
 
@@ -503,21 +505,18 @@ class MediaStore:
         size = 0
         for cid in sorted(self._collections):
             state = self._collections[cid]
-            feature_lines = []
-            for fid in sorted(state.features):
-                doc = state.features[fid].doc
-                line = json.dumps(
-                    {"fid": fid, "document": document_to_obj(doc, "epoch")},
-                    separators=(", ", ": "),
-                )
-                feature_lines.append(line + "\n")
-            ann_lines = []
-            for fid in sorted(state.annotations):
-                for aid in sorted(state.annotations[fid]):
-                    obj = {"fid": fid, **annotation_to_obj(state.annotations[fid][aid], "epoch")}
-                    ann_lines.append(json.dumps(obj, separators=(", ", ": ")) + "\n")
-            feature_bytes = "".join(feature_lines).encode("utf-8")
-            ann_bytes = "".join(ann_lines).encode("utf-8")
+            feature_lines = (
+                _ndjson_line({"fid": fid, "document": document_to_obj(record.doc, "epoch")})
+                for fid, record in sorted(state.features.items())
+            )
+            ann_lines = (
+                _ndjson_line({"fid": fid, **annotation_to_obj(anns[aid], "epoch")})
+                for fid, anns in sorted(state.annotations.items())
+                for aid in sorted(anns)
+            )
+            features_tmp, features_sha, features_size = _stage(
+                target / f"{cid}.ndjson", feature_lines)
+            anns_tmp, anns_sha, anns_size = _stage(target / f"{cid}.ann.ndjson", ann_lines)
             meta = state.meta
             entries.append(
                 {
@@ -526,26 +525,23 @@ class MediaStore:
                     "mediaType": meta.media_type,
                     "created": meta.created,
                     "features": len(state.features),
-                    "sha256": {
-                        "features": hashlib.sha256(feature_bytes).hexdigest(),
-                        "annotations": hashlib.sha256(ann_bytes).hexdigest(),
-                    },
+                    "sha256": {"features": features_sha, "annotations": anns_sha},
                 }
             )
-            staged.append(_stage(target / f"{cid}.ndjson", feature_bytes))
-            staged.append(_stage(target / f"{cid}.ann.ndjson", ann_bytes))
-            size += len(feature_bytes) + len(ann_bytes)
+            staged.append((features_tmp, target / f"{cid}.ndjson"))
+            staged.append((anns_tmp, target / f"{cid}.ann.ndjson"))
+            size += features_size + anns_size
         manifest = {"version": _FORMAT_VERSION, "collections": entries}
-        manifest_bytes = (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
-        manifest_staged = _stage(target / _MANIFEST, manifest_bytes)
+        manifest_tmp, manifest_sha, manifest_size = _stage(
+            target / _MANIFEST, [json.dumps(manifest, indent=2) + "\n"])
         for tmp, final in staged:
             tmp.replace(final)
-        manifest_staged[0].replace(manifest_staged[1])
+        manifest_tmp.replace(target / _MANIFEST)
         _fsync_dir(target)
         # The new snapshot holds every op: a log still on disk names the old
         # manifest, so load ignores it, and the next commit starts afresh.
-        self._snapshot = hashlib.sha256(manifest_bytes).hexdigest()
-        self._snapshot_bytes = size + len(manifest_bytes)
+        self._snapshot = manifest_sha
+        self._snapshot_bytes = size + manifest_size
         self._log_bytes = 0
         self._pending.clear()
         (target / _LOG).unlink(missing_ok=True)
@@ -613,16 +609,26 @@ class MediaStore:
             shas = entry["sha256"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptStoreError(f"bad manifest entry: {exc}") from None
-        feature_bytes = _read_file(target / f"{cid}.ndjson")
-        ann_bytes = _read_file(target / f"{cid}.ann.ndjson")
-        if hashlib.sha256(feature_bytes).hexdigest() != shas.get("features"):
-            raise CorruptStoreError(f"checksum mismatch for {cid}.ndjson")
-        if hashlib.sha256(ann_bytes).hexdigest() != shas.get("annotations"):
-            raise CorruptStoreError(f"checksum mismatch for {cid}.ann.ndjson")
-        state = _CollectionState(meta)
-        self._collections[cid] = state
-        # one line at a time: a decoded copy of the whole file would add to the load's peak
-        for line_no, line in enumerate(io.BytesIO(feature_bytes), 1):
+        # Both checksums are checked before either file is parsed. The parse
+        # then reads the same open files again, one line at a time.
+        with contextlib.ExitStack() as files:
+            feature_file, feature_sha, feature_size = _open_hashed(
+                files, target / f"{cid}.ndjson")
+            ann_file, ann_sha, ann_size = _open_hashed(files, target / f"{cid}.ann.ndjson")
+            if feature_sha != shas.get("features"):
+                raise CorruptStoreError(f"checksum mismatch for {cid}.ndjson")
+            if ann_sha != shas.get("annotations"):
+                raise CorruptStoreError(f"checksum mismatch for {cid}.ann.ndjson")
+            state = _CollectionState(meta)
+            self._collections[cid] = state
+            self._parse_collection(state, want_features, feature_file, ann_file)
+        return feature_size + ann_size
+
+    @staticmethod
+    def _parse_collection(state: _CollectionState, want_features: int,
+                          feature_file, ann_file) -> None:
+        cid = state.meta.id
+        for line_no, line in _numbered_lines(feature_file, f"{cid}.ndjson"):
             try:
                 wrapper = decode_json(line)
                 fid = wrapper["fid"]
@@ -636,7 +642,7 @@ class MediaStore:
                 f"{cid}: manifest says {want_features} features, file has {len(state.features)}"
             )
         state.spatial_index()
-        for line_no, line in enumerate(io.BytesIO(ann_bytes), 1):
+        for line_no, line in _numbered_lines(ann_file, f"{cid}.ann.ndjson"):
             try:
                 obj = decode_json(line)
                 ann = annotation_from_obj(obj, "epoch")
@@ -646,7 +652,6 @@ class MediaStore:
             if fid not in state.features:
                 raise CorruptStoreError(f"{cid}.ann.ndjson line {line_no}: unknown feature {fid!r}")
             state.annotations.setdefault(fid, {})[ann.aid] = ann
-        return len(feature_bytes) + len(ann_bytes)
 
 
 # The MediaStore methods a log record may name; its other fields are their arguments.
@@ -716,13 +721,26 @@ def _verified(line: bytes) -> dict | None:
     return rec
 
 
-def _stage(final: Path, data: bytes) -> tuple[Path, Path]:
+def _ndjson_line(obj: dict) -> str:
+    return json.dumps(obj, separators=(", ", ": ")) + "\n"
+
+
+def _stage(final: Path, lines) -> tuple[Path, str, int]:
+    """Write lines to final's .tmp sibling as UTF-8 and fsync it, one line at a time.
+
+    Returns the staged path and the SHA-256 hex digest and size of what it holds.
+    """
     tmp = final.with_name(final.name + ".tmp")
+    digest, size = hashlib.sha256(), 0
     with open(tmp, "wb") as f:
-        f.write(data)
+        for line in lines:
+            data = line.encode("utf-8")
+            digest.update(data)
+            f.write(data)
+            size += len(data)
         f.flush()
         os.fsync(f.fileno())
-    return tmp, final
+    return tmp, digest.hexdigest(), size
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -733,11 +751,26 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _read_file(path: Path) -> bytes:
+def _open_hashed(files: contextlib.ExitStack, path: Path):
+    """Open a store file on files; the file, rewound, and its SHA-256 hex digest and size."""
     try:
-        return path.read_bytes()
+        f = files.enter_context(open(path, "rb"))
+        digest = hashlib.sha256()
+        while chunk := f.read(_HASH_CHUNK):
+            digest.update(chunk)
+        size = f.tell()
+        f.seek(0)
     except OSError as exc:
         raise CorruptStoreError(f"missing store file: {exc}") from None
+    return f, digest.hexdigest(), size
+
+
+def _numbered_lines(f, name: str):
+    """The lines of an open store file numbered from 1; a read error is CorruptStoreError."""
+    try:
+        yield from enumerate(f, 1)
+    except OSError as exc:
+        raise CorruptStoreError(f"unreadable {name}: {exc}") from None
 
 
 def _check_bbox(bbox) -> Bbox | None:

@@ -2,7 +2,9 @@
 
 Timestamps are integers: milliseconds since the Unix epoch, UTC. Tracks hold
 strictly increasing timestamps and are immutable after construction, so all
-operations are pure and thread-safe.
+operations are pure and thread-safe. A track keeps its timeline, values and
+positions as flat array columns; the tuple-valued attributes (times, values,
+points) build a tuple per access and are for callers outside this package.
 """
 
 from __future__ import annotations
@@ -48,15 +50,23 @@ class TimeInterval:
         return self.start <= other.end and other.start <= self.end
 
 
-def _check_times(times: tuple[TimeStamp, ...]) -> None:
+def _time_column(times) -> array:
+    """times as an array('q') column; ValueError unless they are strictly
+    increasing 64-bit integers, at least one."""
+    times = tuple(times)  # the order check reads the tuple: no int is boxed
+    try:
+        column = array("q", times)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"timestamps must be 64-bit integers: {exc}") from None
     if not times:
         raise ValueError("at least one sample is required")
     for a, b in zip(times, times[1:]):
         if b <= a:
             raise ValueError(f"timestamps not strictly increasing at {b}")
+    return column
 
 
-def _locate(times: tuple[TimeStamp, ...], t: TimeStamp, mode: InterpolationMode):
+def _locate(times: array, t: TimeStamp, mode: InterpolationMode):
     """Return ("exact", i) or ("between", i, frac) for t within the extent."""
     if t < times[0] or t > times[-1]:
         raise OutOfRangeError(f"time {t} outside extent [{times[0]}, {times[-1]}]")
@@ -107,11 +117,12 @@ def _same_alts(a: array | None, b: array | None) -> bool:
 class MovingPoint:
     """A trajectory: positions sampled on a timeline plus an interpolation rule.
 
-    Positions are held as position columns (lons, lats, alts), which are
-    never mutated; points builds GeoPoints from them on demand.
+    The timeline is held as an array('q') column and the positions as
+    position columns (lons, lats, alts), none ever mutated; times and points
+    build a tuple from them on demand.
     """
 
-    times: tuple[TimeStamp, ...]
+    time_column: array
     lons: array
     lats: array
     alts: array | None
@@ -129,18 +140,21 @@ class MovingPoint:
         return mp
 
     def _set(self, times, columns: PositionColumns, mode) -> None:
-        times = tuple(times)
+        times = _time_column(times)
         lons, lats, alts = columns
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "time_column", times)
         object.__setattr__(self, "lons", lons)
         object.__setattr__(self, "lats", lats)
         object.__setattr__(self, "alts", alts)
         object.__setattr__(self, "mode", InterpolationMode(mode))
-        _check_times(times)
         if len(lons) != len(times):
             raise ValueError("points and times differ in length")
         if alts is not None and any(map(math.isnan, alts)):
             raise ValueError("either all samples carry altitude or none do")
+
+    @property
+    def times(self) -> tuple[TimeStamp, ...]:
+        return tuple(self.time_column)
 
     @property
     def points(self) -> tuple[GeoPoint, ...]:
@@ -149,8 +163,8 @@ class MovingPoint:
     def __eq__(self, other):
         if type(other) is not MovingPoint:
             return NotImplemented
-        return (self.times, self.lons, self.lats, self.alts, self.mode) == (
-            other.times, other.lons, other.lats, other.alts, other.mode)
+        return (self.time_column, self.lons, self.lats, self.alts, self.mode) == (
+            other.time_column, other.lons, other.lats, other.alts, other.mode)
 
     def __hash__(self):
         return hash((self.times, self.mode))
@@ -159,10 +173,10 @@ class MovingPoint:
         return f"MovingPoint(times={self.times!r}, points={self.points!r}, mode={self.mode!r})"
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.time_column)
 
     def time_extent(self) -> TimeInterval:
-        return TimeInterval(self.times[0], self.times[-1])
+        return TimeInterval(self.time_column[0], self.time_column[-1])
 
     def vertices(self) -> tuple[GeoPoint, ...]:
         return self.points
@@ -172,7 +186,7 @@ class MovingPoint:
 
     def at(self, t: TimeStamp) -> GeoPoint:
         """Position at time t under this track's interpolation mode."""
-        where, i, frac = _locate(self.times, t, self.mode)
+        where, i, frac = _locate(self.time_column, t, self.mode)
         if where == "exact":
             return _point(self.lons, self.lats, self.alts, i)
         lons, lats, alts = self.lons, self.lats, self.alts
@@ -188,12 +202,13 @@ class MovingPoint:
         moving segment's bearing (or the nearest following one when the track
         starts without motion).
         """
-        if len(self.times) < 2:
+        times = self.time_column
+        if len(times) < 2:
             raise DegenerateTrackError("heading undefined for a single-sample track")
-        if t < self.times[0] or t > self.times[-1]:
+        if t < times[0] or t > times[-1]:
             raise OutOfRangeError(f"time {t} outside extent")
-        last_seg = len(self.times) - 2
-        i = min(bisect_right(self.times, t) - 1, last_seg)
+        last_seg = len(times) - 2
+        i = min(bisect_right(times, t) - 1, last_seg)
         lons, lats = self.lons, self.lats
         for j in chain(range(i, -1, -1), range(i + 1, last_seg + 1)):
             if lons[j] != lons[j + 1] or lats[j] != lats[j + 1]:
@@ -205,12 +220,14 @@ class MovingPoint:
 class MovingDouble:
     """Scalar sensor values sampled on a timeline, optionally tied to positions.
 
-    The positions are held as position columns (all None without a track),
-    never mutated; track builds GeoPoints from them on demand.
+    The timeline is held as an array('q') column, the values as an
+    array('d') column and the positions as position columns (all None
+    without a track), none ever mutated; times, values and track build a
+    tuple from them on demand.
     """
 
-    times: tuple[TimeStamp, ...]
-    values: tuple[float, ...]
+    time_column: array
+    value_column: array
     mode: InterpolationMode
     lons: array | None
     lats: array | None
@@ -228,19 +245,26 @@ class MovingDouble:
         return md
 
     def _set(self, times, values, mode, columns: PositionColumns | None) -> None:
-        times = tuple(times)
+        times = _time_column(times)
         lons, lats, alts = (None, None, None) if columns is None else columns
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
+        object.__setattr__(self, "time_column", times)
+        object.__setattr__(self, "value_column", array("d", map(float, values)))
         object.__setattr__(self, "mode", InterpolationMode(mode))
         object.__setattr__(self, "lons", lons)
         object.__setattr__(self, "lats", lats)
         object.__setattr__(self, "alts", alts)
-        _check_times(times)
-        if len(self.values) != len(times):
+        if len(self.value_column) != len(times):
             raise ValueError("values and times differ in length")
         if lons is not None and len(lons) != len(times):
             raise ValueError("track length differs from sample count")
+
+    @property
+    def times(self) -> tuple[TimeStamp, ...]:
+        return tuple(self.time_column)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.value_column)
 
     @property
     def track(self) -> tuple[GeoPoint, ...] | None:
@@ -249,8 +273,8 @@ class MovingDouble:
     def __eq__(self, other):
         if type(other) is not MovingDouble:
             return NotImplemented
-        return (self.times, self.values, self.mode, self.lons, self.lats) == (
-            other.times, other.values, other.mode, other.lons, other.lats
+        return (self.time_column, self.value_column, self.mode, self.lons, self.lats) == (
+            other.time_column, other.value_column, other.mode, other.lons, other.lats
         ) and _same_alts(self.alts, other.alts)
 
     def __hash__(self):
@@ -261,10 +285,10 @@ class MovingDouble:
                 f"mode={self.mode!r}, track={self.track!r})")
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.time_column)
 
     def time_extent(self) -> TimeInterval:
-        return TimeInterval(self.times[0], self.times[-1])
+        return TimeInterval(self.time_column[0], self.time_column[-1])
 
     def vertices(self) -> tuple[GeoPoint, ...]:
         """Sample positions; empty for a series without a coordinate track."""
@@ -278,8 +302,9 @@ class MovingDouble:
 
     def at(self, t: TimeStamp) -> float:
         """Scalar value at time t under this series' interpolation mode."""
-        where, i, frac = _locate(self.times, t, self.mode)
+        where, i, frac = _locate(self.time_column, t, self.mode)
+        values = self.value_column
         if where == "exact":
-            return self.values[i]
-        a, b = self.values[i], self.values[i + 1]
+            return values[i]
+        a, b = values[i], values[i + 1]
         return a + (b - a) * frac

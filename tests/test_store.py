@@ -125,10 +125,11 @@ class TestFeatures:
 
 
 class TestMemory:
-    # Bytes held per stored sample of a 12-sample track, parse plus put: about
-    # 120 with coordinate columns and slotted records (3.10 and 3.11), against
-    # 250 (3.11) and 330 (3.10) with one GeoPoint per sample.
-    BYTES_PER_SAMPLE = 180
+    # Bytes held per stored sample of a 12-sample track, parse plus put: 96
+    # (3.11) and 101 (3.10) with time and coordinate columns in slotted
+    # records, against 119 and 124 with a tuple of ints for the times, and
+    # 250 and 330 with one GeoPoint per sample.
+    BYTES_PER_SAMPLE = 110
 
     def test_stored_tracks_hold_no_object_per_sample(self):
         texts = [
@@ -150,6 +151,50 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert held / 12_000 < self.BYTES_PER_SAMPLE
+
+
+def _twelve_sample_tracks(directory, count):
+    store = MediaStore(directory)
+    store.create_collection("taxi", "", "MovingPoint", created=0)
+    for i in range(count):
+        times = tuple(T0 + i * 60_000 + k * 1000 for k in range(12))
+        points = tuple(GeoPoint(126 + i * 1e-4 + k * 1e-5, 37.5 + k * 1e-5) for k in range(12))
+        store.put_feature("taxi", f"f{i:04d}", document_of(MovingPoint(times, points)))
+    return store
+
+
+def _transient_bytes(call):
+    """Bytes that call() allocates at its peak beyond what it leaves held, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held, result
+
+
+class TestStreaming:
+    """flush() and load() stream each snapshot file: neither holds a whole copy of one."""
+
+    # A whole file in memory is 1x its size; what streaming holds at once is
+    # one line and a read chunk: 0.02x (flush) and 0.04x (load) here.
+    PEAK_SHARE = 0.25
+
+    def test_load_peak(self, tmp_path):
+        _twelve_sample_tracks(tmp_path / "s", 2000).flush()
+        size = (tmp_path / "s" / "taxi.ndjson").stat().st_size
+        assert size > 1_000_000
+        transient, loaded = _transient_bytes(lambda: MediaStore.load(tmp_path / "s"))
+        assert loaded.feature_count("taxi") == 2000
+        assert transient < self.PEAK_SHARE * size
+
+    def test_flush_peak(self, tmp_path):
+        store = _twelve_sample_tracks(tmp_path / "s", 2000)
+        transient, _ = _transient_bytes(store.flush)
+        size = (tmp_path / "s" / "taxi.ndjson").stat().st_size
+        assert size > 1_000_000
+        assert transient < self.PEAK_SHARE * size
 
 
 class TestStQuery:
@@ -348,6 +393,29 @@ class TestDurability:
             back = {r.fid: serialize_document(r.doc) for r in loaded.list_features(cid)}
             assert orig == back
         assert loaded.list_annotations("pics", "p1") == store.list_annotations("pics", "p1")
+
+    def test_flush_load_flush_is_byte_identical(self, tmp_path, moving_double_doc,
+                                                moving_video_doc):
+        target = tmp_path / "s"
+        store = MediaStore(target)
+        self._populate(store)
+        store.create_collection("sensors", "Sensors", "MovingDouble", created=3000)
+        store.put_feature("sensors", "d1", moving_double_doc)
+        store.create_collection("vids", "Videos", "MovingVideo", created=4000)
+        store.put_feature("vids", "v1", moving_video_doc)
+        store.flush()
+        first = {p.name: p.read_bytes() for p in sorted(target.iterdir())}
+        loaded = MediaStore.load(target)
+        loaded.flush()
+        assert {p.name: p.read_bytes() for p in sorted(target.iterdir())} == first
+        md = loaded.get_feature("sensors", "d1").doc.payload
+        assert type(md.times) is type(md.values) is tuple
+        assert (md.times, md.values) == (moving_double_doc.payload.times,
+                                         moving_double_doc.payload.values)
+        for cid in ("tracks", "sensors", "vids"):
+            for orig, back in zip(store.list_features(cid), loaded.list_features(cid)):
+                assert back.doc.payload == orig.doc.payload
+                assert hash(back.doc.payload) == hash(orig.doc.payload)
 
     def test_queries_identical_after_reload(self, tmp_path):
         store = MediaStore(tmp_path / "s")

@@ -162,6 +162,32 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_mp([0, 1000], [(0, 0), (1, 1)], "cubic")
 
+    @pytest.mark.parametrize("times", [(1.5, 2), (0, 2**63), ("0", "1")],
+                             ids=["float", "past-int64", "str"])
+    def test_non_int64_time_rejected(self, times):
+        with pytest.raises(ValueError, match="timestamps must be 64-bit integers"):
+            MovingPoint(times, (GeoPoint(0, 0), GeoPoint(1, 1)))
+        with pytest.raises(ValueError, match="timestamps must be 64-bit integers"):
+            MovingDouble(times, (1.0, 2.0))
+
+    def test_times_and_values_read_back_as_tuples(self):
+        times, coords = [T0, T1, T2], [(0, 0), (1, 1), (2, 2)]
+        mp = make_mp(times, coords)
+        md = MovingDouble(iter(times), [5, 9.5, 6])
+        assert type(mp.times) is type(md.times) is type(md.values) is tuple
+        assert mp.times == md.times == (T0, T1, T2)
+        assert md.values == (5.0, 9.5, 6.0)
+        assert all(type(v) is float for v in md.values)
+
+    def test_equal_tracks_hash_equal(self):
+        coords = [(0, 0), (1, 1), (2, 2)]
+        a, b = make_mp([T0, T1, T2], coords), make_mp((T0, T1, T2), coords)
+        assert a == b and hash(a) == hash(b)
+        assert a != make_mp([T0, T1, T2 + 1], coords)
+        c, d = MovingDouble((T0, T1), (1, 2)), MovingDouble([T0, T1], [1.0, 2.0])
+        assert c == d and hash(c) == hash(d)
+        assert c != MovingDouble((T0, T1), (1.0, 2.5))
+
 
 class TestTimeInterval:
     def test_inverted_rejected(self):
