@@ -49,6 +49,8 @@ from .media import (
     STPhoto,
 )
 from .temporal import (
+    MAX_TIME,
+    MIN_TIME,
     InterpolationMode,
     MovingDouble,
     MovingPoint,
@@ -97,9 +99,6 @@ def parse_datetime(s: str) -> TimeStamp:
     return seconds * 1000 + millis
 
 
-# The instants an ISO-8601 datetime can spell, in epoch milliseconds.
-_MIN_TIME = parse_datetime("0001-01-01T00:00:00Z")
-_MAX_TIME = parse_datetime("9999-12-31T23:59:59.999Z")
 _EPOCH = datetime(1970, 1, 1)
 
 
@@ -235,7 +234,7 @@ def _read_times(obj: dict, count: int | None, path: str = "") -> tuple[TimeStamp
         else:
             if isinstance(entry, bool) or not isinstance(entry, int):
                 raise ParseError("timeline entries must be integers", f"{mpath}/{i}")
-            if not _MIN_TIME <= entry <= _MAX_TIME:
+            if not MIN_TIME <= entry <= MAX_TIME:
                 raise ParseError("timeline entries must lie in years 1-9999", f"{mpath}/{i}")
             times.append(entry)
     if count is not None and len(times) != count:
@@ -312,14 +311,15 @@ def _read_fov(obj, path: str) -> FieldOfView:
 
 
 def _build_moving_point(obj: dict) -> tuple[MovingPoint, set[str]]:
+    """A MovingPoint document, or the track of a MovingVideo one."""
     columns = _read_track(obj)
     times = _read_times(obj, len(columns[0]))
     mode = _read_interpolation(obj)
-    if columns[2] is not None and any(map(math.isnan, columns[2])):
-        raise ParseError("coordinates mix 2- and 3-component positions", "/coordinates")
-    return MovingPoint.from_columns(times, columns, mode), {
-        "coordinates", "datetimes", "timeline", "interpolation",
-    }
+    try:
+        track = MovingPoint.from_columns(times, columns, mode)
+    except ValueError as exc:  # times and count are checked above: this is the altitude rule
+        raise ParseError(str(exc), "/coordinates") from None
+    return track, {"coordinates", "datetimes", "timeline", "interpolation"}
 
 
 def _build_moving_double(obj: dict) -> tuple[MovingDouble, set[str]]:
@@ -368,28 +368,23 @@ def _build_stphoto(obj: dict) -> tuple[STPhoto, set[str]]:
 
 def _build_moving_video(obj: dict) -> tuple[MovingVideo, set[str]]:
     uri = _read_uri(obj)
-    columns = _read_track(obj)
-    lons, lats, _ = columns
-    times = _read_times(obj, len(lons))
-    mode = _read_interpolation(obj)
+    track, _ = _build_moving_point(obj)
     fovs: tuple[FieldOfView, ...]
     if "fov" in obj:
         raw = obj["fov"]
         if not isinstance(raw, list) or not raw:
             raise ParseError("'fov' must be a non-empty array", "/fov")
         fovs = tuple(_read_fov(entry, f"/fov/{i}") for i, entry in enumerate(raw))
-        if len(fovs) not in (1, len(lons)):
-            raise ParseError(f"{len(fovs)} fov entries for {len(lons)} samples", "/fov")
+        if len(fovs) not in (1, len(track)):
+            raise ParseError(f"{len(fovs)} fov entries for {len(track)} samples", "/fov")
     else:
         fovs = (FieldOfView(),)
-    relative = [i for i, fov in enumerate(fovs) if fov.is_relative]
-    if relative and lons.count(lons[0]) == len(lons) and lats.count(lats[0]) == len(lats):
-        # the direction resolves against the track heading, which a still track lacks
-        raise ParseError(
-            "a mount-relative direction needs a moving track", f"/fov/{relative[0]}/direction2d"
-        )
-    track = MovingPoint.from_columns(times, columns, mode)
-    return MovingVideo(uri, track, fovs), {
+    try:
+        video = MovingVideo(uri, track, fovs)
+    except ValueError as exc:  # uri and fov count are checked above: this is a still track
+        first = next(i for i, fov in enumerate(fovs) if fov.is_relative)
+        raise ParseError(str(exc), f"/fov/{first}/direction2d") from None
+    return video, {
         "uri", "coordinates", "fov", "datetimes", "timeline", "interpolation",
     }
 

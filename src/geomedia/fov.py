@@ -44,8 +44,8 @@ class FieldOfView:
             raise ValueError(f"vertical angle {self.v_angle} outside (0, 180]")
         if not -360.0 <= self.direction2d < 360.0:
             raise ValueError(f"direction2d {self.direction2d} outside [-360, 360)")
-        if not self.view_distance > 0.0:
-            raise ValueError(f"view distance {self.view_distance} must be > 0")
+        if not 0.0 < self.view_distance < math.inf:
+            raise ValueError(f"view distance {self.view_distance} must be finite and > 0")
 
     @property
     def is_relative(self) -> bool:

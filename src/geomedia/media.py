@@ -19,7 +19,8 @@ from typing import NamedTuple
 from .errors import BadQueryError, WrongKindError
 from .fov import FieldOfView, resolve_direction
 from .geo import EARTH_RADIUS_M, GeoPoint, angle_between, destination, geo_distance
-from .temporal import InterpolationMode, MovingDouble, MovingPoint, TimeInterval, TimeStamp
+from .temporal import (MAX_TIME, MIN_TIME, InterpolationMode, MovingDouble, MovingPoint,
+                        TimeInterval, TimeStamp)
 
 KIND_MOVING_POINT = "MovingPoint"
 KIND_MOVING_DOUBLE = "MovingDouble"
@@ -61,6 +62,9 @@ class STPhoto:
             raise ValueError("imguri must be non-empty")
         if self.fov.is_relative:
             raise ValueError("photo FoV direction must be absolute (>= 0)")
+        t = self.t
+        if isinstance(t, bool) or not isinstance(t, int) or not MIN_TIME <= t <= MAX_TIME:
+            raise ValueError(f"photo time {t!r} is not an integer in years 1-9999")
 
     def time_extent(self) -> TimeInterval:
         return TimeInterval(self.t, self.t)
@@ -143,6 +147,10 @@ class MovingVideo:
             raise ValueError(
                 f"fov list length {len(self.fovs)} is neither 1 nor the sample count"
             )
+        min_lon, min_lat, max_lon, max_lat = self.track.spatial_bbox()
+        if (min_lon, min_lat) == (max_lon, max_lat) and any(f.is_relative for f in self.fovs):
+            # the direction resolves against the track heading, which a still track lacks
+            raise ValueError("a mount-relative direction needs a moving track")
 
     def time_extent(self) -> TimeInterval:
         return self.track.time_extent()

@@ -2,9 +2,10 @@
 
 Timestamps are integers: milliseconds since the Unix epoch, UTC. Tracks hold
 strictly increasing timestamps and are immutable after construction, so all
-operations are pure and thread-safe. A track keeps its timeline, values and
-positions as flat array columns; the tuple-valued attributes (times, values,
-points) build a tuple per access and are for callers outside this package.
+operations are pure and thread-safe. A moving point and a moving double share
+one series core, with their timeline, values and positions in flat array
+columns; the tuple-valued attributes (times, values, points) build a tuple
+per access and are for callers outside this package.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain
 
@@ -24,6 +25,11 @@ from .errors import (
 from .geo import GeoPoint, bearing
 
 TimeStamp = int
+
+# The instants an ISO-8601 datetime can spell (years 1-9999), in epoch
+# milliseconds: a time outside them could not be written in both time styles.
+MIN_TIME: TimeStamp = -62_135_596_800_000  # 0001-01-01T00:00:00Z
+MAX_TIME: TimeStamp = 253_402_300_799_999  # 9999-12-31T23:59:59.999Z
 
 
 class InterpolationMode(str, Enum):
@@ -52,7 +58,7 @@ class TimeInterval:
 
 def _time_column(times) -> array:
     """times as an array('q') column; ValueError unless they are strictly
-    increasing 64-bit integers, at least one."""
+    increasing integers in years 1-9999, at least one."""
     times = tuple(times)  # the order check reads the tuple: no int is boxed
     try:
         column = array("q", times)
@@ -63,22 +69,22 @@ def _time_column(times) -> array:
     for a, b in zip(times, times[1:]):
         if b <= a:
             raise ValueError(f"timestamps not strictly increasing at {b}")
+    if times[0] < MIN_TIME or times[-1] > MAX_TIME:
+        raise ValueError("timestamps must lie in years 1-9999")
     return column
 
 
-def _locate(times: array, t: TimeStamp, mode: InterpolationMode):
-    """Return ("exact", i) or ("between", i, frac) for t within the extent."""
+def _locate(times: array, t: TimeStamp, mode: InterpolationMode) -> tuple[int, float]:
+    """The sample i at or before t, and how far t is from it towards sample
+    i + 1 (0.0 at a sample, and whenever the mode is stepwise)."""
     if t < times[0] or t > times[-1]:
         raise OutOfRangeError(f"time {t} outside extent [{times[0]}, {times[-1]}]")
     i = bisect_right(times, t) - 1
-    if times[i] == t:
-        return ("exact", i, 0.0)
+    if times[i] == t or mode is InterpolationMode.STEPWISE:
+        return i, 0.0
     if mode is InterpolationMode.DISCRETE:
         raise NotASampleError(f"time {t} is not a sample time of a discrete track")
-    if mode is InterpolationMode.STEPWISE:
-        return ("exact", i, 0.0)
-    frac = (t - times[i]) / (times[i + 1] - times[i])
-    return ("between", i, frac)
+    return i, (t - times[i]) / (times[i + 1] - times[i])
 
 
 # Flat longitude, latitude and altitude columns of a sequence of positions.
@@ -102,10 +108,6 @@ def _point(lons: array, lats: array, alts: array | None, i: int) -> GeoPoint:
     return GeoPoint(lons[i], lats[i], alt)
 
 
-def _points(lons: array, lats: array, alts: array | None) -> tuple[GeoPoint, ...]:
-    return tuple(_point(lons, lats, alts, i) for i in range(len(lons)))
-
-
 def _same_alts(a: array | None, b: array | None) -> bool:
     """Equal altitude columns, NaN (no altitude) matching NaN."""
     if a is None or b is None:
@@ -114,63 +116,55 @@ def _same_alts(a: array | None, b: array | None) -> bool:
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
-class MovingPoint:
-    """A trajectory: positions sampled on a timeline plus an interpolation rule.
-
-    The timeline is held as an array('q') column and the positions as
-    position columns (lons, lats, alts), none ever mutated; times and points
-    build a tuple from them on demand.
-    """
+class _Series:
+    """What a moving point and a moving double share: a timeline held as an
+    array('q') column, an interpolation rule, and position columns (lons,
+    lats, alts; all None without positions), none ever mutated."""
 
     time_column: array
-    lons: array
-    lats: array
-    alts: array | None
     mode: InterpolationMode
+    lons: array | None
+    lats: array | None
+    alts: array | None
 
-    def __init__(self, times, points, mode=InterpolationMode.LINEAR):
-        self._set(times, _columns_of(points), mode)
-
-    @classmethod
-    def from_columns(cls, times, columns: PositionColumns,
-                     mode=InterpolationMode.LINEAR) -> "MovingPoint":
-        """A track over columns of valid positions (see geo.check_position)."""
-        mp = object.__new__(cls)
-        mp._set(times, columns, mode)
-        return mp
-
-    def _set(self, times, columns: PositionColumns, mode) -> None:
-        times = _time_column(times)
-        lons, lats, alts = columns
-        object.__setattr__(self, "time_column", times)
+    def _set(self, times, mode, columns: PositionColumns | None, values=None) -> None:
+        """Set every field once; ValueError unless they make a valid series: a
+        moving point (no values) has positions, with altitudes on all or none,
+        and a moving double finite values (its positions may mix altitudes)."""
+        time_column = _time_column(times)
+        lons, lats, alts = (None, None, None) if columns is None else columns
+        object.__setattr__(self, "time_column", time_column)
+        object.__setattr__(self, "mode", InterpolationMode(mode))
         object.__setattr__(self, "lons", lons)
         object.__setattr__(self, "lats", lats)
         object.__setattr__(self, "alts", alts)
-        object.__setattr__(self, "mode", InterpolationMode(mode))
-        if len(lons) != len(times):
-            raise ValueError("points and times differ in length")
-        if alts is not None and any(map(math.isnan, alts)):
-            raise ValueError("either all samples carry altitude or none do")
+        if values is None:
+            if lons is None:
+                raise ValueError("a moving point needs positions")
+            if alts is not None and any(map(math.isnan, alts)):
+                raise ValueError("coordinates mix 2- and 3-component positions")
+        else:
+            values = array("d", map(float, values))
+            object.__setattr__(self, "value_column", values)
+            if len(values) != len(time_column):
+                raise ValueError("values and times differ in length")
+            if not all(map(math.isfinite, values)):
+                raise ValueError("values must be finite numbers")
+        if lons is not None and len(lons) != len(time_column):
+            raise ValueError("positions and times differ in length")
 
     @property
     def times(self) -> tuple[TimeStamp, ...]:
         return tuple(self.time_column)
 
-    @property
-    def points(self) -> tuple[GeoPoint, ...]:
-        return _points(self.lons, self.lats, self.alts)
-
     def __eq__(self, other):
-        if type(other) is not MovingPoint:
+        if type(other) is not type(self):
             return NotImplemented
-        return (self.time_column, self.lons, self.lats, self.alts, self.mode) == (
-            other.time_column, other.lons, other.lats, other.alts, other.mode)
+        return all(getattr(self, f.name) == getattr(other, f.name)
+                   for f in fields(self) if f.name != "alts") and _same_alts(self.alts, other.alts)
 
     def __hash__(self):
         return hash((self.times, self.mode))
-
-    def __repr__(self) -> str:
-        return f"MovingPoint(times={self.times!r}, points={self.points!r}, mode={self.mode!r})"
 
     def __len__(self) -> int:
         return len(self.time_column)
@@ -179,17 +173,46 @@ class MovingPoint:
         return TimeInterval(self.time_column[0], self.time_column[-1])
 
     def vertices(self) -> tuple[GeoPoint, ...]:
-        return self.points
+        """Sample positions; empty for a series without positions."""
+        if self.lons is None:
+            return ()
+        return tuple(_point(self.lons, self.lats, self.alts, i) for i in range(len(self.lons)))
 
-    def spatial_bbox(self) -> tuple[float, float, float, float]:
+    def spatial_bbox(self) -> tuple[float, float, float, float] | None:
+        """Bounds of the positions; None for a series without them."""
+        if self.lons is None:
+            return None
         return (min(self.lons), min(self.lats), max(self.lons), max(self.lats))
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
+class MovingPoint(_Series):
+    """A trajectory: positions sampled on a timeline plus an interpolation rule."""
+
+    def __init__(self, times, points, mode=InterpolationMode.LINEAR):
+        self._set(times, mode, _columns_of(points))
+
+    @classmethod
+    def from_columns(cls, times, columns: PositionColumns,
+                     mode=InterpolationMode.LINEAR) -> "MovingPoint":
+        """A track over columns of valid positions (see geo.check_position)."""
+        mp = object.__new__(cls)
+        mp._set(times, mode, columns)
+        return mp
+
+    @property
+    def points(self) -> tuple[GeoPoint, ...]:
+        return self.vertices()
+
+    def __repr__(self) -> str:
+        return f"MovingPoint(times={self.times!r}, points={self.points!r}, mode={self.mode!r})"
 
     def at(self, t: TimeStamp) -> GeoPoint:
         """Position at time t under this track's interpolation mode."""
-        where, i, frac = _locate(self.time_column, t, self.mode)
-        if where == "exact":
-            return _point(self.lons, self.lats, self.alts, i)
+        i, frac = _locate(self.time_column, t, self.mode)
         lons, lats, alts = self.lons, self.lats, self.alts
+        if not frac:
+            return _point(lons, lats, alts, i)
         alt = None if alts is None else alts[i] + (alts[i + 1] - alts[i]) * frac
         return GeoPoint(lons[i] + (lons[i + 1] - lons[i]) * frac,
                         lats[i] + (lats[i + 1] - lats[i]) * frac, alt)
@@ -205,10 +228,8 @@ class MovingPoint:
         times = self.time_column
         if len(times) < 2:
             raise DegenerateTrackError("heading undefined for a single-sample track")
-        if t < times[0] or t > times[-1]:
-            raise OutOfRangeError(f"time {t} outside extent")
         last_seg = len(times) - 2
-        i = min(bisect_right(times, t) - 1, last_seg)
+        i = min(_locate(times, t, InterpolationMode.LINEAR)[0], last_seg)
         lons, lats = self.lons, self.lats
         for j in chain(range(i, -1, -1), range(i + 1, last_seg + 1)):
             if lons[j] != lons[j + 1] or lats[j] != lats[j + 1]:
@@ -217,50 +238,24 @@ class MovingPoint:
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
-class MovingDouble:
+class MovingDouble(_Series):
     """Scalar sensor values sampled on a timeline, optionally tied to positions.
 
-    The timeline is held as an array('q') column, the values as an
-    array('d') column and the positions as position columns (all None
-    without a track), none ever mutated; times, values and track build a
-    tuple from them on demand.
+    The values are held as an array('d') column, never mutated.
     """
 
-    time_column: array
     value_column: array
-    mode: InterpolationMode
-    lons: array | None
-    lats: array | None
-    alts: array | None
 
     def __init__(self, times, values, mode=InterpolationMode.LINEAR, track=None):
-        self._set(times, values, mode, None if track is None else _columns_of(track))
+        self._set(times, mode, None if track is None else _columns_of(track), values)
 
     @classmethod
     def from_columns(cls, times, values, mode=InterpolationMode.LINEAR,
                      columns: PositionColumns | None = None) -> "MovingDouble":
         """A series over columns of valid positions (see geo.check_position), or none."""
         md = object.__new__(cls)
-        md._set(times, values, mode, columns)
+        md._set(times, mode, columns, values)
         return md
-
-    def _set(self, times, values, mode, columns: PositionColumns | None) -> None:
-        times = _time_column(times)
-        lons, lats, alts = (None, None, None) if columns is None else columns
-        object.__setattr__(self, "time_column", times)
-        object.__setattr__(self, "value_column", array("d", map(float, values)))
-        object.__setattr__(self, "mode", InterpolationMode(mode))
-        object.__setattr__(self, "lons", lons)
-        object.__setattr__(self, "lats", lats)
-        object.__setattr__(self, "alts", alts)
-        if len(self.value_column) != len(times):
-            raise ValueError("values and times differ in length")
-        if lons is not None and len(lons) != len(times):
-            raise ValueError("track length differs from sample count")
-
-    @property
-    def times(self) -> tuple[TimeStamp, ...]:
-        return tuple(self.time_column)
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -268,43 +263,17 @@ class MovingDouble:
 
     @property
     def track(self) -> tuple[GeoPoint, ...] | None:
-        return None if self.lons is None else _points(self.lons, self.lats, self.alts)
-
-    def __eq__(self, other):
-        if type(other) is not MovingDouble:
-            return NotImplemented
-        return (self.time_column, self.value_column, self.mode, self.lons, self.lats) == (
-            other.time_column, other.value_column, other.mode, other.lons, other.lats
-        ) and _same_alts(self.alts, other.alts)
-
-    def __hash__(self):
-        return hash((self.times, self.values, self.mode))
+        return self.vertices() or None
 
     def __repr__(self) -> str:
         return (f"MovingDouble(times={self.times!r}, values={self.values!r}, "
                 f"mode={self.mode!r}, track={self.track!r})")
 
-    def __len__(self) -> int:
-        return len(self.time_column)
-
-    def time_extent(self) -> TimeInterval:
-        return TimeInterval(self.time_column[0], self.time_column[-1])
-
-    def vertices(self) -> tuple[GeoPoint, ...]:
-        """Sample positions; empty for a series without a coordinate track."""
-        return self.track or ()
-
-    def spatial_bbox(self) -> tuple[float, float, float, float] | None:
-        """Bounds of the track; None for a series without one."""
-        if self.lons is None:
-            return None
-        return (min(self.lons), min(self.lats), max(self.lons), max(self.lats))
-
     def at(self, t: TimeStamp) -> float:
         """Scalar value at time t under this series' interpolation mode."""
-        where, i, frac = _locate(self.time_column, t, self.mode)
+        i, frac = _locate(self.time_column, t, self.mode)
         values = self.value_column
-        if where == "exact":
+        if not frac:
             return values[i]
         a, b = values[i], values[i + 1]
         return a + (b - a) * frac

@@ -345,6 +345,11 @@ class TestParseErrors:
                 b'{"type": "MovingPoint", "coordinates": [[1, 2, 3], [4, 5]], "timeline": [0, 1]}'
             )
 
+    def test_video_mixed_coordinate_arity_rejected(self):
+        with pytest.raises(ParseError, match="^/coordinates: coordinates mix 2- and 3-component"):
+            parse_document(b'{"type": "MovingVideo", "uri": "u:1",'
+                           b' "coordinates": [[1, 2, 3], [4, 5]], "timeline": [0, 1]}')
+
     def test_year_zero_datetime_with_path(self):
         with pytest.raises(ParseError, match="year 0 out of range") as err:
             parse_document(b'{"type": "MovingDouble", "values": [1, 2],'

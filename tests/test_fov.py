@@ -220,6 +220,7 @@ class TestFieldOfViewValidation:
         [
             {"h_angle": 0}, {"h_angle": 361}, {"v_angle": 0}, {"v_angle": 181},
             {"direction2d": -361}, {"direction2d": 360}, {"view_distance": 0},
+            {"view_distance": math.inf},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):

@@ -19,6 +19,8 @@ from geomedia import (
     time_extent,
 )
 
+from geomedia.temporal import MAX_TIME, MIN_TIME
+
 from conftest import T0, T2
 
 
@@ -125,3 +127,15 @@ class TestDocumentInvariants:
     def test_photo_relative_direction_rejected(self):
         with pytest.raises(ValueError):
             STPhoto("u:p", GeoPoint(0, 0), 0, FieldOfView(direction2d=-90))
+
+    @pytest.mark.parametrize("t", [MIN_TIME - 1, MAX_TIME + 1, 1.5, "0"],
+                             ids=["year-0", "year-10000", "float", "str"])
+    def test_photo_time_must_be_an_integer_in_iso_years(self, t):
+        with pytest.raises(ValueError, match="is not an integer in years 1-9999"):
+            STPhoto("u:p", GeoPoint(0, 0), t)
+
+    def test_video_relative_direction_needs_a_moving_track(self):
+        still = MovingPoint((0, 1), (GeoPoint(0, 0), GeoPoint(0, 0)))
+        with pytest.raises(ValueError, match="a mount-relative direction needs a moving track"):
+            MovingVideo("u:v", still, (FieldOfView(direction2d=90), FieldOfView(direction2d=-180)))
+        assert MovingVideo("u:v", still, (FieldOfView(direction2d=90),)).fovs[0].direction2d == 90

@@ -32,7 +32,6 @@ from geomedia import (
 from geomedia.cli import main
 from geomedia.errors import (
     BadQueryError,
-    DegenerateTrackError,
     OutOfRangeError,
     WrongKindError,
 )
@@ -109,11 +108,11 @@ class TestFovAt:
         assert state.direction == pytest.approx(180.0, abs=0.01)
 
     def test_fixed_direction_needs_motion(self):
-        static = MovingVideo(
-            "u:v", MovingPoint((0,), (GeoPoint(0, 0),)), (FieldOfView(direction2d=-360),)
-        )
-        with pytest.raises(DegenerateTrackError):
-            fov_at(static, 0)
+        # a still track has no heading to resolve the direction against
+        with pytest.raises(ValueError, match="needs a moving track"):
+            MovingVideo(
+                "u:v", MovingPoint((0,), (GeoPoint(0, 0),)), (FieldOfView(direction2d=-360),)
+            )
 
     def test_per_sample_selection_is_stepwise(self):
         fovs = (

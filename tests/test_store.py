@@ -454,15 +454,40 @@ class TestDurability:
 
     def test_stationary_relative_video_line_detected(self, tmp_path):
         """The codec refuses a still track with a relative FoV, so load does too."""
-        store = MediaStore(tmp_path / "s")
+        import hashlib
+
+        target = tmp_path / "s"
+        store = MediaStore(target)
         store.create_collection("vids", "Videos", "MovingVideo")
-        still = MovingVideo(
-            "u:v", MovingPoint((T0,), (GeoPoint(0, 0),)), (FieldOfView(direction2d=-360),)
-        )
-        store.put_feature("vids", "v1", document_of(still))
+        moving = MovingVideo("u:v", MovingPoint((T0, T0 + 1), (GeoPoint(0, 0), GeoPoint(1, 0))),
+                             (FieldOfView(direction2d=-360),))
+        store.put_feature("vids", "v1", document_of(moving))
         store.flush()
-        with pytest.raises(CorruptStoreError):
-            MediaStore.load(tmp_path / "s")
+        # the library refuses to build the still video, so stop the track in the file
+        data = (target / "vids.ndjson").read_bytes().replace(b"[1, 0]", b"[0, 0]")
+        (target / "vids.ndjson").write_bytes(data)
+        manifest = json.loads((target / "manifest.json").read_text())
+        manifest["collections"][0]["sha256"]["features"] = hashlib.sha256(data).hexdigest()
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptStoreError, match="/fov/0/direction2d: a mount-relative"):
+            MediaStore.load(target)
+
+    def test_moving_double_with_mixed_altitudes_round_trips(self, tmp_path):
+        """A sensor track may mix 2- and 3-component positions, unlike a moving point."""
+        text = (b'{"type": "MovingDouble", "values": [1, 2.5, 3], "timeline": [0, 1, 2],'
+                b' "coordinates": [[1, 2, 3], [4, 5], [6, 7, 8]], "interpolation": "linear"}')
+        doc = parse_document(text)
+        assert serialize_document(doc) == text
+        store = MediaStore(tmp_path / "s")
+        store.create_collection("sensors", "Sensors", "MovingDouble")
+        store.flush()
+        store.put_feature("sensors", "s1", doc)
+        store.commit()
+        replayed = MediaStore.load(tmp_path / "s")  # from the log
+        replayed.flush()
+        for loaded in (replayed, MediaStore.load(tmp_path / "s")):  # and from the snapshot
+            again = loaded.get_feature("sensors", "s1").doc
+            assert again == doc and serialize_document(again) == text
 
     def test_garbage_manifest_detected(self, tmp_path):
         target = tmp_path / "s"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from geomedia.errors import (
     NotASampleError,
     OutOfRangeError,
 )
+from geomedia.temporal import MAX_TIME, MIN_TIME
 
 from conftest import T0, T1, T2
 
@@ -169,6 +171,29 @@ class TestConstruction:
             MovingPoint(times, (GeoPoint(0, 0), GeoPoint(1, 1)))
         with pytest.raises(ValueError, match="timestamps must be 64-bit integers"):
             MovingDouble(times, (1.0, 2.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        # the codec refuses such a value, so a store holding one would not load
+        with pytest.raises(ValueError, match="values must be finite numbers"):
+            MovingDouble((0, 1), (1.0, value))
+
+    @pytest.mark.parametrize("times", [(MIN_TIME - 1, 0), (0, MAX_TIME + 1)],
+                             ids=["year-0", "year-10000"])
+    def test_time_outside_iso_years_rejected(self, times):
+        with pytest.raises(ValueError, match="timestamps must lie in years 1-9999"):
+            MovingPoint(times, (GeoPoint(0, 0), GeoPoint(1, 1)))
+        with pytest.raises(ValueError, match="timestamps must lie in years 1-9999"):
+            MovingDouble(times, (1.0, 2.0))
+        assert MovingDouble((MIN_TIME, MAX_TIME), (1.0, 2.0)).time_extent() == TimeInterval(
+            MIN_TIME, MAX_TIME)
+
+    def test_point_and_double_on_one_timeline_never_equal(self):
+        mp = MovingPoint((T0, T1), (GeoPoint(0, 0), GeoPoint(1, 1)))
+        md = MovingDouble((T0, T1), (0.0, 1.0), mp.mode, mp.points)
+        assert (mp.time_column, mp.lons, mp.lats, mp.alts) == (
+            md.time_column, md.lons, md.lats, md.alts)
+        assert mp != md and md != mp
 
     def test_times_and_values_read_back_as_tuples(self):
         times, coords = [T0, T1, T2], [(0, 0), (1, 1), (2, 2)]
