@@ -137,7 +137,8 @@ def _require_store(args) -> str:
 
 
 def _open_store(args) -> MediaStore:
-    return MediaStore.load(_require_store(args))
+    """The store, opened so that only the collections a command touches are parsed."""
+    return MediaStore.open(_require_store(args))
 
 
 def _select_document(args):

@@ -57,6 +57,8 @@ from .temporal import (
     PositionColumns,
     TimeInterval,
     TimeStamp,
+    _time_column,
+    _value_column,
 )
 
 CANONICAL_KINDS = {kind.lower(): kind for kind in KINDS}
@@ -172,6 +174,9 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+_NUMBER_TYPES = frozenset({int, float})  # the exact types of JSON numbers; bool is not one
+
+
 def is_finite_number(x) -> bool:
     """A JSON number a double holds: not NaN, not infinite, not an over-long integer."""
     try:
@@ -211,8 +216,8 @@ def _read_point(value, path: str) -> GeoPoint:
         raise ParseError(str(exc), path) from None
 
 
-def _read_times(obj: dict, count: int | None, path: str = "") -> tuple[TimeStamp, ...]:
-    """Read "datetimes" or "timeline" into epoch milliseconds, checking order."""
+def _read_times(obj: dict, count: int | None, path: str = "") -> array:
+    """Read "datetimes" or "timeline" into an epoch-millisecond column, checking order."""
     has_dt = "datetimes" in obj
     has_tl = "timeline" in obj
     if has_dt and has_tl:
@@ -224,27 +229,36 @@ def _read_times(obj: dict, count: int | None, path: str = "") -> tuple[TimeStamp
     mpath = f"{path}/{member}"
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"'{member}' must be a non-empty array", mpath)
-    times = []
-    for i, entry in enumerate(raw):
-        if has_dt:
+    if has_dt:
+        times = []
+        for i, entry in enumerate(raw):
             try:
                 times.append(parse_datetime(entry))
             except ParseError as exc:
                 raise ParseError(exc.message, f"{mpath}/{i}") from None
-        else:
-            if isinstance(entry, bool) or not isinstance(entry, int):
-                raise ParseError("timeline entries must be integers", f"{mpath}/{i}")
-            if not MIN_TIME <= entry <= MAX_TIME:
-                raise ParseError("timeline entries must lie in years 1-9999", f"{mpath}/{i}")
-            times.append(entry)
+    else:
+        times = raw
+    try:  # one pass on the common path; _time_error looks for the fault only if it fails
+        column = None if bool in set(map(type, times)) else _time_column(times)
+    except ValueError:
+        column = None
+    if column is None or (count is not None and len(column) != count):
+        raise _time_error(times, count, mpath)
+    return column
+
+
+def _time_error(times: list, count: int | None, mpath: str) -> ParseError:
+    """The first fault of times that failed their checks: an entry's type or
+    bounds, then their count, then their order."""
+    for i, entry in enumerate(times):
+        if isinstance(entry, bool) or not isinstance(entry, int):
+            return ParseError("timeline entries must be integers", f"{mpath}/{i}")
+        if not MIN_TIME <= entry <= MAX_TIME:
+            return ParseError("timeline entries must lie in years 1-9999", f"{mpath}/{i}")
     if count is not None and len(times) != count:
-        raise ParseError(f"{len(times)} times for {count} samples", mpath)
-    for i in range(1, len(times)):
-        if times[i] <= times[i - 1]:
-            raise ParseError(
-                f"time {times[i]} does not increase past {times[i - 1]}", f"{mpath}/{i}"
-            )
-    return tuple(times)
+        return ParseError(f"{len(times)} times for {count} samples", mpath)
+    i = next(i for i in range(1, len(times)) if times[i] <= times[i - 1])
+    return ParseError(f"time {times[i]} does not increase past {times[i - 1]}", f"{mpath}/{i}")
 
 
 def _read_interpolation(obj: dict, path: str = "") -> InterpolationMode:
@@ -322,23 +336,31 @@ def _build_moving_point(obj: dict) -> tuple[MovingPoint, set[str]]:
     return track, {"coordinates", "datetimes", "timeline", "interpolation"}
 
 
-def _build_moving_double(obj: dict) -> tuple[MovingDouble, set[str]]:
-    raw_values = obj.get("values")
-    if not isinstance(raw_values, list) or not raw_values:
+def _read_values(obj: dict) -> array:
+    raw = obj.get("values")
+    if not isinstance(raw, list) or not raw:
         raise ParseError("'values' must be a non-empty array", "/values")
-    for i, v in enumerate(raw_values):
-        if not is_finite_number(v):
-            raise ParseError("values must be finite numbers", f"/values/{i}")
-    times = _read_times(obj, len(raw_values))
+    try:
+        if _NUMBER_TYPES.issuperset(map(type, raw)):
+            return _value_column(raw)
+    except (ValueError, OverflowError):
+        pass
+    i = next(i for i, v in enumerate(raw) if not is_finite_number(v))
+    raise ParseError("values must be finite numbers", f"/values/{i}")
+
+
+def _build_moving_double(obj: dict) -> tuple[MovingDouble, set[str]]:
+    values = _read_values(obj)
+    times = _read_times(obj, len(values))
     mode = _read_interpolation(obj)
     columns = None
     if "coordinates" in obj:
         columns = _read_track(obj)
-        if len(columns[0]) != len(raw_values):
+        if len(columns[0]) != len(values):
             raise ParseError(
-                f"{len(columns[0])} coordinates for {len(raw_values)} values", "/coordinates"
+                f"{len(columns[0])} coordinates for {len(values)} values", "/coordinates"
             )
-    md = MovingDouble.from_columns(times, raw_values, mode, columns)
+    md = MovingDouble.from_columns(times, values, mode, columns)
     return md, {"values", "datetimes", "timeline", "coordinates", "interpolation"}
 
 

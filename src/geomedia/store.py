@@ -2,9 +2,10 @@
 
 Each collection keeps a 2-D (lon, lat) R-tree over its features' bounding
 boxes; time windows are not indexed but checked exactly on each candidate.
-The tree is bulk-loaded (STR) by load(), and for a collection filled since
-it was created by the first spatial search; after that every put and delete
-updates it one entry at a time. Next to the tree a collection keeps its view
+The tree is bulk-loaded (STR) when the collection's snapshot files are
+parsed, and for a collection filled since it was created by the first
+spatial search; after that every put and delete updates it one entry at a
+time. Next to the tree a collection keeps its view
 reach, an upper bound on how far any of its cameras sees (view_reach()).
 
 A store is a directory holding a snapshot and a write log. The snapshot is
@@ -12,16 +13,28 @@ manifest.json with collection metadata and content checksums, one
 <cid>.ndjson of features, and one <cid>.ann.ndjson of annotations per
 collection (UTF-8, LF). flush() compacts: it stages every file, fsyncs it,
 renames data files first and the manifest last, so an interrupted flush is
-always detected by checksum at load time instead of loading silently. Both
-flush() and load() stream each file a line at a time, hashing as they go, so
-neither holds a whole file in memory.
+always detected by checksum at open time instead of loading silently.
+
+open() reads the manifest, checks every snapshot file's checksum and replays
+the log, but parses a collection's files only when a method first needs its
+features; the parse hashes the lines it reads and fails unless they are the
+bytes open() checked. load() is open() followed by parsing every collection,
+so a server opened with it answers its first query at full speed. The CLI
+commands that name one collection use open(); `geomedia serve` uses load().
+flush() writes a parsed collection by serialising it and copies a collection
+it never parsed, hashing the copy and failing before any rename unless it
+matches the manifest. So a malformed line in a collection that nothing
+touched is carried over as it is, and reported by the first load(), or
+method, that parses it.
+Parse, serialise and copy all stream a file a line or a chunk at a time, so
+none holds a whole file in memory.
 
 Mutating methods change memory and queue an op; commit() appends the queued
 ops to wal.log as checksummed NDJSON records and fsyncs the log. The log's
-first record names the SHA-256 of the manifest it extends, so load() replays
+first record names the SHA-256 of the manifest it extends, so open() replays
 a log only over its own snapshot and ignores one that a later flush left
 behind. A torn tail (a final record without its newline or checksum) is
-dropped at load and cut off by the next commit; a damaged record with a
+dropped at open and cut off by the next commit; a damaged record with a
 whole one after it is CorruptStoreError. A commit that fails reloads the
 store from its directory, so memory holds no mutation that a restart would
 not find.
@@ -82,7 +95,7 @@ _FORMAT_VERSION = 1
 # mutations, between compactions of ~0.2 s each.
 _COMPACT_MIN_BYTES = 64 * 1024
 _COMPACT_SHARE = 32
-_HASH_CHUNK = 64 * 1024  # bytes load() reads at a time to checksum a snapshot file
+_CHUNK = 64 * 1024  # bytes read at a time to checksum or copy a snapshot file
 
 ANNOTATION_KINDS = ("text", "icon", "polygon")
 
@@ -179,10 +192,13 @@ class FeatureRecord:
 
 
 class _CollectionState:
-    __slots__ = ("meta", "features", "annotations", "index", "reach")
+    __slots__ = ("meta", "features", "annotations", "index", "reach", "unparsed")
 
-    def __init__(self, meta: Collection):
+    def __init__(self, meta: Collection, unparsed: dict | None = None):
         self.meta = meta
+        # The manifest entry of snapshot files that open() checked but nothing
+        # has parsed yet; features and annotations stay empty until then.
+        self.unparsed = unparsed
         self.features: dict[str, FeatureRecord] = {}
         self.annotations: dict[str, dict[str, Annotation]] = {}
         self.index: RTree | None = None  # built by spatial_index() when first needed
@@ -259,10 +275,14 @@ class MediaStore:
             return [self._collections[cid].meta for cid in sorted(self._collections)]
 
     def _state(self, cid: str) -> _CollectionState:
+        """The collection's state, its snapshot files parsed if they were not yet."""
         try:
-            return self._collections[cid]
+            state = self._collections[cid]
         except KeyError:
             raise NotFoundError(f"collection {cid!r} does not exist") from None
+        if state.unparsed is not None:
+            self._parse_collection(state)
+        return state
 
     # -- features ----------------------------------------------------------
 
@@ -487,36 +507,43 @@ class MediaStore:
         Each staged file is fsynced before its rename, data files are renamed
         before the manifest, and the directory is fsynced after it. Any
         interruption leaves either the previous consistent state or a
-        checksum mismatch that load() reports as CorruptStoreError.
+        checksum mismatch that open() reports as CorruptStoreError. A
+        collection never parsed is copied from its snapshot files; if one no
+        longer matches its checksum, CorruptStoreError is raised before any
+        rename.
         """
         with self._lock:
             if self._dir is None:
                 raise StoreIoError("store has no directory to flush to")
             try:
-                self._flush_locked(self._dir)
+                self._flush_locked()
             except OSError as exc:
                 raise StoreIoError(f"flush failed: {exc}") from exc
             return self._dir
 
-    def _flush_locked(self, target: Path) -> None:
+    def _flush_locked(self) -> None:
+        target = self._dir
         target.mkdir(parents=True, exist_ok=True)
         staged: list[tuple[Path, Path]] = []
         entries = []
         size = 0
         for cid in sorted(self._collections):
             state = self._collections[cid]
-            feature_lines = (
-                _ndjson_line({"fid": fid, "document": document_to_obj(record.doc, "epoch")})
-                for fid, record in sorted(state.features.items())
-            )
-            ann_lines = (
-                _ndjson_line({"fid": fid, **annotation_to_obj(anns[aid], "epoch")})
-                for fid, anns in sorted(state.annotations.items())
-                for aid in sorted(anns)
-            )
-            features_tmp, features_sha, features_size = _stage(
-                target / f"{cid}.ndjson", feature_lines)
-            anns_tmp, anns_sha, anns_size = _stage(target / f"{cid}.ann.ndjson", ann_lines)
+            features_path, anns_path = target / f"{cid}.ndjson", target / f"{cid}.ann.ndjson"
+            if state.unparsed is None:
+                count = len(state.features)
+                features_tmp, features_sha, features_size = _stage(features_path, (
+                    _ndjson_line({"fid": fid, "document": document_to_obj(record.doc, "epoch")})
+                    for fid, record in sorted(state.features.items())))
+                anns_tmp, anns_sha, anns_size = _stage(anns_path, (
+                    _ndjson_line({"fid": fid, **annotation_to_obj(anns[aid], "epoch")})
+                    for fid, anns in sorted(state.annotations.items())
+                    for aid in sorted(anns)))
+            else:
+                count, shas = state.unparsed["features"], state.unparsed["sha256"]
+                features_tmp, features_sha, features_size = _stage_copy(
+                    features_path, shas["features"])
+                anns_tmp, anns_sha, anns_size = _stage_copy(anns_path, shas["annotations"])
             meta = state.meta
             entries.append(
                 {
@@ -524,22 +551,22 @@ class MediaStore:
                     "title": meta.title,
                     "mediaType": meta.media_type,
                     "created": meta.created,
-                    "features": len(state.features),
+                    "features": count,
                     "sha256": {"features": features_sha, "annotations": anns_sha},
                 }
             )
-            staged.append((features_tmp, target / f"{cid}.ndjson"))
-            staged.append((anns_tmp, target / f"{cid}.ann.ndjson"))
+            staged.append((features_tmp, features_path))
+            staged.append((anns_tmp, anns_path))
             size += features_size + anns_size
         manifest = {"version": _FORMAT_VERSION, "collections": entries}
         manifest_tmp, manifest_sha, manifest_size = _stage(
-            target / _MANIFEST, [json.dumps(manifest, indent=2) + "\n"])
+            target / _MANIFEST, [(json.dumps(manifest, indent=2) + "\n").encode("utf-8")])
         for tmp, final in staged:
             tmp.replace(final)
         manifest_tmp.replace(target / _MANIFEST)
         _fsync_dir(target)
         # The new snapshot holds every op: a log still on disk names the old
-        # manifest, so load ignores it, and the next commit starts afresh.
+        # manifest, so open ignores it, and the next commit starts afresh.
         self._snapshot = manifest_sha
         self._snapshot_bytes = size + manifest_size
         self._log_bytes = 0
@@ -551,11 +578,15 @@ class MediaStore:
                 stray.unlink()
 
     @classmethod
-    def load(cls, directory: str | Path) -> "MediaStore":
-        """Rebuild a store (including indexes) from its snapshot plus its log.
+    def open(cls, directory: str | Path) -> "MediaStore":
+        """Open a store from its snapshot plus its log, parsing a collection's
+        files only when a method first needs its features.
 
-        Reads only: a torn log tail is skipped here and cut off by the next
-        commit().
+        Every snapshot file's checksum is checked here, so a missing or
+        altered file is CorruptStoreError before anything is parsed; a
+        malformed line is CorruptStoreError from the method that parses its
+        collection. Reads only: a torn log tail is skipped here and cut off
+        by the next commit().
         """
         target = Path(directory)
         manifest_path = target / _MANIFEST
@@ -571,10 +602,23 @@ class MediaStore:
         store = cls(target)
         size = len(manifest_bytes)
         for entry in manifest.get("collections", []):
-            size += store._load_collection(target, entry)
+            size += store._open_collection(entry)
         store._snapshot = hashlib.sha256(manifest_bytes).hexdigest()
         store._snapshot_bytes = size
         store._replay(target / _LOG)
+        return store
+
+    @classmethod
+    def load(cls, directory: str | Path) -> "MediaStore":
+        """Rebuild a store (including indexes) from its snapshot plus its log.
+
+        open() followed by parsing every collection, so a malformed line
+        anywhere is CorruptStoreError here.
+        """
+        store = cls.open(directory)
+        for state in store._collections.values():
+            if state.unparsed is not None:
+                store._parse_collection(state)
         return store
 
     def _replay(self, path: Path) -> None:
@@ -595,63 +639,72 @@ class MediaStore:
         for n, rec in enumerate(records[1:], 2):
             try:
                 _apply(self, rec)
+            except CorruptStoreError:
+                raise  # from parsing the snapshot files the record touched, not the record
             except (GeoMediaError, AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CorruptStoreError(f"{_LOG} record {n}: {exc}") from None
         self._pending.clear()
         self._log_bytes = size
 
-    def _load_collection(self, target: Path, entry: dict) -> int:
-        """Load one collection's snapshot files; returns their size in bytes."""
+    def _open_collection(self, entry: dict) -> int:
+        """Check one collection's snapshot files against the manifest entry and
+        add the collection unparsed; returns the files' size in bytes."""
         try:
             cid = entry["id"]
             meta = Collection(cid, entry["title"], entry["mediaType"], entry["created"])
             want_features = entry["features"]
             shas = entry["sha256"]
-        except (KeyError, TypeError, ValueError) as exc:
+            want = {kind: shas.get(kind) for kind in ("features", "annotations")}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CorruptStoreError(f"bad manifest entry: {exc}") from None
-        # Both checksums are checked before either file is parsed. The parse
-        # then reads the same open files again, one line at a time.
-        with contextlib.ExitStack() as files:
-            feature_file, feature_sha, feature_size = _open_hashed(
-                files, target / f"{cid}.ndjson")
-            ann_file, ann_sha, ann_size = _open_hashed(files, target / f"{cid}.ann.ndjson")
-            if feature_sha != shas.get("features"):
-                raise CorruptStoreError(f"checksum mismatch for {cid}.ndjson")
-            if ann_sha != shas.get("annotations"):
-                raise CorruptStoreError(f"checksum mismatch for {cid}.ann.ndjson")
-            state = _CollectionState(meta)
-            self._collections[cid] = state
-            self._parse_collection(state, want_features, feature_file, ann_file)
-        return feature_size + ann_size
+        size = 0
+        for kind, name in (("features", f"{cid}.ndjson"), ("annotations", f"{cid}.ann.ndjson")):
+            sha, file_size = _hash_file(self._dir / name)
+            if sha != want[kind]:
+                raise CorruptStoreError(f"checksum mismatch for {name}")
+            size += file_size
+        self._collections[cid] = _CollectionState(
+            meta, {"features": want_features, "sha256": want})
+        return size
 
-    @staticmethod
-    def _parse_collection(state: _CollectionState, want_features: int,
-                          feature_file, ann_file) -> None:
-        cid = state.meta.id
-        for line_no, line in _numbered_lines(feature_file, f"{cid}.ndjson"):
-            try:
-                wrapper = decode_json(line)
-                fid = wrapper["fid"]
-                doc = parse_obj(wrapper["document"])
-            except (ValueError, KeyError, TypeError, ParseError) as exc:
-                raise CorruptStoreError(f"{cid}.ndjson line {line_no}: {exc}") from None
-            record = FeatureRecord(fid, doc, media.spatial_bbox(doc), media.time_extent(doc))
-            state.features[fid] = record
-        if len(state.features) != want_features:
-            raise CorruptStoreError(
-                f"{cid}: manifest says {want_features} features, file has {len(state.features)}"
-            )
+    def _parse_collection(self, state: _CollectionState) -> None:
+        """Parse the snapshot files open() checked into state and index it."""
+        cid, unparsed = state.meta.id, state.unparsed
+        features: dict[str, FeatureRecord] = {}
+        annotations: dict[str, dict[str, Annotation]] = {}
+        with contextlib.ExitStack() as files:
+            feature_lines = _checked_lines(
+                files, self._dir / f"{cid}.ndjson", unparsed["sha256"]["features"])
+            ann_lines = _checked_lines(
+                files, self._dir / f"{cid}.ann.ndjson", unparsed["sha256"]["annotations"])
+            for line_no, line in feature_lines:
+                try:
+                    wrapper = decode_json(line)
+                    fid = wrapper["fid"]
+                    doc = parse_obj(wrapper["document"])
+                except (ValueError, KeyError, TypeError, ParseError) as exc:
+                    raise CorruptStoreError(f"{cid}.ndjson line {line_no}: {exc}") from None
+                features[fid] = FeatureRecord(
+                    fid, doc, media.spatial_bbox(doc), media.time_extent(doc))
+            if len(features) != unparsed["features"]:
+                raise CorruptStoreError(
+                    f"{cid}: manifest says {unparsed['features']} features, "
+                    f"file has {len(features)}"
+                )
+            for line_no, line in ann_lines:
+                try:
+                    obj = decode_json(line)
+                    ann = annotation_from_obj(obj, "epoch")
+                    fid = obj["fid"]
+                except (ValueError, KeyError, TypeError, ParseError) as exc:
+                    raise CorruptStoreError(
+                        f"{cid}.ann.ndjson line {line_no}: {exc}") from None
+                if fid not in features:
+                    raise CorruptStoreError(
+                        f"{cid}.ann.ndjson line {line_no}: unknown feature {fid!r}")
+                annotations.setdefault(fid, {})[ann.aid] = ann
+        state.features, state.annotations, state.unparsed = features, annotations, None
         state.spatial_index()
-        for line_no, line in _numbered_lines(ann_file, f"{cid}.ann.ndjson"):
-            try:
-                obj = decode_json(line)
-                ann = annotation_from_obj(obj, "epoch")
-                fid = obj["fid"]
-            except (ValueError, KeyError, TypeError, ParseError) as exc:
-                raise CorruptStoreError(f"{cid}.ann.ndjson line {line_no}: {exc}") from None
-            if fid not in state.features:
-                raise CorruptStoreError(f"{cid}.ann.ndjson line {line_no}: unknown feature {fid!r}")
-            state.annotations.setdefault(fid, {})[ann.aid] = ann
 
 
 # The MediaStore methods a log record may name; its other fields are their arguments.
@@ -721,26 +774,36 @@ def _verified(line: bytes) -> dict | None:
     return rec
 
 
-def _ndjson_line(obj: dict) -> str:
-    return json.dumps(obj, separators=(", ", ": ")) + "\n"
+def _ndjson_line(obj: dict) -> bytes:
+    return (json.dumps(obj, separators=(", ", ": ")) + "\n").encode("utf-8")
 
 
-def _stage(final: Path, lines) -> tuple[Path, str, int]:
-    """Write lines to final's .tmp sibling as UTF-8 and fsync it, one line at a time.
+def _stage(final: Path, chunks) -> tuple[Path, str, int]:
+    """Write byte chunks to final's .tmp sibling and fsync it, one chunk at a time.
 
     Returns the staged path and the SHA-256 hex digest and size of what it holds.
     """
     tmp = final.with_name(final.name + ".tmp")
     digest, size = hashlib.sha256(), 0
     with open(tmp, "wb") as f:
-        for line in lines:
-            data = line.encode("utf-8")
+        for data in chunks:
             digest.update(data)
             f.write(data)
             size += len(data)
         f.flush()
         os.fsync(f.fileno())
     return tmp, digest.hexdigest(), size
+
+
+def _stage_copy(final: Path, sha: str) -> tuple[Path, str, int]:
+    """_stage a copy of the snapshot file final; CorruptStoreError unless it
+    still has the checksum sha that open() checked."""
+    with open(final, "rb") as f:
+        staged = _stage(final, iter(lambda: f.read(_CHUNK), b""))
+    if staged[1] != sha:
+        raise CorruptStoreError(
+            f"checksum mismatch for {final.name}: changed since the store was opened")
+    return staged
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -751,26 +814,37 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _open_hashed(files: contextlib.ExitStack, path: Path):
-    """Open a store file on files; the file, rewound, and its SHA-256 hex digest and size."""
+def _hash_file(path: Path) -> tuple[str, int]:
+    """The SHA-256 hex digest and size of a store file, read in chunks."""
+    digest, size = hashlib.sha256(), 0
     try:
-        f = files.enter_context(open(path, "rb"))
-        digest = hashlib.sha256()
-        while chunk := f.read(_HASH_CHUNK):
-            digest.update(chunk)
-        size = f.tell()
-        f.seek(0)
+        with open(path, "rb") as f:
+            while chunk := f.read(_CHUNK):
+                digest.update(chunk)
+                size += len(chunk)
     except OSError as exc:
         raise CorruptStoreError(f"missing store file: {exc}") from None
-    return f, digest.hexdigest(), size
+    return digest.hexdigest(), size
 
 
-def _numbered_lines(f, name: str):
-    """The lines of an open store file numbered from 1; a read error is CorruptStoreError."""
+def _checked_lines(files: contextlib.ExitStack, path: Path, sha: str):
+    """The lines of a store file, opened on files, numbered from 1 and hashed
+    as they are read; CorruptStoreError after the last unless they hash to
+    sha, and on a read error."""
     try:
-        yield from enumerate(f, 1)
+        f = files.enter_context(open(path, "rb"))
     except OSError as exc:
-        raise CorruptStoreError(f"unreadable {name}: {exc}") from None
+        raise CorruptStoreError(f"missing store file: {exc}") from None
+    digest = hashlib.sha256()
+    try:
+        for n, line in enumerate(f, 1):
+            digest.update(line)
+            yield n, line
+    except OSError as exc:
+        raise CorruptStoreError(f"unreadable {path.name}: {exc}") from None
+    if digest.hexdigest() != sha:
+        raise CorruptStoreError(
+            f"checksum mismatch for {path.name}: changed since the store was opened")
 
 
 def _check_bbox(bbox) -> Bbox | None:

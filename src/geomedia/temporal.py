@@ -15,7 +15,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
+from operator import lt
 
 from .errors import (
     DegenerateTrackError,
@@ -59,18 +60,27 @@ class TimeInterval:
 def _time_column(times) -> array:
     """times as an array('q') column; ValueError unless they are strictly
     increasing integers in years 1-9999, at least one."""
-    times = tuple(times)  # the order check reads the tuple: no int is boxed
+    if not isinstance(times, (list, tuple)):
+        times = tuple(times)  # the order check reads the sequence: no int is boxed
     try:
         column = array("q", times)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"timestamps must be 64-bit integers: {exc}") from None
     if not times:
         raise ValueError("at least one sample is required")
-    for a, b in zip(times, times[1:]):
-        if b <= a:
-            raise ValueError(f"timestamps not strictly increasing at {b}")
+    if not all(map(lt, times, islice(times, 1, None))):
+        b = next(b for a, b in zip(times, times[1:]) if b <= a)
+        raise ValueError(f"timestamps not strictly increasing at {b}")
     if times[0] < MIN_TIME or times[-1] > MAX_TIME:
         raise ValueError("timestamps must lie in years 1-9999")
+    return column
+
+
+def _value_column(values) -> array:
+    """values as an array('d') column; ValueError unless they are all finite."""
+    column = array("d", map(float, values))
+    if not all(map(math.isfinite, column)):
+        raise ValueError("values must be finite numbers")
     return column
 
 
@@ -127,29 +137,28 @@ class _Series:
     lats: array | None
     alts: array | None
 
-    def _set(self, times, mode, columns: PositionColumns | None, values=None) -> None:
+    def _set(self, time_column: array, mode, columns: PositionColumns | None,
+             value_column: array | None = None) -> None:
         """Set every field once; ValueError unless they make a valid series: a
         moving point (no values) has positions, with altitudes on all or none,
-        and a moving double finite values (its positions may mix altitudes)."""
-        time_column = _time_column(times)
+        and positions and values match the timeline in length (a moving
+        double's positions may mix altitudes). The time and value columns
+        come checked (see _time_column and _value_column)."""
         lons, lats, alts = (None, None, None) if columns is None else columns
         object.__setattr__(self, "time_column", time_column)
         object.__setattr__(self, "mode", InterpolationMode(mode))
         object.__setattr__(self, "lons", lons)
         object.__setattr__(self, "lats", lats)
         object.__setattr__(self, "alts", alts)
-        if values is None:
+        if value_column is None:
             if lons is None:
                 raise ValueError("a moving point needs positions")
             if alts is not None and any(map(math.isnan, alts)):
                 raise ValueError("coordinates mix 2- and 3-component positions")
         else:
-            values = array("d", map(float, values))
-            object.__setattr__(self, "value_column", values)
-            if len(values) != len(time_column):
+            object.__setattr__(self, "value_column", value_column)
+            if len(value_column) != len(time_column):
                 raise ValueError("values and times differ in length")
-            if not all(map(math.isfinite, values)):
-                raise ValueError("values must be finite numbers")
         if lons is not None and len(lons) != len(time_column):
             raise ValueError("positions and times differ in length")
 
@@ -190,14 +199,15 @@ class MovingPoint(_Series):
     """A trajectory: positions sampled on a timeline plus an interpolation rule."""
 
     def __init__(self, times, points, mode=InterpolationMode.LINEAR):
-        self._set(times, mode, _columns_of(points))
+        self._set(_time_column(times), mode, _columns_of(points))
 
     @classmethod
-    def from_columns(cls, times, columns: PositionColumns,
+    def from_columns(cls, time_column: array, columns: PositionColumns,
                      mode=InterpolationMode.LINEAR) -> "MovingPoint":
-        """A track over columns of valid positions (see geo.check_position)."""
+        """A track over a checked time column (see _time_column) and columns
+        of valid positions (see geo.check_position)."""
         mp = object.__new__(cls)
-        mp._set(times, mode, columns)
+        mp._set(time_column, mode, columns)
         return mp
 
     @property
@@ -247,14 +257,18 @@ class MovingDouble(_Series):
     value_column: array
 
     def __init__(self, times, values, mode=InterpolationMode.LINEAR, track=None):
-        self._set(times, mode, None if track is None else _columns_of(track), values)
+        self._set(_time_column(times), mode, None if track is None else _columns_of(track),
+                  _value_column(values))
 
     @classmethod
-    def from_columns(cls, times, values, mode=InterpolationMode.LINEAR,
+    def from_columns(cls, time_column: array, value_column: array,
+                     mode=InterpolationMode.LINEAR,
                      columns: PositionColumns | None = None) -> "MovingDouble":
-        """A series over columns of valid positions (see geo.check_position), or none."""
+        """A series over checked time and value columns (see _time_column and
+        _value_column) and columns of valid positions (see
+        geo.check_position), or none."""
         md = object.__new__(cls)
-        md._set(times, mode, columns, values)
+        md._set(time_column, mode, columns, value_column)
         return md
 
     @property

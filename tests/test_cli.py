@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import threading
@@ -9,8 +10,10 @@ import urllib.request
 
 import pytest
 
-from geomedia import MediaStore, QuerySpec, evaluate, parse_document
+from geomedia import MediaStore, QuerySpec, codec, evaluate, parse_document
+from geomedia import store as store_module
 from geomedia.cli import main
+from geomedia.errors import CorruptStoreError
 
 from conftest import FIXTURES, T0
 
@@ -99,6 +102,60 @@ class TestIngest:
         assert "bad.json" in captured.err
         store = MediaStore.load(store_dir)
         assert store.feature_count("taxi") == 3
+
+    @staticmethod
+    def _three_collections(store_dir):
+        for cid, kind, name in (("taxi", "MovingPoint", "moving_point.json"),
+                                ("pics", "stphoto", "stphoto.json"),
+                                ("cams", "MovingVideo", "moving_video.json")):
+            assert main(["ingest", "--store", str(store_dir), "--collection", cid, "--create",
+                         "--media-type", kind, f"{cid}1={FIXTURES / name}"]) == 0
+
+    @staticmethod
+    def _ingest_sensors(store_dir):
+        src = FIXTURES / "moving_double.json"
+        return main(["ingest", "--store", str(store_dir), "--collection", "sensors", "--create",
+                     "--media-type", "MovingDouble", f"d1={src}", f"d2={src}"])
+
+    def test_ingest_parses_only_the_files_it_ingests(self, store_dir, monkeypatch):
+        """No line of a collection the ingest does not touch is parsed or rewritten."""
+        self._three_collections(store_dir)
+        before = {p.name: p.read_bytes() for p in store_dir.glob("*.ndjson")}
+        assert len(before) == 6
+        parsed = []
+        real_parse_obj = codec.parse_obj
+
+        def counting_parse_obj(obj):
+            parsed.append(obj.get("type"))
+            return real_parse_obj(obj)
+
+        monkeypatch.setattr(codec, "parse_obj", counting_parse_obj)
+        monkeypatch.setattr(store_module, "parse_obj", counting_parse_obj)
+        assert self._ingest_sensors(store_dir) == 0
+        assert parsed == ["MovingDouble", "MovingDouble"]
+        assert {name: (store_dir / name).read_bytes() for name in before} == before
+        assert MediaStore.load(store_dir).feature_count("sensors") == 2
+
+    def test_malformed_line_in_untouched_collection_survives_ingest(self, store_dir):
+        """A bad line whose checksum matches is carried over byte for byte and
+        still fails the next load the same way."""
+        self._three_collections(store_dir)
+        victim = store_dir / "pics.ndjson"
+        data = victim.read_bytes().replace(b'"type": "stphoto"', b'"type": "nophoto"', 1)
+        victim.write_bytes(data)
+        manifest = json.loads((store_dir / "manifest.json").read_text())
+        for entry in manifest["collections"]:
+            if entry["id"] == "pics":
+                entry["sha256"]["features"] = hashlib.sha256(data).hexdigest()
+        (store_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptStoreError) as before:
+            MediaStore.load(store_dir)
+        assert "pics.ndjson line 1" in str(before.value)
+        assert self._ingest_sensors(store_dir) == 0
+        assert victim.read_bytes() == data
+        with pytest.raises(CorruptStoreError) as after:
+            MediaStore.load(store_dir)
+        assert str(after.value) == str(before.value)
 
     def test_create_requires_media_type(self, store_dir, tmp_path):
         src = tmp_path / "t1.json"

@@ -394,8 +394,9 @@ class TestDurability:
             assert orig == back
         assert loaded.list_annotations("pics", "p1") == store.list_annotations("pics", "p1")
 
+    @pytest.mark.parametrize("reopen", ["load", "open"])
     def test_flush_load_flush_is_byte_identical(self, tmp_path, moving_double_doc,
-                                                moving_video_doc):
+                                                moving_video_doc, reopen):
         target = tmp_path / "s"
         store = MediaStore(target)
         self._populate(store)
@@ -405,7 +406,7 @@ class TestDurability:
         store.put_feature("vids", "v1", moving_video_doc)
         store.flush()
         first = {p.name: p.read_bytes() for p in sorted(target.iterdir())}
-        loaded = MediaStore.load(target)
+        loaded = getattr(MediaStore, reopen)(target)
         loaded.flush()
         assert {p.name: p.read_bytes() for p in sorted(target.iterdir())} == first
         md = loaded.get_feature("sensors", "d1").doc.payload
@@ -536,6 +537,56 @@ class TestDurability:
                 for cid in ("tracks", "pics")
             }
             assert loaded_fids == before  # old state must be intact
+
+    def test_open_checks_every_checksum_before_any_parse(self, tmp_path, monkeypatch):
+        import geomedia.store
+
+        target = tmp_path / "s"
+        store = MediaStore(target)
+        self._populate(store)
+        store.flush()
+        victim = target / "tracks.ndjson"  # the last collection: pics comes first
+        victim.write_bytes(victim.read_bytes()[:-20])
+        parsed = []
+        monkeypatch.setattr(geomedia.store, "parse_obj", parsed.append)
+        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson"):
+            MediaStore.open(target)
+        assert parsed == []
+
+    def test_parse_after_open_fails_if_a_file_changed_since_open(self, tmp_path):
+        target = tmp_path / "s"
+        store = MediaStore(target)
+        self._populate(store)
+        store.flush()
+        opened = MediaStore.open(target)
+        victim = target / "tracks.ndjson"
+        victim.write_bytes(victim.read_bytes().replace(b'"fid": "f00"', b'"fid": "f99"', 1))
+        assert [c.id for c in opened.list_collections()] == ["pics", "tracks"]
+        assert opened.feature_count("pics") == 1
+        for _ in range(2):  # a failed parse leaves the collection unparsed, not half-filled
+            with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson"):
+                opened.feature_count("tracks")
+
+    def test_flush_fails_before_any_rename_if_a_file_changed_since_open(self, tmp_path):
+        target = tmp_path / "s"
+        store = MediaStore(target)
+        self._populate(store)
+        store.flush()
+        before = {p.name: p.read_bytes() for p in target.iterdir()}
+        opened = MediaStore.open(target)
+        opened.create_collection("extra", "x", "MovingPoint")
+        opened.put_feature("extra", "f0", track_doc(random.Random("changed")))
+        victim = target / "tracks.ndjson"  # the last collection: extra and pics are staged first
+        changed = before["tracks.ndjson"].replace(b'"fid": "f00"', b'"fid": "f99"', 1)
+        victim.write_bytes(changed)
+        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson"):
+            opened.flush()
+        after = {p.name: p.read_bytes() for p in target.iterdir() if p.suffix != ".tmp"}
+        assert after == {**before, "tracks.ndjson": changed}
+        victim.write_bytes(before["tracks.ndjson"])
+        loaded = MediaStore.load(target)
+        assert [c.id for c in loaded.list_collections()] == ["pics", "tracks"]
+        assert loaded.feature_count("tracks") == 20
 
     def test_flush_removes_stale_collection_files(self, tmp_path):
         store = MediaStore(tmp_path / "s")
