@@ -12,7 +12,9 @@ service and cli ask this module what a kind can do.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -126,31 +128,77 @@ class STPhoto:
         """The fixed camera; t is ignored."""
         return FovState(self.loc, resolve_direction(self.fov), self.fov)
 
+    def fov_states(self, times) -> Iterator[FovState]:
+        """fov_at of each of times: the fixed camera each time."""
+        state = self.fov_at()
+        return (state for _ in times)
+
     def visibility_samples(self, p: GeoPoint, step_ms: int) -> tuple[TimeStamp, ...]:
         """A photo sees p at its one instant or never."""
         return (self.t,)
 
 
-@dataclass(frozen=True, slots=True)
+def _fov_column(fovs) -> array:
+    """FieldOfViews as one array('d') column: h_angle, v_angle, direction2d
+    and view_distance of each in turn."""
+    return array("d", [x for f in fovs
+                       for x in (f.h_angle, f.v_angle, f.direction2d, f.view_distance)])
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class MovingVideo:
-    """A geo-tagged video: URI, camera track, and one FoV per sample (or one for all)."""
+    """A geo-tagged video: URI, camera track, and one FoV per sample (or one for all).
+
+    The FoVs are held as one array('d') column (see _fov_column), never
+    mutated; fovs builds a tuple of FieldOfViews on each access.
+    """
 
     videouri: str
     track: MovingPoint
-    fovs: tuple[FieldOfView, ...] = (FieldOfView(),)
+    fov_column: array
 
-    def __post_init__(self):
-        object.__setattr__(self, "fovs", tuple(self.fovs))
-        if not self.videouri:
+    def __init__(self, videouri: str, track: MovingPoint,
+                 fovs: tuple[FieldOfView, ...] = (FieldOfView(),)):
+        self._set(videouri, track, _fov_column(fovs))
+
+    @classmethod
+    def from_column(cls, videouri: str, track: MovingPoint, column: array) -> "MovingVideo":
+        """A video over a column of valid FoVs (see _fov_column and FieldOfView)."""
+        video = object.__new__(cls)
+        video._set(videouri, track, column)
+        return video
+
+    def _set(self, videouri: str, track: MovingPoint, column: array) -> None:
+        object.__setattr__(self, "videouri", videouri)
+        object.__setattr__(self, "track", track)
+        object.__setattr__(self, "fov_column", column)
+        if not videouri:
             raise ValueError("videouri must be non-empty")
-        if len(self.fovs) not in (1, len(self.track)):
+        if len(column) // 4 not in (1, len(track)):
             raise ValueError(
-                f"fov list length {len(self.fovs)} is neither 1 nor the sample count"
+                f"fov list length {len(column) // 4} is neither 1 nor the sample count"
             )
-        min_lon, min_lat, max_lon, max_lat = self.track.spatial_bbox()
-        if (min_lon, min_lat) == (max_lon, max_lat) and any(f.is_relative for f in self.fovs):
+        min_lon, min_lat, max_lon, max_lat = track.spatial_bbox()
+        if (min_lon, min_lat) == (max_lon, max_lat) and min(column[2::4]) < 0.0:
             # the direction resolves against the track heading, which a still track lacks
             raise ValueError("a mount-relative direction needs a moving track")
+
+    @property
+    def fovs(self) -> tuple[FieldOfView, ...]:
+        c = self.fov_column
+        return tuple(map(FieldOfView, c[0::4], c[1::4], c[2::4], c[3::4]))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.videouri, self.track, self.fov_column) == (
+            other.videouri, other.track, other.fov_column)
+
+    def __hash__(self):
+        return hash((self.videouri, self.track, tuple(self.fov_column)))
+
+    def __repr__(self) -> str:
+        return f"MovingVideo(videouri={self.videouri!r}, track={self.track!r}, fovs={self.fovs!r})"
 
     def time_extent(self) -> TimeInterval:
         return self.track.time_extent()
@@ -167,17 +215,30 @@ class MovingVideo:
 
     def view_reach(self) -> float:
         """The largest view distance of any of its FoVs, in meters."""
-        return max(f.view_distance for f in self.fovs)
+        return max(self.fov_column[3::4])
 
     def fov_at(self, t: TimeStamp | None) -> FovState:
         """Camera, absolute direction and FoV at time t; a video needs t."""
         if t is None:
             raise BadQueryError("a time ('at') is required for a moving video")
-        camera = self.track.at(t)
-        fovs = self.fovs
-        fov = fovs[bisect_right(self.track.time_column, t) - 1 if len(fovs) > 1 else 0]
-        heading = self.track.heading_at(t) if fov.is_relative else None
-        return FovState(camera, resolve_direction(fov, heading), fov)
+        return next(self.fov_states((t,)))
+
+    def fov_states(self, times) -> Iterator[FovState]:
+        """fov_at of each of times in turn. The FoV entry and the heading
+        change only from one track segment to the next, so the FieldOfView
+        and its direction are worked out once per run of times in a segment."""
+        track, column = self.track, self.fov_column
+        segment = None
+        for t in times:
+            camera = track.at(t)
+            i = bisect_right(track.time_column, t) - 1
+            if i != segment:
+                segment = i
+                j = 4 * i if len(column) > 4 else 0
+                fov = FieldOfView(*column[j:j + 4])
+                heading = track.heading_at(t) if fov.is_relative else None
+                direction = resolve_direction(fov, heading)
+            yield FovState(camera, direction, fov)
 
     def visibility_samples(self, p: GeoPoint, step_ms: int) -> list[TimeStamp]:
         """Sorted instants to test p at; none when p is out of reach."""

@@ -78,8 +78,8 @@ def visible_intervals(x, p: GeoPoint, sample_step_ms: int = 100) -> list[TimeInt
     camera = payload_of_kind(x, CAMERA_KINDS, "field of view")
     out: list[TimeInterval] = []
     run_start = run_end = None
-    for t in camera.visibility_samples(p, sample_step_ms):
-        state = camera.fov_at(t)
+    samples = camera.visibility_samples(p, sample_step_ms)
+    for t, state in zip(samples, camera.fov_states(samples)):
         if fov_contains(state.camera, state.direction, state.fov, p):
             if run_start is None:
                 run_start = t

@@ -510,7 +510,7 @@ class MediaStore:
         checksum mismatch that open() reports as CorruptStoreError. A
         collection never parsed is copied from its snapshot files; if one no
         longer matches its checksum, CorruptStoreError is raised before any
-        rename.
+        rename. Staged files left by a failed flush are removed.
         """
         with self._lock:
             if self._dir is None:
@@ -519,6 +519,12 @@ class MediaStore:
                 self._flush_locked()
             except OSError as exc:
                 raise StoreIoError(f"flush failed: {exc}") from exc
+            finally:
+                # what this flush staged but did not rename, and what an
+                # earlier one's crash left
+                for stray in self._dir.glob("*.tmp"):
+                    with contextlib.suppress(OSError):
+                        stray.unlink()
             return self._dir
 
     def _flush_locked(self) -> None:

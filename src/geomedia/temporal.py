@@ -78,7 +78,7 @@ def _time_column(times) -> array:
 
 def _value_column(values) -> array:
     """values as an array('d') column; ValueError unless they are all finite."""
-    column = array("d", map(float, values))
+    column = array("d", list(map(float, values)))  # sized at once: extending over-allocates
     if not all(map(math.isfinite, column)):
         raise ValueError("values must be finite numbers")
     return column

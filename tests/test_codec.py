@@ -9,6 +9,7 @@ from datetime import datetime, timezone
 import pytest
 
 from geomedia import (
+    FieldOfView,
     GeoPoint,
     InterpolationMode,
     epoch_to_iso,
@@ -16,6 +17,7 @@ from geomedia import (
     parse_document,
     serialize_document,
 )
+from geomedia import codec
 from geomedia.codec import parse_obj
 from geomedia.errors import ParseError
 
@@ -522,3 +524,121 @@ class TestNumbersAreFinite:
             % ("9" * 300, BIG))
         assert doc.payload.values == (1e308, -float("9" * 300))
         assert dict(doc.extras) == {"note": int(BIG)}
+
+
+def _video(fov: str, coordinates: str = "[[0, 0], [1, 1], [2, 2]]") -> str:
+    """A three-sample MovingVideo whose third fov entry is the JSON text fov."""
+    return ('{"type": "MovingVideo", "uri": "u:v", "coordinates": %s, "timeline": [1, 2, 3],'
+            ' "fov": [{"direction2d": 10}, {"direction2d": 20}, %s]}' % (coordinates, fov))
+
+
+def _track(position: str, first: str = "[0, 0], [1, 1]") -> str:
+    """A three-sample MovingPoint whose third position is the JSON text position."""
+    return ('{"type": "MovingPoint", "coordinates": [%s, %s], "timeline": [1, 2, 3]}'
+            % (first, position))
+
+
+_POSITION = "position must be [lon, lat] or [lon, lat, alt]"
+_MIX = "coordinates mix 2- and 3-component positions"
+
+
+class TestColumnReads:
+    """"coordinates" and "fov" are read in one pass per column; on any fault
+    the entry-by-entry read runs instead, so the message and the pointer are
+    the ones it gives."""
+
+    @pytest.mark.parametrize("text, message, path", [
+        (_video('{"horizontalAngle": true}'),
+         "'horizontalAngle' must be a finite number", "/fov/2/horizontalAngle"),
+        (_video('{"verticalAngle": "60"}'),
+         "'verticalAngle' must be a finite number", "/fov/2/verticalAngle"),
+        (_video('{"direction2d": NaN}'),
+         "'direction2d' must be a finite number", "/fov/2/direction2d"),
+        (_video('{"viewDistance": 1e400}'),
+         "'viewDistance' must be a finite number", "/fov/2/viewDistance"),
+        (_video('{"distance": %s}' % BIG),
+         "'distance' must be a finite number", "/fov/2/distance"),
+        (_video('{"horizontalAngle": 0}'), "horizontal angle 0.0 outside (0, 360]", "/fov/2"),
+        (_video('{"horizontalAngle": 361}'), "horizontal angle 361.0 outside (0, 360]", "/fov/2"),
+        (_video('{"verticalAngle": 181}'), "vertical angle 181.0 outside (0, 180]", "/fov/2"),
+        (_video('{"direction2d": 360}'), "direction2d 360.0 outside [-360, 360)", "/fov/2"),
+        (_video('{"direction2d": -361}'), "direction2d -361.0 outside [-360, 360)", "/fov/2"),
+        (_video('{"viewDistance": 0}'), "view distance 0.0 must be finite and > 0", "/fov/2"),
+        (_video('{"distance": 5, "viewDistance": 5}'),
+         "both 'distance' and 'viewDistance' present", "/fov/2/viewDistance"),
+        (_video('{"type": "camera"}'), "fov type tag must be 'fov', got 'camera'", "/fov/2/type"),
+        (_video('{"type": 7}'), "fov type tag must be 'fov', got 7", "/fov/2/type"),
+        (_video("5"), "fov must be an object", "/fov/2"),
+        (_video("[1]"), "fov must be an object", "/fov/2"),
+        (_video("null"), "fov must be an object", "/fov/2"),
+        (_video('{"direction2d": -90}', "[[0, 0], [0, 0], [0, 0]]"),
+         "a mount-relative direction needs a moving track", "/fov/2/direction2d"),
+        (_video("{}", "[[0, 0], [1, 1], [2, true]]"), _POSITION, "/coordinates/2"),
+        (_track("[true, 1]"), _POSITION, "/coordinates/2"),
+        (_track('[1, "1"]'), _POSITION, "/coordinates/2"),
+        (_track("[NaN, 1]"), "longitude nan outside [-180, 180]", "/coordinates/2"),
+        (_track("[1, 1e400]"), "latitude inf outside [-90, 90]", "/coordinates/2"),
+        (_track("[%s, 1]" % BIG), "int too large to convert to float", "/coordinates/2"),
+        (_track("[1, 1, %s]" % BIG, "[0, 0, 0], [1, 1, 1]"),
+         "int too large to convert to float", "/coordinates/2"),
+        (_track("[1, 1, NaN]", "[0, 0, 0], [1, 1, 1]"), "altitude nan is not finite",
+         "/coordinates/2"),
+        (_track("[181, 0]"), "longitude 181.0 outside [-180, 180]", "/coordinates/2"),
+        (_track("[0, -91]"), "latitude -91.0 outside [-90, 90]", "/coordinates/2"),
+        (_track("[1]"), _POSITION, "/coordinates/2"),
+        (_track("[1, 1, 1, 1]"), _POSITION, "/coordinates/2"),
+        (_track("[2, 2, 5]"), _MIX, "/coordinates"),
+        (_track("[2, 2]", "[0, 0, 0], [1, 1, 1]"), _MIX, "/coordinates"),
+        (_track("[true, 2]", "[0, 0], [1, 1, 1]"), _POSITION, "/coordinates/2"),
+        (_track('{"lon": 1, "lat": 1}'), _POSITION, "/coordinates/2"),
+        (_track('"1, 1"'), _POSITION, "/coordinates/2"),
+        (_track("[]"), _POSITION, "/coordinates/2"),
+    ], ids=["bool-member", "string-member", "nan-member", "1e400-member", "long-int-member",
+            "h-angle-0", "h-angle-361", "v-angle-181", "direction-360", "direction--361",
+            "distance-0", "both-distances", "camera-tag", "number-tag", "number-entry",
+            "array-entry", "null-entry", "relative-on-still-track", "video-bool-position",
+            "bool-lon", "string-lat", "nan-lon", "1e400-lat", "long-int-lon", "long-int-alt",
+            "nan-alt", "lon-181", "lat--91", "one-component", "four-components", "mix-3-after-2",
+            "mix-2-after-3", "fault-after-mix", "object-position", "string-position",
+            "empty-position"])
+    def test_fault_at_a_later_entry(self, text, message, path):
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert (err.value.message, err.value.path) == (message, path)
+
+    @pytest.mark.parametrize("entry, fov", [
+        ('{"direction2d ": 30}', FieldOfView(direction2d=30)),
+        ('{"direction2d ": 30, "direction2d": 40}', FieldOfView(direction2d=40)),
+        ('{"type": "FoV", "distance": 7}', FieldOfView(view_distance=7)),
+        ('{"type": null}', FieldOfView()),
+        ('{"direction2d": 30, "note": "dropped"}', FieldOfView(direction2d=30)),
+    ], ids=["padded-name", "padded-and-plain-name", "tag-case", "null-tag", "unknown-member"])
+    def test_fov_spellings_accepted(self, entry, fov):
+        video = parse_document(_video(entry)).payload
+        assert video.fovs == (FieldOfView(direction2d=10), FieldOfView(direction2d=20), fov)
+
+    def test_sensor_positions_may_mix_altitudes(self):
+        doc = parse_document('{"type": "MovingDouble", "values": [1, 2, 3], "timeline": [1, 2, 3],'
+                             ' "coordinates": [[0, 0], [1, 1, 5], [2, 2]]}')
+        assert doc.payload.track == (GeoPoint(0, 0), GeoPoint(1, 1, 5), GeoPoint(2, 2))
+
+    def test_one_pass_reads_agree_with_entry_reads(self):
+        rng = random.Random("columns")
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            distance = rng.choice(("distance", "viewDistance"))
+            fovs = [{"horizontalAngle": rng.choice((1, 63.5, 360)),
+                     "verticalAngle": rng.choice((0.5, 60, 180)),
+                     "direction2d": rng.choice((-360, -90.25, 0, 359.5)),
+                     distance: rng.choice((1e-3, 80, 1e6))}
+                    for _ in range(n)]
+            for entry in fovs:
+                for member in rng.sample(sorted(entry), rng.randint(0, 2)):
+                    del entry[member]
+            walked = codec._fov_column(codec._read_fov(entry, "") for entry in fovs)
+            assert codec._screened_fovs(fovs) == walked
+            size = rng.choice((2, 3))
+            positions = [[rng.choice((-180, -0.5, 0, 179.25, 180)),
+                          rng.choice((-90, 12, 89.5, 90)), rng.uniform(-1e4, 1e4)][:size]
+                         for _ in range(n)]
+            assert codec._screened_positions(positions) == codec._walk_positions(positions, "")

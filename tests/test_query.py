@@ -136,6 +136,19 @@ class TestFovAt:
         camera = fov_at(video, 500).camera
         assert camera.lon == pytest.approx(0.00005, abs=1e-12)
 
+    def test_sweep_states_are_fov_at(self):
+        # the sweep works out a segment's FoV and direction once for all its samples
+        rng = random.Random("sweep")
+        for i in range(40):
+            n = rng.randint(2, 6)
+            times = tuple(1000 * k for k in range(n))
+            points = tuple(random_track(rng, around(rng, rng.choice(ANCHORS)), n))
+            fovs = tuple(FieldOfView(direction2d=rng.choice([-360.0, -90.0, rng.uniform(0, 359)]))
+                         for _ in range(rng.choice([1, n])))
+            video = MovingVideo(f"u:{i}", MovingPoint(times, points), fovs)
+            samples = range(0, times[-1] + 1, 250)
+            assert list(video.fov_states(samples)) == [video.fov_at(t) for t in samples]
+
 
 class TestVisibleIntervals:
     def test_never_visible(self):

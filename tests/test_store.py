@@ -152,6 +152,36 @@ class TestMemory:
             tracemalloc.stop()
         assert held / 12_000 < self.BYTES_PER_SAMPLE
 
+    # Bytes held per stored sample of a 12-sample video with one FoV per
+    # sample, parse plus put: 141 (3.11) and 150 (3.10) with the FoVs in one
+    # array('d') column, against 279 and 288 with one FieldOfView per sample.
+    VIDEO_BYTES_PER_SAMPLE = 190
+
+    def test_stored_videos_hold_no_object_per_fov(self):
+        texts = [
+            json.dumps({
+                "type": "MovingVideo",
+                "uri": f"https://media.example/video/{i}.mp4",
+                "coordinates": [[126 + i * 1e-4 + k * 1e-5, 37.5 + k * 1e-5] for k in range(12)],
+                "timeline": [T0 + i * 60_000 + k * 1000 for k in range(12)],
+                "fov": [{"horizontalAngle": 60, "verticalAngle": 45,
+                         "direction2d": (i + 7 * k) % 360, "viewDistance": 80}
+                        for k in range(12)],
+            }).encode()
+            for i in range(1000)
+        ]
+        store = MediaStore()
+        store.create_collection("videos", "", "MovingVideo")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i, text in enumerate(texts):
+                store.put_feature("videos", f"f{i}", parse_document(text))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / 12_000 < self.VIDEO_BYTES_PER_SAMPLE
+
 
 def _twelve_sample_tracks(directory, count):
     store = MediaStore(directory)
@@ -587,6 +617,26 @@ class TestDurability:
         loaded = MediaStore.load(target)
         assert [c.id for c in loaded.list_collections()] == ["pics", "tracks"]
         assert loaded.feature_count("tracks") == 20
+
+    def test_no_staged_file_outlives_a_flush(self, tmp_path):
+        target = tmp_path / "s"
+        store = MediaStore(target)
+        self._populate(store)
+        store.flush()
+        opened = MediaStore.open(target)
+        opened.create_collection("extra", "x", "MovingPoint")
+        opened.put_feature("extra", "f0", track_doc(random.Random("changed")))
+        victim = target / "tracks.ndjson"
+        good = victim.read_bytes()
+        victim.write_bytes(good.replace(b'"fid": "f00"', b'"fid": "f99"', 1))
+        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson"):
+            opened.flush()
+        assert sorted(target.glob("*.tmp")) == []
+        victim.write_bytes(good)
+        (target / "gone.ndjson.tmp").write_bytes(b"staged by a flush that crashed")
+        opened.flush()
+        assert sorted(target.glob("*.tmp")) == []
+        assert MediaStore.load(target).feature_count("extra") == 1
 
     def test_flush_removes_stale_collection_files(self, tmp_path):
         store = MediaStore(tmp_path / "s")
