@@ -27,7 +27,6 @@ import math
 import re
 from array import array
 from datetime import datetime, timedelta
-from itertools import chain
 
 from .errors import ParseError
 from .fov import (
@@ -48,7 +47,6 @@ from .media import (
     GeoMediaDocument,
     MovingVideo,
     STPhoto,
-    _fov_column,
 )
 from .temporal import (
     MAX_TIME,
@@ -276,57 +274,21 @@ def _read_interpolation(obj: dict, path: str = "") -> InterpolationMode:
     )
 
 
-def _finite_column(values: list) -> array | None:
-    """values as an array('d') column if every one is a finite JSON number, else None."""
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
-        return None
-    try:
-        column = array("d", values)
-    except OverflowError:
-        return None
-    return column if all(map(math.isfinite, values)) else None
-
-
 def _read_track(obj: dict, path: str = "") -> PositionColumns:
     """The "coordinates" array as position columns, without a GeoPoint per entry."""
     raw = obj.get("coordinates")
     if not isinstance(raw, list) or not raw:
         raise ParseError("'coordinates' must be a non-empty array", f"{path}/coordinates")
-    columns = _screened_positions(raw)
-    return _walk_positions(raw, path) if columns is None else columns
-
-
-def _screened_positions(raw: list) -> PositionColumns | None:
-    """The columns of positions that all have two or all three components, in
-    one pass per check; None if any check fails (see _walk_positions)."""
-    if set(map(type, raw)) != {list}:
-        return None
-    sizes = set(map(len, raw))
-    if sizes != {2} and sizes != {3}:
-        return None
-    size = sizes.pop()
-    flat = list(chain.from_iterable(raw))
-    column = _finite_column(flat)
-    if column is None:
-        return None
-    lons, lats = flat[0::size], flat[1::size]
-    if not (-180.0 <= min(lons) and max(lons) <= 180.0 and -90.0 <= min(lats)
-            and max(lats) <= 90.0):
-        return None
-    return column[0::size], column[1::size], column[2::3] if size == 3 else None
-
-
-def _walk_positions(raw: list, path: str) -> PositionColumns:
-    """The columns of positions read one by one: those of a mix of two- and
-    three-component positions, or the first entry's fault as a ParseError."""
-    positions = []
+    lons, lats, alts = [], [], []  # lists, so that each column is sized at once
     for i, entry in enumerate(raw):
         try:
-            positions.append(_read_position(entry))
+            lon, lat, alt = _read_position(entry)
         except (ValueError, OverflowError) as exc:
             raise ParseError(str(exc), f"{path}/coordinates/{i}") from None
-    lons, lats, alts = zip(*positions)
-    if all(alt is None for alt in alts):
+        lons.append(lon)
+        lats.append(lat)
+        alts.append(alt)
+    if alts.count(None) == len(alts):
         return array("d", lons), array("d", lats), None
     return array("d", lons), array("d", lats), array(
         "d", [math.nan if alt is None else alt for alt in alts])
@@ -360,38 +322,6 @@ def _read_fov(obj, path: str) -> FieldOfView:
         )
     except ValueError as exc:
         raise ParseError(str(exc), path) from None
-
-
-_FOV_MEMBERS = frozenset({"type", "horizontalAngle", "verticalAngle", "direction2d",
-                          "distance", "viewDistance"})
-
-
-def _screened_fovs(raw: list) -> array | None:
-    """The FoV column (see media._fov_column) of fov entries that are objects
-    of plain members (no other member, no name to trim, one distance member,
-    a "type" tag spelled "fov"), in one pass per check; None if any check
-    fails (see _read_fov)."""
-    if set(map(type, raw)) != {dict}:
-        return None
-    names = set().union(*raw)
-    if not _FOV_MEMBERS.issuperset(names) or {"distance", "viewDistance"} <= names:
-        return None
-    if "type" in names and {entry.get("type", "fov") for entry in raw} != {"fov"}:
-        return None
-    distance = "viewDistance" if "viewDistance" in names else "distance"
-    flat = [x for entry in raw for x in (
-        entry.get("horizontalAngle", DEFAULT_H_ANGLE),
-        entry.get("verticalAngle", DEFAULT_V_ANGLE),
-        entry.get("direction2d", DEFAULT_DIRECTION),
-        entry.get(distance, DEFAULT_VIEW_DISTANCE))]
-    column = _finite_column(flat)
-    if column is None:
-        return None
-    h, v, d, r = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
-    if not (0.0 < min(h) and max(h) <= 360.0 and 0.0 < min(v) and max(v) <= 180.0
-            and -360.0 <= min(d) and max(d) < 360.0 and 0.0 < min(r)):
-        return None
-    return column
 
 
 def _build_moving_point(obj: dict) -> tuple[MovingPoint, set[str]]:
@@ -461,21 +391,20 @@ def _build_stphoto(obj: dict) -> tuple[STPhoto, set[str]]:
 def _build_moving_video(obj: dict) -> tuple[MovingVideo, set[str]]:
     uri = _read_uri(obj)
     track, _ = _build_moving_point(obj)
+    fovs: list[FieldOfView]  # not a tuple: freed small tuples stay in the interpreter's free list
     if "fov" in obj:
         raw = obj["fov"]
         if not isinstance(raw, list) or not raw:
             raise ParseError("'fov' must be a non-empty array", "/fov")
-        column = _screened_fovs(raw)
-        if column is None:
-            column = _fov_column(_read_fov(entry, f"/fov/{i}") for i, entry in enumerate(raw))
-        if len(column) // 4 not in (1, len(track)):
-            raise ParseError(f"{len(column) // 4} fov entries for {len(track)} samples", "/fov")
+        fovs = [_read_fov(entry, f"/fov/{i}") for i, entry in enumerate(raw)]
+        if len(fovs) not in (1, len(track)):
+            raise ParseError(f"{len(fovs)} fov entries for {len(track)} samples", "/fov")
     else:
-        column = _fov_column((FieldOfView(),))
+        fovs = [FieldOfView()]
     try:
-        video = MovingVideo.from_column(uri, track, column)
+        video = MovingVideo(uri, track, fovs)
     except ValueError as exc:  # uri and fov count are checked above: this is a still track
-        first = next(i for i, direction in enumerate(column[2::4]) if direction < 0.0)
+        first = next(i for i, fov in enumerate(fovs) if fov.is_relative)
         raise ParseError(str(exc), f"/fov/{first}/direction2d") from None
     return video, {
         "uri", "coordinates", "fov", "datetimes", "timeline", "interpolation",
@@ -571,10 +500,9 @@ def _write_stphoto(photo: STPhoto, time_style: str) -> dict:
 
 
 def _write_moving_video(video: MovingVideo, time_style: str) -> dict:
-    c = video.fov_column
     fovs = [{"verticalAngle": _num(v), "horizontalAngle": _num(h),
              "viewDistance": _num(r), "direction2d": _num(d)}
-            for h, v, d, r in zip(c[0::4], c[1::4], c[2::4], c[3::4])]
+            for h, v, d, r in video.fov_rows()]
     return {"uri": video.videouri, "coordinates": _coords(video.track),
             "fov": fovs, **_time_member(video.track.time_column, time_style),
             "interpolation": video.track.mode.value}

@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import starmap
 from typing import NamedTuple
 
 from .errors import BadQueryError, WrongKindError
@@ -138,7 +139,7 @@ class STPhoto:
         return (self.t,)
 
 
-def _fov_column(fovs) -> array:
+def _pack_fovs(fovs) -> array:
     """FieldOfViews as one array('d') column: h_angle, v_angle, direction2d
     and view_distance of each in turn."""
     return array("d", [x for f in fovs
@@ -149,29 +150,20 @@ def _fov_column(fovs) -> array:
 class MovingVideo:
     """A geo-tagged video: URI, camera track, and one FoV per sample (or one for all).
 
-    The FoVs are held as one array('d') column (see _fov_column), never
+    The FoVs are held as one array('d') column (see _pack_fovs), never
     mutated; fovs builds a tuple of FieldOfViews on each access.
     """
 
     videouri: str
     track: MovingPoint
-    fov_column: array
+    _fov_column: array
 
     def __init__(self, videouri: str, track: MovingPoint,
-                 fovs: tuple[FieldOfView, ...] = (FieldOfView(),)):
-        self._set(videouri, track, _fov_column(fovs))
-
-    @classmethod
-    def from_column(cls, videouri: str, track: MovingPoint, column: array) -> "MovingVideo":
-        """A video over a column of valid FoVs (see _fov_column and FieldOfView)."""
-        video = object.__new__(cls)
-        video._set(videouri, track, column)
-        return video
-
-    def _set(self, videouri: str, track: MovingPoint, column: array) -> None:
+                 fovs: Iterable[FieldOfView] = (FieldOfView(),)):
+        column = _pack_fovs(fovs)
         object.__setattr__(self, "videouri", videouri)
         object.__setattr__(self, "track", track)
-        object.__setattr__(self, "fov_column", column)
+        object.__setattr__(self, "_fov_column", column)
         if not videouri:
             raise ValueError("videouri must be non-empty")
         if len(column) // 4 not in (1, len(track)):
@@ -185,17 +177,22 @@ class MovingVideo:
 
     @property
     def fovs(self) -> tuple[FieldOfView, ...]:
-        c = self.fov_column
-        return tuple(map(FieldOfView, c[0::4], c[1::4], c[2::4], c[3::4]))
+        return tuple(starmap(FieldOfView, self.fov_rows()))
+
+    def fov_rows(self) -> Iterator[tuple[float, float, float, float]]:
+        """h_angle, v_angle, direction2d and view_distance of each FoV in turn,
+        without building a FieldOfView."""
+        c = self._fov_column
+        return zip(c[0::4], c[1::4], c[2::4], c[3::4])
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.videouri, self.track, self.fov_column) == (
-            other.videouri, other.track, other.fov_column)
+        return (self.videouri, self.track, self._fov_column) == (
+            other.videouri, other.track, other._fov_column)
 
     def __hash__(self):
-        return hash((self.videouri, self.track, tuple(self.fov_column)))
+        return hash((self.videouri, self.track, tuple(self._fov_column)))
 
     def __repr__(self) -> str:
         return f"MovingVideo(videouri={self.videouri!r}, track={self.track!r}, fovs={self.fovs!r})"
@@ -215,7 +212,7 @@ class MovingVideo:
 
     def view_reach(self) -> float:
         """The largest view distance of any of its FoVs, in meters."""
-        return max(self.fov_column[3::4])
+        return max(self._fov_column[3::4])
 
     def fov_at(self, t: TimeStamp | None) -> FovState:
         """Camera, absolute direction and FoV at time t; a video needs t."""
@@ -227,7 +224,7 @@ class MovingVideo:
         """fov_at of each of times in turn. The FoV entry and the heading
         change only from one track segment to the next, so the FieldOfView
         and its direction are worked out once per run of times in a segment."""
-        track, column = self.track, self.fov_column
+        track, column = self.track, self._fov_column
         segment = None
         for t in times:
             camera = track.at(t)

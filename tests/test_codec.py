@@ -17,7 +17,6 @@ from geomedia import (
     parse_document,
     serialize_document,
 )
-from geomedia import codec
 from geomedia.codec import parse_obj
 from geomedia.errors import ParseError
 
@@ -543,9 +542,8 @@ _MIX = "coordinates mix 2- and 3-component positions"
 
 
 class TestColumnReads:
-    """"coordinates" and "fov" are read in one pass per column; on any fault
-    the entry-by-entry read runs instead, so the message and the pointer are
-    the ones it gives."""
+    """A fault at a later entry of "coordinates" or "fov" gives the same
+    message and pointer as before either became a column."""
 
     @pytest.mark.parametrize("text, message, path", [
         (_video('{"horizontalAngle": true}'),
@@ -568,6 +566,8 @@ class TestColumnReads:
          "both 'distance' and 'viewDistance' present", "/fov/2/viewDistance"),
         (_video('{"type": "camera"}'), "fov type tag must be 'fov', got 'camera'", "/fov/2/type"),
         (_video('{"type": 7}'), "fov type tag must be 'fov', got 7", "/fov/2/type"),
+        (_video('{"type": []}'), "fov type tag must be 'fov', got []", "/fov/2/type"),
+        (_video('{"type": {}}'), "fov type tag must be 'fov', got {}", "/fov/2/type"),
         (_video("5"), "fov must be an object", "/fov/2"),
         (_video("[1]"), "fov must be an object", "/fov/2"),
         (_video("null"), "fov must be an object", "/fov/2"),
@@ -595,12 +595,12 @@ class TestColumnReads:
         (_track("[]"), _POSITION, "/coordinates/2"),
     ], ids=["bool-member", "string-member", "nan-member", "1e400-member", "long-int-member",
             "h-angle-0", "h-angle-361", "v-angle-181", "direction-360", "direction--361",
-            "distance-0", "both-distances", "camera-tag", "number-tag", "number-entry",
-            "array-entry", "null-entry", "relative-on-still-track", "video-bool-position",
-            "bool-lon", "string-lat", "nan-lon", "1e400-lat", "long-int-lon", "long-int-alt",
-            "nan-alt", "lon-181", "lat--91", "one-component", "four-components", "mix-3-after-2",
-            "mix-2-after-3", "fault-after-mix", "object-position", "string-position",
-            "empty-position"])
+            "distance-0", "both-distances", "camera-tag", "number-tag", "array-tag",
+            "object-tag", "number-entry", "array-entry", "null-entry", "relative-on-still-track",
+            "video-bool-position", "bool-lon", "string-lat", "nan-lon", "1e400-lat",
+            "long-int-lon", "long-int-alt", "nan-alt", "lon-181", "lat--91", "one-component",
+            "four-components", "mix-3-after-2", "mix-2-after-3", "fault-after-mix",
+            "object-position", "string-position", "empty-position"])
     def test_fault_at_a_later_entry(self, text, message, path):
         with pytest.raises(ParseError) as err:
             parse_document(text)
@@ -621,24 +621,3 @@ class TestColumnReads:
         doc = parse_document('{"type": "MovingDouble", "values": [1, 2, 3], "timeline": [1, 2, 3],'
                              ' "coordinates": [[0, 0], [1, 1, 5], [2, 2]]}')
         assert doc.payload.track == (GeoPoint(0, 0), GeoPoint(1, 1, 5), GeoPoint(2, 2))
-
-    def test_one_pass_reads_agree_with_entry_reads(self):
-        rng = random.Random("columns")
-        for _ in range(300):
-            n = rng.randint(1, 6)
-            distance = rng.choice(("distance", "viewDistance"))
-            fovs = [{"horizontalAngle": rng.choice((1, 63.5, 360)),
-                     "verticalAngle": rng.choice((0.5, 60, 180)),
-                     "direction2d": rng.choice((-360, -90.25, 0, 359.5)),
-                     distance: rng.choice((1e-3, 80, 1e6))}
-                    for _ in range(n)]
-            for entry in fovs:
-                for member in rng.sample(sorted(entry), rng.randint(0, 2)):
-                    del entry[member]
-            walked = codec._fov_column(codec._read_fov(entry, "") for entry in fovs)
-            assert codec._screened_fovs(fovs) == walked
-            size = rng.choice((2, 3))
-            positions = [[rng.choice((-180, -0.5, 0, 179.25, 180)),
-                          rng.choice((-90, 12, 89.5, 90)), rng.uniform(-1e4, 1e4)][:size]
-                         for _ in range(n)]
-            assert codec._screened_positions(positions) == codec._walk_positions(positions, "")
