@@ -20,7 +20,7 @@ from itertools import starmap
 from typing import NamedTuple
 
 from .errors import BadQueryError, WrongKindError
-from .fov import FieldOfView, resolve_direction
+from .fov import FieldOfView, fov_contains, resolve_direction
 from .geo import EARTH_RADIUS_M, GeoPoint, angle_between, destination, geo_distance
 from .temporal import (MAX_TIME, MIN_TIME, InterpolationMode, MovingDouble, MovingPoint,
                         TimeInterval, TimeStamp)
@@ -30,8 +30,8 @@ KIND_MOVING_DOUBLE = "MovingDouble"
 KIND_STPHOTO = "stphoto"
 KIND_MOVING_VIDEO = "MovingVideo"
 
-# What a kind can answer: a camera (fov_at, visible_intervals, view_reach), a
-# position track (position_at), and annotations with a time range.
+# What a kind can answer: a camera (its class's fov_at, visible_intervals and
+# view_reach), a position track (position_at), and annotations with a time range.
 CAMERA_KINDS = frozenset({KIND_STPHOTO, KIND_MOVING_VIDEO})
 TRACK_KINDS = frozenset({KIND_MOVING_POINT, KIND_MOVING_VIDEO})
 TIME_RANGE_KINDS = frozenset({KIND_MOVING_VIDEO})
@@ -129,14 +129,11 @@ class STPhoto:
         """The fixed camera; t is ignored."""
         return FovState(self.loc, resolve_direction(self.fov), self.fov)
 
-    def fov_states(self, times) -> Iterator[FovState]:
-        """fov_at of each of times: the fixed camera each time."""
-        state = self.fov_at()
-        return (state for _ in times)
-
-    def visibility_samples(self, p: GeoPoint, step_ms: int) -> tuple[TimeStamp, ...]:
-        """A photo sees p at its one instant or never."""
-        return (self.t,)
+    def visible_intervals(self, p: GeoPoint, step_ms: int) -> list[TimeInterval]:
+        """A photo sees p at its one instant or never; step_ms is not used."""
+        if fov_contains(self.loc, resolve_direction(self.fov), self.fov, p):
+            return [TimeInterval(self.t, self.t)]
+        return []
 
 
 def _pack_fovs(fovs) -> array:
@@ -146,7 +143,7 @@ def _pack_fovs(fovs) -> array:
                        for x in (f.h_angle, f.v_angle, f.direction2d, f.view_distance)])
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class MovingVideo:
     """A geo-tagged video: URI, camera track, and one FoV per sample (or one for all).
 
@@ -184,12 +181,6 @@ class MovingVideo:
         without building a FieldOfView."""
         c = self._fov_column
         return zip(c[0::4], c[1::4], c[2::4], c[3::4])
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.videouri, self.track, self._fov_column) == (
-            other.videouri, other.track, other._fov_column)
 
     def __hash__(self):
         return hash((self.videouri, self.track, tuple(self._fov_column)))
@@ -237,15 +228,30 @@ class MovingVideo:
                 direction = resolve_direction(fov, heading)
             yield FovState(camera, direction, fov)
 
-    def visibility_samples(self, p: GeoPoint, step_ms: int) -> list[TimeStamp]:
-        """Sorted instants to test p at; none when p is out of reach."""
+    def visible_intervals(self, p: GeoPoint, step_ms: int) -> list[TimeInterval]:
+        """Maximal runs of the instants tested at which p is in view: the track's
+        sample times plus a step_ms grid over its extent, or on a discrete
+        track, which has positions only at its samples, those alone."""
         if not self._maybe_visible(p):
             return []
         column = self.track.time_column
         times = set(column)
         if self.track.mode is not InterpolationMode.DISCRETE:
             times.update(range(column[0], column[-1] + 1, step_ms))
-        return sorted(times)
+        times = sorted(times)
+        out: list[TimeInterval] = []
+        run_start = run_end = None
+        for t, state in zip(times, self.fov_states(times)):
+            if fov_contains(state.camera, state.direction, state.fov, p):
+                if run_start is None:
+                    run_start = t
+                run_end = t
+            elif run_start is not None:
+                out.append(TimeInterval(run_start, run_end))
+                run_start = run_end = None
+        if run_start is not None:
+            out.append(TimeInterval(run_start, run_end))
+        return out
 
     def _maybe_visible(self, p: GeoPoint) -> bool:
         """Sound quick reject before the sampling sweep.

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadQueryError, WrongKindError
-from .fov import fov_contains
 from .geo import GeoPoint, disk_bbox, geo_distance
 from .media import CAMERA_KINDS, TRACK_KINDS, Bbox, FovState, payload_of_kind
 from .rtree import _intersects
@@ -68,28 +67,13 @@ def fov_at(x, t: TimeStamp | None = None) -> FovState:
 def visible_intervals(x, p: GeoPoint, sample_step_ms: int = 100) -> list[TimeInterval]:
     """Maximal time intervals during which p lies inside a photo's or video's FoV.
 
-    A photo sees p at its one instant or never. A video is sampled at every
-    track timestamp plus a sample_step_ms grid over the extent; interval
-    boundaries are sample times, so they are accurate to within one step. A
-    discrete track has positions only at its samples, so only those count.
+    A photo sees p at its one instant or never. A video is sampled at its
+    track timestamps plus a sample_step_ms grid (MovingVideo.visible_intervals),
+    so interval boundaries are accurate to within one step.
     """
     if sample_step_ms < 1:
         raise BadQueryError(f"sample step must be >= 1 ms, got {sample_step_ms}")
-    camera = payload_of_kind(x, CAMERA_KINDS, "field of view")
-    out: list[TimeInterval] = []
-    run_start = run_end = None
-    samples = camera.visibility_samples(p, sample_step_ms)
-    for t, state in zip(samples, camera.fov_states(samples)):
-        if fov_contains(state.camera, state.direction, state.fov, p):
-            if run_start is None:
-                run_start = t
-            run_end = t
-        elif run_start is not None:
-            out.append(TimeInterval(run_start, run_end))
-            run_start = run_end = None
-    if run_start is not None:
-        out.append(TimeInterval(run_start, run_end))
-    return out
+    return payload_of_kind(x, CAMERA_KINDS, "field of view").visible_intervals(p, sample_step_ms)
 
 
 def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord]:

@@ -11,9 +11,10 @@ reach, an upper bound on how far any of its cameras sees (view_reach()).
 A store is a directory holding a snapshot and a write log. The snapshot is
 manifest.json with collection metadata and content checksums, one
 <cid>.ndjson of features, and one <cid>.ann.ndjson of annotations per
-collection (UTF-8, LF). flush() compacts: it stages every file, fsyncs it,
-renames data files first and the manifest last, so an interrupted flush is
-always detected by checksum at open time instead of loading silently.
+collection (UTF-8, LF). flush() compacts: it stages the files of every
+parsed collection, fsyncs them, renames data files first and the manifest
+last, so an interrupted flush is always detected by checksum at open time
+instead of loading silently.
 
 open() reads the manifest, checks every snapshot file's checksum and replays
 the log, but parses a collection's files only when a method first needs its
@@ -21,12 +22,12 @@ features; the parse hashes the lines it reads and fails unless they are the
 bytes open() checked. load() is open() followed by parsing every collection,
 so a server opened with it answers its first query at full speed. The CLI
 commands that name one collection use open(); `geomedia serve` uses load().
-flush() writes a parsed collection by serialising it and copies a collection
-it never parsed, hashing the copy and failing before any rename unless it
-matches the manifest. So a malformed line in a collection that nothing
-touched is carried over as it is, and reported by the first load(), or
-method, that parses it.
-Parse, serialise and copy all stream a file a line or a chunk at a time, so
+flush() writes a parsed collection by serialising it and leaves the files of
+a collection it never parsed where they are, hashing them again and failing
+before any rename unless they still match the manifest. So a malformed line
+in a collection that nothing touched stays as it is, and is reported by the
+first load(), or method, that parses it.
+Parse, serialise and hash all stream a file a line or a chunk at a time, so
 none holds a whole file in memory.
 
 Mutating methods change memory and queue an op; commit() appends the queued
@@ -35,7 +36,7 @@ first record names the SHA-256 of the manifest it extends, so open() replays
 a log only over its own snapshot and ignores one that a later flush left
 behind. A torn tail (a final record without its newline or checksum) is
 dropped at open and cut off by the next commit; a damaged record with a
-whole one after it is CorruptStoreError. A commit that fails reloads the
+whole one after it is CorruptStoreError. A commit that fails reopens the
 store from its directory, so memory holds no mutation that a restart would
 not find.
 
@@ -95,7 +96,7 @@ _FORMAT_VERSION = 1
 # mutations, between compactions of ~0.2 s each.
 _COMPACT_MIN_BYTES = 64 * 1024
 _COMPACT_SHARE = 32
-_CHUNK = 64 * 1024  # bytes read at a time to checksum or copy a snapshot file
+_CHUNK = 64 * 1024  # bytes read at a time to checksum a snapshot file
 
 ANNOTATION_KINDS = ("text", "icon", "polygon")
 
@@ -460,8 +461,9 @@ class MediaStore:
         snapshot of its own yet, or one whose log would outgrow the
         compaction trigger, is flushed instead. On StoreIoError the log is
         cut back to its acknowledged records where it can be, and the store
-        reloads itself from its directory, so memory holds what a restart
-        would find; if that reload fails too, memory stays as it is.
+        reopens itself from its directory with open(), so memory holds what
+        a restart would find and each collection is parsed again only when a
+        method next needs it; if that reopen fails too, memory stays as it is.
         """
         with self._lock:
             try:
@@ -469,7 +471,7 @@ class MediaStore:
             except StoreIoError:
                 if self._dir is not None:
                     with contextlib.suppress(GeoMediaError):  # unreadable too: keep memory
-                        fresh = MediaStore.load(self._dir)
+                        fresh = MediaStore.open(self._dir)
                         fresh._lock = self._lock  # a caller may hold it across this commit
                         vars(self).update(vars(fresh))
                 raise
@@ -507,8 +509,8 @@ class MediaStore:
         Each staged file is fsynced before its rename, data files are renamed
         before the manifest, and the directory is fsynced after it. Any
         interruption leaves either the previous consistent state or a
-        checksum mismatch that open() reports as CorruptStoreError. A
-        collection never parsed is copied from its snapshot files; if one no
+        checksum mismatch that open() reports as CorruptStoreError. The
+        files of a collection never parsed are left in place; if one no
         longer matches its checksum, CorruptStoreError is raised before any
         rename. Staged files left by a failed flush are removed.
         """
@@ -531,11 +533,13 @@ class MediaStore:
         target = self._dir
         target.mkdir(parents=True, exist_ok=True)
         staged: list[tuple[Path, Path]] = []
+        keep = {_MANIFEST}
         entries = []
         size = 0
         for cid in sorted(self._collections):
             state = self._collections[cid]
             features_path, anns_path = target / f"{cid}.ndjson", target / f"{cid}.ann.ndjson"
+            keep.update((features_path.name, anns_path.name))
             if state.unparsed is None:
                 count = len(state.features)
                 features_tmp, features_sha, features_size = _stage(features_path, (
@@ -545,11 +549,14 @@ class MediaStore:
                     _ndjson_line({"fid": fid, **annotation_to_obj(anns[aid], "epoch")})
                     for fid, anns in sorted(state.annotations.items())
                     for aid in sorted(anns)))
+                staged.append((features_tmp, features_path))
+                staged.append((anns_tmp, anns_path))
             else:
+                # never parsed: its files stay in place, still as open() checked them
                 count, shas = state.unparsed["features"], state.unparsed["sha256"]
-                features_tmp, features_sha, features_size = _stage_copy(
-                    features_path, shas["features"])
-                anns_tmp, anns_sha, anns_size = _stage_copy(anns_path, shas["annotations"])
+                features_sha, anns_sha = shas["features"], shas["annotations"]
+                features_size = _checked_size(features_path, features_sha)
+                anns_size = _checked_size(anns_path, anns_sha)
             meta = state.meta
             entries.append(
                 {
@@ -561,8 +568,6 @@ class MediaStore:
                     "sha256": {"features": features_sha, "annotations": anns_sha},
                 }
             )
-            staged.append((features_tmp, features_path))
-            staged.append((anns_tmp, anns_path))
             size += features_size + anns_size
         manifest = {"version": _FORMAT_VERSION, "collections": entries}
         manifest_tmp, manifest_sha, manifest_size = _stage(
@@ -578,7 +583,6 @@ class MediaStore:
         self._log_bytes = 0
         self._pending.clear()
         (target / _LOG).unlink(missing_ok=True)
-        keep = {final.name for _, final in staged} | {_MANIFEST}
         for stray in target.glob("*.ndjson"):
             if stray.name not in keep:
                 stray.unlink()
@@ -663,12 +667,8 @@ class MediaStore:
             want = {kind: shas.get(kind) for kind in ("features", "annotations")}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CorruptStoreError(f"bad manifest entry: {exc}") from None
-        size = 0
-        for kind, name in (("features", f"{cid}.ndjson"), ("annotations", f"{cid}.ann.ndjson")):
-            sha, file_size = _hash_file(self._dir / name)
-            if sha != want[kind]:
-                raise CorruptStoreError(f"checksum mismatch for {name}")
-            size += file_size
+        size = (_checked_size(self._dir / f"{cid}.ndjson", want["features"])
+                + _checked_size(self._dir / f"{cid}.ann.ndjson", want["annotations"]))
         self._collections[cid] = _CollectionState(
             meta, {"features": want_features, "sha256": want})
         return size
@@ -801,17 +801,6 @@ def _stage(final: Path, chunks) -> tuple[Path, str, int]:
     return tmp, digest.hexdigest(), size
 
 
-def _stage_copy(final: Path, sha: str) -> tuple[Path, str, int]:
-    """_stage a copy of the snapshot file final; CorruptStoreError unless it
-    still has the checksum sha that open() checked."""
-    with open(final, "rb") as f:
-        staged = _stage(final, iter(lambda: f.read(_CHUNK), b""))
-    if staged[1] != sha:
-        raise CorruptStoreError(
-            f"checksum mismatch for {final.name}: changed since the store was opened")
-    return staged
-
-
 def _fsync_dir(directory: Path) -> None:
     fd = os.open(directory, os.O_RDONLY)
     try:
@@ -820,8 +809,9 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _hash_file(path: Path) -> tuple[str, int]:
-    """The SHA-256 hex digest and size of a store file, read in chunks."""
+def _checked_size(path: Path, sha: str) -> int:
+    """The size of a store file, read in chunks; CorruptStoreError unless it
+    is there and its SHA-256 hex digest is sha."""
     digest, size = hashlib.sha256(), 0
     try:
         with open(path, "rb") as f:
@@ -830,7 +820,9 @@ def _hash_file(path: Path) -> tuple[str, int]:
                 size += len(chunk)
     except OSError as exc:
         raise CorruptStoreError(f"missing store file: {exc}") from None
-    return digest.hexdigest(), size
+    if digest.hexdigest() != sha:
+        raise CorruptStoreError(f"checksum mismatch for {path.name}")
+    return size
 
 
 def _checked_lines(files: contextlib.ExitStack, path: Path, sha: str):

@@ -19,10 +19,12 @@ from geomedia import (
     MovingVideo,
     QuerySpec,
     STPhoto,
+    TimeInterval,
     destination,
     document_of,
     evaluate,
     fov_at,
+    fov_contains,
     geo_distance,
     parse_document,
     position_at,
@@ -230,6 +232,93 @@ class TestVisibleIntervals:
         store.create_collection("dashcam", "Dashcam", "MovingVideo")
         store.put_feature("dashcam", "d1", document_of(video))
         assert [r.fid for r in evaluate(store, "dashcam", QuerySpec(visible_from=p))] == ["d1"]
+
+    def test_equals_a_sweep_of_fov_at_written_here(self, stphoto_doc):
+        """Criteria 6 and 7 compare visible_intervals with itself; this builds
+        the documented answer from fov_at and fov_contains alone."""
+        rng = random.Random("reference-sweep")
+        answers = []
+        for i in range(120):
+            video = random_city_video(rng, i)
+            step = rng.choice((7, 50, 100, 333))
+            vertices = video.track.points
+            extent = video.time_extent()
+            for _ in range(4):
+                # around a vertex, or a camera position between two on a moving track
+                at = rng.choice(vertices)
+                if video.track.mode is not InterpolationMode.DISCRETE and rng.random() < 0.5:
+                    at = video.track.at(rng.randint(extent.start, extent.end))
+                reach = 1.3 * max(f.view_distance for f in video.fovs)
+                p = destination(at, rng.uniform(0, 360), rng.uniform(0, reach))
+                answers.append(visible_intervals(video, p, step))
+                assert answers[-1] == reference_intervals(video, p, step), (i, p, step)
+            far = destination(vertices[0], rng.uniform(0, 360), 5_000)
+            assert visible_intervals(video, far, step) == reference_intervals(video, far, step) == []
+        assert sum(len(a) > 1 for a in answers) > 20  # runs broken by turns and apertures
+        assert sum(a == [] for a in answers) > 20
+        photo = stphoto_doc.payload
+        seen = []
+        for _ in range(200):
+            p = destination(photo.loc, rng.uniform(0, 360), rng.uniform(0, 40))
+            seen.append(visible_intervals(photo, p, rng.choice((1, 100))))
+            assert seen[-1] == reference_intervals(photo, p, 100)
+        assert [TimeInterval(photo.t, photo.t)] in seen and [] in seen
+
+
+def random_city_video(rng, i):
+    """A short city-scale video: a linear, stepwise or discrete track of a few
+    samples that may stop, with one absolute or mount-relative FoV or one per
+    sample, and apertures from 1 to 360 degrees."""
+    n = rng.randint(2, 6)
+    t = rng.randint(0, 10**9)
+    times = [t]
+    for _ in range(n - 1):
+        times.append(times[-1] + rng.randint(1, 1500))
+    points = [GeoPoint(rng.uniform(-170, 170), rng.uniform(-60, 60))]
+    for _ in range(n - 1):
+        stop = rng.random() < 0.3
+        points.append(points[-1] if stop else destination(points[-1], rng.uniform(0, 360),
+                                                            rng.uniform(1, 150)))
+    if len(set(points)) == 1:
+        points[-1] = destination(points[0], rng.uniform(0, 360), 10)
+
+    def fov(direction):
+        return FieldOfView(h_angle=rng.choice((1.0, 63.0, 180.0, 270.0, 360.0)),
+                           direction2d=direction, view_distance=rng.uniform(20, 120))
+
+    shape = rng.choice(("absolute", "relative", "per-sample"))
+    if shape == "absolute":
+        fovs = (fov(rng.uniform(0, 359.9)),)
+    elif shape == "relative":
+        fovs = (fov(rng.uniform(-360, -0.1)),)
+    else:
+        fovs = tuple(fov(rng.choice((rng.uniform(0, 359.9), rng.uniform(-360, -0.1))))
+                     for _ in range(n))
+    mode = rng.choice(list(InterpolationMode))
+    return MovingVideo(f"u:{i}", MovingPoint(tuple(times), tuple(points), mode), fovs)
+
+
+def reference_intervals(camera, p, step_ms):
+    """visible_intervals as documented: the runs of instants at which p is in
+    view, among a photo's one instant, or a video's track times plus the
+    step_ms grid (the track times alone on a discrete track)."""
+    if isinstance(camera, STPhoto):
+        instants = [camera.t]
+    else:
+        times = camera.track.times
+        grid = set(times)
+        if camera.track.mode is not InterpolationMode.DISCRETE:
+            grid.update(range(times[0], times[-1] + 1, step_ms))
+        instants = sorted(grid)
+    runs = []
+    for i, t in enumerate(instants):
+        state = fov_at(camera, t)
+        if fov_contains(state.camera, state.direction, state.fov, p):
+            if runs and runs[-1][1] == i - 1:
+                runs[-1][1] = i
+            else:
+                runs.append([i, i])
+    return [TimeInterval(instants[a], instants[b]) for a, b in runs]
 
 
 class TestEvaluate:

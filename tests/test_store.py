@@ -618,6 +618,39 @@ class TestDurability:
         assert [c.id for c in loaded.list_collections()] == ["pics", "tracks"]
         assert loaded.feature_count("tracks") == 20
 
+    def test_flush_leaves_the_files_of_a_never_parsed_collection_in_place(
+            self, tmp_path, monkeypatch):
+        import pathlib
+
+        target = tmp_path / "s"
+        store = MediaStore(target)
+        self._populate(store)
+        store.create_collection("more", "More tracks", "MovingPoint", created=3000)
+        store.put_feature("more", "m0", track_doc(random.Random("more")))
+        store.flush()
+        untouched = ("more.ndjson", "more.ann.ndjson", "pics.ndjson", "pics.ann.ndjson")
+
+        def files():
+            return {name: ((target / name).read_bytes(), (target / name).stat().st_ino)
+                    for name in untouched}
+
+        before = files()
+        opened = MediaStore.open(target)
+        opened.put_feature("tracks", "new", track_doc(random.Random("new")))
+        replaced = []
+        real_replace = pathlib.Path.replace
+
+        def counted_replace(self, other):
+            replaced.append(pathlib.Path(other).name)
+            return real_replace(self, other)
+
+        monkeypatch.setattr(pathlib.Path, "replace", counted_replace)
+        opened.flush()
+        assert replaced == ["tracks.ndjson", "tracks.ann.ndjson", "manifest.json"]
+        assert files() == before
+        loaded = MediaStore.load(target)
+        assert [loaded.feature_count(cid) for cid in ("more", "pics", "tracks")] == [1, 1, 21]
+
     def test_no_staged_file_outlives_a_flush(self, tmp_path):
         target = tmp_path / "s"
         store = MediaStore(target)

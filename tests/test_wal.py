@@ -272,6 +272,33 @@ def test_failed_commit_leaves_memory_as_a_restart_finds_it(tmp_path, monkeypatch
     assert {p.name: p.read_bytes() for p in target.iterdir()} == files
 
 
+def test_failed_commit_reopens_without_parsing(tmp_path, monkeypatch):
+    """Recovery reads what a restart finds but parses no collection: the one
+    the failed op did not touch stays unparsed until a method needs it."""
+    target = tmp_path / "s"
+    store = committed_store(target)
+    store.create_collection("pics", "pics", "stphoto", created=8)
+    store.put_feature("pics", "p0", random_doc(random.Random(4), "stphoto"))
+    store.flush()
+    store = MediaStore.open(target)
+    store.put_feature("tracks", "late", random_doc(random.Random(3), "MovingPoint"))
+    parsed = []
+    parse = MediaStore._parse_collection
+
+    def recorded_parse(self, state):
+        parsed.append(state.meta.id)
+        return parse(self, state)
+
+    monkeypatch.setattr(MediaStore, "_parse_collection", recorded_parse)
+    with monkeypatch.context() as patch:
+        patch.setattr("os.fsync", failing_fsync)
+        with pytest.raises(StoreIoError, match="commit failed"):
+            store.commit()
+    assert parsed == []
+    assert fingerprint(store) == fingerprint(MediaStore.load(target))
+    assert [r.fid for r in store.list_features("tracks")] == ["t0", "t1", "t2"]
+
+
 def test_failed_compaction_in_commit_reloads_too(tmp_path, monkeypatch):
     target = tmp_path / "s"
     store = committed_store(target)
