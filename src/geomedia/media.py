@@ -70,7 +70,10 @@ class STPhoto:
             raise ValueError(f"photo time {t!r} is not an integer in years 1-9999")
 
     def time_extent(self) -> TimeInterval:
-        return TimeInterval(self.t, self.t)
+        return TimeInterval(*self.time_bounds())
+
+    def time_bounds(self) -> tuple[TimeStamp, TimeStamp]:
+        return self.t, self.t
 
     def vertices(self) -> tuple[GeoPoint, ...]:
         return (self.loc,)
@@ -190,6 +193,9 @@ class MovingVideo:
 
     def time_extent(self) -> TimeInterval:
         return self.track.time_extent()
+
+    def time_bounds(self) -> tuple[TimeStamp, TimeStamp]:
+        return self.track.time_bounds()
 
     def vertices(self) -> tuple[GeoPoint, ...]:
         return self.track.points

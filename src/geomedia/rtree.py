@@ -7,6 +7,14 @@ rectangle centre along the axis where the centres spread widest and splits
 into halves. Delete refreshes the rectangles on the entry's path and drops
 every node it leaves empty.
 
+A leaf holds its items in a list and their rectangles in one array('d'),
+four numbers per item in the same order, so the tree is the only holder of
+each rectangle and keeps no tuple or float object per entry. An inner node
+holds (rect, child) pairs. search() takes any number of boxes and keeps an
+item only if its rectangle meets every one of them. It prunes a subtree as
+soon as one box misses the subtree's rectangle, and takes every item of a
+subtree whose rectangle lies inside every box without testing them.
+
 bulk_load packs a whole set of entries at once by Sort-Tile-Recursive
 (Leutenegger, Lopez & Edgington, ICDE 1997); insert and delete work on such
 a tree as on any other.
@@ -15,6 +23,7 @@ a tree as on any other.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterable
 
 Rect = tuple[float, float, float, float]
@@ -39,14 +48,40 @@ def _enlargement(r: Rect, add: Rect) -> float:
     return _area(_combine(r, add)) - _area(r)
 
 
-class _Node:
-    __slots__ = ("is_leaf", "entries")
+def _rows(rects: array):
+    """A leaf's rectangles as (minx, miny, maxx, maxy) rows."""
+    it = iter(rects)
+    return zip(it, it, it, it)
 
-    def __init__(self, is_leaf: bool):
+
+def _centres(rows) -> tuple[list[float], list[float]]:
+    """Twice the x and twice the y centre of each rectangle."""
+    xs, ys = [], []
+    for x0, y0, x1, y1 in rows:
+        xs.append(x0 + x1)
+        ys.append(y0 + y1)
+    return xs, ys
+
+
+def _column(rows) -> array:
+    """Rectangles as one leaf column, four numbers each."""
+    return array("d", [v for row in rows for v in row])
+
+
+class _Node:
+    __slots__ = ("is_leaf", "entries", "rects")
+
+    def __init__(self, is_leaf: bool, entries: list, rects: array | None = None):
         self.is_leaf = is_leaf
-        self.entries: list[tuple[Rect, object]] = []  # object: child _Node or item id
+        # a leaf: its items, with their rectangles in rects; an inner node:
+        # (rect, child) pairs, and rects is None
+        self.entries = entries
+        self.rects = rects
 
     def rect(self) -> Rect:
+        if self.is_leaf:
+            r = self.rects
+            return (min(r[0::4]), min(r[1::4]), max(r[2::4]), max(r[3::4]))
         r = self.entries[0][0]
         for other, _ in self.entries[1:]:
             r = _combine(r, other)
@@ -55,7 +90,7 @@ class _Node:
 
 class RTree:
     def __init__(self):
-        self._root = _Node(is_leaf=True)
+        self._root = _Node(True, [], array("d"))
         self._size = 0
 
     def __len__(self) -> int:
@@ -64,30 +99,37 @@ class RTree:
     @classmethod
     def bulk_load(cls, entries: Iterable[tuple[object, Rect]]) -> "RTree":
         """A packed tree of (item, rect) entries, built level by level."""
+        items, rects = [], array("d")
+        for item, rect in entries:
+            items.append(item)
+            rects.extend(rect)
         tree = cls()
-        level = [(rect, item) for item, rect in entries]
-        tree._size = len(level)
-        is_leaf = True
+        tree._size = len(items)
+        if len(items) <= MAX_ENTRIES:
+            tree._root = _Node(True, items, rects)
+            return tree
+        nodes = [_Node(True, [items[i] for i in run],
+                       _column(rects[4 * i : 4 * i + 4] for i in run))
+                 for run in _str_runs(*_centres(_rows(rects)), MAX_ENTRIES)]
+        level = [(node.rect(), node) for node in nodes]
         while len(level) > MAX_ENTRIES:
-            nodes = _str_pack(level, MAX_ENTRIES, is_leaf)
+            nodes = [_Node(False, [level[i] for i in run])
+                     for run in _str_runs(*_centres(r for r, _ in level), MAX_ENTRIES)]
             level = [(node.rect(), node) for node in nodes]
-            is_leaf = False
-        tree._root = _Node(is_leaf)
-        tree._root.entries = level
+        tree._root = _Node(False, level)
         return tree
 
     def insert(self, item, rect: Rect) -> None:
         split = self._insert(self._root, rect, item)
         if split is not None:
             old = self._root
-            root = _Node(is_leaf=False)
-            root.entries = [(old.rect(), old), (split.rect(), split)]
-            self._root = root
+            self._root = _Node(False, [(old.rect(), old), (split.rect(), split)])
         self._size += 1
 
     def _insert(self, node: _Node, rect: Rect, item) -> "_Node | None":
         if node.is_leaf:
-            node.entries.append((rect, item))
+            node.entries.append(item)
+            node.rects.extend(rect)
         else:
             idx = self._choose_subtree(node, rect)
             child = node.entries[idx][1]
@@ -112,45 +154,65 @@ class RTree:
     @staticmethod
     def _split(node: _Node) -> _Node:
         """Halve node's entries, sorted by centre on the axis they spread widest."""
-        xs = [r[0] + r[2] for r, _ in node.entries]
-        ys = [r[1] + r[3] for r, _ in node.entries]
+        rows = list(_rows(node.rects)) if node.is_leaf else [r for r, _ in node.entries]
+        xs, ys = _centres(rows)
         axis = 0 if max(xs) - min(xs) >= max(ys) - min(ys) else 1
-        node.entries.sort(key=lambda e: e[0][axis] + e[0][axis + 2])
-        half = len(node.entries) // 2
-        sibling = _Node(is_leaf=node.is_leaf)
-        sibling.entries = node.entries[half:]
-        del node.entries[half:]
-        return sibling
+        order = sorted(range(len(rows)), key=(xs if axis == 0 else ys).__getitem__)
+        keep, move = order[: len(order) // 2], order[len(order) // 2 :]
+        entries = node.entries
+        node.entries = [entries[i] for i in keep]
+        if not node.is_leaf:
+            return _Node(False, [entries[i] for i in move])
+        node.rects = _column(rows[i] for i in keep)
+        return _Node(True, [entries[i] for i in move], _column(rows[i] for i in move))
 
-    def search(self, rect: Rect) -> list:
-        """Items whose stored rectangle intersects rect (inclusive bounds)."""
+    def search(self, *rects: Rect) -> list:
+        """Items whose stored rectangle intersects every one of rects
+        (inclusive bounds); with none given, every item."""
         out: list = []
-        self._search(self._root, rect, out)
+        self._search(self._root, rects, out)
         return out
 
-    def _search(self, node: _Node, rect: Rect, out: list) -> None:
-        for r, child in node.entries:
-            if _intersects(r, rect):
-                if node.is_leaf:
-                    out.append(child)
+    def _search(self, node: _Node, boxes: tuple[Rect, ...], out: list) -> None:
+        if node.is_leaf:
+            for (x0, y0, x1, y1), item in zip(_rows(node.rects), node.entries):
+                for b0, b1, b2, b3 in boxes:
+                    if x0 > b2 or b0 > x1 or y0 > b3 or b1 > y1:
+                        break
                 else:
-                    self._search(child, rect, out)
+                    out.append(item)
+            return
+        for (x0, y0, x1, y1), child in node.entries:
+            inside = True  # so far, the child lies within every box
+            for b0, b1, b2, b3 in boxes:
+                if x0 > b2 or b0 > x1 or y0 > b3 or b1 > y1:
+                    break
+                if inside and (x0 < b0 or b2 < x1 or y0 < b1 or b3 < y1):
+                    inside = False
+            else:
+                if inside:
+                    _collect(child, out)
+                else:
+                    self._search(child, boxes, out)
+
+    def bounds(self) -> Rect | None:
+        """The smallest rectangle holding every stored one; None when empty."""
+        return self._root.rect() if self._root.entries else None
 
     def items(self) -> list[tuple[object, Rect]]:
         out: list = []
         stack = [self._root]
         while stack:
             node = stack.pop()
-            for r, child in node.entries:
-                if node.is_leaf:
-                    out.append((child, r))
-                else:
-                    stack.append(child)
+            if node.is_leaf:
+                out.extend(zip(node.entries, _rows(node.rects)))
+            else:
+                stack.extend(child for _, child in node.entries)
         return out
 
     def delete(self, item, rect: Rect) -> None:
         """Remove one (item, rect) entry; KeyError when absent."""
-        if not self._delete(self._root, rect, item):
+        if not self._delete(self._root, tuple(rect), item):
             raise KeyError(item)
         self._size -= 1
         # Collapse one-child roots: an inner root then has two or more children,
@@ -160,9 +222,10 @@ class RTree:
 
     def _delete(self, node: _Node, rect: Rect, item) -> bool:
         if node.is_leaf:
-            for k, (r, it) in enumerate(node.entries):
-                if it == item and r == rect:
+            for k, it in enumerate(node.entries):
+                if it == item and tuple(node.rects[4 * k : 4 * k + 4]) == rect:
                     del node.entries[k]
+                    del node.rects[4 * k : 4 * k + 4]
                     return True
             return False
         for k, (r, child) in enumerate(node.entries):
@@ -175,17 +238,26 @@ class RTree:
         return False
 
 
-def _str_pack(entries: list[tuple[Rect, object]], cap: int, is_leaf: bool) -> list[_Node]:
-    """One STR level: sort by x centre into vertical slices of whole nodes,
-    then each slice by y centre into nodes of cap entries."""
-    slices = math.ceil(math.sqrt(math.ceil(len(entries) / cap)))
+def _collect(node: _Node, out: list) -> None:
+    """Append every item under node."""
+    if node.is_leaf:
+        out.extend(node.entries)
+    else:
+        for _, child in node.entries:
+            _collect(child, out)
+
+
+def _str_runs(xs: list[float], ys: list[float], cap: int) -> list[list[int]]:
+    """One STR level over the entries whose (doubled) centres are xs and ys,
+    as runs of entry numbers, one per node: sort by x centre into vertical
+    slices of whole nodes, then each slice by y centre into nodes of cap
+    entries."""
+    n = len(xs)
+    slices = math.ceil(math.sqrt(math.ceil(n / cap)))
     per_slice = slices * cap
-    entries.sort(key=lambda e: e[0][0] + e[0][2])
-    nodes = []
-    for s in range(0, len(entries), per_slice):
-        run = sorted(entries[s : s + per_slice], key=lambda e: e[0][1] + e[0][3])
-        for k in range(0, len(run), cap):
-            node = _Node(is_leaf)
-            node.entries = run[k : k + cap]
-            nodes.append(node)
-    return nodes
+    order = sorted(range(n), key=xs.__getitem__)
+    runs = []
+    for s in range(0, n, per_slice):
+        run = sorted(order[s : s + per_slice], key=ys.__getitem__)
+        runs.extend(run[k : k + cap] for k in range(0, len(run), cap))
+    return runs

@@ -5,11 +5,13 @@ GeoMediaApi is framework-agnostic: handle() maps (method, target, body) to
 without sockets. GeoMediaServer wraps it in a threading stdlib HTTP server.
 
 Contract notes: unknown or repeated query parameters are rejected with 400
-(fail-closed against filter typos); every mutation is appended to the
-store's log and fsynced before its response, and one that fails to commit
-answers 500 and is gone from memory too; responses contain no
-wall-clock values, only stored data, so they are deterministic given store
-state.
+(fail-closed against filter typos); a client that sends part of a body and
+then nothing for the server's timeout gets a 408 and the connection closes,
+and an idle keep-alive connection is closed after that timeout; every
+mutation is appended to the store's log and fsynced before its response,
+and one that fails to commit answers 500 and is gone from memory too;
+responses contain no wall-clock values, only stored data, so they are
+deterministic given store state.
 """
 
 from __future__ import annotations
@@ -43,12 +45,16 @@ LOGGER = logging.getLogger(__name__)
 
 DEFAULT_LIMIT = 10
 MAX_BODY_BYTES = 64 * 1024 * 1024  # a larger Content-Length is refused unread
+# Seconds a connection may wait for the client's next bytes: a body that stops
+# mid-read is answered 408 and an idle keep-alive connection is closed.
+DEFAULT_TIMEOUT_S = 60.0
 
 _STATUS_BY_CODE = {
     "NotFound": 404,
     "BadQuery": 400,
     "BadBody": 400,
     "TooLarge": 413,
+    "Timeout": 408,
     "KindMismatch": 422,
     "Conflict": 409,
     "Internal": 500,
@@ -374,14 +380,26 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "geomedia/0.1"
     protocol_version = "HTTP/1.1"
 
+    def setup(self):
+        # StreamRequestHandler.setup applies it to the socket: each read and
+        # write waits at most this long
+        self.timeout = self.server.read_timeout
+        super().setup()
+
     def _dispatch(self):
         raw_length = (self.headers.get("Content-Length") or "0").strip()
         length = int(raw_length) if raw_length.isascii() and raw_length.isdigit() else None
         chunked = "Transfer-Encoding" in self.headers
         read = length is not None and length <= MAX_BODY_BYTES and not chunked
         if read:
-            body = self.rfile.read(length) if length else None
-            status, payload = self.server.api.handle(self.command, self.path, body)
+            try:
+                body = self.rfile.read(length) if length else None
+            except TimeoutError:
+                read = False
+                message = f"request body not received within {self.timeout:g} s"
+                status, payload = _api_error("Timeout", message, urlsplit(self.path).path)
+            else:
+                status, payload = self.server.api.handle(self.command, self.path, body)
         elif chunked:
             message = "Transfer-Encoding is not supported; send a Content-Length"
             status, payload = _api_error("BadBody", message, urlsplit(self.path).path)
@@ -413,9 +431,13 @@ class _Handler(BaseHTTPRequestHandler):
 class GeoMediaServer(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, store: MediaStore, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, store: MediaStore, host: str = "127.0.0.1", port: int = 0,
+                 timeout: float = DEFAULT_TIMEOUT_S):
+        """Serve store on host:port; timeout (seconds, finite and > 0) bounds
+        every wait for a client's bytes."""
         super().__init__((host, port), _Handler)
         self.api = GeoMediaApi(store)
+        self.read_timeout = timeout
 
     @property
     def address(self) -> str:

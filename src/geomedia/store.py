@@ -1,12 +1,17 @@
 """Persistent collections ("layers") of geo-tagged media with a spatial index.
 
-Each collection keeps a 2-D (lon, lat) R-tree over its features' bounding
-boxes; time windows are not indexed but checked exactly on each candidate.
-The tree is bulk-loaded (STR) when the collection's snapshot files are
-parsed, and for a collection filled since it was created by the first
-spatial search; after that every put and delete updates it one entry at a
-time. Next to the tree a collection keeps its view
-reach, an upper bound on how far any of its cameras sees (view_reach()).
+A collection holds each feature as its document alone, keyed by fid, and a
+2-D (lon, lat) R-tree over the documents' bounding boxes. The tree is the
+only holder of a bbox (its leaves keep them in array('d') columns): a
+FeatureRecord is built when a caller asks for one and works its bbox and
+extent out from the document, and a delete or replacement works the old
+document's bbox out again to find its entry. Time windows are not indexed
+but checked exactly on each candidate. The tree is bulk-loaded (STR) when
+the collection's snapshot files are parsed, and for a collection filled
+since it was created by the first spatial search (until then a put computes
+no bbox); after that every put and delete updates it one entry at a time.
+Next to the tree a collection keeps its view reach, an upper bound on how
+far any of its cameras sees (view_reach()).
 
 A store is a directory holding a snapshot and a write log. The snapshot is
 manifest.json with collection metadata and content checksums, one
@@ -184,12 +189,23 @@ def annotation_from_obj(obj: dict, time_style: str) -> Annotation:
 
 @dataclass(frozen=True, slots=True)
 class FeatureRecord:
-    """A stored document plus its cached spatial bbox and temporal extent."""
+    """A stored document under its feature id, built when a caller asks for it.
+
+    The store holds only the document; bbox and extent are worked out from
+    it on each read, so a caller that reads only fid and doc never computes
+    a photo's wedge.
+    """
 
     fid: str
     doc: GeoMediaDocument
-    bbox: Bbox | None
-    extent: TimeInterval
+
+    @property
+    def bbox(self) -> Bbox | None:
+        return media.spatial_bbox(self.doc)
+
+    @property
+    def extent(self) -> TimeInterval:
+        return media.time_extent(self.doc)
 
 
 class _CollectionState:
@@ -200,7 +216,7 @@ class _CollectionState:
         # The manifest entry of snapshot files that open() checked but nothing
         # has parsed yet; features and annotations stay empty until then.
         self.unparsed = unparsed
-        self.features: dict[str, FeatureRecord] = {}
+        self.features: dict[str, GeoMediaDocument] = {}
         self.annotations: dict[str, dict[str, Annotation]] = {}
         self.index: RTree | None = None  # built by spatial_index() when first needed
         # With the index: the largest view reach of any feature put since it was
@@ -209,12 +225,28 @@ class _CollectionState:
 
     def spatial_index(self) -> RTree:
         if self.index is None:
-            self.index = RTree.bulk_load(
-                (fid, r.bbox) for fid, r in self.features.items() if r.bbox is not None
-            )
-            self.reach = max((media.view_reach(r.doc) for r in self.features.values()),
-                             default=0.0)
+            self.index = RTree.bulk_load(_boxed(self.features.items()))
+            self.reach = max(map(media.view_reach, self.features.values()), default=0.0)
         return self.index
+
+    def index_delete(self, fid: str, doc: GeoMediaDocument) -> None:
+        """Drop doc's entry from a built index: its bbox, worked out again
+        (a pure function of doc), finds the leaf entry."""
+        bbox = media.spatial_bbox(doc)
+        if bbox is not None:
+            self.index.delete(fid, bbox)
+
+
+def _meets(bounds: tuple[int, int], interval: TimeInterval) -> bool:
+    return bounds[0] <= interval.end and interval.start <= bounds[1]
+
+
+def _boxed(features):
+    """(fid, bbox) of every (fid, document) pair that has a bbox."""
+    for fid, doc in features:
+        bbox = media.spatial_bbox(doc)
+        if bbox is not None:
+            yield fid, bbox
 
 
 def _now_ms() -> int:
@@ -288,10 +320,11 @@ class MediaStore:
     # -- features ----------------------------------------------------------
 
     def put_feature(self, cid: str, fid: str, doc: GeoMediaDocument) -> FeatureRecord:
-        """Insert or replace a feature; bbox/extent caches and index stay consistent.
+        """Insert or replace a feature, and its index entry once the index exists.
 
-        Replacing a feature keeps its annotations, minus any whose time range
-        no longer fits the new temporal extent.
+        Without an index no bbox is computed: the first spatial search
+        bulk-loads one. Replacing a feature keeps its annotations, minus any
+        whose time range no longer fits the new temporal extent.
         """
         if not fid or "/" in fid:
             raise BadQueryError(f"feature id {fid!r} must be non-empty without '/'")
@@ -302,35 +335,36 @@ class MediaStore:
                     f"document kind {doc.kind} does not match collection "
                     f"media type {state.meta.media_type}"
                 )
-            record = FeatureRecord(fid, doc, media.spatial_bbox(doc), media.time_extent(doc))
-            old = state.features.get(fid)
             if state.index is not None:
-                if old is not None and old.bbox is not None:
-                    state.index.delete(fid, old.bbox)
-                if record.bbox is not None:
-                    state.index.insert(fid, record.bbox)
+                old = state.features.get(fid)
+                if old is not None:
+                    state.index_delete(fid, old)
+                bbox = media.spatial_bbox(doc)
+                if bbox is not None:
+                    state.index.insert(fid, bbox)
                 state.reach = max(state.reach, media.view_reach(doc))
-            state.features[fid] = record
+            state.features[fid] = doc
             anns = state.annotations.get(fid)
             if anns:
+                extent = media.time_extent(doc)
                 kept = {
                     aid: ann
                     for aid, ann in anns.items()
                     if ann.time_range is None
                     or (
-                        record.extent.contains(ann.time_range.start)
-                        and record.extent.contains(ann.time_range.end)
+                        extent.contains(ann.time_range.start)
+                        and extent.contains(ann.time_range.end)
                     )
                 }
                 state.annotations[fid] = kept
             self._queue("put_feature", cid=cid, fid=fid, doc=doc)
-            return record
+            return FeatureRecord(fid, doc)
 
     def get_feature(self, cid: str, fid: str) -> FeatureRecord:
         with self._lock:
             state = self._state(cid)
             try:
-                return state.features[fid]
+                return FeatureRecord(fid, state.features[fid])
             except KeyError:
                 raise NotFoundError(f"feature {fid!r} not in collection {cid!r}") from None
 
@@ -338,8 +372,8 @@ class MediaStore:
         with self._lock:
             record = self.get_feature(cid, fid)
             state = self._collections[cid]
-            if state.index is not None and record.bbox is not None:
-                state.index.delete(fid, record.bbox)
+            if state.index is not None:
+                state.index_delete(fid, record.doc)
             del state.features[fid]
             state.annotations.pop(fid, None)
             self._queue("delete_feature", cid=cid, fid=fid)
@@ -355,7 +389,8 @@ class MediaStore:
     def list_features(self, cid: str) -> list[FeatureRecord]:
         with self._lock:
             state = self._state(cid)
-            return [state.features[fid] for fid in sorted(state.features)]
+            features = state.features
+            return [FeatureRecord(fid, features[fid]) for fid in sorted(features)]
 
     # -- spatial index plus exact time filter ----------------------------------
 
@@ -364,22 +399,27 @@ class MediaStore:
         cid: str,
         bbox: Bbox | None = None,
         interval: TimeInterval | tuple[int, int] | None = None,
+        boxes: tuple[Bbox, ...] = (),
     ) -> list[FeatureRecord]:
-        """Features intersecting bbox and overlapping interval, ordered by fid.
+        """Features intersecting bbox and every one of boxes and overlapping
+        interval, ordered by fid.
 
-        The index holds each feature's exact bbox under the same inclusive
-        test, so its hits need no re-check; the interval is checked per hit.
-        The result equals a linear scan.
+        The index holds each feature's exact bbox and tests every box under
+        the same inclusive test, so its hits need no re-check; the interval
+        is checked per hit. The result equals a linear scan.
         """
-        bbox = _check_bbox(bbox)
+        boxes = [b for b in map(_check_bbox, (bbox, *boxes)) if b is not None]
         interval = _check_interval(interval)
         with self._lock:
             state = self._state(cid)
-            fids = state.spatial_index().search(bbox) if bbox is not None else state.features
-            records = (state.features[fid] for fid in sorted(fids))
+            features = state.features
+            fids = state.spatial_index().search(*boxes) if boxes else features
             if interval is not None:
-                records = (r for r in records if r.extent.overlaps(interval))
-            return list(records)
+                # time_bounds, not time_extent: an interval object per candidate
+                # would cost more than the index search
+                fids = [fid for fid in fids
+                        if _meets(features[fid].payload.time_bounds(), interval)]
+            return [FeatureRecord(fid, features[fid]) for fid in sorted(fids)]
 
     def view_reach(self, cid: str) -> float:
         """At least how far, in meters, any camera in the collection sees.
@@ -393,23 +433,17 @@ class MediaStore:
             return state.reach
 
     def collection_bbox(self, cid: str) -> Bbox | None:
+        """Bounds of every feature's bbox: the index root's rectangle."""
         with self._lock:
-            boxes = [r.bbox for r in self._state(cid).features.values() if r.bbox]
-            if not boxes:
-                return None
-            return (
-                min(b[0] for b in boxes),
-                min(b[1] for b in boxes),
-                max(b[2] for b in boxes),
-                max(b[3] for b in boxes),
-            )
+            return self._state(cid).spatial_index().bounds()
 
     def collection_extent(self, cid: str) -> TimeInterval | None:
         with self._lock:
-            extents = [r.extent for r in self._state(cid).features.values()]
-            if not extents:
+            features = self._state(cid).features
+            if not features:
                 return None
-            return TimeInterval(min(e.start for e in extents), max(e.end for e in extents))
+            starts, ends = zip(*(doc.payload.time_bounds() for doc in features.values()))
+            return TimeInterval(min(starts), max(ends))
 
     # -- annotations -----------------------------------------------------------
 
@@ -543,8 +577,8 @@ class MediaStore:
             if state.unparsed is None:
                 count = len(state.features)
                 features_tmp, features_sha, features_size = _stage(features_path, (
-                    _ndjson_line({"fid": fid, "document": document_to_obj(record.doc, "epoch")})
-                    for fid, record in sorted(state.features.items())))
+                    _ndjson_line({"fid": fid, "document": document_to_obj(doc, "epoch")})
+                    for fid, doc in sorted(state.features.items())))
                 anns_tmp, anns_sha, anns_size = _stage(anns_path, (
                     _ndjson_line({"fid": fid, **annotation_to_obj(anns[aid], "epoch")})
                     for fid, anns in sorted(state.annotations.items())
@@ -676,7 +710,7 @@ class MediaStore:
     def _parse_collection(self, state: _CollectionState) -> None:
         """Parse the snapshot files open() checked into state and index it."""
         cid, unparsed = state.meta.id, state.unparsed
-        features: dict[str, FeatureRecord] = {}
+        features: dict[str, GeoMediaDocument] = {}
         annotations: dict[str, dict[str, Annotation]] = {}
         with contextlib.ExitStack() as files:
             feature_lines = _checked_lines(
@@ -687,11 +721,9 @@ class MediaStore:
                 try:
                     wrapper = decode_json(line)
                     fid = wrapper["fid"]
-                    doc = parse_obj(wrapper["document"])
+                    features[fid] = parse_obj(wrapper["document"])
                 except (ValueError, KeyError, TypeError, ParseError) as exc:
                     raise CorruptStoreError(f"{cid}.ndjson line {line_no}: {exc}") from None
-                features[fid] = FeatureRecord(
-                    fid, doc, media.spatial_bbox(doc), media.time_extent(doc))
             if len(features) != unparsed["features"]:
                 raise CorruptStoreError(
                     f"{cid}: manifest says {unparsed['features']} features, "

@@ -179,7 +179,11 @@ class _Series:
         return len(self.time_column)
 
     def time_extent(self) -> TimeInterval:
-        return TimeInterval(self.time_column[0], self.time_column[-1])
+        return TimeInterval(*self.time_bounds())
+
+    def time_bounds(self) -> tuple[TimeStamp, TimeStamp]:
+        """time_extent() as a (start, end) pair, built without an interval object."""
+        return self.time_column[0], self.time_column[-1]
 
     def vertices(self) -> tuple[GeoPoint, ...]:
         """Sample positions; empty for a series without positions."""

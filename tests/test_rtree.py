@@ -202,3 +202,68 @@ def test_deleting_every_entry_of_a_bulk_loaded_tree():
     assert sorted(tree.items()) == sorted(entries.items())
     q = random_rect(rng, span=150.0)
     assert sorted(tree.search(q)) == brute_force_search(entries, q)
+
+
+def brute_force_multi(entries, boxes):
+    """Items whose rectangle meets every one of boxes."""
+    hits = set(entries)
+    for box in boxes:
+        hits &= set(brute_force_search(entries, box))
+    return sorted(hits)
+
+
+def test_multi_box_search_matches_brute_force_after_bulk_load_inserts_and_deletes():
+    rng = random.Random("rtree-multi")
+    entries = {i: random_rect(rng) for i in range(600)}
+    tree = RTree.bulk_load(entries.items())
+
+    def check():
+        for _ in range(40):
+            boxes = [random_rect(rng, span=150.0) for _ in range(rng.choice((2, 3)))]
+            if rng.random() < 0.5:  # boxes that overlap, so the answer is not always empty
+                x0, y0, x1, y1 = boxes[0]
+                boxes[1] = (x0 + (x1 - x0) / 2, y0 - 10, x1 + 30, y1)
+            assert sorted(tree.search(*boxes)) == brute_force_multi(entries, boxes)
+        assert sorted(tree.search()) == sorted(entries)  # no box: every item
+
+    check()
+    next_id = len(entries)
+    for _ in range(800):
+        if rng.random() < 0.5 or not entries:
+            rect = random_rect(rng)
+            entries[next_id] = rect
+            tree.insert(next_id, rect)
+            next_id += 1
+        else:
+            victim = rng.choice(list(entries))
+            tree.delete(victim, entries.pop(victim))
+    check()
+
+
+def test_search_takes_whole_subtrees_inside_the_boxes():
+    rng = random.Random("rtree-inside")
+    entries = {i: random_rect(rng, span=10.0) for i in range(500)}
+    tree = RTree.bulk_load(entries.items())
+    everything = (-100.0, -100.0, 100.0, 100.0)
+    assert sorted(tree.search(everything)) == sorted(entries)
+    assert sorted(tree.search(everything, (0.0, 0.0, 100.0, 100.0))) == \
+        brute_force_search(entries, (0.0, 0.0, 100.0, 100.0))
+
+
+def test_bounds_is_the_union_of_every_rectangle():
+    rng = random.Random("rtree-bounds")
+    tree = RTree()
+    assert tree.bounds() is None
+    entries = {}
+    for i in range(300):
+        entries[i] = random_rect(rng)
+        tree.insert(i, entries[i])
+        if i % 3 == 2:
+            victim = rng.choice(list(entries))
+            tree.delete(victim, entries.pop(victim))
+        rects = list(entries.values())
+        assert tree.bounds() == (min(r[0] for r in rects), min(r[1] for r in rects),
+                                 max(r[2] for r in rects), max(r[3] for r in rects))
+    for victim in list(entries):
+        tree.delete(victim, entries.pop(victim))
+    assert tree.bounds() is None

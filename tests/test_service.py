@@ -692,6 +692,51 @@ def test_undeclared_method_gets_json_error_and_stream_stays_framed(tmp_path, met
     assert json.loads(second_body) == {"collections": []}
 
 
+class TestReadTimeout:
+    """A client that stops sending holds a server thread for one timeout only."""
+
+    TIMEOUT = 0.2
+
+    def exchange(self, tmp_path, request: bytes) -> tuple[bytes, float]:
+        """Send request on one socket; all the server sends before it closes,
+        and the seconds from the send until the close."""
+        server = GeoMediaServer(MediaStore(tmp_path / "s"), "127.0.0.1", 0, self.TIMEOUT)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            # the client's own timeout turns a server that never closes into a failure
+            with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+                sock.sendall(request)
+                start = time.monotonic()
+                chunks = []
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+                waited = time.monotonic() - start
+        finally:
+            server.shutdown()
+            server.server_close()
+        return b"".join(chunks), waited
+
+    def test_half_sent_body_gets_408_then_the_connection_closes(self, tmp_path):
+        data, waited = self.exchange(tmp_path, b"PUT /collections/c/items/f HTTP/1.1\r\n"
+                                               b"Host: t\r\nContent-Length: 100\r\n\r\n1234567")
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert b"Connection: close" in head
+        assert json.loads(body) == {
+            "httpStatus": 408, "code": "Timeout", "path": "/collections/c/items/f",
+            "message": "request body not received within 0.2 s"}
+        assert self.TIMEOUT * 0.9 <= waited < 4
+
+    def test_idle_keep_alive_connection_closes_quietly(self, tmp_path):
+        data, waited = self.exchange(tmp_path, b"GET /collections HTTP/1.1\r\nHost: t\r\n\r\n")
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"Connection: close" not in head
+        assert json.loads(body) == {"collections": []}  # and no bytes after it
+        assert self.TIMEOUT * 0.9 <= waited < 4
+
+
 class TestOutsideNumbers:
     @pytest.mark.parametrize("doc, pointer", [
         (b'{"type": "MovingDouble", "values": [NaN, Infinity], "timeline": [0, 1]}', "/values/0"),

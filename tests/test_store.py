@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import geomedia
 from geomedia import (
     Annotation,
     FieldOfView,
+    GeoMediaApi,
     GeoPoint,
     InterpolationMode,
     MediaStore,
+    MovingDouble,
     MovingPoint,
     MovingVideo,
+    STPhoto,
     TimeInterval,
     document_of,
     parse_document,
@@ -182,6 +188,48 @@ class TestMemory:
             tracemalloc.stop()
         assert held / 12_000 < self.VIDEO_BYTES_PER_SAMPLE
 
+    # Bytes that geomedia's own lines hold per loaded feature (parse plus
+    # index) of 1,000 photos and 1,000 12-sample tracks: 608 (3.11) with the
+    # documents alone in the collection and the bboxes in the R-tree's leaf
+    # columns, against 915 with a FeatureRecord, a bbox tuple and an extent
+    # per feature beside a (rect, fid) tuple per leaf entry. Measured after
+    # gc.collect(), so tuples parked in the interpreter's free list after the
+    # parse freed them do not count.
+    LOADED_BYTES_PER_FEATURE = 700
+
+    def test_loaded_store_holds_only_documents_and_leaf_columns(self, tmp_path):
+        store = MediaStore(tmp_path / "s")
+        store.create_collection("pics", "", "stphoto", created=0)
+        store.create_collection("taxi", "", "MovingPoint", created=0)
+        for i in range(1000):
+            store.put_feature("pics", f"p{i:04d}", parse_document(json.dumps({
+                "type": "stphoto", "uri": f"https://media.example/photo/{i}.jpg",
+                "coordinates": [126 + i * 1e-4, 37.5 + (i % 7) * 1e-3],
+                "timeline": [T0 + i * 1000],
+                "fov": {"horizontalAngle": 60, "verticalAngle": 45,
+                        "direction2d": (i * 37) % 360, "distance": 80},
+            }).encode()))
+            store.put_feature("taxi", f"f{i:04d}", parse_document(json.dumps({
+                "type": "MovingPoint",
+                "coordinates": [[126 + i * 1e-4 + k * 1e-5, 37.5 + k * 1e-5] for k in range(12)],
+                "timeline": [T0 + i * 60_000 + k * 1000 for k in range(12)],
+            }).encode()))
+        store.flush()
+        del store
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = MediaStore.load(tmp_path / "s")
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        package = str(Path(geomedia.__file__).parent / "*")
+        snapshot = snapshot.filter_traces([tracemalloc.Filter(True, package)])
+        held = sum(stat.size for stat in snapshot.statistics("filename"))
+        assert loaded.feature_count("pics") == loaded.feature_count("taxi") == 1000
+        assert held / 2000 < self.LOADED_BYTES_PER_FEATURE
+
 
 def _twelve_sample_tracks(directory, count):
     store = MediaStore(directory)
@@ -271,6 +319,76 @@ class TestStQuery:
                     continue
                 want.append(fid)
             assert got == want
+
+def _photo(rng):
+    fov = FieldOfView(h_angle=rng.choice((30.0, 90.0, 360.0)), direction2d=rng.uniform(0, 359),
+                      view_distance=rng.uniform(10, 5000))
+    loc = GeoPoint(rng.uniform(-170, 170), rng.uniform(-80, 80))
+    return document_of(STPhoto("u:p", loc, rng.randint(0, 10_000_000), fov))
+
+
+def _scanned_bbox(store, cid):
+    """collection_bbox as a scan of every record's bbox would give it."""
+    boxes = [r.bbox for r in store.list_features(cid) if r.bbox is not None]
+    if not boxes:
+        return None
+    return (min(b[0] for b in boxes), min(b[1] for b in boxes),
+            max(b[2] for b in boxes), max(b[3] for b in boxes))
+
+
+class TestCollectionBounds:
+    @pytest.mark.parametrize("kind, make", [("MovingPoint", track_doc), ("stphoto", _photo)])
+    def test_bbox_equals_a_scan_through_puts_replacements_and_deletes(self, store, kind, make):
+        rng = random.Random(f"bounds {kind}")
+        store.create_collection("c", "c", kind)
+        api = GeoMediaApi(store)
+        fids = []
+        for step in range(300):
+            action = rng.random()
+            if action < 0.5 or not fids:
+                fid = f"f{step:03d}"
+                fids.append(fid)
+                store.put_feature("c", fid, make(rng))
+            elif action < 0.75:
+                store.put_feature("c", rng.choice(fids), make(rng))  # a replacement
+            else:
+                fid = fids.pop(rng.randrange(len(fids)))
+                store.delete_feature("c", fid)
+            if step % 25 == 0 or not fids:
+                want = _scanned_bbox(store, "c")
+                assert store.collection_bbox("c") == want
+                status, body = api.handle("GET", "/collections/c")
+                assert status == 200 and body["bbox"] == (list(want) if want else None)
+        for fid in fids:
+            store.delete_feature("c", fid)
+        assert store.collection_bbox("c") is None
+        assert store.collection_extent("c") is None
+        assert api.handle("GET", "/collections/c")[1]["bbox"] is None
+
+    def test_reloaded_collection_body_is_unchanged(self, tmp_path):
+        rng = random.Random("bounds reload")
+        store = MediaStore(tmp_path / "s")
+        store.create_collection("pics", "p", "stphoto", created=0)
+        store.create_collection("taxi", "t", "MovingPoint", created=0)
+        for i in range(50):
+            store.put_feature("pics", f"p{i}", _photo(rng))
+            store.put_feature("taxi", f"t{i}", track_doc(rng))
+        store.flush()
+        before = GeoMediaApi(store).handle("GET", "/collections")
+        after = GeoMediaApi(MediaStore.load(tmp_path / "s")).handle("GET", "/collections")
+        assert after == before
+        assert json.dumps(after[1]) == json.dumps(before[1])
+        for body in before[1]["collections"]:
+            assert body["bbox"] == list(_scanned_bbox(store, body["id"]))
+
+    def test_track_less_sensors_have_no_bbox(self, store):
+        store.create_collection("sensors", "s", "MovingDouble")
+        series = MovingDouble((T0, T0 + 1000), (1.0, 2.0))
+        store.put_feature("sensors", "s1", document_of(series))
+        assert store.collection_bbox("sensors") is None
+        assert store.collection_extent("sensors") == TimeInterval(T0, T0 + 1000)
+        assert store.st_query("sensors", bbox=(-180, -90, 180, 90)) == []
+
 
 class TestAnnotations:
     def test_text_annotation(self, store, stphoto_doc):
