@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -33,13 +32,7 @@ from .errors import (
 from .fov import fov_sector_polygon
 from .media import KINDS
 from .query import evaluate, fov_at, position_at, visible_intervals
-from .service import (
-    DEFAULT_TIMEOUT_S,
-    GeoMediaServer,
-    decode_query_spec,
-    parse_instant,
-    parse_lonlat,
-)
+from .service import GeoMediaServer, decode_query_spec, parse_instant, parse_lonlat
 from .store import MediaStore
 
 EXIT_OK = 0
@@ -120,9 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="HOST:PORT")
     p.add_argument("--init", action="store_true",
                    help="create the store if the directory has none")
-    p.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT_S, metavar="SECONDS",
-                   help="close a connection whose client sends nothing for this long; "
-                        "a half-sent body gets a 408 first (default: %(default)g)")
     p.set_defaults(func=_cmd_serve)
 
     return parser
@@ -256,16 +246,6 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _seconds(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a number of seconds > 0, got {raw!r}")
-    return value
-
-
 def _cmd_serve(args) -> int:
     target = Path(_require_store(args))
     if not (target / "manifest.json").is_file():
@@ -277,7 +257,7 @@ def _cmd_serve(args) -> int:
     store = MediaStore.load(target)
     host, _, port = args.addr.rpartition(":")
     try:
-        server = GeoMediaServer(store, host or "127.0.0.1", int(port), args.timeout)
+        server = GeoMediaServer(store, host or "127.0.0.1", int(port))
     except (OSError, ValueError) as exc:
         print(f"error: cannot bind {args.addr}: {exc}", file=sys.stderr)
         return EXIT_ERROR

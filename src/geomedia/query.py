@@ -97,7 +97,7 @@ def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord
         if spec.visible_from is not None:
             boxes.append(disk_bbox(spec.visible_from, store.view_reach(cid)))
         boxes.sort(key=lambda b: (b[2] - b[0]) * (b[3] - b[1]))
-        candidates = store.st_query(cid, interval=spec.interval, boxes=tuple(boxes))
+        candidates = store.st_query(cid, bbox=boxes, interval=spec.interval)
     out = []
     for record in candidates:
         payload = record.doc.payload

@@ -11,9 +11,8 @@ A leaf holds its items in a list and their rectangles in one array('d'),
 four numbers per item in the same order, so the tree is the only holder of
 each rectangle and keeps no tuple or float object per entry. An inner node
 holds (rect, child) pairs. search() takes any number of boxes and keeps an
-item only if its rectangle meets every one of them. It prunes a subtree as
-soon as one box misses the subtree's rectangle, and takes every item of a
-subtree whose rectangle lies inside every box without testing them.
+item only if its rectangle meets every one of them; it prunes a subtree as
+soon as one box misses the subtree's rectangle.
 
 bulk_load packs a whole set of entries at once by Sort-Tile-Recursive
 (Leutenegger, Lopez & Edgington, ICDE 1997); insert and delete work on such
@@ -183,17 +182,11 @@ class RTree:
                     out.append(item)
             return
         for (x0, y0, x1, y1), child in node.entries:
-            inside = True  # so far, the child lies within every box
             for b0, b1, b2, b3 in boxes:
                 if x0 > b2 or b0 > x1 or y0 > b3 or b1 > y1:
                     break
-                if inside and (x0 < b0 or b2 < x1 or y0 < b1 or b3 < y1):
-                    inside = False
             else:
-                if inside:
-                    _collect(child, out)
-                else:
-                    self._search(child, boxes, out)
+                self._search(child, boxes, out)
 
     def bounds(self) -> Rect | None:
         """The smallest rectangle holding every stored one; None when empty."""
@@ -236,15 +229,6 @@ class RTree:
                     del node.entries[k]
                 return True
         return False
-
-
-def _collect(node: _Node, out: list) -> None:
-    """Append every item under node."""
-    if node.is_leaf:
-        out.extend(node.entries)
-    else:
-        for _, child in node.entries:
-            _collect(child, out)
 
 
 def _str_runs(xs: list[float], ys: list[float], cap: int) -> list[list[int]]:

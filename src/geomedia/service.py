@@ -6,12 +6,12 @@ without sockets. GeoMediaServer wraps it in a threading stdlib HTTP server.
 
 Contract notes: unknown or repeated query parameters are rejected with 400
 (fail-closed against filter typos); a client that sends part of a body and
-then nothing for the server's timeout gets a 408 and the connection closes,
-and an idle keep-alive connection is closed after that timeout; every
-mutation is appended to the store's log and fsynced before its response,
-and one that fails to commit answers 500 and is gone from memory too;
-responses contain no wall-clock values, only stored data, so they are
-deterministic given store state.
+then nothing for 60 s gets a 408 and the connection closes, and an idle
+keep-alive connection is closed after as long; every mutation is appended
+to the store's log and fsynced before its response, and one that fails to
+commit answers 500 and is gone from memory too; responses contain no
+wall-clock values, only stored data, so they are deterministic given store
+state.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ LOGGER = logging.getLogger(__name__)
 
 DEFAULT_LIMIT = 10
 MAX_BODY_BYTES = 64 * 1024 * 1024  # a larger Content-Length is refused unread
-# Seconds a connection may wait for the client's next bytes: a body that stops
-# mid-read is answered 408 and an idle keep-alive connection is closed.
-DEFAULT_TIMEOUT_S = 60.0
 
 _STATUS_BY_CODE = {
     "NotFound": 404,
@@ -379,12 +376,10 @@ def _echo_query(params: dict[str, str]) -> dict:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "geomedia/0.1"
     protocol_version = "HTTP/1.1"
-
-    def setup(self):
-        # StreamRequestHandler.setup applies it to the socket: each read and
-        # write waits at most this long
-        self.timeout = self.server.read_timeout
-        super().setup()
+    # Seconds each socket read or write may wait (StreamRequestHandler.setup
+    # applies it): a body that stops mid-read is answered 408 and an idle
+    # keep-alive connection is closed.
+    timeout = 60.0
 
     def _dispatch(self):
         raw_length = (self.headers.get("Content-Length") or "0").strip()
@@ -431,13 +426,9 @@ class _Handler(BaseHTTPRequestHandler):
 class GeoMediaServer(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, store: MediaStore, host: str = "127.0.0.1", port: int = 0,
-                 timeout: float = DEFAULT_TIMEOUT_S):
-        """Serve store on host:port; timeout (seconds, finite and > 0) bounds
-        every wait for a client's bytes."""
+    def __init__(self, store: MediaStore, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _Handler)
         self.api = GeoMediaApi(store)
-        self.read_timeout = timeout
 
     @property
     def address(self) -> str:

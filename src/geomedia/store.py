@@ -397,18 +397,20 @@ class MediaStore:
     def st_query(
         self,
         cid: str,
-        bbox: Bbox | None = None,
+        bbox: Bbox | list[Bbox] | None = None,
         interval: TimeInterval | tuple[int, int] | None = None,
-        boxes: tuple[Bbox, ...] = (),
     ) -> list[FeatureRecord]:
-        """Features intersecting bbox and every one of boxes and overlapping
-        interval, ordered by fid.
+        """Features intersecting bbox (one box, or a list of boxes that a
+        feature must each meet) and overlapping interval, ordered by fid.
 
         The index holds each feature's exact bbox and tests every box under
         the same inclusive test, so its hits need no re-check; the interval
         is checked per hit. The result equals a linear scan.
         """
-        boxes = [b for b in map(_check_bbox, (bbox, *boxes)) if b is not None]
+        if isinstance(bbox, list) and all(isinstance(b, (list, tuple)) for b in bbox):
+            boxes = [_check_bbox(b) for b in bbox]
+        else:
+            boxes = [] if bbox is None else [_check_bbox(bbox)]
         interval = _check_interval(interval)
         with self._lock:
             state = self._state(cid)

@@ -337,13 +337,6 @@ class TestServe:
                      "--addr", "127.0.0.1:0"]) == 1
         assert "no store" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
-    def test_timeout_must_be_positive_seconds(self, tmp_path, capsys, value):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["serve", "--store", str(tmp_path), "--timeout", value])
-        assert exit_info.value.code == 2
-        assert "--timeout: must be a number of seconds > 0" in capsys.readouterr().err
-
     def test_serve_subprocess_answers_collections(self, store_dir, tmp_path):
         import subprocess
         import sys

@@ -240,16 +240,6 @@ def test_multi_box_search_matches_brute_force_after_bulk_load_inserts_and_delete
     check()
 
 
-def test_search_takes_whole_subtrees_inside_the_boxes():
-    rng = random.Random("rtree-inside")
-    entries = {i: random_rect(rng, span=10.0) for i in range(500)}
-    tree = RTree.bulk_load(entries.items())
-    everything = (-100.0, -100.0, 100.0, 100.0)
-    assert sorted(tree.search(everything)) == sorted(entries)
-    assert sorted(tree.search(everything, (0.0, 0.0, 100.0, 100.0))) == \
-        brute_force_search(entries, (0.0, 0.0, 100.0, 100.0))
-
-
 def test_bounds_is_the_union_of_every_rectangle():
     rng = random.Random("rtree-bounds")
     tree = RTree()

@@ -697,10 +697,11 @@ class TestReadTimeout:
 
     TIMEOUT = 0.2
 
-    def exchange(self, tmp_path, request: bytes) -> tuple[bytes, float]:
+    def exchange(self, tmp_path, monkeypatch, request: bytes) -> tuple[bytes, float]:
         """Send request on one socket; all the server sends before it closes,
         and the seconds from the send until the close."""
-        server = GeoMediaServer(MediaStore(tmp_path / "s"), "127.0.0.1", 0, self.TIMEOUT)
+        monkeypatch.setattr(service._Handler, "timeout", self.TIMEOUT)
+        server = GeoMediaServer(MediaStore(tmp_path / "s"))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -717,8 +718,8 @@ class TestReadTimeout:
             server.server_close()
         return b"".join(chunks), waited
 
-    def test_half_sent_body_gets_408_then_the_connection_closes(self, tmp_path):
-        data, waited = self.exchange(tmp_path, b"PUT /collections/c/items/f HTTP/1.1\r\n"
+    def test_half_sent_body_gets_408_then_the_connection_closes(self, tmp_path, monkeypatch):
+        data, waited = self.exchange(tmp_path, monkeypatch, b"PUT /collections/c/items/f HTTP/1.1\r\n"
                                                b"Host: t\r\nContent-Length: 100\r\n\r\n1234567")
         head, _, body = data.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 408 ")
@@ -728,8 +729,8 @@ class TestReadTimeout:
             "message": "request body not received within 0.2 s"}
         assert self.TIMEOUT * 0.9 <= waited < 4
 
-    def test_idle_keep_alive_connection_closes_quietly(self, tmp_path):
-        data, waited = self.exchange(tmp_path, b"GET /collections HTTP/1.1\r\nHost: t\r\n\r\n")
+    def test_idle_keep_alive_connection_closes_quietly(self, tmp_path, monkeypatch):
+        data, waited = self.exchange(tmp_path, monkeypatch, b"GET /collections HTTP/1.1\r\nHost: t\r\n\r\n")
         head, _, body = data.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 200 ")
         assert b"Connection: close" not in head

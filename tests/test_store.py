@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -189,13 +190,14 @@ class TestMemory:
         assert held / 12_000 < self.VIDEO_BYTES_PER_SAMPLE
 
     # Bytes that geomedia's own lines hold per loaded feature (parse plus
-    # index) of 1,000 photos and 1,000 12-sample tracks: 608 (3.11) with the
-    # documents alone in the collection and the bboxes in the R-tree's leaf
-    # columns, against 915 with a FeatureRecord, a bbox tuple and an extent
-    # per feature beside a (rect, fid) tuple per leaf entry. Measured after
+    # index) of 1,000 photos and 1,000 12-sample tracks: 607 on Python 3.11
+    # and 3.12 (692 on 3.10, whose objects are larger) with the documents
+    # alone in the collection and the bboxes in the R-tree's leaf columns,
+    # against 915 (996) with a FeatureRecord, a bbox tuple and an extent per
+    # feature beside a (rect, fid) tuple per leaf entry. Measured after
     # gc.collect(), so tuples parked in the interpreter's free list after the
-    # parse freed them do not count.
-    LOADED_BYTES_PER_FEATURE = 700
+    # parse freed them do not count. Each bound is its figure plus ~15 %.
+    LOADED_BYTES_PER_FEATURE = 800 if sys.version_info < (3, 11) else 700
 
     def test_loaded_store_holds_only_documents_and_leaf_columns(self, tmp_path):
         store = MediaStore(tmp_path / "s")
