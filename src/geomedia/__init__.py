@@ -38,7 +38,6 @@ from .query import (
     position_at,
     visible_intervals,
 )
-from .service import GeoMediaApi, GeoMediaServer
 from .store import Annotation, Collection, FeatureRecord, MediaStore
 from .temporal import (
     InterpolationMode,
@@ -49,6 +48,17 @@ from .temporal import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """GeoMediaApi and GeoMediaServer, imported on first use (PEP 562), so that
+    a program that serves nothing loads no HTTP stack."""
+    if name in ("GeoMediaApi", "GeoMediaServer"):
+        from . import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Annotation",

@@ -31,8 +31,15 @@ from .errors import (
 )
 from .fov import fov_sector_polygon
 from .media import KINDS
-from .query import evaluate, fov_at, position_at, visible_intervals
-from .service import GeoMediaServer, decode_query_spec, parse_instant, parse_lonlat
+from .query import (
+    decode_query_spec,
+    evaluate,
+    fov_at,
+    parse_instant,
+    parse_lonlat,
+    position_at,
+    visible_intervals,
+)
 from .store import MediaStore
 
 EXIT_OK = 0
@@ -247,6 +254,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .service import GeoMediaServer  # the HTTP stack only for serve
+
     target = Path(_require_store(args))
     if not (target / "manifest.json").is_file():
         if args.init:

@@ -36,6 +36,7 @@ from .fov import (
     DEFAULT_VIEW_DISTANCE,
     FieldOfView,
     SectorPolygon,
+    check_fov,
 )
 from .geo import GeoPoint, check_position
 from .media import (
@@ -295,33 +296,43 @@ def _read_track(obj: dict, path: str = "") -> PositionColumns:
 
 
 def _read_number(obj: dict, member: str, default: float, path: str) -> float:
-    if member not in obj:
-        return default
-    value = obj[member]
-    if not is_finite_number(value):
-        raise ParseError(f"'{member}' must be a finite number", f"{path}/{member}")
-    return float(value)
+    value = obj.get(member, default)
+    try:
+        if type(value) in _NUMBER_TYPES and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer no double holds
+        pass
+    raise ParseError(f"'{member}' must be a finite number", f"{path}/{member}")
 
 
-def _read_fov(obj, path: str) -> FieldOfView:
+# The members a "fov" object may spell exactly; any other name is trimmed first.
+_FOV_MEMBERS = frozenset({
+    "type", "horizontalAngle", "verticalAngle", "direction2d", "distance", "viewDistance",
+})
+
+
+def _read_fov(obj, path: str, column: list) -> None:
+    """Append a "fov" object's h_angle, v_angle, direction2d and view_distance
+    to column, checked as a FieldOfView checks them (fov.check_fov)."""
     if not isinstance(obj, dict):
         raise ParseError("fov must be an object", path)
-    obj = _normalize_keys(obj)
+    if not _FOV_MEMBERS.issuperset(obj):
+        obj = _normalize_keys(obj)
     tag = obj.get("type")
     if tag is not None and (not isinstance(tag, str) or tag.lower() != "fov"):
         raise ParseError(f"fov type tag must be 'fov', got {tag!r}", f"{path}/type")
     if "distance" in obj and "viewDistance" in obj:
         raise ParseError("both 'distance' and 'viewDistance' present", f"{path}/viewDistance")
     distance_member = "viewDistance" if "viewDistance" in obj else "distance"
+    h = _read_number(obj, "horizontalAngle", DEFAULT_H_ANGLE, path)
+    v = _read_number(obj, "verticalAngle", DEFAULT_V_ANGLE, path)
+    d = _read_number(obj, "direction2d", DEFAULT_DIRECTION, path)
+    r = _read_number(obj, distance_member, DEFAULT_VIEW_DISTANCE, path)
     try:
-        return FieldOfView(
-            h_angle=_read_number(obj, "horizontalAngle", DEFAULT_H_ANGLE, path),
-            v_angle=_read_number(obj, "verticalAngle", DEFAULT_V_ANGLE, path),
-            direction2d=_read_number(obj, "direction2d", DEFAULT_DIRECTION, path),
-            view_distance=_read_number(obj, distance_member, DEFAULT_VIEW_DISTANCE, path),
-        )
+        check_fov(h, v, d, r)
     except ValueError as exc:
         raise ParseError(str(exc), path) from None
+    column += (h, v, d, r)
 
 
 def _build_moving_point(obj: dict) -> tuple[MovingPoint, set[str]]:
@@ -380,7 +391,11 @@ def _build_stphoto(obj: dict) -> tuple[STPhoto, set[str]]:
             f"a photo has exactly one timestamp, got {len(times)}",
             "/datetimes" if "datetimes" in obj else "/timeline",
         )
-    fov = _read_fov(obj["fov"], "/fov") if "fov" in obj else FieldOfView()
+    fov = FieldOfView()
+    if "fov" in obj:
+        column = []
+        _read_fov(obj["fov"], "/fov", column)
+        fov = FieldOfView(*column)
     try:
         photo = STPhoto(uri, loc, times[0], fov)
     except ValueError as exc:
@@ -391,20 +406,20 @@ def _build_stphoto(obj: dict) -> tuple[STPhoto, set[str]]:
 def _build_moving_video(obj: dict) -> tuple[MovingVideo, set[str]]:
     uri = _read_uri(obj)
     track, _ = _build_moving_point(obj)
-    fovs: list[FieldOfView]  # not a tuple: freed small tuples stay in the interpreter's free list
+    column = [DEFAULT_H_ANGLE, DEFAULT_V_ANGLE, DEFAULT_DIRECTION, DEFAULT_VIEW_DISTANCE]
     if "fov" in obj:
         raw = obj["fov"]
         if not isinstance(raw, list) or not raw:
             raise ParseError("'fov' must be a non-empty array", "/fov")
-        fovs = [_read_fov(entry, f"/fov/{i}") for i, entry in enumerate(raw)]
-        if len(fovs) not in (1, len(track)):
-            raise ParseError(f"{len(fovs)} fov entries for {len(track)} samples", "/fov")
-    else:
-        fovs = [FieldOfView()]
+        column = []
+        for i, entry in enumerate(raw):
+            _read_fov(entry, f"/fov/{i}", column)
+        if len(raw) not in (1, len(track)):
+            raise ParseError(f"{len(raw)} fov entries for {len(track)} samples", "/fov")
     try:
-        video = MovingVideo(uri, track, fovs)
+        video = MovingVideo.from_column(uri, track, array("d", column))
     except ValueError as exc:  # uri and fov count are checked above: this is a still track
-        first = next(i for i, fov in enumerate(fovs) if fov.is_relative)
+        first = next(i for i, direction in enumerate(column[2::4]) if direction < 0.0)
         raise ParseError(str(exc), f"/fov/{first}/direction2d") from None
     return video, {
         "uri", "coordinates", "fov", "datetimes", "timeline", "interpolation",

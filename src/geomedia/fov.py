@@ -28,6 +28,18 @@ DEFAULT_DIRECTION = 0.0  # due north
 DEFAULT_VIEW_DISTANCE = 100.0
 
 
+def check_fov(h_angle: float, v_angle: float, direction2d: float, view_distance: float) -> None:
+    """ValueError unless the four numbers make a valid field of view."""
+    if not 0.0 < h_angle <= 360.0:
+        raise ValueError(f"horizontal angle {h_angle} outside (0, 360]")
+    if not 0.0 < v_angle <= 180.0:
+        raise ValueError(f"vertical angle {v_angle} outside (0, 180]")
+    if not -360.0 <= direction2d < 360.0:
+        raise ValueError(f"direction2d {direction2d} outside [-360, 360)")
+    if not 0.0 < view_distance < math.inf:
+        raise ValueError(f"view distance {view_distance} must be finite and > 0")
+
+
 @dataclass(frozen=True, slots=True)
 class FieldOfView:
     """Camera view descriptor: apertures in degrees, view distance in meters."""
@@ -38,14 +50,7 @@ class FieldOfView:
     view_distance: float = DEFAULT_VIEW_DISTANCE
 
     def __post_init__(self):
-        if not 0.0 < self.h_angle <= 360.0:
-            raise ValueError(f"horizontal angle {self.h_angle} outside (0, 360]")
-        if not 0.0 < self.v_angle <= 180.0:
-            raise ValueError(f"vertical angle {self.v_angle} outside (0, 180]")
-        if not -360.0 <= self.direction2d < 360.0:
-            raise ValueError(f"direction2d {self.direction2d} outside [-360, 360)")
-        if not 0.0 < self.view_distance < math.inf:
-            raise ValueError(f"view distance {self.view_distance} must be finite and > 0")
+        check_fov(self.h_angle, self.v_angle, self.direction2d, self.view_distance)
 
     @property
     def is_relative(self) -> bool:

@@ -160,7 +160,17 @@ class MovingVideo:
 
     def __init__(self, videouri: str, track: MovingPoint,
                  fovs: Iterable[FieldOfView] = (FieldOfView(),)):
-        column = _pack_fovs(fovs)
+        self._set(videouri, track, _pack_fovs(fovs))
+
+    @classmethod
+    def from_column(cls, videouri: str, track: MovingPoint, fov_column: array) -> "MovingVideo":
+        """A video over a column of valid FoVs (see fov.check_fov), laid out as
+        _pack_fovs lays them out."""
+        video = object.__new__(cls)
+        video._set(videouri, track, fov_column)
+        return video
+
+    def _set(self, videouri: str, track: MovingPoint, column: array) -> None:
         object.__setattr__(self, "videouri", videouri)
         object.__setattr__(self, "track", track)
         object.__setattr__(self, "_fov_column", column)

@@ -1,15 +1,19 @@
-"""Exact spatio-temporal predicates over stored media, and query paging.
+"""Exact spatio-temporal predicates over stored media, query checks and paging.
 
 evaluate() refines the store's index candidates with exact predicates, so
 its results are identical to a linear scan; the index only buys speed.
+decode_query_spec() and the parsers beside it turn WFS-style query strings
+(the HTTP service's and the CLI's) into checked values.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
-from .errors import BadQueryError, WrongKindError
+from .codec import parse_datetime
+from .errors import BadQueryError, ParseError, WrongKindError
 from .geo import GeoPoint, disk_bbox, geo_distance
 from .media import CAMERA_KINDS, TRACK_KINDS, Bbox, FovState, payload_of_kind
 from .store import FeatureRecord, MediaStore, _check_bbox, _check_interval
@@ -41,6 +45,66 @@ class QuerySpec:
             raise BadQueryError(f"limit must be >= 1, got {self.limit}")
         if self.offset < 0:
             raise BadQueryError(f"offset must be >= 0, got {self.offset}")
+
+
+_INT_RE = re.compile(r"-?[0-9]+")  # ASCII only: int() also takes "1_0", " 5" and "١٢"
+
+
+def parse_instant(raw: str) -> int:
+    if _INT_RE.fullmatch(raw):
+        return int(raw)
+    try:
+        return parse_datetime(raw)
+    except ParseError as exc:
+        raise BadQueryError(str(exc)) from None
+
+
+def _parse_floats(raw: str, n: int, name: str) -> list[float]:
+    parts = raw.split(",")
+    if len(parts) != n:
+        raise BadQueryError(f"{name} needs {n} comma-separated numbers, got {raw!r}")
+    try:
+        return [float(p) for p in parts]
+    except ValueError:
+        raise BadQueryError(f"{name} needs numbers, got {raw!r}") from None
+
+
+def parse_lonlat(raw: str, name: str) -> GeoPoint:
+    lon, lat = _parse_floats(raw, 2, name)
+    try:
+        return GeoPoint(lon, lat)
+    except ValueError as exc:
+        raise BadQueryError(f"bad {name}: {exc}") from None
+
+
+def _parse_int(raw: str, name: str) -> int:
+    if not _INT_RE.fullmatch(raw):
+        raise BadQueryError(f"{name} must be an integer, got {raw!r}")
+    return int(raw)
+
+
+def decode_query_spec(params: dict[str, str]) -> QuerySpec:
+    """Turn WFS-style query strings into a QuerySpec, which checks the values."""
+    bbox = _parse_floats(params["bbox"], 4, "bbox") if "bbox" in params else None
+    interval = None
+    if "datetime" in params:
+        start, sep, end = params["datetime"].partition("/")
+        lo = parse_instant(start)
+        interval = (lo, parse_instant(end) if sep else lo)
+    near = None
+    if "near" in params:
+        lon, lat, radius = _parse_floats(params["near"], 3, "near")
+        try:
+            near = (GeoPoint(lon, lat), radius)
+        except ValueError as exc:
+            raise BadQueryError(f"bad near point: {exc}") from None
+    visible_from = None
+    if "visibleFrom" in params:
+        visible_from = parse_lonlat(params["visibleFrom"], "visibleFrom")
+    limit = _parse_int(params["limit"], "limit") if "limit" in params else None
+    offset = _parse_int(params["offset"], "offset") if "offset" in params else 0
+    return QuerySpec(bbox=bbox, interval=interval, near=near,
+                     visible_from=visible_from, limit=limit, offset=offset)
 
 
 def page(items: list, limit: int | None, offset: int) -> list:

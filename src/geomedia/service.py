@@ -20,7 +20,6 @@ import contextlib
 import dataclasses
 import json
 import logging
-import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, unquote, urlsplit
 
@@ -32,13 +31,20 @@ from .codec import (
     geojson_point,
     geojson_polygon,
     interval_str,
-    parse_datetime,
     parse_document,
 )
 from .errors import BadQueryError, GeoMediaError, NotFoundError, ParseError
 from .fov import fov_sector_polygon
-from .geo import GeoPoint
-from .query import QuerySpec, evaluate, fov_at, page, position_at, visible_intervals
+from .query import (
+    decode_query_spec,
+    evaluate,
+    fov_at,
+    page,
+    parse_instant,
+    parse_lonlat,
+    position_at,
+    visible_intervals,
+)
 from .store import MediaStore, annotation_from_obj, annotation_to_obj
 
 LOGGER = logging.getLogger(__name__)
@@ -304,66 +310,6 @@ def _decode_body(body: bytes | None) -> dict:
     if not isinstance(obj, dict):
         raise ParseError("body must be a JSON object")
     return obj
-
-
-_INT_RE = re.compile(r"-?[0-9]+")  # ASCII only: int() also takes "1_0", " 5" and "١٢"
-
-
-def parse_instant(raw: str) -> int:
-    if _INT_RE.fullmatch(raw):
-        return int(raw)
-    try:
-        return parse_datetime(raw)
-    except ParseError as exc:
-        raise BadQueryError(str(exc)) from None
-
-
-def _parse_floats(raw: str, n: int, name: str) -> list[float]:
-    parts = raw.split(",")
-    if len(parts) != n:
-        raise BadQueryError(f"{name} needs {n} comma-separated numbers, got {raw!r}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise BadQueryError(f"{name} needs numbers, got {raw!r}") from None
-
-
-def parse_lonlat(raw: str, name: str) -> GeoPoint:
-    lon, lat = _parse_floats(raw, 2, name)
-    try:
-        return GeoPoint(lon, lat)
-    except ValueError as exc:
-        raise BadQueryError(f"bad {name}: {exc}") from None
-
-
-def _parse_int(raw: str, name: str) -> int:
-    if not _INT_RE.fullmatch(raw):
-        raise BadQueryError(f"{name} must be an integer, got {raw!r}")
-    return int(raw)
-
-
-def decode_query_spec(params: dict[str, str]) -> QuerySpec:
-    """Turn WFS-style query strings into a QuerySpec, which checks the values."""
-    bbox = _parse_floats(params["bbox"], 4, "bbox") if "bbox" in params else None
-    interval = None
-    if "datetime" in params:
-        start, sep, end = params["datetime"].partition("/")
-        lo = parse_instant(start)
-        interval = (lo, parse_instant(end) if sep else lo)
-    near = None
-    if "near" in params:
-        lon, lat, radius = _parse_floats(params["near"], 3, "near")
-        try:
-            near = (GeoPoint(lon, lat), radius)
-        except ValueError as exc:
-            raise BadQueryError(f"bad near point: {exc}") from None
-    visible_from = None
-    if "visibleFrom" in params:
-        visible_from = parse_lonlat(params["visibleFrom"], "visibleFrom")
-    limit = _parse_int(params["limit"], "limit") if "limit" in params else None
-    offset = _parse_int(params["offset"], "offset") if "offset" in params else 0
-    return QuerySpec(bbox=bbox, interval=interval, near=near,
-                     visible_from=visible_from, limit=limit, offset=offset)
 
 
 def _echo_query(params: dict[str, str]) -> dict:

@@ -11,22 +11,30 @@ the collection's snapshot files are parsed, and for a collection filled
 since it was created by the first spatial search (until then a put computes
 no bbox); after that every put and delete updates it one entry at a time.
 Next to the tree a collection keeps its view reach, an upper bound on how
-far any of its cameras sees (view_reach()).
+far any of its cameras sees (view_reach()), and caches its time extent
+(collection_extent()): a fresh put widens it, a replacement or delete drops
+it, and the next read works it out again.
 
 A store is a directory holding a snapshot and a write log. The snapshot is
-manifest.json with collection metadata and content checksums, one
-<cid>.ndjson of features, and one <cid>.ann.ndjson of annotations per
-collection (UTF-8, LF). flush() compacts: it stages the files of every
-parsed collection, fsyncs them, renames data files first and the manifest
-last, so an interrupted flush is always detected by checksum at open time
-instead of loading silently.
+manifest.json (plain JSON) with collection metadata and content checksums,
+one <cid>.ndjson.gz of features, and one <cid>.ann.ndjson.gz of annotations
+per collection. Each data file is one gzip stream (zlib level 1, no file
+name, mtime 0, so equal contents give equal bytes) of UTF-8 NDJSON lines
+with LF endings; `zcat` reads it. The manifest's checksums and the sizes
+the store counts are of the compressed bytes on disk. This is store format
+version 2; open() refuses a version-1 store (plain .ndjson files) by name.
+flush() compacts: it stages the files of every parsed collection, fsyncs
+them, renames data files first and the manifest last, so an interrupted
+flush is always detected by checksum at open time instead of loading
+silently.
 
 open() reads the manifest, checks every snapshot file's checksum and replays
 the log, but parses a collection's files only when a method first needs its
-features; the parse hashes the lines it reads and fails unless they are the
-bytes open() checked. load() is open() followed by parsing every collection,
-so a server opened with it answers its first query at full speed. The CLI
-commands that name one collection use open(); `geomedia serve` uses load().
+features; the parse hashes the compressed bytes as it reads and decompresses
+them and fails unless they are the bytes open() checked. load() is open()
+followed by parsing every collection, so a server opened with it answers its
+first query at full speed. The CLI commands that name one collection use
+open(); `geomedia serve` uses load().
 flush() writes a parsed collection by serialising it and leaves the files of
 a collection it never parsed where they are, hashing them again and failing
 before any rename unless they still match the manifest. So a malformed line
@@ -91,17 +99,25 @@ from .temporal import TimeInterval
 _ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 _MANIFEST = "manifest.json"
 _LOG = "wal.log"  # not *.ndjson: a collection may be called "wal"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # 1: plain <cid>.ndjson files; 2: gzip-compressed <cid>.ndjson.gz
 # A commit whose records would grow the log past
 # max(_COMPACT_MIN_BYTES, snapshot bytes // _COMPACT_SHARE) compacts instead.
-# So the log adds at most 1/32 = 3.1 % to a large store's bytes on disk, less
-# where its records add live data: a store that takes 1.052 bytes per byte of
-# data after a compaction takes about 1.052 * 1.031 = 1.085 just before one.
-# At 1k features per kind (a 2.6 MB snapshot) that is ~82 KB of log, ~180
-# mutations, between compactions of ~0.2 s each.
+# Both sides count bytes on disk: compressed snapshot files, a plain log. So
+# the log adds at most 1/32 = 3.1 % to a large store's bytes on disk, less
+# where its records add live data: a store that takes 0.226 bytes per byte of
+# data after a compaction takes about 0.226 * 1.031 = 0.233 just before one.
+# At 5k features per kind (a 2.76 MB snapshot) that is ~86 KB of log between
+# compactions. Below 2 MB of snapshot the 64 KiB floor holds: at 1k features
+# per kind (a 0.56 MB snapshot) the log may add ~12 %, ~140 mutations between
+# compactions.
 _COMPACT_MIN_BYTES = 64 * 1024
 _COMPACT_SHARE = 32
 _CHUNK = 64 * 1024  # bytes read at a time to checksum a snapshot file
+# Compressed bytes read at a time to parse a snapshot file; each expands about
+# 4.7-fold. 64 KiB reads raised the peak RSS of loading the 20k-feature
+# benchmark store from 39.2 to 40.7 MB.
+_GZ_CHUNK = 4 * 1024
+_GZ_LEVEL = 1  # 0.21 of the NDJSON bytes; level 6 gives 0.17 at 3.3x the time
 
 ANNOTATION_KINDS = ("text", "icon", "polygon")
 
@@ -209,7 +225,7 @@ class FeatureRecord:
 
 
 class _CollectionState:
-    __slots__ = ("meta", "features", "annotations", "index", "reach", "unparsed")
+    __slots__ = ("meta", "features", "annotations", "index", "reach", "bounds", "unparsed")
 
     def __init__(self, meta: Collection, unparsed: dict | None = None):
         self.meta = meta
@@ -222,6 +238,10 @@ class _CollectionState:
         # With the index: the largest view reach of any feature put since it was
         # built. Puts raise it, deletes leave it, so it only ever overestimates.
         self.reach = 0.0
+        # (earliest start, latest end) of the features' time bounds, or None
+        # until collection_extent() works it out; a fresh put widens it, a
+        # replacement or delete drops it.
+        self.bounds: tuple[int, int] | None = None
 
     def spatial_index(self) -> RTree:
         if self.index is None:
@@ -343,6 +363,11 @@ class MediaStore:
                 if bbox is not None:
                     state.index.insert(fid, bbox)
                 state.reach = max(state.reach, media.view_reach(doc))
+            if fid in state.features:
+                state.bounds = None
+            elif state.bounds is not None:
+                (low, high), (start, end) = state.bounds, doc.payload.time_bounds()
+                state.bounds = (min(low, start), max(high, end))
             state.features[fid] = doc
             anns = state.annotations.get(fid)
             if anns:
@@ -375,6 +400,7 @@ class MediaStore:
             if state.index is not None:
                 state.index_delete(fid, record.doc)
             del state.features[fid]
+            state.bounds = None
             state.annotations.pop(fid, None)
             self._queue("delete_feature", cid=cid, fid=fid)
 
@@ -440,12 +466,17 @@ class MediaStore:
             return self._state(cid).spatial_index().bounds()
 
     def collection_extent(self, cid: str) -> TimeInterval | None:
+        """The span from the earliest start to the latest end of any feature;
+        worked out again only after a replacement or delete."""
         with self._lock:
-            features = self._state(cid).features
-            if not features:
+            state = self._state(cid)
+            if not state.features:
                 return None
-            starts, ends = zip(*(doc.payload.time_bounds() for doc in features.values()))
-            return TimeInterval(min(starts), max(ends))
+            if state.bounds is None:
+                starts, ends = zip(*(doc.payload.time_bounds()
+                                     for doc in state.features.values()))
+                state.bounds = (min(starts), max(ends))
+            return TimeInterval(*state.bounds)
 
     # -- annotations -----------------------------------------------------------
 
@@ -574,14 +605,16 @@ class MediaStore:
         size = 0
         for cid in sorted(self._collections):
             state = self._collections[cid]
-            features_path, anns_path = target / f"{cid}.ndjson", target / f"{cid}.ann.ndjson"
-            keep.update((features_path.name, anns_path.name))
+            features_name, anns_name = _snapshot_names(cid)
+            features_path, anns_path = target / features_name, target / anns_name
+            keep.update((features_name, anns_name))
             if state.unparsed is None:
                 count = len(state.features)
-                features_tmp, features_sha, features_size = _stage(features_path, (
-                    _ndjson_line({"fid": fid, "document": document_to_obj(doc, "epoch")})
-                    for fid, doc in sorted(state.features.items())))
-                anns_tmp, anns_sha, anns_size = _stage(anns_path, (
+                features = state.features  # sorted fids, not items: no tuple per feature
+                features_tmp, features_sha, features_size = _stage(features_path, _gzipped(
+                    _ndjson_line({"fid": fid, "document": document_to_obj(features[fid], "epoch")})
+                    for fid in sorted(features)))
+                anns_tmp, anns_sha, anns_size = _stage(anns_path, _gzipped(
                     _ndjson_line({"fid": fid, **annotation_to_obj(anns[aid], "epoch")})
                     for fid, anns in sorted(state.annotations.items())
                     for aid in sorted(anns)))
@@ -619,7 +652,7 @@ class MediaStore:
         self._log_bytes = 0
         self._pending.clear()
         (target / _LOG).unlink(missing_ok=True)
-        for stray in target.glob("*.ndjson"):
+        for stray in target.glob("*.ndjson.gz"):
             if stray.name not in keep:
                 stray.unlink()
 
@@ -643,8 +676,11 @@ class MediaStore:
             manifest = json.loads(manifest_bytes)
         except (OSError, ValueError) as exc:
             raise CorruptStoreError(f"unreadable manifest: {exc}") from None
-        if not isinstance(manifest, dict) or manifest.get("version") != _FORMAT_VERSION:
-            raise CorruptStoreError(f"unsupported store version in {manifest_path}")
+        version = manifest.get("version") if isinstance(manifest, dict) else None
+        if version != _FORMAT_VERSION:
+            raise CorruptStoreError(
+                f"unsupported store version {version!r} in {manifest_path}: this geomedia "
+                f"reads version {_FORMAT_VERSION} (gzip-compressed <cid>.ndjson.gz files) only")
         store = cls(target)
         size = len(manifest_bytes)
         for entry in manifest.get("collections", []):
@@ -703,8 +739,9 @@ class MediaStore:
             want = {kind: shas.get(kind) for kind in ("features", "annotations")}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CorruptStoreError(f"bad manifest entry: {exc}") from None
-        size = (_checked_size(self._dir / f"{cid}.ndjson", want["features"])
-                + _checked_size(self._dir / f"{cid}.ann.ndjson", want["annotations"]))
+        features_name, anns_name = _snapshot_names(cid)
+        size = (_checked_size(self._dir / features_name, want["features"])
+                + _checked_size(self._dir / anns_name, want["annotations"]))
         self._collections[cid] = _CollectionState(
             meta, {"features": want_features, "sha256": want})
         return size
@@ -712,20 +749,21 @@ class MediaStore:
     def _parse_collection(self, state: _CollectionState) -> None:
         """Parse the snapshot files open() checked into state and index it."""
         cid, unparsed = state.meta.id, state.unparsed
+        features_name, anns_name = _snapshot_names(cid)
         features: dict[str, GeoMediaDocument] = {}
         annotations: dict[str, dict[str, Annotation]] = {}
         with contextlib.ExitStack() as files:
             feature_lines = _checked_lines(
-                files, self._dir / f"{cid}.ndjson", unparsed["sha256"]["features"])
+                files, self._dir / features_name, unparsed["sha256"]["features"])
             ann_lines = _checked_lines(
-                files, self._dir / f"{cid}.ann.ndjson", unparsed["sha256"]["annotations"])
+                files, self._dir / anns_name, unparsed["sha256"]["annotations"])
             for line_no, line in feature_lines:
                 try:
                     wrapper = decode_json(line)
                     fid = wrapper["fid"]
                     features[fid] = parse_obj(wrapper["document"])
                 except (ValueError, KeyError, TypeError, ParseError) as exc:
-                    raise CorruptStoreError(f"{cid}.ndjson line {line_no}: {exc}") from None
+                    raise CorruptStoreError(f"{features_name} line {line_no}: {exc}") from None
             if len(features) != unparsed["features"]:
                 raise CorruptStoreError(
                     f"{cid}: manifest says {unparsed['features']} features, "
@@ -737,11 +775,10 @@ class MediaStore:
                     ann = annotation_from_obj(obj, "epoch")
                     fid = obj["fid"]
                 except (ValueError, KeyError, TypeError, ParseError) as exc:
-                    raise CorruptStoreError(
-                        f"{cid}.ann.ndjson line {line_no}: {exc}") from None
+                    raise CorruptStoreError(f"{anns_name} line {line_no}: {exc}") from None
                 if fid not in features:
                     raise CorruptStoreError(
-                        f"{cid}.ann.ndjson line {line_no}: unknown feature {fid!r}")
+                        f"{anns_name} line {line_no}: unknown feature {fid!r}")
                 annotations.setdefault(fid, {})[ann.aid] = ann
         state.features, state.annotations, state.unparsed = features, annotations, None
         state.spatial_index()
@@ -814,8 +851,25 @@ def _verified(line: bytes) -> dict | None:
     return rec
 
 
+def _snapshot_names(cid: str) -> tuple[str, str]:
+    """The file names of a collection's features and of its annotations."""
+    return f"{cid}.ndjson.gz", f"{cid}.ann.ndjson.gz"
+
+
 def _ndjson_line(obj: dict) -> bytes:
     return (json.dumps(obj, separators=(", ", ": ")) + "\n").encode("utf-8")
+
+
+def _gzipped(lines):
+    """The byte chunks of one gzip stream of lines, compressed as they come.
+
+    Its header has no file name and mtime 0, so equal lines give equal bytes.
+    """
+    stream = zlib.compressobj(_GZ_LEVEL, zlib.DEFLATED, 31)  # 31: gzip header and trailer
+    for line in lines:
+        if data := stream.compress(line):
+            yield data
+    yield stream.flush()
 
 
 def _stage(final: Path, chunks) -> tuple[Path, str, int]:
@@ -860,20 +914,40 @@ def _checked_size(path: Path, sha: str) -> int:
 
 
 def _checked_lines(files: contextlib.ExitStack, path: Path, sha: str):
-    """The lines of a store file, opened on files, numbered from 1 and hashed
-    as they are read; CorruptStoreError after the last unless they hash to
-    sha, and on a read error."""
+    """The decompressed lines of a snapshot file, opened on files, numbered
+    from 1, without their LF.
+
+    The compressed bytes are hashed as they are read, _GZ_CHUNK at a time;
+    CorruptStoreError after the last line unless they hash to sha, and on a
+    read error, a damaged or cut-off gzip stream, or bytes after its end.
+    """
     try:
         f = files.enter_context(open(path, "rb"))
     except OSError as exc:
         raise CorruptStoreError(f"missing store file: {exc}") from None
-    digest = hashlib.sha256()
+    digest, stream = hashlib.sha256(), zlib.decompressobj(31)
+    n, partial = 0, bytearray()  # the start of a line that a later chunk ends
     try:
-        for n, line in enumerate(f, 1):
-            digest.update(line)
-            yield n, line
+        while chunk := f.read(_GZ_CHUNK):
+            digest.update(chunk)
+            *lines, tail = stream.decompress(chunk).split(b"\n")
+            if stream.unused_data:
+                raise CorruptStoreError(f"{path.name}: bytes after the end of its gzip stream")
+            if lines:
+                partial += lines[0]
+                lines[0], partial = bytes(partial), bytearray()
+            partial += tail
+            for line in lines:
+                n += 1
+                yield n, line
     except OSError as exc:
         raise CorruptStoreError(f"unreadable {path.name}: {exc}") from None
+    except zlib.error as exc:
+        raise CorruptStoreError(f"{path.name}: damaged gzip stream: {exc}") from None
+    if not stream.eof:
+        raise CorruptStoreError(f"{path.name}: gzip stream cut off before its end")
+    if partial:
+        yield n + 1, bytes(partial)
     if digest.hexdigest() != sha:
         raise CorruptStoreError(
             f"checksum mismatch for {path.name}: changed since the store was opened")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import zlib
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,39 @@ T2 = 1533128463000
 
 def fixture_bytes(name: str) -> bytes:
     return (FIXTURES / name).read_bytes()
+
+
+def snapshot_text(path: Path) -> bytes:
+    """The NDJSON lines a store's gzip-compressed snapshot file holds."""
+    return zlib.decompress(path.read_bytes(), 31)
+
+
+def edit_snapshot(path: Path, edit, reseal: bool = False) -> bytes:
+    """Decompress a snapshot file, edit its NDJSON bytes (edit: bytes -> bytes)
+    and write them back as one gzip stream; returns the new file bytes.
+
+    With reseal, the manifest takes the new bytes' checksum too (see
+    reseal_snapshot), so only a parse can find what the edit did.
+    """
+    stream = zlib.compressobj(1, zlib.DEFLATED, 31)
+    raw = stream.compress(edit(snapshot_text(path))) + stream.flush()
+    path.write_bytes(raw)
+    if reseal:
+        reseal_snapshot(path)
+    return raw
+
+
+def reseal_snapshot(path: Path) -> None:
+    """Set the checksum that the manifest beside a snapshot file holds for it
+    to the SHA-256 of the file's bytes as they are now."""
+    manifest_path = path.parent / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    cid, _, rest = path.name.partition(".")
+    kind = "annotations" if rest.startswith("ann.") else "features"
+    for entry in manifest["collections"]:
+        if entry["id"] == cid:
+            entry["sha256"][kind] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
 
 
 @pytest.fixture(scope="session")

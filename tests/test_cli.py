@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import shutil
 import threading
@@ -15,7 +14,7 @@ from geomedia import store as store_module
 from geomedia.cli import main
 from geomedia.errors import CorruptStoreError
 
-from conftest import FIXTURES, T0
+from conftest import FIXTURES, T0, edit_snapshot
 
 
 @pytest.fixture
@@ -120,7 +119,7 @@ class TestIngest:
     def test_ingest_parses_only_the_files_it_ingests(self, store_dir, monkeypatch):
         """No line of a collection the ingest does not touch is parsed or rewritten."""
         self._three_collections(store_dir)
-        before = {p.name: p.read_bytes() for p in store_dir.glob("*.ndjson")}
+        before = {p.name: p.read_bytes() for p in store_dir.glob("*.ndjson.gz")}
         assert len(before) == 6
         parsed = []
         real_parse_obj = codec.parse_obj
@@ -140,17 +139,12 @@ class TestIngest:
         """A bad line whose checksum matches is carried over byte for byte and
         still fails the next load the same way."""
         self._three_collections(store_dir)
-        victim = store_dir / "pics.ndjson"
-        data = victim.read_bytes().replace(b'"type": "stphoto"', b'"type": "nophoto"', 1)
-        victim.write_bytes(data)
-        manifest = json.loads((store_dir / "manifest.json").read_text())
-        for entry in manifest["collections"]:
-            if entry["id"] == "pics":
-                entry["sha256"]["features"] = hashlib.sha256(data).hexdigest()
-        (store_dir / "manifest.json").write_text(json.dumps(manifest))
+        victim = store_dir / "pics.ndjson.gz"
+        data = edit_snapshot(victim, lambda text: text.replace(
+            b'"type": "stphoto"', b'"type": "nophoto"', 1), reseal=True)
         with pytest.raises(CorruptStoreError) as before:
             MediaStore.load(store_dir)
-        assert "pics.ndjson line 1" in str(before.value)
+        assert "pics.ndjson.gz line 1" in str(before.value)
         assert self._ingest_sensors(store_dir) == 0
         assert victim.read_bytes() == data
         with pytest.raises(CorruptStoreError) as after:
@@ -439,3 +433,29 @@ class TestServe:
 def test_non_finite_query_values_exit_two(store_dir, tmp_path, flag, value):
     ingest_reference_track(store_dir, tmp_path)
     assert main(["query", "--store", str(store_dir), "--collection", "taxi", f"{flag}={value}"]) == 2
+
+
+def test_init_ingest_and_query_load_no_http_stack(tmp_path):
+    """Only serve (and a caller that names GeoMediaApi or GeoMediaServer)
+    imports the HTTP service and the stdlib modules under it."""
+    import subprocess
+    import sys
+
+    script = """if True:
+        import sys
+        from geomedia.cli import main
+        store, track = sys.argv[1:]
+        assert main(["init", "--store", store]) == 0
+        assert main(["ingest", "--store", store, "--collection", "taxi", "--create",
+                     "--media-type", "MovingPoint", track]) == 0
+        assert main(["query", "--store", store, "--collection", "taxi"]) == 0
+        heavy = ("geomedia.service", "http.server", "ssl", "email", "logging")
+        print(sorted(m for m in heavy if m in sys.modules))
+        from geomedia import GeoMediaServer
+        print(GeoMediaServer.__module__, "http.server" in sys.modules)
+    """
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "s"), str(FIXTURES / "moving_point.json")],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["[]", "geomedia.service True"]

@@ -38,9 +38,10 @@ from geomedia.errors import (
     WrongKindError,
 )
 
+from geomedia.codec import interval_str
 from geomedia.rtree import RTree
 
-from conftest import T0, fixture_bytes
+from conftest import T0, edit_snapshot, fixture_bytes, reseal_snapshot, snapshot_text
 
 
 def track_doc(rng, n=None):
@@ -257,23 +258,28 @@ def _transient_bytes(call):
 class TestStreaming:
     """flush() and load() stream each snapshot file: neither holds a whole copy of one."""
 
-    # A whole file in memory is 1x its size; what streaming holds at once is
-    # one line and a read chunk: 0.02x (flush) and 0.04x (load) here.
+    # A whole file in memory is 1x its uncompressed size (0.16x compressed);
+    # what streaming holds at once is one line, a read chunk and one zlib
+    # stream's state: 0.20x (flush) and 0.16x (load) here. Deflate's ~0.3 MB
+    # of state does not grow with the file, so the file is 2.3 MB of NDJSON:
+    # large enough for that state to fit under the bound, small enough that a
+    # whole compressed copy on top of it does not (0.33x).
     PEAK_SHARE = 0.25
+    TRACKS = 4000
 
     def test_load_peak(self, tmp_path):
-        _twelve_sample_tracks(tmp_path / "s", 2000).flush()
-        size = (tmp_path / "s" / "taxi.ndjson").stat().st_size
-        assert size > 1_000_000
+        _twelve_sample_tracks(tmp_path / "s", self.TRACKS).flush()
+        size = len(snapshot_text(tmp_path / "s" / "taxi.ndjson.gz"))
+        assert size > 2_000_000
         transient, loaded = _transient_bytes(lambda: MediaStore.load(tmp_path / "s"))
-        assert loaded.feature_count("taxi") == 2000
+        assert loaded.feature_count("taxi") == self.TRACKS
         assert transient < self.PEAK_SHARE * size
 
     def test_flush_peak(self, tmp_path):
-        store = _twelve_sample_tracks(tmp_path / "s", 2000)
+        store = _twelve_sample_tracks(tmp_path / "s", self.TRACKS)
         transient, _ = _transient_bytes(store.flush)
-        size = (tmp_path / "s" / "taxi.ndjson").stat().st_size
-        assert size > 1_000_000
+        size = len(snapshot_text(tmp_path / "s" / "taxi.ndjson.gz"))
+        assert size > 2_000_000
         assert transient < self.PEAK_SHARE * size
 
 
@@ -366,6 +372,35 @@ class TestCollectionBounds:
         assert store.collection_bbox("c") is None
         assert store.collection_extent("c") is None
         assert api.handle("GET", "/collections/c")[1]["bbox"] is None
+
+    @pytest.mark.parametrize("kind, make", [("MovingPoint", track_doc), ("stphoto", _photo)])
+    def test_extent_equals_a_scan_through_puts_replacements_and_deletes(self, store, kind, make):
+        """The cached extent, read after every step, is what a scan of every
+        record's extent gives: a fresh put widens it, a replacement or a
+        delete (which may shrink it) makes the next read scan again."""
+        rng = random.Random(f"extent {kind}")
+        store.create_collection("c", "c", kind)
+        api = GeoMediaApi(store)
+        fids = []
+        for step in range(300):
+            action = rng.random()
+            if action < 0.5 or not fids:
+                fid = f"f{step:03d}"
+                fids.append(fid)
+                store.put_feature("c", fid, make(rng))
+            elif action < 0.75:
+                store.put_feature("c", rng.choice(fids), make(rng))  # a replacement
+            else:
+                store.delete_feature("c", fids.pop(rng.randrange(len(fids))))
+            records = store.list_features("c")
+            want = None
+            if records:
+                want = TimeInterval(min(r.extent.start for r in records),
+                                    max(r.extent.end for r in records))
+            assert store.collection_extent("c") == want
+            if step % 25 == 0:
+                body = api.handle("GET", "/collections/c")[1]
+                assert body["extent"] == (interval_str(want) if want else None)
 
     def test_reloaded_collection_body_is_unchanged(self, tmp_path):
         rng = random.Random("bounds reload")
@@ -590,7 +625,7 @@ class TestDurability:
         store = MediaStore(tmp_path / "s")
         self._populate(store)
         store.flush()
-        victim = tmp_path / "s" / "tracks.ndjson"
+        victim = tmp_path / "s" / "tracks.ndjson.gz"
         victim.write_bytes(victim.read_bytes()[:-20])
         with pytest.raises(CorruptStoreError):
             MediaStore.load(tmp_path / "s")
@@ -599,14 +634,12 @@ class TestDurability:
         store = MediaStore(tmp_path / "s")
         self._populate(store)
         store.flush()
-        (tmp_path / "s" / "pics.ann.ndjson").unlink()
+        (tmp_path / "s" / "pics.ann.ndjson.gz").unlink()
         with pytest.raises(CorruptStoreError):
             MediaStore.load(tmp_path / "s")
 
     def test_stationary_relative_video_line_detected(self, tmp_path):
         """The codec refuses a still track with a relative FoV, so load does too."""
-        import hashlib
-
         target = tmp_path / "s"
         store = MediaStore(target)
         store.create_collection("vids", "Videos", "MovingVideo")
@@ -615,11 +648,8 @@ class TestDurability:
         store.put_feature("vids", "v1", document_of(moving))
         store.flush()
         # the library refuses to build the still video, so stop the track in the file
-        data = (target / "vids.ndjson").read_bytes().replace(b"[1, 0]", b"[0, 0]")
-        (target / "vids.ndjson").write_bytes(data)
-        manifest = json.loads((target / "manifest.json").read_text())
-        manifest["collections"][0]["sha256"]["features"] = hashlib.sha256(data).hexdigest()
-        (target / "manifest.json").write_text(json.dumps(manifest))
+        edit_snapshot(target / "vids.ndjson.gz", lambda data: data.replace(b"[1, 0]", b"[0, 0]"),
+                      reseal=True)
         with pytest.raises(CorruptStoreError, match="/fov/0/direction2d: a mount-relative"):
             MediaStore.load(target)
 
@@ -695,11 +725,11 @@ class TestDurability:
         store = MediaStore(target)
         self._populate(store)
         store.flush()
-        victim = target / "tracks.ndjson"  # the last collection: pics comes first
+        victim = target / "tracks.ndjson.gz"  # the last collection: pics comes first
         victim.write_bytes(victim.read_bytes()[:-20])
         parsed = []
         monkeypatch.setattr(geomedia.store, "parse_obj", parsed.append)
-        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson"):
+        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson.gz"):
             MediaStore.open(target)
         assert parsed == []
 
@@ -709,12 +739,12 @@ class TestDurability:
         self._populate(store)
         store.flush()
         opened = MediaStore.open(target)
-        victim = target / "tracks.ndjson"
-        victim.write_bytes(victim.read_bytes().replace(b'"fid": "f00"', b'"fid": "f99"', 1))
+        edit_snapshot(target / "tracks.ndjson.gz",
+                      lambda data: data.replace(b'"fid": "f00"', b'"fid": "f99"', 1))
         assert [c.id for c in opened.list_collections()] == ["pics", "tracks"]
         assert opened.feature_count("pics") == 1
         for _ in range(2):  # a failed parse leaves the collection unparsed, not half-filled
-            with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson"):
+            with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson.gz"):
                 opened.feature_count("tracks")
 
     def test_flush_fails_before_any_rename_if_a_file_changed_since_open(self, tmp_path):
@@ -726,14 +756,13 @@ class TestDurability:
         opened = MediaStore.open(target)
         opened.create_collection("extra", "x", "MovingPoint")
         opened.put_feature("extra", "f0", track_doc(random.Random("changed")))
-        victim = target / "tracks.ndjson"  # the last collection: extra and pics are staged first
-        changed = before["tracks.ndjson"].replace(b'"fid": "f00"', b'"fid": "f99"', 1)
-        victim.write_bytes(changed)
-        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson"):
+        victim = target / "tracks.ndjson.gz"  # the last collection: extra and pics are staged first
+        changed = edit_snapshot(victim, lambda data: data.replace(b'"fid": "f00"', b'"fid": "f99"', 1))
+        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson.gz"):
             opened.flush()
         after = {p.name: p.read_bytes() for p in target.iterdir() if p.suffix != ".tmp"}
-        assert after == {**before, "tracks.ndjson": changed}
-        victim.write_bytes(before["tracks.ndjson"])
+        assert after == {**before, "tracks.ndjson.gz": changed}
+        victim.write_bytes(before["tracks.ndjson.gz"])
         loaded = MediaStore.load(target)
         assert [c.id for c in loaded.list_collections()] == ["pics", "tracks"]
         assert loaded.feature_count("tracks") == 20
@@ -748,7 +777,7 @@ class TestDurability:
         store.create_collection("more", "More tracks", "MovingPoint", created=3000)
         store.put_feature("more", "m0", track_doc(random.Random("more")))
         store.flush()
-        untouched = ("more.ndjson", "more.ann.ndjson", "pics.ndjson", "pics.ann.ndjson")
+        untouched = ("more.ndjson.gz", "more.ann.ndjson.gz", "pics.ndjson.gz", "pics.ann.ndjson.gz")
 
         def files():
             return {name: ((target / name).read_bytes(), (target / name).stat().st_ino)
@@ -766,7 +795,7 @@ class TestDurability:
 
         monkeypatch.setattr(pathlib.Path, "replace", counted_replace)
         opened.flush()
-        assert replaced == ["tracks.ndjson", "tracks.ann.ndjson", "manifest.json"]
+        assert replaced == ["tracks.ndjson.gz", "tracks.ann.ndjson.gz", "manifest.json"]
         assert files() == before
         loaded = MediaStore.load(target)
         assert [loaded.feature_count(cid) for cid in ("more", "pics", "tracks")] == [1, 1, 21]
@@ -779,14 +808,14 @@ class TestDurability:
         opened = MediaStore.open(target)
         opened.create_collection("extra", "x", "MovingPoint")
         opened.put_feature("extra", "f0", track_doc(random.Random("changed")))
-        victim = target / "tracks.ndjson"
+        victim = target / "tracks.ndjson.gz"
         good = victim.read_bytes()
-        victim.write_bytes(good.replace(b'"fid": "f00"', b'"fid": "f99"', 1))
-        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson"):
+        edit_snapshot(victim, lambda data: data.replace(b'"fid": "f00"', b'"fid": "f99"', 1))
+        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson.gz"):
             opened.flush()
         assert sorted(target.glob("*.tmp")) == []
         victim.write_bytes(good)
-        (target / "gone.ndjson.tmp").write_bytes(b"staged by a flush that crashed")
+        (target / "gone.ndjson.gz.tmp").write_bytes(b"staged by a flush that crashed")
         opened.flush()
         assert sorted(target.glob("*.tmp")) == []
         assert MediaStore.load(target).feature_count("extra") == 1
@@ -795,33 +824,28 @@ class TestDurability:
         store = MediaStore(tmp_path / "s")
         self._populate(store)
         store.flush()
-        assert (tmp_path / "s" / "tracks.ndjson").exists()
+        assert (tmp_path / "s" / "tracks.ndjson.gz").exists()
         store.delete_collection("tracks")
         store.flush()
-        assert not (tmp_path / "s" / "tracks.ndjson").exists()
+        assert not (tmp_path / "s" / "tracks.ndjson.gz").exists()
         loaded = MediaStore.load(tmp_path / "s")
         assert [c.id for c in loaded.list_collections()] == ["pics"]
 
     def test_timeline_outside_iso_years_in_store_line_is_corrupt(self, tmp_path):
         """A line whose timeline no ISO-8601 datetime can spell fails load, checksum or not."""
-        import hashlib
-
         target = tmp_path / "s"
         store = MediaStore(target)
         self._populate(store)
         store.flush()
-        lines = (target / "tracks.ndjson").read_text().splitlines(keepends=True)
-        record = json.loads(lines[0])
-        record["document"]["timeline"][0] = -10**20
-        lines[0] = json.dumps(record) + "\n"
-        data = "".join(lines).encode()
-        (target / "tracks.ndjson").write_bytes(data)
-        manifest = json.loads((target / "manifest.json").read_text())
-        for entry in manifest["collections"]:
-            if entry["id"] == "tracks":
-                entry["sha256"]["features"] = hashlib.sha256(data).hexdigest()
-        (target / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CorruptStoreError, match="tracks.ndjson line 1: /timeline/0"):
+
+        def edit(data):
+            first, rest = data.split(b"\n", 1)
+            record = json.loads(first)
+            record["document"]["timeline"][0] = -10**20
+            return json.dumps(record).encode() + b"\n" + rest
+
+        edit_snapshot(target / "tracks.ndjson.gz", edit, reseal=True)
+        with pytest.raises(CorruptStoreError, match="tracks.ndjson.gz line 1: /timeline/0"):
             MediaStore.load(target)
 
     def test_flush_requires_directory(self):
@@ -832,37 +856,136 @@ class TestDurability:
         store = MediaStore(tmp_path / "s")
         self._populate(store)
         store.flush()
-        raw = (tmp_path / "s" / "pics.ndjson").read_bytes()
+        raw = snapshot_text(tmp_path / "s" / "pics.ndjson.gz")
         assert b"\r" not in raw
         line = json.loads(raw.decode("utf-8").splitlines()[0])
         assert line["fid"] == "p1"
         assert line["document"]["type"] == "stphoto"
 
     @pytest.mark.parametrize("file, member, repeat", [
-        ("tracks.ndjson", "fid", b'"f99", "fid": '),
-        ("tracks.ndjson", "interpolation", b'"stepwise", "interpolation": '),
-        ("pics.ann.ndjson", "kind", b'"icon", "kind": '),
+        ("tracks.ndjson.gz", "fid", b'"f99", "fid": '),
+        ("tracks.ndjson.gz", "interpolation", b'"stepwise", "interpolation": '),
+        ("pics.ann.ndjson.gz", "kind", b'"icon", "kind": '),
     ], ids=["wrapper", "document", "annotation"])
     def test_duplicate_member_in_store_line_detected(self, tmp_path, file, member, repeat):
         """A line that repeats a member is corrupt even when its checksum matches."""
-        import hashlib
-
         target = tmp_path / "s"
         store = MediaStore(target)
         self._populate(store)
         store.flush()
-        data = (target / file).read_bytes()
-        first = data.split(b"\n", 1)[0]
         key = f'"{member}": '.encode()
-        line = first.replace(key, key + repeat, 1)
-        assert line != first
-        data = data.replace(first, line, 1)
-        (target / file).write_bytes(data)
-        manifest = json.loads((target / "manifest.json").read_text())
-        cid, kind = file.split(".")[0], "annotations" if ".ann." in file else "features"
-        for entry in manifest["collections"]:
-            if entry["id"] == cid:
-                entry["sha256"][kind] = hashlib.sha256(data).hexdigest()
-        (target / "manifest.json").write_text(json.dumps(manifest))
+
+        def edit(data):
+            first = data.split(b"\n", 1)[0]
+            line = first.replace(key, key + repeat, 1)
+            assert line != first
+            return data.replace(first, line, 1)
+
+        edit_snapshot(target / file, edit, reseal=True)
         with pytest.raises(CorruptStoreError, match=f"{file} line 1: duplicate member"):
             MediaStore.load(target)
+
+
+class TestCompressedSnapshot:
+    """Store format 2: each snapshot file is one gzip stream of NDJSON lines."""
+
+    _populate = TestDurability._populate
+
+    def _flushed(self, tmp_path):
+        target = tmp_path / "s"
+        store = MediaStore(target)
+        self._populate(store)
+        store.flush()
+        return store, target
+
+    def test_round_trip_and_lines_as_json_dumps_writes_them(self, tmp_path):
+        store, target = self._flushed(tmp_path)
+        assert sorted(p.name for p in target.iterdir()) == [
+            "manifest.json", "pics.ann.ndjson.gz", "pics.ndjson.gz",
+            "tracks.ann.ndjson.gz", "tracks.ndjson.gz"]
+        lines = snapshot_text(target / "tracks.ndjson.gz").splitlines(keepends=True)
+        records = store.list_features("tracks")
+        assert lines == [(json.dumps({"fid": r.fid, "document": json.loads(serialize_document(
+            r.doc))}, separators=(", ", ": ")) + "\n").encode() for r in records]
+        anns = snapshot_text(target / "pics.ann.ndjson.gz").splitlines()
+        assert [json.loads(line)["aid"] for line in anns] == ["a1", "a2"]
+        assert snapshot_text(target / "tracks.ann.ndjson.gz") == b""
+        loaded = MediaStore.load(target)
+        for cid in ("tracks", "pics"):
+            assert ([(r.fid, serialize_document(r.doc)) for r in loaded.list_features(cid)]
+                    == [(r.fid, serialize_document(r.doc)) for r in store.list_features(cid)])
+        assert loaded.list_annotations("pics", "p1") == store.list_annotations("pics", "p1")
+
+    def test_line_that_spans_many_read_chunks(self, tmp_path):
+        rng = random.Random("long line")
+        store = MediaStore(tmp_path / "s")
+        store.create_collection("tracks", "t", "MovingPoint")
+        for fid in ("a", "long", "z"):
+            store.put_feature("tracks", fid, track_doc(rng, 5000 if fid == "long" else 3))
+        store.flush()
+        assert (tmp_path / "s" / "tracks.ndjson.gz").stat().st_size > 20 * 4096
+        loaded = MediaStore.load(tmp_path / "s")
+        assert ([serialize_document(r.doc) for r in loaded.list_features("tracks")]
+                == [serialize_document(r.doc) for r in store.list_features("tracks")])
+
+    def test_two_flushes_write_the_same_bytes(self, tmp_path):
+        store, target = self._flushed(tmp_path)
+        first = {p.name: p.read_bytes() for p in target.iterdir()}
+        store.flush()
+        assert {p.name: p.read_bytes() for p in target.iterdir()} == first
+        again = MediaStore(tmp_path / "again")
+        self._populate(again)
+        again.flush()
+        assert {p.name: p.read_bytes() for p in (tmp_path / "again").iterdir()} == first
+        head = first["tracks.ndjson.gz"][:10]
+        # gzip magic, deflate, no flags (so no file name), mtime 0
+        assert head[:4] == b"\x1f\x8b\x08\x00" and head[4:8] == b"\0\0\0\0"
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda raw: raw[:-9], "tracks.ndjson.gz: gzip stream cut off before its end"),
+        (lambda raw: raw[:len(raw) // 2], "tracks.ndjson.gz: gzip stream cut off before its end"),
+        (lambda raw: raw + b"\n", "tracks.ndjson.gz: bytes after the end of its gzip stream"),
+        (lambda raw: raw + raw, "tracks.ndjson.gz: bytes after the end of its gzip stream"),
+        (lambda raw: raw[:3] + b"\xff" + raw[4:], "tracks.ndjson.gz: damaged gzip stream"),
+        (lambda raw: raw[:-8] + bytes(8), "tracks.ndjson.gz: damaged gzip stream"),
+        (lambda raw: b"", "tracks.ndjson.gz: gzip stream cut off before its end"),
+    ], ids=["trailer-cut", "half", "trailing-newline", "second-member", "bad-flags",
+            "bad-crc", "empty"])
+    def test_damaged_stream_whose_checksum_matches_is_corrupt(self, tmp_path, damage, message):
+        _, target = self._flushed(tmp_path)
+        victim = target / "tracks.ndjson.gz"
+        victim.write_bytes(damage(victim.read_bytes()))
+        reseal_snapshot(victim)
+        opened = MediaStore.open(target)  # the checksum matches
+        with pytest.raises(CorruptStoreError, match=message):
+            opened.feature_count("tracks")
+        with pytest.raises(CorruptStoreError, match=message):
+            MediaStore.load(target)
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw[:-9],
+        lambda raw: raw + b"\0",
+        lambda raw: raw[:20] + bytes(len(raw) - 20),
+        lambda raw: b"",
+    ], ids=["cut", "trailing", "zeroed", "empty"])
+    def test_file_altered_after_open_is_corrupt(self, tmp_path, damage):
+        _, target = self._flushed(tmp_path)
+        opened = MediaStore.open(target)
+        victim = target / "tracks.ndjson.gz"
+        victim.write_bytes(damage(victim.read_bytes()))
+        with pytest.raises(CorruptStoreError, match="tracks.ndjson.gz"):
+            opened.feature_count("tracks")
+        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson.gz"):
+            MediaStore.open(target)
+
+    def test_version_1_store_is_refused_by_name(self, tmp_path):
+        _, target = self._flushed(tmp_path)
+        manifest = json.loads((target / "manifest.json").read_text())
+        assert manifest["version"] == 2
+        manifest["version"] = 1
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        for reopen in (MediaStore.open, MediaStore.load):
+            with pytest.raises(CorruptStoreError) as err:
+                reopen(target)
+            assert "unsupported store version 1 " in str(err.value)
+            assert "reads version 2" in str(err.value)

@@ -235,7 +235,7 @@ def test_collection_named_wal_round_trips(tmp_path):
     assert {p.name for p in target.iterdir()} == {"manifest.json", "wal.log"}
     assert fingerprint(MediaStore.load(target)) == fingerprint(store)
     store.flush()
-    assert {p.name for p in target.iterdir()} == {"manifest.json", "wal.ndjson", "wal.ann.ndjson"}
+    assert {p.name for p in target.iterdir()} == {"manifest.json", "wal.ndjson.gz", "wal.ann.ndjson.gz"}
     assert fingerprint(MediaStore.load(target)) == fingerprint(store)
 
 
