@@ -16,9 +16,6 @@ from pathlib import Path
 from .codec import (
     geojson_feature,
     geojson_feature_collection,
-    geojson_point,
-    geojson_polygon,
-    interval_str,
     parse_document,
     serialize_document,
 )
@@ -29,16 +26,15 @@ from .errors import (
     StoreIoError,
     WrongKindError,
 )
-from .fov import fov_sector_polygon
 from .media import KINDS
 from .query import (
     decode_query_spec,
     evaluate,
-    fov_at,
+    fov_obj,
     parse_instant,
     parse_lonlat,
-    position_at,
-    visible_intervals,
+    position_obj,
+    visible_obj,
 )
 from .store import MediaStore
 
@@ -118,8 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _store_flag(p)
     p.add_argument("--addr", default=os.environ.get("GEOCMS_ADDR", "127.0.0.1:8808"),
                    metavar="HOST:PORT")
-    p.add_argument("--init", action="store_true",
-                   help="create the store if the directory has none")
     p.set_defaults(func=_cmd_serve)
 
     return parser
@@ -224,8 +218,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_at(args) -> int:
     doc = _select_document(args)
-    t = parse_instant(args.at)
-    _print_json(geojson_point(position_at(doc, t)))
+    _print_json(position_obj(doc, parse_instant(args.at)))
     return EXIT_OK
 
 
@@ -233,17 +226,13 @@ def _cmd_fov(args) -> int:
     if not args.arc_step > 0:
         raise BadQueryError(f"--arc-step must be > 0, got {args.arc_step}")
     doc = _select_document(args)
-    state = fov_at(doc, parse_instant(args.at) if args.at else None)
-    _print_json(geojson_polygon(
-        fov_sector_polygon(state.camera, state.direction, state.fov, args.arc_step)))
+    _print_json(fov_obj(doc, parse_instant(args.at) if args.at else None, args.arc_step))
     return EXIT_OK
 
 
 def _cmd_visible(args) -> int:
     doc = _select_document(args)
-    p = parse_lonlat(args.point, "point")
-    intervals = visible_intervals(doc, p, args.step_ms)
-    _print_json({"intervals": [interval_str(iv) for iv in intervals]})
+    _print_json(visible_obj(doc, parse_lonlat(args.point, "point"), args.step_ms))
     return EXIT_OK
 
 
@@ -256,13 +245,7 @@ def _cmd_convert(args) -> int:
 def _cmd_serve(args) -> int:
     from .service import GeoMediaServer  # the HTTP stack only for serve
 
-    target = Path(_require_store(args))
-    if not (target / "manifest.json").is_file():
-        if args.init:
-            MediaStore(target).flush()
-        else:
-            print(f"error: no store at {target} (use --init to create one)", file=sys.stderr)
-            return EXIT_ERROR
+    target = _require_store(args)
     store = MediaStore.load(target)
     host, _, port = args.addr.rpartition(":")
     try:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import BadQueryError, WrongKindError
 from .fov import FieldOfView, fov_contains, resolve_direction
-from .geo import EARTH_RADIUS_M, GeoPoint, angle_between, destination, geo_distance
+from .geo import EARTH_RADIUS_M, GeoPoint, angle_between, destination, disk_bbox
 from .temporal import (MAX_TIME, MIN_TIME, InterpolationMode, MovingDouble, MovingPoint,
                         TimeInterval, TimeStamp)
 
@@ -270,21 +270,12 @@ class MovingVideo:
         return out
 
     def _maybe_visible(self, p: GeoPoint) -> bool:
-        """Sound quick reject before the sampling sweep.
-
-        The interpolated camera stays within one leg's path length of that leg's
-        endpoints; the path length of a degree-space lerp is bounded by the
-        meridian+parallel arc sum (raw degree differences, so longitude wrap
-        costs what the lerp actually traverses). A point beyond every vertex's
-        view distance plus that slack can never be visible.
-        """
-        pts = self.track.points
-        slack = 0.0
-        for a, b in zip(pts, pts[1:]):
-            arc = math.radians(abs(a.lat - b.lat)) + math.radians(abs(a.lon - b.lon))
-            slack = max(slack, arc * EARTH_RADIUS_M)
-        reach = self.view_reach() + slack
-        return any(geo_distance(v, p) <= reach for v in pts)
+        """Whether p can be in view at all: every camera position lies inside
+        the track's bbox (the rule evaluate() searches the index by), so the
+        box around p out to the view reach must meet it."""
+        lo_lon, lo_lat, hi_lon, hi_lat = disk_bbox(p, self.view_reach())
+        min_lon, min_lat, max_lon, max_lat = self.track.spatial_bbox()
+        return lo_lon <= max_lon and min_lon <= hi_lon and lo_lat <= max_lat and min_lat <= hi_lat
 
 
 MediaPayload = MovingPoint | MovingDouble | STPhoto | MovingVideo

@@ -12,8 +12,9 @@ import math
 import re
 from dataclasses import dataclass
 
-from .codec import parse_datetime
+from .codec import geojson_point, geojson_polygon, interval_str, parse_datetime
 from .errors import BadQueryError, ParseError, WrongKindError
+from .fov import fov_sector_polygon
 from .geo import GeoPoint, disk_bbox, geo_distance
 from .media import CAMERA_KINDS, TRACK_KINDS, Bbox, FovState, payload_of_kind
 from .store import FeatureRecord, MediaStore, _check_bbox, _check_interval
@@ -117,6 +118,12 @@ def position_at(x, t: TimeStamp) -> GeoPoint:
     return payload_of_kind(x, TRACK_KINDS, "evaluable position").at(t)
 
 
+def position_obj(x, t: TimeStamp) -> dict:
+    """position_at as a GeoJSON Point: the answer of GET .../position and
+    `geomedia at`."""
+    return geojson_point(position_at(x, t))
+
+
 def fov_at(x, t: TimeStamp | None = None) -> FovState:
     """Camera, absolute direction, and FoV of a photo, or of a video at time t.
 
@@ -125,6 +132,14 @@ def fov_at(x, t: TimeStamp | None = None) -> FovState:
     t); mount-relative directions resolve against the track heading at t.
     """
     return payload_of_kind(x, CAMERA_KINDS, "field of view").fov_at(t)
+
+
+def fov_obj(x, t: TimeStamp | None = None, arc_step_deg: float = 5.0) -> dict:
+    """fov_at's wedge as a GeoJSON Polygon (see fov.fov_sector_polygon): the
+    answer of GET .../fov and `geomedia fov`."""
+    state = fov_at(x, t)
+    return geojson_polygon(
+        fov_sector_polygon(state.camera, state.direction, state.fov, arc_step_deg))
 
 
 def visible_intervals(x, p: GeoPoint, sample_step_ms: int = 100) -> list[TimeInterval]:
@@ -137,6 +152,12 @@ def visible_intervals(x, p: GeoPoint, sample_step_ms: int = 100) -> list[TimeInt
     if sample_step_ms < 1:
         raise BadQueryError(f"sample step must be >= 1 ms, got {sample_step_ms}")
     return payload_of_kind(x, CAMERA_KINDS, "field of view").visible_intervals(p, sample_step_ms)
+
+
+def visible_obj(x, p: GeoPoint, sample_step_ms: int = 100) -> dict:
+    """visible_intervals as {"intervals": [ISO "start/end", ...]}: the answer
+    of GET .../visible and `geomedia visible`."""
+    return {"intervals": [interval_str(iv) for iv in visible_intervals(x, p, sample_step_ms)]}
 
 
 def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord]:

@@ -24,26 +24,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from . import media
-from .codec import (
-    CANONICAL_KINDS,
-    decode_json,
-    document_to_obj,
-    geojson_point,
-    geojson_polygon,
-    interval_str,
-    parse_document,
-)
+from .codec import CANONICAL_KINDS, decode_json, document_to_obj, interval_str, parse_document
 from .errors import BadQueryError, GeoMediaError, NotFoundError, ParseError
-from .fov import fov_sector_polygon
 from .query import (
     decode_query_spec,
     evaluate,
-    fov_at,
+    fov_obj,
     page,
     parse_instant,
     parse_lonlat,
-    position_at,
-    visible_intervals,
+    position_obj,
+    visible_obj,
 )
 from .store import MediaStore, annotation_from_obj, annotation_to_obj
 
@@ -193,18 +184,15 @@ class GeoMediaApi:
 
     def _position(self, params, body, cid, fid):
         t = parse_instant(params["at"])
-        record = self.store.get_feature(cid, fid)
-        return 200, geojson_point(position_at(record.doc, t))
+        return 200, position_obj(self.store.get_feature(cid, fid).doc, t)
 
     def _fov(self, params, body, cid, fid):
-        record = self.store.get_feature(cid, fid)
-        state = fov_at(record.doc, parse_instant(params["at"]) if "at" in params else None)
-        return 200, geojson_polygon(fov_sector_polygon(state.camera, state.direction, state.fov))
+        doc = self.store.get_feature(cid, fid).doc
+        return 200, fov_obj(doc, parse_instant(params["at"]) if "at" in params else None)
 
     def _visible(self, params, body, cid, fid):
         p = parse_lonlat(params["point"], "point")
-        intervals = visible_intervals(self.store.get_feature(cid, fid).doc, p)
-        return 200, {"intervals": [interval_str(iv) for iv in intervals]}
+        return 200, visible_obj(self.store.get_feature(cid, fid).doc, p)
 
     # -- annotations ---------------------------------------------------------------
 

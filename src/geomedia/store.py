@@ -257,6 +257,12 @@ class _CollectionState:
             self.index.delete(fid, bbox)
 
 
+def _fits(ann: Annotation, extent: TimeInterval) -> bool:
+    """Whether an annotation's time range, if it has one, lies within extent."""
+    return ann.time_range is None or (
+        extent.contains(ann.time_range.start) and extent.contains(ann.time_range.end))
+
+
 def _meets(bounds: tuple[int, int], interval: TimeInterval) -> bool:
     return bounds[0] <= interval.end and interval.start <= bounds[1]
 
@@ -372,16 +378,8 @@ class MediaStore:
             anns = state.annotations.get(fid)
             if anns:
                 extent = media.time_extent(doc)
-                kept = {
-                    aid: ann
-                    for aid, ann in anns.items()
-                    if ann.time_range is None
-                    or (
-                        extent.contains(ann.time_range.start)
-                        and extent.contains(ann.time_range.end)
-                    )
-                }
-                state.annotations[fid] = kept
+                state.annotations[fid] = {aid: ann for aid, ann in anns.items()
+                                          if _fits(ann, extent)}
             self._queue("put_feature", cid=cid, fid=fid, doc=doc)
             return FeatureRecord(fid, doc)
 
@@ -487,7 +485,7 @@ class MediaStore:
                 if record.doc.kind not in media.TIME_RANGE_KINDS:
                     raise ParseError("time ranges apply to video annotations only")
                 extent = record.extent
-                if not (extent.contains(ann.time_range.start) and extent.contains(ann.time_range.end)):
+                if not _fits(ann, extent):
                     raise ParseError(
                         f"time range [{ann.time_range.start}, {ann.time_range.end}] "
                         f"outside feature extent [{extent.start}, {extent.end}]"
@@ -752,11 +750,10 @@ class MediaStore:
         features_name, anns_name = _snapshot_names(cid)
         features: dict[str, GeoMediaDocument] = {}
         annotations: dict[str, dict[str, Annotation]] = {}
-        with contextlib.ExitStack() as files:
-            feature_lines = _checked_lines(
-                files, self._dir / features_name, unparsed["sha256"]["features"])
-            ann_lines = _checked_lines(
-                files, self._dir / anns_name, unparsed["sha256"]["annotations"])
+        shas = unparsed["sha256"]
+        feature_lines = _checked_lines(self._dir / features_name, shas["features"])
+        ann_lines = _checked_lines(self._dir / anns_name, shas["annotations"])
+        with contextlib.closing(feature_lines), contextlib.closing(ann_lines):
             for line_no, line in feature_lines:
                 try:
                     wrapper = decode_json(line)
@@ -897,39 +894,37 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _checked_size(path: Path, sha: str) -> int:
-    """The size of a store file, read in chunks; CorruptStoreError unless it
-    is there and its SHA-256 hex digest is sha."""
-    digest, size = hashlib.sha256(), 0
+def _checked_chunks(path: Path, sha: str, size: int):
+    """The bytes of a store file, size at a time; CorruptStoreError if it is
+    missing or unreadable, and after the last chunk unless they hash to sha."""
+    digest = hashlib.sha256()
     try:
         with open(path, "rb") as f:
-            while chunk := f.read(_CHUNK):
+            while chunk := f.read(size):
                 digest.update(chunk)
-                size += len(chunk)
+                yield chunk
     except OSError as exc:
-        raise CorruptStoreError(f"missing store file: {exc}") from None
+        raise CorruptStoreError(f"missing or unreadable store file {path.name}: {exc}") from None
     if digest.hexdigest() != sha:
         raise CorruptStoreError(f"checksum mismatch for {path.name}")
-    return size
 
 
-def _checked_lines(files: contextlib.ExitStack, path: Path, sha: str):
-    """The decompressed lines of a snapshot file, opened on files, numbered
-    from 1, without their LF.
+def _checked_size(path: Path, sha: str) -> int:
+    """The size of a store file whose bytes hash to sha (see _checked_chunks)."""
+    return sum(map(len, _checked_chunks(path, sha, _CHUNK)))
 
-    The compressed bytes are hashed as they are read, _GZ_CHUNK at a time;
-    CorruptStoreError after the last line unless they hash to sha, and on a
-    read error, a damaged or cut-off gzip stream, or bytes after its end.
+
+def _checked_lines(path: Path, sha: str):
+    """The decompressed lines of a snapshot file whose bytes hash to sha (see
+    _checked_chunks), numbered from 1, without their LF.
+
+    The compressed bytes are read _GZ_CHUNK at a time; CorruptStoreError
+    also on a damaged or cut-off gzip stream, or bytes after its end.
     """
-    try:
-        f = files.enter_context(open(path, "rb"))
-    except OSError as exc:
-        raise CorruptStoreError(f"missing store file: {exc}") from None
-    digest, stream = hashlib.sha256(), zlib.decompressobj(31)
+    stream = zlib.decompressobj(31)
     n, partial = 0, bytearray()  # the start of a line that a later chunk ends
     try:
-        while chunk := f.read(_GZ_CHUNK):
-            digest.update(chunk)
+        for chunk in _checked_chunks(path, sha, _GZ_CHUNK):
             *lines, tail = stream.decompress(chunk).split(b"\n")
             if stream.unused_data:
                 raise CorruptStoreError(f"{path.name}: bytes after the end of its gzip stream")
@@ -940,17 +935,12 @@ def _checked_lines(files: contextlib.ExitStack, path: Path, sha: str):
             for line in lines:
                 n += 1
                 yield n, line
-    except OSError as exc:
-        raise CorruptStoreError(f"unreadable {path.name}: {exc}") from None
     except zlib.error as exc:
         raise CorruptStoreError(f"{path.name}: damaged gzip stream: {exc}") from None
     if not stream.eof:
         raise CorruptStoreError(f"{path.name}: gzip stream cut off before its end")
     if partial:
         yield n + 1, bytes(partial)
-    if digest.hexdigest() != sha:
-        raise CorruptStoreError(
-            f"checksum mismatch for {path.name}: changed since the store was opened")
 
 
 def _check_bbox(bbox) -> Bbox | None:

@@ -621,3 +621,37 @@ class TestColumnReads:
         doc = parse_document('{"type": "MovingDouble", "values": [1, 2, 3], "timeline": [1, 2, 3],'
                              ' "coordinates": [[0, 0], [1, 1, 5], [2, 2]]}')
         assert doc.payload.track == (GeoPoint(0, 0), GeoPoint(1, 1, 5), GeoPoint(2, 2))
+
+
+class TestDocumentShapeErrors:
+    """Each refused shape gives its message and the pointer to the member at fault."""
+
+    @pytest.mark.parametrize("text, path, message", [
+        (b'{"type": "MovingPoint", "coordinates": [[1, 2]], "datetimes": [5]}',
+         "/datetimes/0", "datetime must be a string, got int"),
+        (b'{"type": "MovingPoint", "coordinates": [[1, 2]]}',
+         "/", "missing 'datetimes' or 'timeline'"),
+        (b'{"type": "MovingPoint", "coordinates": [[1, 2]], "datetimes": []}',
+         "/datetimes", "'datetimes' must be a non-empty array"),
+        (b'{"type": "MovingDouble", "values": [], "timeline": [0]}',
+         "/values", "'values' must be a non-empty array"),
+        (b'{"type": "MovingVideo", "uri": "u:1", "coordinates": [[0, 0], [1, 1]],'
+         b' "timeline": [0, 1], "fov": []}',
+         "/fov", "'fov' must be a non-empty array"),
+        (b'{"type": "stphoto", " uri": "u:1", "uri ": "u:2", "coordinates": [0, 0],'
+         b' "timeline": [0]}',
+         "", "duplicate member 'uri' after trimming whitespace"),
+    ], ids=["datetime-not-a-string", "no-times", "empty-datetimes", "empty-values",
+            "empty-video-fov", "duplicate-after-trimming"])
+    def test_refused_with_pointer(self, text, path, message):
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert (err.value.path, err.value.message) == (path, message)
+
+    def test_byte_order_mark_refused(self):
+        text = '\ufeff{"type": "MovingPoint", "coordinates": [[1, 2]], "timeline": [0]}'
+        for raw in (text, text.encode("utf-8")):
+            with pytest.raises(ParseError) as err:
+                parse_document(raw)
+            assert str(err.value) == (
+                "malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1)")

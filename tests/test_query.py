@@ -38,6 +38,7 @@ from geomedia.errors import (
     WrongKindError,
 )
 from geomedia.media import view_reach
+from geomedia.query import decode_query_spec
 
 from conftest import T0, T1, T2
 
@@ -419,6 +420,19 @@ class TestEvaluate:
 def test_query_spec_needs_finite_values(spec):
     with pytest.raises(BadQueryError):
         QuerySpec(**spec)
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"bbox": "1,2,3"}, "bbox needs 4 comma-separated numbers, got '1,2,3'"),
+    ({"near": "a,b,c"}, "near needs numbers, got 'a,b,c'"),
+    ({"visibleFrom": "200,0"}, "bad visibleFrom: longitude 200.0 outside [-180, 180]"),
+    ({"near": "0,95,10"}, "bad near point: latitude 95.0 outside [-90, 90]"),
+], ids=["bbox-three-numbers", "near-not-numbers", "visible-from-out-of-range",
+        "near-point-out-of-range"])
+def test_query_strings_refused_with_their_message(params, message):
+    with pytest.raises(BadQueryError) as err:
+        decode_query_spec(params)
+    assert str(err.value) == message
 
 
 # -- index push-down: near and visibleFrom search the R-tree ----------------------

@@ -816,3 +816,42 @@ class TestBodyDecoding:
             b'{"kind": "text", "body": "first", "body": "second"}')
         assert (status, body["code"]) == (400, "BadBody")
         assert api.handle("GET", "/collections/pics/items/p1/annotations")[1] == {"annotations": []}
+
+
+class TestRequestChecks:
+    """Each refused request body gives 400 BadBody and the message that names its fault."""
+
+    @pytest.mark.parametrize("body, message", [
+        (b'{"id": 5, "mediaType": "MovingPoint"}', "/id: 'id' must be a string"),
+        (b'{"id": "x", "title": 5, "mediaType": "MovingPoint"}',
+         "/title: 'title' must be a string"),
+        (b'[{"id": "x", "mediaType": "MovingPoint"}]', "body must be a JSON object"),
+    ], ids=["id-not-a-string", "title-not-a-string", "array-body"])
+    def test_post_collection_refused(self, api, body, message):
+        status, answer = api.handle("POST", "/collections", body)
+        assert (status, answer["code"], answer["message"]) == (400, "BadBody", message)
+        assert api.handle("GET", "/collections")[1] == {"collections": []}
+
+    def test_put_item_without_a_body_refused(self, api):
+        api.handle("POST", "/collections", b'{"id": "pics", "mediaType": "stphoto"}')
+        status, answer = api.handle("PUT", "/collections/pics/items/p1", None)
+        assert (status, answer["code"], answer["message"]) == (400, "BadBody",
+                                                               "request body required")
+        assert api.handle("GET", "/collections/pics/items/p1")[0] == 404
+
+    @pytest.mark.parametrize("body, message", [
+        (b'{"aid": "", "kind": "text", "body": "x"}', "annotation id must be a non-empty string"),
+        (b'{"kind": "text", "body": ""}', "text body must be a non-empty string"),
+        (b'{"kind": "text", "body": "x", "timeRange": "2018-08-01T13:01:01Z"}',
+         "/timeRange: bad timeRange '2018-08-01T13:01:01Z': "
+         "not enough values to unpack (expected 2, got 1)"),
+        (b'{"kind": "text", "body": "x", "timeRange": "a/b"}',
+         "/timeRange: bad timeRange 'a/b': not a UTC ISO-8601 instant: 'a'"),
+    ], ids=["empty-aid", "empty-text", "time-range-one-instant", "time-range-not-instants"])
+    def test_post_annotation_refused(self, api, body, message):
+        api.handle("POST", "/collections", b'{"id": "pics", "mediaType": "stphoto"}')
+        api.handle("PUT", "/collections/pics/items/p1", fixture_bytes("stphoto.json"))
+        target = "/collections/pics/items/p1/annotations"
+        status, answer = api.handle("POST", target, body)
+        assert (status, answer["code"], answer["message"]) == (400, "BadBody", message)
+        assert api.handle("GET", target)[1] == {"annotations": []}
