@@ -1,247 +1,193 @@
-"""In-memory 2D R-tree.
+"""In-memory 2D R-tree: a packed tree plus a small write delta.
 
 Keys are (minx, miny, maxx, maxy) rectangles; items are opaque hashable ids.
-Node capacity is 16 and no node has a minimum fill. Search is inclusive:
-touching rectangles intersect. An overflowing node sorts its entries by
-rectangle centre along the axis where the centres spread widest and splits
-into halves. Delete refreshes the rectangles on the entry's path and drops
-every node it leaves empty.
+Search is inclusive: touching rectangles intersect. search() keeps an item
+only if its rectangle meets every box it is given, and prunes a subtree as
+soon as one box misses the subtree's box.
 
-A leaf holds its items in a list and their rectangles in one array('d'),
-four numbers per item in the same order, so the tree is the only holder of
-each rectangle and keeps no tuple or float object per entry. An inner node
-holds (rect, child) pairs. search() takes any number of boxes and keeps an
-item only if its rectangle meets every one of them; it prunes a subtree as
-soon as one box misses the subtree's rectangle.
-
-bulk_load packs a whole set of entries at once by Sort-Tile-Recursive
-(Leutenegger, Lopez & Edgington, ICDE 1997); insert and delete work on such
-a tree as on any other.
+The packed part is Sort-Tile-Recursive (Leutenegger, Lopez & Edgington,
+ICDE 1997) in flat levels, leaves first, as in flatbush: an array('d') of
+rectangles, four numbers per entry, and an array of node starts, so node j
+holds entries starts[j] up to starts[j + 1] and entry j of the level above
+holds node j's box. Each leaf is one STR run of at most MAX_ENTRIES, each
+level above is STR over the boxes below, and a node's children sit next to
+each other. The leaves keep their items in one list: no tuple or float per
+entry. insert() appends to the delta, an unsorted last leaf that no node
+points to and every search scans. delete() takes an entry out of the
+delta, or makes a packed entry's rectangle an empty box and the boxes on
+its path exact again, so bounds() reads only the root and the delta. Once
+the delta and the deleted entries outnumber max(MAX_ENTRIES, isqrt(len)),
+the live entries are packed again.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from collections.abc import Iterable
+from itertools import accumulate
+from operator import itemgetter
 
 Rect = tuple[float, float, float, float]
 
 MAX_ENTRIES = 16
-MIN_ENTRIES = 6  # the classic 40 % fill, for reference only: no node is held to it
+
+_EMPTY = array("d", (math.inf, math.inf, -math.inf, -math.inf))  # meets no rectangle
+_GONE = object()  # the item of a deleted packed entry
 
 
-def _intersects(a: Rect, b: Rect) -> bool:
-    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
+def _union(rects: array) -> Rect:
+    """The box of a non-empty column of rectangles."""
+    return (min(rects[0::4]), min(rects[1::4]), max(rects[2::4]), max(rects[3::4]))
 
 
-def _combine(a: Rect, b: Rect) -> Rect:
-    return (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
-
-
-def _area(r: Rect) -> float:
-    return (r[2] - r[0]) * (r[3] - r[1])
-
-
-def _enlargement(r: Rect, add: Rect) -> float:
-    return _area(_combine(r, add)) - _area(r)
-
-
-def _rows(rects: array):
-    """A leaf's rectangles as (minx, miny, maxx, maxy) rows."""
-    it = iter(rects)
-    return zip(it, it, it, it)
-
-
-def _centres(rows) -> tuple[list[float], list[float]]:
-    """Twice the x and twice the y centre of each rectangle."""
-    xs, ys = [], []
-    for x0, y0, x1, y1 in rows:
-        xs.append(x0 + x1)
-        ys.append(y0 + y1)
-    return xs, ys
-
-
-def _column(rows) -> array:
-    """Rectangles as one leaf column, four numbers each."""
-    return array("d", [v for row in rows for v in row])
-
-
-class _Node:
-    __slots__ = ("is_leaf", "entries", "rects")
-
-    def __init__(self, is_leaf: bool, entries: list, rects: array | None = None):
-        self.is_leaf = is_leaf
-        # a leaf: its items, with their rectangles in rects; an inner node:
-        # (rect, child) pairs, and rects is None
-        self.entries = entries
-        self.rects = rects
-
-    def rect(self) -> Rect:
-        if self.is_leaf:
-            r = self.rects
-            return (min(r[0::4]), min(r[1::4]), max(r[2::4]), max(r[3::4]))
-        r = self.entries[0][0]
-        for other, _ in self.entries[1:]:
-            r = _combine(r, other)
-        return r
+def _meeting(rects: array, labels, starts, nodes, boxes) -> list:
+    """The labels of the entries in nodes of a level that meet every box."""
+    hits = []
+    for j in nodes:
+        lo, hi = starts[j], starts[j + 1]
+        it = iter(rects[4 * lo : 4 * hi])
+        for label, x0, y0, x1, y1 in zip(labels[lo:hi], it, it, it, it):
+            for b0, b1, b2, b3 in boxes:
+                if x0 > b2 or b0 > x1 or y0 > b3 or b1 > y1:
+                    break
+            else:
+                hits.append(label)
+    return hits
 
 
 class RTree:
     def __init__(self):
-        self._root = _Node(True, [], array("d"))
-        self._size = 0
+        # (rects, starts) per level, leaves first, and the leaves' items, _GONE
+        # where deleted; the leaves' starts end with the delta's
+        self._levels, self._items = _pack([], array("d"), [])
+        self._size = self._dead = 0  # live entries; deleted entries in the leaves
 
     def __len__(self) -> int:
         return self._size
 
     @classmethod
     def bulk_load(cls, entries: Iterable[tuple[object, Rect]]) -> "RTree":
-        """A packed tree of (item, rect) entries, built level by level."""
-        items, rects = [], array("d")
+        """A packed tree of (item, rect) entries."""
+        tree, items, rects = cls(), [], array("d")
         for item, rect in entries:
             items.append(item)
             rects.extend(rect)
-        tree = cls()
+        tree._levels, tree._items = _pack(items, rects, range(len(items)))
         tree._size = len(items)
-        if len(items) <= MAX_ENTRIES:
-            tree._root = _Node(True, items, rects)
-            return tree
-        nodes = [_Node(True, [items[i] for i in run],
-                       _column(rects[4 * i : 4 * i + 4] for i in run))
-                 for run in _str_runs(*_centres(_rows(rects)), MAX_ENTRIES)]
-        level = [(node.rect(), node) for node in nodes]
-        while len(level) > MAX_ENTRIES:
-            nodes = [_Node(False, [level[i] for i in run])
-                     for run in _str_runs(*_centres(r for r, _ in level), MAX_ENTRIES)]
-            level = [(node.rect(), node) for node in nodes]
-        tree._root = _Node(False, level)
         return tree
 
     def insert(self, item, rect: Rect) -> None:
-        split = self._insert(self._root, rect, item)
-        if split is not None:
-            old = self._root
-            self._root = _Node(False, [(old.rect(), old), (split.rect(), split)])
+        leaf, starts = self._levels[0]
+        self._items.append(item)
+        leaf.extend(rect)
+        starts[-1] += 1
         self._size += 1
+        self._tidy()
 
-    def _insert(self, node: _Node, rect: Rect, item) -> "_Node | None":
-        if node.is_leaf:
-            node.entries.append(item)
-            node.rects.extend(rect)
+    def delete(self, item, rect: Rect) -> None:
+        """Remove one (item, rect) entry; KeyError when absent."""
+        key = array("d", rect)
+        corner = (key[0], key[1], key[0], key[1])  # in every box that holds key
+        leaf, leaf_starts = self._levels[0]
+        i = next((i for i in self._leaf_hits((corner,), range(len(self._items)))
+                  if self._items[i] == item and leaf[4 * i : 4 * i + 4] == key), None)
+        if i is None:
+            raise KeyError(item)
+        if i >= leaf_starts[-2]:  # in the delta
+            del self._items[i]
+            del leaf[4 * i : 4 * i + 4]
+            leaf_starts[-1] -= 1
         else:
-            idx = self._choose_subtree(node, rect)
-            child = node.entries[idx][1]
-            split = self._insert(child, rect, item)
-            node.entries[idx] = (child.rect(), child)
-            if split is not None:
-                node.entries.append((split.rect(), split))
-        if len(node.entries) > MAX_ENTRIES:
-            return self._split(node)
-        return None
+            self._items[i] = _GONE
+            leaf[4 * i : 4 * i + 4] = _EMPTY
+            self._dead += 1
+            for (rects, starts), (above, _) in zip(self._levels, self._levels[1:]):
+                i = bisect_right(starts, i) - 1  # the node, and its entry above
+                box = _union(rects[4 * starts[i] : 4 * starts[i + 1]])
+                above[4 * i : 4 * i + 4] = array("d", box)
+        self._size -= 1
+        self._tidy()
 
-    @staticmethod
-    def _choose_subtree(node: _Node, rect: Rect) -> int:
-        best = 0
-        best_key = None
-        for i, (r, _) in enumerate(node.entries):
-            key = (_enlargement(r, rect), _area(r))
-            if best_key is None or key < best_key:
-                best, best_key = i, key
-        return best
+    def _leaf_hits(self, boxes, labels) -> list:
+        """The labels of the leaf entries, the delta's among them, that meet
+        every box (an inner entry's label is its number, which is the number
+        of its child node)."""
+        hits = [0]  # the root node
+        for column, starts in reversed(self._levels[1:]):
+            hits = _meeting(column, range(len(column) // 4), starts, hits, boxes)
+        column, starts = self._levels[0]
+        return _meeting(column, labels, starts, hits + [len(starts) - 2], boxes)
 
-    @staticmethod
-    def _split(node: _Node) -> _Node:
-        """Halve node's entries, sorted by centre on the axis they spread widest."""
-        rows = list(_rows(node.rects)) if node.is_leaf else [r for r, _ in node.entries]
-        xs, ys = _centres(rows)
-        axis = 0 if max(xs) - min(xs) >= max(ys) - min(ys) else 1
-        order = sorted(range(len(rows)), key=(xs if axis == 0 else ys).__getitem__)
-        keep, move = order[: len(order) // 2], order[len(order) // 2 :]
-        entries = node.entries
-        node.entries = [entries[i] for i in keep]
-        if not node.is_leaf:
-            return _Node(False, [entries[i] for i in move])
-        node.rects = _column(rows[i] for i in keep)
-        return _Node(True, [entries[i] for i in move], _column(rows[i] for i in move))
+    def _tidy(self) -> None:
+        """Pack again once the delta and the deleted entries, which searches
+        read, outnumber the bound or the live entries."""
+        stale = len(self._items) - self._levels[0][1][-2] + self._dead
+        if stale > min(self._size, max(MAX_ENTRIES, math.isqrt(self._size))):
+            live = range(len(self._items)) if not self._dead else \
+                [i for i, item in enumerate(self._items) if item is not _GONE]
+            self._levels, self._items = _pack(self._items, self._levels[0][0], live)
+            self._dead = 0
 
     def search(self, *rects: Rect) -> list:
         """Items whose stored rectangle intersects every one of rects
         (inclusive bounds); with none given, every item."""
-        out: list = []
-        self._search(self._root, rects, out)
-        return out
-
-    def _search(self, node: _Node, boxes: tuple[Rect, ...], out: list) -> None:
-        if node.is_leaf:
-            for (x0, y0, x1, y1), item in zip(_rows(node.rects), node.entries):
-                for b0, b1, b2, b3 in boxes:
-                    if x0 > b2 or b0 > x1 or y0 > b3 or b1 > y1:
-                        break
-                else:
-                    out.append(item)
-            return
-        for (x0, y0, x1, y1), child in node.entries:
-            for b0, b1, b2, b3 in boxes:
-                if x0 > b2 or b0 > x1 or y0 > b3 or b1 > y1:
-                    break
-            else:
-                self._search(child, boxes, out)
+        return self._leaf_hits(rects, self._items) if rects else [it for it, _ in self.items()]
 
     def bounds(self) -> Rect | None:
         """The smallest rectangle holding every stored one; None when empty."""
-        return self._root.rect() if self._root.entries else None
+        leaf, starts = self._levels[0]
+        return _union(self._levels[-1][0] + leaf[4 * starts[-2] :]) if self._size else None
 
     def items(self) -> list[tuple[object, Rect]]:
-        out: list = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.extend(zip(node.entries, _rows(node.rects)))
-            else:
-                stack.extend(child for _, child in node.entries)
-        return out
-
-    def delete(self, item, rect: Rect) -> None:
-        """Remove one (item, rect) entry; KeyError when absent."""
-        if not self._delete(self._root, tuple(rect), item):
-            raise KeyError(item)
-        self._size -= 1
-        # Collapse one-child roots: an inner root then has two or more children,
-        # and a delete drops at most one of them, so the root never empties.
-        while not self._root.is_leaf and len(self._root.entries) == 1:
-            self._root = self._root.entries[0][1]
-
-    def _delete(self, node: _Node, rect: Rect, item) -> bool:
-        if node.is_leaf:
-            for k, it in enumerate(node.entries):
-                if it == item and tuple(node.rects[4 * k : 4 * k + 4]) == rect:
-                    del node.entries[k]
-                    del node.rects[4 * k : 4 * k + 4]
-                    return True
-            return False
-        for k, (r, child) in enumerate(node.entries):
-            if _intersects(r, rect) and self._delete(child, rect, item):
-                if child.entries:
-                    node.entries[k] = (child.rect(), child)
-                else:
-                    del node.entries[k]
-                return True
-        return False
+        it = iter(self._levels[0][0])
+        return [entry for entry in zip(self._items, zip(it, it, it, it)) if entry[0] is not _GONE]
 
 
-def _str_runs(xs: list[float], ys: list[float], cap: int) -> list[list[int]]:
-    """One STR level over the entries whose (doubled) centres are xs and ys,
-    as runs of entry numbers, one per node: sort by x centre into vertical
-    slices of whole nodes, then each slice by y centre into nodes of cap
-    entries."""
-    n = len(xs)
-    slices = math.ceil(math.sqrt(math.ceil(n / cap)))
-    per_slice = slices * cap
-    order = sorted(range(n), key=xs.__getitem__)
+def _pack(items: list, rects: array, entries) -> tuple[list[tuple[array, array]], list]:
+    """The levels, leaves first, over the entries numbered in entries, and
+    their items in leaf order: grouped bottom-up, laid out top-down."""
+    columns, groupings = [rects], []
+    while len(entries) > MAX_ENTRIES:
+        runs = _str_runs(columns[-1], entries)
+        groupings.append(runs)
+        columns.append(_boxes(columns[-1], runs))
+        entries = range(len(runs))
+    groupings.append([entries])  # the root
+    levels, order = [], [0]
+    for column, runs in zip(reversed(columns), reversed(groupings)):
+        nodes = [runs[j] for j in order]
+        order = [i for node in nodes for i in node]
+        laid = array("d")
+        for i in order:
+            laid += column[4 * i : 4 * i + 4]
+        levels.append((laid, array("q", accumulate(map(len, nodes), initial=0))))
+    levels.reverse()
+    levels[0][1].append(len(order))  # the delta: one more leaf, after the packed ones
+    return levels, [items[i] for i in order]
+
+
+def _str_runs(rects: array, entries) -> list[list[int]]:
+    """One STR level over the entries numbered in entries, as runs of entry
+    numbers, one per node: sort by x centre into vertical slices of whole
+    nodes, then each slice by y centre into nodes of MAX_ENTRIES."""
+    n = len(entries)
+    per_slice = math.ceil(math.sqrt(math.ceil(n / MAX_ENTRIES))) * MAX_ENTRIES
+    order = sorted(entries, key=[a + b for a, b in zip(rects[0::4], rects[2::4])].__getitem__)
+    centres = [a + b for a, b in zip(rects[1::4], rects[3::4])]  # twice the x, then the y centre
     runs = []
     for s in range(0, n, per_slice):
-        run = sorted(order[s : s + per_slice], key=ys.__getitem__)
-        runs.extend(run[k : k + cap] for k in range(0, len(run), cap))
+        run = sorted(order[s : s + per_slice], key=centres.__getitem__)
+        runs.extend(run[k : k + MAX_ENTRIES] for k in range(0, len(run), MAX_ENTRIES))
     return runs
+
+
+def _boxes(rects: array, runs: list[list[int]]) -> array:
+    """The box of each run of entry numbers of rects, as one column."""
+    x0, y0, x1, y1 = (rects[k::4] for k in range(4))
+    boxes = array("d")
+    for run in runs:
+        get = itemgetter(run[0], *run)  # two or more numbers, so that get() gives a tuple
+        boxes.extend((min(get(x0)), min(get(y0)), max(get(x1)), max(get(y1))))
+    return boxes

@@ -169,9 +169,7 @@ class GeoMediaApi:
         return 200, document_to_obj(self.store.get_feature(cid, fid).doc, "epoch")
 
     def _put_item(self, params, body, cid, fid):
-        if body is None:
-            raise ParseError("request body required")
-        doc = parse_document(body)
+        doc = parse_document(_required(body))
         with self._mutation():  # so that of two PUTs of a new fid only one sees it new
             existed = self.store.has_feature(cid, fid)
             record = self.store.put_feature(cid, fid, doc)
@@ -291,10 +289,14 @@ def _allow_params(params: dict, allowed: frozenset, required: frozenset) -> None
         raise BadQueryError(f"missing query parameters: {sorted(missing)}")
 
 
-def _decode_body(body: bytes | None) -> dict:
+def _required(body: bytes | None) -> bytes:
     if not body:
         raise ParseError("request body required")
-    obj = decode_json(body)
+    return body
+
+
+def _decode_body(body: bytes | None) -> dict:
+    obj = decode_json(_required(body))
     if not isinstance(obj, dict):
         raise ParseError("body must be a JSON object")
     return obj

@@ -2,14 +2,15 @@
 
 A collection holds each feature as its document alone, keyed by fid, and a
 2-D (lon, lat) R-tree over the documents' bounding boxes. The tree is the
-only holder of a bbox (its leaves keep them in array('d') columns): a
+only holder of a bbox (it keeps them in array('d') columns): a
 FeatureRecord is built when a caller asks for one and works its bbox and
 extent out from the document, and a delete or replacement works the old
 document's bbox out again to find its entry. Time windows are not indexed
-but checked exactly on each candidate. The tree is bulk-loaded (STR) when
-the collection's snapshot files are parsed, and for a collection filled
-since it was created by the first spatial search (until then a put computes
-no bbox); after that every put and delete updates it one entry at a time.
+but checked exactly on each candidate. The tree is packed (STR) when the
+collection's snapshot files are parsed, and for a collection filled since
+it was created by the first spatial search (until then a put computes no
+bbox); after that every put and delete goes to the tree's write delta,
+which it packs again now and then on its own (see rtree.py).
 Next to the tree a collection keeps its view reach, an upper bound on how
 far any of its cameras sees (view_reach()), and caches its time extent
 (collection_extent()): a fresh put widens it, a replacement or delete drops
@@ -188,17 +189,23 @@ def annotation_to_obj(ann: Annotation, time_style: str) -> dict:
 
 
 def annotation_from_obj(obj: dict, time_style: str) -> Annotation:
-    """Inverse of annotation_to_obj; a malformed time range is a ParseError."""
+    """Inverse of annotation_to_obj; a malformed time range is a ParseError
+    that names the shape time_style expects."""
     raw = obj.get("timeRange")
     time_range = None
     if raw is not None:
         try:
             if time_style == "epoch":
+                if not (isinstance(raw, list) and len(raw) == 2 and all(type(t) is int for t in raw)):
+                    raise ValueError("expected a [start, end] pair of epoch milliseconds")
                 start, end = raw
             else:
-                start, end = (parse_datetime(part) for part in raw.split("/"))
+                parts = raw.split("/") if isinstance(raw, str) else ()
+                if len(parts) != 2:
+                    raise ValueError('expected a "start/end" string of two ISO-8601 instants')
+                start, end = map(parse_datetime, parts)
             time_range = TimeInterval(start, end)
-        except (AttributeError, TypeError, ValueError, ParseError) as exc:
+        except (ValueError, ParseError) as exc:
             raise ParseError(f"bad timeRange {raw!r}: {exc}", "/timeRange") from None
     return Annotation(obj.get("aid"), obj.get("kind"), obj.get("body"), time_range)
 

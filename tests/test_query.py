@@ -31,6 +31,7 @@ from geomedia import (
     serialize_document,
     visible_intervals,
 )
+from geomedia import rtree
 from geomedia.cli import main
 from geomedia.errors import (
     BadQueryError,
@@ -563,6 +564,38 @@ class TestPushDown:
         seen = destination(GeoPoint(-170 + 7 * 8.5, -60 + 3 * 5), 0, 50)  # north of p0127
         assert [r.fid for r in evaluate(store, "pics", QuerySpec(visible_from=seen))] == ["p0127"]
         assert len(calls) < 50
+
+    @pytest.mark.parametrize("kind", ["stphoto", "MovingVideo"])
+    def test_equals_linear_scan_through_writes_that_repack_the_index(self, store, kind,
+                                                                      monkeypatch):
+        rng = random.Random(f"writes {kind}")
+        store.create_collection("c", "c", kind)
+        for i in range(60):
+            store.put_feature("c", f"f{i:03d}", document_of(random_payload(rng, kind, i)))
+        evaluate(store, "c", QuerySpec(near=(ANCHORS[0], 1.0)))  # builds the index
+        packs, matched = [], [0, 0, 0]
+        real_pack = rtree._pack
+        monkeypatch.setattr(rtree, "_pack", lambda *args: packs.append(1) or real_pack(*args))
+        for step in range(150):
+            fids = [r.fid for r in store.list_features("c")]
+            roll = rng.random()
+            if roll < 0.6 or len(fids) < 20:  # a put of a new fid, or a replacement
+                fid = f"f{step + 60:03d}" if roll < 0.3 else rng.choice(fids)
+                store.put_feature("c", fid, document_of(random_payload(rng, kind, step)))
+            else:
+                store.delete_feature("c", rng.choice(fids))
+            if step % 5 == 4:
+                p = query_point(rng, store, "c")
+                w, h = 10 ** rng.uniform(-3, 1.5), 10 ** rng.uniform(-3, 1.5)
+                start = rng.randint(-1000, 3000)
+                specs = [QuerySpec(bbox=(p.lon - w, p.lat - h, p.lon + w, p.lat + h),
+                                   interval=TimeInterval(start, start + rng.randint(0, 2000))),
+                         QuerySpec(near=(p, scale(rng))), QuerySpec(visible_from=p)]
+                for k, spec in enumerate(specs):
+                    want = linear_scan(store, "c", spec)
+                    assert [r.fid for r in evaluate(store, "c", spec)] == want, spec
+                    matched[k] += len(want)
+        assert len(packs) >= 3 and min(matched) > 0
 
 
 FAR = 50_000.0  # the far-seeing camera's view distance, 500 times the others'

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from geomedia.rtree import MAX_ENTRIES, MIN_ENTRIES, RTree
+from geomedia.rtree import MAX_ENTRIES, RTree
 
 
 def brute_force_search(entries, rect):
@@ -123,20 +123,22 @@ def test_items_enumerates_everything():
 
 
 def leaf_depths_and_sizes(tree):
-    """(depth, entry count) of every leaf of a tree."""
+    """(depth, entry count) of every leaf of a tree's packed levels."""
     out = []
-    stack = [(tree._root, 0)]
+    stack = [(len(tree._levels) - 1, 0, 0)]  # (level, node, depth)
     while stack:
-        node, depth = stack.pop()
-        if node.is_leaf:
-            out.append((depth, len(node.entries)))
+        level, node, depth = stack.pop()
+        starts = tree._levels[level][1]
+        entries = range(starts[node], starts[node + 1])
+        if level == 0:
+            out.append((depth, len(entries)))
         else:
-            stack.extend((child, depth + 1) for _, child in node.entries)
+            stack.extend((level - 1, child, depth + 1) for child in entries)
     return out
 
 
 # 4 * MAX_ENTRIES + 3 entries pack into 5 leaves in 3 slices of up to 3 leaves:
-# the second slice holds 19 entries, a full leaf and one of 3 (< MIN_ENTRIES).
+# the second slice holds 19 entries, a full leaf and one of 3, which is kept short.
 @pytest.mark.parametrize("n", [0, 1, MAX_ENTRIES, MAX_ENTRIES + 1, 4 * MAX_ENTRIES + 3, 1000])
 def test_bulk_load_matches_brute_force_then_stays_mutable(n):
     rng = random.Random(f"rtree-bulk-{n}")
@@ -148,7 +150,7 @@ def test_bulk_load_matches_brute_force_then_stays_mutable(n):
     assert len({depth for depth, _ in leaves}) == 1  # every leaf on one level
     assert all(size <= MAX_ENTRIES for _, size in leaves)
     if n in (MAX_ENTRIES + 1, 4 * MAX_ENTRIES + 3):
-        assert min(size for _, size in leaves) < MIN_ENTRIES
+        assert min(size for _, size in leaves) == n % MAX_ENTRIES
     for _ in range(50):
         q = random_rect(rng, span=150.0)
         assert sorted(tree.search(q)) == brute_force_search(entries, q)
@@ -192,7 +194,7 @@ def test_deleting_every_entry_of_a_bulk_loaded_tree():
             for _ in range(20):
                 q = random_rect(rng, span=150.0)
                 assert sorted(tree.search(q)) == brute_force_search(entries, q)
-    assert tree._root.is_leaf and tree._root.entries == []
+    assert tree._items == [] and [len(rects) for rects, _ in tree._levels] == [0]
     assert tree.search((-1000, -1000, 1000, 1000)) == []
     for i in range(3 * MAX_ENTRIES):
         rect = random_rect(rng)
@@ -257,3 +259,57 @@ def test_bounds_is_the_union_of_every_rectangle():
     for victim in list(entries):
         tree.delete(victim, entries.pop(victim))
     assert tree.bounds() is None
+
+
+def delta_items(tree):
+    """The items in the tree's write delta, the unsorted leaf after the packed ones."""
+    return tree._items[tree._levels[0][1][-2]:]
+
+
+def test_write_delta_matches_brute_force_across_repacks():
+    rng = random.Random("rtree-delta")
+    entries = {i: random_rect(rng) for i in range(300)}
+    for i in range(300, 320):  # duplicate rectangles, packed
+        entries[i] = entries[i - 300]
+    tree = RTree.bulk_load(entries.items())
+    counts = {"packs": 0, "from delta": 0, "from packed": 0}
+    next_id = len(entries)
+
+    def write(delete: bool):
+        nonlocal next_id
+        levels = tree._levels
+        if delete:
+            victim = rng.choice(list(entries))
+            counts["from delta" if victim in delta_items(tree) else "from packed"] += 1
+            tree.delete(victim, entries.pop(victim))
+        else:
+            duplicate = entries and rng.random() < 0.2
+            rect = rng.choice(list(entries.values())) if duplicate else random_rect(rng)
+            entries[next_id] = rect
+            tree.insert(next_id, rect)
+            next_id += 1
+        counts["packs"] += tree._levels is not levels
+        assert len(tree) == len(entries)
+        rects = list(entries.values())
+        assert tree.bounds() == ((min(r[0] for r in rects), min(r[1] for r in rects),
+                                  max(r[2] for r in rects), max(r[3] for r in rects))
+                                 if rects else None)
+
+    def check():
+        for _ in range(10):
+            boxes = [random_rect(rng, span=150.0) for _ in range(rng.choice((1, 2, 3)))]
+            assert sorted(tree.search(*boxes)) == brute_force_multi(entries, boxes)
+        assert sorted(tree.search()) == sorted(entries)
+        assert sorted(tree.items()) == sorted(entries.items())
+
+    for k in range(600):
+        write(delete=entries and rng.random() < 0.55)
+        if k % 20 == 0:
+            check()
+    assert counts["packs"] >= 3 and counts["from delta"] > 0 and counts["from packed"] > 0
+    while entries:  # drain, then fill again from empty
+        write(delete=True)
+    check()
+    for _ in range(100):
+        write(delete=False)
+    check()

@@ -832,9 +832,10 @@ class TestRequestChecks:
         assert (status, answer["code"], answer["message"]) == (400, "BadBody", message)
         assert api.handle("GET", "/collections")[1] == {"collections": []}
 
-    def test_put_item_without_a_body_refused(self, api):
+    @pytest.mark.parametrize("body", [None, b""], ids=["none", "empty"])
+    def test_put_item_without_a_body_refused(self, api, body):
         api.handle("POST", "/collections", b'{"id": "pics", "mediaType": "stphoto"}')
-        status, answer = api.handle("PUT", "/collections/pics/items/p1", None)
+        status, answer = api.handle("PUT", "/collections/pics/items/p1", body)
         assert (status, answer["code"], answer["message"]) == (400, "BadBody",
                                                                "request body required")
         assert api.handle("GET", "/collections/pics/items/p1")[0] == 404
@@ -844,10 +845,16 @@ class TestRequestChecks:
         (b'{"kind": "text", "body": ""}', "text body must be a non-empty string"),
         (b'{"kind": "text", "body": "x", "timeRange": "2018-08-01T13:01:01Z"}',
          "/timeRange: bad timeRange '2018-08-01T13:01:01Z': "
-         "not enough values to unpack (expected 2, got 1)"),
+         'expected a "start/end" string of two ISO-8601 instants'),
+        (b'{"kind": "text", "body": "x", "timeRange": 5}',
+         '/timeRange: bad timeRange 5: expected a "start/end" string of two ISO-8601 instants'),
+        (b'{"kind": "text", "body": "x", "timeRange": ["a", "b"]}',
+         "/timeRange: bad timeRange ['a', 'b']: "
+         'expected a "start/end" string of two ISO-8601 instants'),
         (b'{"kind": "text", "body": "x", "timeRange": "a/b"}',
          "/timeRange: bad timeRange 'a/b': not a UTC ISO-8601 instant: 'a'"),
-    ], ids=["empty-aid", "empty-text", "time-range-one-instant", "time-range-not-instants"])
+    ], ids=["empty-aid", "empty-text", "time-range-one-instant", "time-range-number",
+            "time-range-list", "time-range-not-instants"])
     def test_post_annotation_refused(self, api, body, message):
         api.handle("POST", "/collections", b'{"id": "pics", "mediaType": "stphoto"}')
         api.handle("PUT", "/collections/pics/items/p1", fixture_bytes("stphoto.json"))

@@ -1035,6 +1035,16 @@ class TestParseChecks:
                            match="^pics.ann.ndjson.gz line 1: unknown feature 'p9'$"):
             MediaStore.load(target)
 
+    def test_malformed_annotation_time_range_names_the_pair(self, tmp_path):
+        _, target = self._flushed(tmp_path)
+        edit_snapshot(target / "pics.ann.ndjson.gz",
+                      lambda data: data.replace(b'"timeRange": null', b'"timeRange": [5]', 1),
+                      reseal=True)
+        with pytest.raises(CorruptStoreError) as err:
+            MediaStore.load(target)
+        assert str(err.value) == ("pics.ann.ndjson.gz line 1: /timeRange: bad timeRange [5]: "
+                                  "expected a [start, end] pair of epoch milliseconds")
+
     def test_log_record_over_a_malformed_snapshot_line_names_the_line(self, tmp_path):
         store, target = self._flushed(tmp_path)
         store.put_feature("tracks", "new", track_doc(random.Random("new")))
