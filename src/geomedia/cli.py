@@ -102,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("visible", help="times during which a point is visible")
     _selector_flags(p)
     p.add_argument("--point", required=True, metavar="LON,LAT")
-    p.add_argument("--step-ms", type=int, default=100)
     p.set_defaults(func=_cmd_visible)
 
     p = sub.add_parser("convert", help="rewrite a document with iso or epoch times")
@@ -232,7 +231,7 @@ def _cmd_fov(args) -> int:
 
 def _cmd_visible(args) -> int:
     doc = _select_document(args)
-    _print_json(visible_obj(doc, parse_lonlat(args.point, "point"), args.step_ms))
+    _print_json(visible_obj(doc, parse_lonlat(args.point, "point")))
     return EXIT_OK
 
 

@@ -154,10 +154,10 @@ def visible_intervals(x, p: GeoPoint, sample_step_ms: int = 100) -> list[TimeInt
     return payload_of_kind(x, CAMERA_KINDS, "field of view").visible_intervals(p, sample_step_ms)
 
 
-def visible_obj(x, p: GeoPoint, sample_step_ms: int = 100) -> dict:
+def visible_obj(x, p: GeoPoint) -> dict:
     """visible_intervals as {"intervals": [ISO "start/end", ...]}: the answer
     of GET .../visible and `geomedia visible`."""
-    return {"intervals": [interval_str(iv) for iv in visible_intervals(x, p, sample_step_ms)]}
+    return {"intervals": [interval_str(iv) for iv in visible_intervals(x, p)]}
 
 
 def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord]:
@@ -166,8 +166,8 @@ def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord
     A feature can only match if its bbox meets every box of the query: the
     given bbox, the box around near's disk (a matching vertex lies inside the
     feature's bbox) and the box around visibleFrom's point out to the
-    collection's view reach (so does every camera position). The store's
-    index is searched with all of them, smallest first, and the exact
+    collection's view reach (so does every camera position; st_query builds
+    that box). The store's index is searched with all of them, and the exact
     predicates decide. A query with none of them reads the whole collection.
     """
     meta = store.get_collection(cid)
@@ -178,11 +178,8 @@ def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord
     boxes = [] if spec.bbox is None else [spec.bbox]
     if spec.near is not None:
         boxes.append(disk_bbox(*spec.near))
-    with store.lock:  # the reach and the candidates come from one state of the store
-        if spec.visible_from is not None:
-            boxes.append(disk_bbox(spec.visible_from, store.view_reach(cid)))
-        boxes.sort(key=lambda b: (b[2] - b[0]) * (b[3] - b[1]))
-        candidates = store.st_query(cid, bbox=boxes, interval=spec.interval)
+    candidates = store.st_query(cid, bbox=boxes, interval=spec.interval,
+                                visible_from=spec.visible_from)
     out = []
     for record in candidates:
         payload = record.doc.payload

@@ -12,11 +12,16 @@ to the store's log and fsynced before its response, and one that fails to
 commit answers 500 and is gone from memory too; responses contain no
 wall-clock values, only stored data, so they are deterministic given store
 state.
+
+Every route but a GET changes the store, and no GET does (RFC 9110's safe
+methods). So handle() runs any other request and its commit as one step
+under the store lock: of two PUTs of a new fid only one sees it new, two
+POSTs without an aid never pick the same one, and a failed commit, which
+reopens the store, drops no other request's op. A GET takes no lock there.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import logging
@@ -67,13 +72,19 @@ class GeoMediaApi:
         self.store = store
 
     def handle(self, method: str, target: str, body: bytes | None = None) -> tuple[int, object]:
-        """Dispatch one request; returns (HTTP status, JSON payload or None)."""
+        """Dispatch one request; returns (HTTP status, JSON payload or None).
+        A request of any method but GET holds the store lock to its commit."""
         parts = urlsplit(target)
         path = parts.path
         try:
             params = _decode_params(parts.query)
             segments = [unquote(s) for s in path.split("/") if s]
-            return self._route(method, segments, params, body, path)
+            if method == "GET":
+                return self._route(method, segments, params, body, path)
+            with self.store.lock:
+                reply = self._route(method, segments, params, body, path)
+                self.store.commit()
+            return reply
         except GeoMediaError as exc:
             if exc.code == "Internal":
                 LOGGER.error("store failure for %s %s: %s", method, target, exc)
@@ -107,21 +118,24 @@ class GeoMediaApi:
     # -- collections ---------------------------------------------------------
 
     def _collection_obj(self, cid: str) -> dict:
-        meta = self.store.get_collection(cid)
-        bbox = self.store.collection_bbox(cid)
-        extent = self.store.collection_extent(cid)
-        return {
-            "id": meta.id,
-            "title": meta.title,
-            "mediaType": meta.media_type,
-            "created": meta.created,
-            "featureCount": self.store.feature_count(cid),
-            "bbox": list(bbox) if bbox else None,
-            "extent": interval_str(extent) if extent else None,
-        }
+        with self.store.lock:  # every field from one state of the store
+            meta = self.store.get_collection(cid)
+            bbox = self.store.collection_bbox(cid)
+            extent = self.store.collection_extent(cid)
+            return {
+                "id": meta.id,
+                "title": meta.title,
+                "mediaType": meta.media_type,
+                "created": meta.created,
+                "featureCount": self.store.feature_count(cid),
+                "bbox": list(bbox) if bbox else None,
+                "extent": interval_str(extent) if extent else None,
+            }
 
     def _list_collections(self, params, body):
-        return 200, {"collections": [self._collection_obj(c.id) for c in self.store.list_collections()]}
+        with self.store.lock:  # so no listed collection is deleted before it is read
+            return 200, {"collections": [self._collection_obj(c.id)
+                                         for c in self.store.list_collections()]}
 
     def _post_collection(self, params, body):
         obj = _decode_body(body)
@@ -136,8 +150,7 @@ class GeoMediaApi:
         if media_type is None:
             raise ParseError(f"'mediaType' must be one of {list(media.KINDS)}", "/mediaType")
         try:
-            with self._mutation():
-                self.store.create_collection(cid, title, media_type)
+            self.store.create_collection(cid, title, media_type)
         except ValueError as exc:
             raise ParseError(str(exc), "/id") from None
         return 201, self._collection_obj(cid)
@@ -146,8 +159,7 @@ class GeoMediaApi:
         return 200, self._collection_obj(cid)
 
     def _delete_collection(self, params, body, cid):
-        with self._mutation():
-            self.store.delete_collection(cid)
+        self.store.delete_collection(cid)
         return 204, None
 
     # -- items ------------------------------------------------------------------
@@ -170,14 +182,12 @@ class GeoMediaApi:
 
     def _put_item(self, params, body, cid, fid):
         doc = parse_document(_required(body))
-        with self._mutation():  # so that of two PUTs of a new fid only one sees it new
-            existed = self.store.has_feature(cid, fid)
-            record = self.store.put_feature(cid, fid, doc)
+        existed = self.store.has_feature(cid, fid)
+        record = self.store.put_feature(cid, fid, doc)
         return (200 if existed else 201), document_to_obj(record.doc, "epoch")
 
     def _delete_item(self, params, body, cid, fid):
-        with self._mutation():
-            self.store.delete_feature(cid, fid)
+        self.store.delete_feature(cid, fid)
         return 204, None
 
     def _position(self, params, body, cid, fid):
@@ -200,35 +210,21 @@ class GeoMediaApi:
 
     def _post_annotation(self, params, body, cid, fid):
         obj = _decode_body(body)
-        with self._mutation():  # so that two POSTs without an aid never pick the same one
-            existing = {a.aid for a in self.store.list_annotations(cid, fid)}
-            if obj.get("aid") is None:
-                n = len(existing) + 1
-                while f"a{n}" in existing:
-                    n += 1
-                obj["aid"] = f"a{n}"
-            ann = self.store.put_annotation(cid, fid, annotation_from_obj(obj, "iso"))
+        existing = {a.aid for a in self.store.list_annotations(cid, fid)}
+        if obj.get("aid") is None:
+            n = len(existing) + 1
+            while f"a{n}" in existing:
+                n += 1
+            obj["aid"] = f"a{n}"
+        ann = self.store.put_annotation(cid, fid, annotation_from_obj(obj, "iso"))
         return (200 if ann.aid in existing else 201), annotation_to_obj(ann, "iso")
 
     def _get_annotation(self, params, body, cid, fid, aid):
         return 200, annotation_to_obj(self.store.get_annotation(cid, fid, aid), "iso")
 
     def _delete_annotation(self, params, body, cid, fid, aid):
-        with self._mutation():
-            self.store.delete_annotation(cid, fid, aid)
+        self.store.delete_annotation(cid, fid, aid)
         return 204, None
-
-    @contextlib.contextmanager
-    def _mutation(self):
-        """Hold the store lock across a mutation and its commit.
-
-        A failed commit reloads the store, which drops every queued op, so
-        no other request's mutation may be queued beside this one's.
-        """
-        with self.store.lock:
-            yield
-            if self.store.directory is not None:
-                self.store.commit()
 
 
 _NONE = frozenset()

@@ -12,9 +12,9 @@ it was created by the first spatial search (until then a put computes no
 bbox); after that every put and delete goes to the tree's write delta,
 which it packs again now and then on its own (see rtree.py).
 Next to the tree a collection keeps its view reach, an upper bound on how
-far any of its cameras sees (view_reach()), and caches its time extent
-(collection_extent()): a fresh put widens it, a replacement or delete drops
-it, and the next read works it out again.
+far any of its cameras sees (the radius of st_query's visible_from box), and
+caches its time extent (collection_extent()): a fresh put widens it, a
+replacement or delete drops it, and the next read works it out again.
 
 A store is a directory holding a snapshot and a write log. The snapshot is
 manifest.json (plain JSON) with collection metadata and content checksums,
@@ -54,10 +54,10 @@ whole one after it is CorruptStoreError. A commit that fails reopens the
 store from its directory, so memory holds no mutation that a restart would
 not find.
 
-Concurrency: one writer at a time, readers any time; every public method
-takes the store lock, so no partially applied mutation is ever observable.
-A caller that makes one step of several calls holds the (re-entrant) lock
-across them.
+Concurrency: every public method takes the store's re-entrant lock, so no
+partially applied mutation is observable; a step of several calls holds it
+across them. GeoMediaApi.handle() is where a mutation and its commit form
+one step: it holds the lock across each non-GET request and its commit.
 """
 
 from __future__ import annotations
@@ -93,6 +93,7 @@ from .errors import (
     StoreIoError,
     WrongKindError,
 )
+from .geo import GeoPoint, disk_bbox
 from .media import Bbox, GeoMediaDocument
 from .rtree import RTree
 from .temporal import TimeInterval
@@ -303,10 +304,6 @@ class MediaStore:
             self._pending.append({"op": op, **args})
 
     @property
-    def directory(self) -> Path | None:
-        return self._dir
-
-    @property
     def lock(self) -> threading.RLock:
         """The store lock, for a caller that makes one step of several calls."""
         return self._lock
@@ -430,13 +427,19 @@ class MediaStore:
         cid: str,
         bbox: Bbox | list[Bbox] | None = None,
         interval: TimeInterval | tuple[int, int] | None = None,
+        visible_from: GeoPoint | None = None,
     ) -> list[FeatureRecord]:
         """Features intersecting bbox (one box, or a list of boxes that a
         feature must each meet) and overlapping interval, ordered by fid.
 
-        The index holds each feature's exact bbox and tests every box under
-        the same inclusive test, so its hits need no re-check; the interval
-        is checked per hit. The result equals a linear scan.
+        visible_from adds the box around that point out to the collection's
+        view reach: each camera position lies inside its feature's bbox and
+        no camera sees farther, so a feature that sees the point meets it.
+
+        The index holds each feature's exact bbox and tests every box,
+        smallest first, under the same inclusive test, so its hits need no
+        re-check; the interval is checked per hit. The result equals a
+        linear scan.
         """
         if isinstance(bbox, list) and all(isinstance(b, (list, tuple)) for b in bbox):
             boxes = [_check_bbox(b) for b in bbox]
@@ -446,6 +449,10 @@ class MediaStore:
         with self._lock:
             state = self._state(cid)
             features = state.features
+            if visible_from is not None:
+                state.spatial_index()  # works the reach out
+                boxes.append(disk_bbox(visible_from, state.reach))
+            boxes.sort(key=lambda b: (b[2] - b[0]) * (b[3] - b[1]))
             fids = state.spatial_index().search(*boxes) if boxes else features
             if interval is not None:
                 # time_bounds, not time_extent: an interval object per candidate
@@ -453,17 +460,6 @@ class MediaStore:
                 fids = [fid for fid in fids
                         if _meets(features[fid].payload.time_bounds(), interval)]
             return [FeatureRecord(fid, features[fid]) for fid in sorted(fids)]
-
-    def view_reach(self, cid: str) -> float:
-        """At least how far, in meters, any camera in the collection sees.
-
-        Each camera position lies inside its feature's bbox, so a feature
-        that sees a point p has a bbox within this distance of p.
-        """
-        with self._lock:
-            state = self._state(cid)
-            state.spatial_index()
-            return state.reach
 
     def collection_bbox(self, cid: str) -> Bbox | None:
         """Bounds of every feature's bbox: the index root's rectangle."""
@@ -526,7 +522,8 @@ class MediaStore:
     # -- durability ---------------------------------------------------------------
 
     def commit(self) -> None:
-        """Make every queued mutation durable before returning.
+        """Make every queued mutation durable before returning; with none
+        queued (always so for a store without a directory) it does nothing.
 
         Appends one checksummed record per queued op to the log and fsyncs
         it, and the directory too when the log is new. A store with no
@@ -541,18 +538,17 @@ class MediaStore:
             try:
                 self._commit_locked()
             except StoreIoError:
-                if self._dir is not None:
-                    with contextlib.suppress(GeoMediaError):  # unreadable too: keep memory
-                        fresh = MediaStore.open(self._dir)
-                        fresh._lock = self._lock  # a caller may hold it across this commit
-                        vars(self).update(vars(fresh))
+                with contextlib.suppress(GeoMediaError):  # unreadable too: keep memory
+                    fresh = MediaStore.open(self._dir)
+                    fresh._lock = self._lock  # a caller may hold it across this commit
+                    vars(self).update(vars(fresh))
                 raise
 
     def _commit_locked(self) -> None:
+        if not self._pending:
+            return
         if self._snapshot is None:
             self.flush()
-            return
-        if not self._pending:
             return
         header = b"" if self._log_bytes else _log_line({"snapshot": self._snapshot})
         data = header + b"".join(_log_line(_op_obj(op)) for op in self._pending)
@@ -688,7 +684,10 @@ class MediaStore:
                 f"reads version {_FORMAT_VERSION} (gzip-compressed <cid>.ndjson.gz files) only")
         store = cls(target)
         size = len(manifest_bytes)
-        for entry in manifest.get("collections", []):
+        entries = manifest.get("collections", [])
+        if not isinstance(entries, list):
+            raise CorruptStoreError(f"bad manifest: 'collections' must be a list, got {entries!r}")
+        for entry in entries:
             size += store._open_collection(entry)
         store._snapshot = hashlib.sha256(manifest_bytes).hexdigest()
         store._snapshot_bytes = size

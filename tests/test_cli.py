@@ -174,6 +174,13 @@ class TestQuery:
         assert code == 0
         assert capsys.readouterr().out.strip() == ""
 
+    def test_manifest_without_a_collection_list_exits_one(self, store_dir, capsys):
+        manifest = json.loads((store_dir / "manifest.json").read_text())
+        manifest["collections"] = None
+        (store_dir / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["query", "--store", str(store_dir), "--collection", "taxi"]) == 1
+        assert "bad manifest" in capsys.readouterr().err
+
     def test_inverted_bbox_exits_two(self, store_dir, tmp_path):
         ingest_reference_track(store_dir, tmp_path)
         assert main(["query", "--store", str(store_dir), "--collection", "taxi",

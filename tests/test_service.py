@@ -186,6 +186,29 @@ class TestCollections:
         status, _ = api.handle("GET", "/collections/x")
         assert status == 404
 
+    def test_concurrent_delete_leaves_the_listing_whole(self, api, monkeypatch):
+        for cid in ("a", "b"):
+            api.handle("POST", "/collections",
+                       json.dumps({"id": cid, "mediaType": "MovingPoint"}).encode())
+        list_collections = MediaStore.list_collections
+        replies = []
+        deleter = threading.Thread(
+            target=lambda: replies.append(api.handle("DELETE", "/collections/b")))
+
+        def slow_list(store):
+            metas = list_collections(store)
+            deleter.start()
+            time.sleep(0.2)  # the DELETE runs meanwhile, unless the listing holds the lock
+            return metas
+
+        monkeypatch.setattr(MediaStore, "list_collections", slow_list)
+        status, body = api.handle("GET", "/collections")
+        deleter.join(5)
+        assert not deleter.is_alive()
+        assert status == 200
+        assert [c["id"] for c in body["collections"]] == ["a", "b"]
+        assert replies == [(204, None)]
+
 
 class TestItems:
     def test_put_get_round_trip(self, api):
@@ -284,6 +307,14 @@ class TestItems:
         second.join(5)
         assert not first.is_alive() and not second.is_alive()
         assert sorted(statuses) == [200, 201]
+
+    def test_fid_with_a_slash_refused(self, api):
+        put_reference_track(api)
+        status, body = api.handle("PUT", "/collections/taxi/items/a%2Fb",
+                                  fixture_bytes("moving_point.json"))
+        assert (status, body["code"]) == (400, "BadQuery")
+        assert "'/'" in body["message"]
+        assert api.handle("GET", "/collections/taxi")[1]["featureCount"] == 1
 
     def test_delete_feature(self, api):
         put_reference_track(api)

@@ -346,6 +346,18 @@ class TestStQuery:
                 want.append(fid)
             assert got == want
 
+    def test_photo_that_sees_a_quarter_of_the_earth_meets_every_box(self, store):
+        """A view distance of a quarter of the earth or more gives the
+        whole-globe bbox, so a box on the far side of the earth finds it."""
+        store.create_collection("pics", "p", "stphoto")
+        far = FieldOfView(direction2d=0, view_distance=10_100_000)  # > pi/2 * 6371008.8 m
+        near = FieldOfView(direction2d=0, view_distance=100)
+        store.put_feature("pics", "far", document_of(STPhoto("u:f", GeoPoint(10, 45), 0, far)))
+        store.put_feature("pics", "near", document_of(STPhoto("u:n", GeoPoint(10, 45), 0, near)))
+        assert store.get_feature("pics", "far").bbox == (-180.0, -90.0, 180.0, 90.0)
+        assert [r.fid for r in store.st_query("pics", bbox=(-170, -46, -169, -45))] == ["far"]
+
+
 def _photo(rng):
     fov = FieldOfView(h_angle=rng.choice((30.0, 90.0, 360.0)), direction2d=rng.uniform(0, 359),
                       view_distance=rng.uniform(10, 5000))
@@ -694,6 +706,27 @@ class TestDurability:
         (target / "manifest.json").write_text("{not json")
         with pytest.raises(CorruptStoreError):
             MediaStore.load(target)
+
+    @pytest.mark.parametrize("collections", [None, 5, "ab", [None]])
+    def test_manifest_collections_not_a_list_of_entries_detected(self, tmp_path, collections):
+        target = tmp_path / "s"
+        MediaStore(target).flush()
+        manifest = json.loads((target / "manifest.json").read_text())
+        manifest["collections"] = collections
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptStoreError, match="bad manifest"):
+            MediaStore.open(target)
+
+    def test_manifest_entry_without_sha256_detected(self, tmp_path):
+        target = tmp_path / "s"
+        store = MediaStore(target)
+        self._populate(store)
+        store.flush()
+        manifest = json.loads((target / "manifest.json").read_text())
+        del manifest["collections"][0]["sha256"]
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptStoreError, match="bad manifest entry"):
+            MediaStore.open(target)
 
     def test_interrupted_flush_never_loads_silently(self, tmp_path, monkeypatch):
         """Cut the flush off after each possible number of renames; every

@@ -172,6 +172,29 @@ def test_damaged_middle_record_is_corrupt(tmp_path):
         MediaStore.load(target)
 
 
+def replace_log_line(target, n, line):
+    log = target / "wal.log"
+    lines = log.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 4  # the snapshot record and three puts
+    lines[n] = line
+    log.write_bytes(b"".join(lines))
+
+
+def test_last_line_that_is_not_json_is_a_torn_tail(tmp_path):
+    target = tmp_path / "s"
+    committed_store(target)
+    replace_log_line(target, 3, b"not json\n")
+    assert [r.fid for r in MediaStore.load(target).list_features("tracks")] == ["t0", "t1"]
+
+
+def test_line_that_is_not_json_before_a_whole_record_is_corrupt(tmp_path):
+    target = tmp_path / "s"
+    committed_store(target)
+    replace_log_line(target, 1, b"not json\n")
+    with pytest.raises(CorruptStoreError, match="record 2 is damaged but record 3 is whole"):
+        MediaStore.load(target)
+
+
 def test_log_must_start_with_its_snapshot_record(tmp_path):
     target = tmp_path / "s"
     committed_store(target)
