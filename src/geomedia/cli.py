@@ -1,8 +1,10 @@
 """Command-line front door for geomedia stores.
 
-Exit codes: 0 success, 1 operational error (missing store/collection, parse
-failures), 2 usage errors and bad queries. The store directory defaults to
-the GEOCMS_STORE environment variable, the serve address to GEOCMS_ADDR.
+Exit codes: 0 success; 2 usage errors and errors whose code (the one the
+HTTP service maps to a status) is BadQuery or KindMismatch, such as a time
+outside a track's extent; 1 any other error (missing store/collection, parse
+failures). The store directory defaults to the GEOCMS_STORE environment
+variable, the serve address to GEOCMS_ADDR.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .codec import (
+    CANONICAL_KINDS,
     geojson_feature,
     geojson_feature_collection,
     parse_document,
@@ -41,6 +44,7 @@ from .store import MediaStore
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
+_USAGE_CODES = frozenset({"BadQuery", "KindMismatch"})  # GeoMediaError codes that exit 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -48,12 +52,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BadQueryError, WrongKindError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (GeoMediaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        usage = isinstance(exc, GeoMediaError) and exc.code in _USAGE_CODES
+        return EXIT_USAGE if usage else EXIT_ERROR
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _store_flag(p)
     p.add_argument("--collection", required=True, metavar="CID")
     p.add_argument("--create", action="store_true", help="create the collection first")
-    p.add_argument("--media-type", choices=KINDS, help="kind for --create")
+    p.add_argument("--media-type", type=_media_type, choices=KINDS, help="kind for --create")
     p.add_argument("files", nargs="+", metavar="[FID=]FILE",
                    help="documents to ingest; fid defaults to the file stem")
     p.set_defaults(func=_cmd_ingest)
@@ -128,6 +130,11 @@ def _selector_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--collection", metavar="CID")
     p.add_argument("--fid", metavar="FID")
     p.add_argument("--file", metavar="FILE", help="operate on a document file instead")
+
+
+def _media_type(value: str) -> str:
+    """The kind value names in any letter case, as HTTP's mediaType takes it."""
+    return CANONICAL_KINDS.get(value.lower(), value)
 
 
 def _require_store(args) -> str:

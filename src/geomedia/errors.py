@@ -9,40 +9,6 @@ class GeoMediaError(Exception):
     code = "Internal"
 
 
-# -- time-varying values ------------------------------------------------------
-
-class OutOfRangeError(GeoMediaError):
-    """Timestamp lies outside the temporal extent of a moving value."""
-
-    code = "BadQuery"
-
-
-class NotASampleError(GeoMediaError):
-    """Discrete-mode lookup at a time that is not a sample time."""
-
-    code = "BadQuery"
-
-
-class DegenerateTrackError(GeoMediaError):
-    """Heading requested on a track with no spatial motion."""
-
-    code = "BadQuery"
-
-
-# -- geometry ------------------------------------------------------------------
-
-class CoincidentPointsError(GeoMediaError):
-    """Bearing between two identical positions is undefined."""
-
-    code = "BadQuery"
-
-
-class MissingHeadingError(GeoMediaError):
-    """Mount-relative FoV direction cannot be resolved without a heading."""
-
-    code = "BadQuery"
-
-
 # -- codec ----------------------------------------------------------------------
 
 class ParseError(GeoMediaError):
@@ -90,9 +56,17 @@ class CorruptStoreError(GeoMediaError):
 # -- queries ----------------------------------------------------------------------
 
 class BadQueryError(GeoMediaError):
-    """Query parameters are malformed (inverted bbox/interval, bad limit)."""
+    """A query that cannot be answered as asked: malformed parameters
+    (inverted bbox or interval, bad limit, bad feature id), or a question
+    the data it names has no answer to (a time outside a moving value's
+    extent, a heading of a track that never moves, the bearing between
+    coincident points, a mount-relative FoV direction without a heading)."""
 
     code = "BadQuery"
+
+
+class NotASampleError(BadQueryError):
+    """Discrete-mode lookup at a time that is not a sample time."""
 
 
 class WrongKindError(GeoMediaError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import MissingHeadingError
+from .errors import BadQueryError
 from .geo import (
     GeoPoint,
     angle_between,
@@ -82,7 +82,7 @@ def resolve_direction(fov: FieldOfView, heading: float | None = None) -> float:
     if fov.direction2d >= 0.0:
         return fov.direction2d % 360.0
     if heading is None:
-        raise MissingHeadingError(
+        raise BadQueryError(
             f"relative direction {fov.direction2d} needs the carrier heading"
         )
     offset = (-fov.direction2d) % 360.0

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CoincidentPointsError
+from .errors import BadQueryError
 
 EARTH_RADIUS_M = 6371008.8
 
@@ -73,7 +73,7 @@ def disk_bbox(p: GeoPoint, r: float) -> tuple[float, float, float, float]:
 def bearing(p: GeoPoint, q: GeoPoint) -> float:
     """Initial great-circle bearing from p to q, degrees clockwise from north in [0, 360)."""
     if p.same_position(q):
-        raise CoincidentPointsError("bearing undefined for coincident points")
+        raise BadQueryError("bearing undefined for coincident points")
     phi1 = math.radians(p.lat)
     phi2 = math.radians(q.lat)
     dlam = math.radians(q.lon - p.lon)

@@ -17,7 +17,9 @@ Every route but a GET changes the store, and no GET does (RFC 9110's safe
 methods). So handle() runs any other request and its commit as one step
 under the store lock: of two PUTs of a new fid only one sees it new, two
 POSTs without an aid never pick the same one, and a failed commit, which
-reopens the store, drops no other request's op. A GET takes no lock there.
+reopens the store, drops no other request's op. A GET takes no lock there,
+and neither does a HEAD, which handle() answers as the GET of its target
+(RFC 9110 §9.3.2; the HTTP adapter then sends the headers only).
 """
 
 from __future__ import annotations
@@ -73,14 +75,15 @@ class GeoMediaApi:
 
     def handle(self, method: str, target: str, body: bytes | None = None) -> tuple[int, object]:
         """Dispatch one request; returns (HTTP status, JSON payload or None).
-        A request of any method but GET holds the store lock to its commit."""
+        HEAD is answered as GET; a request of any other method but GET holds
+        the store lock to its commit."""
         parts = urlsplit(target)
         path = parts.path
         try:
             params = _decode_params(parts.query)
             segments = [unquote(s) for s in path.split("/") if s]
-            if method == "GET":
-                return self._route(method, segments, params, body, path)
+            if method in ("GET", "HEAD"):
+                return self._route("GET", segments, params, body, path)
             with self.store.lock:
                 reply = self._route(method, segments, params, body, path)
                 self.store.commit()

@@ -356,15 +356,10 @@ class MediaStore:
         bulk-loads one. Replacing a feature keeps its annotations, minus any
         whose time range no longer fits the new temporal extent.
         """
-        if not fid or "/" in fid:
-            raise BadQueryError(f"feature id {fid!r} must be non-empty without '/'")
+        _check_fid(fid)
         with self._lock:
             state = self._state(cid)
-            if doc.kind != state.meta.media_type:
-                raise WrongKindError(
-                    f"document kind {doc.kind} does not match collection "
-                    f"media type {state.meta.media_type}"
-                )
+            _check_kind(doc, state.meta)
             if state.index is not None:
                 old = state.features.get(fid)
                 if old is not None:
@@ -751,7 +746,8 @@ class MediaStore:
         return size
 
     def _parse_collection(self, state: _CollectionState) -> None:
-        """Parse the snapshot files open() checked into state and index it."""
+        """Parse the snapshot files open() checked into state and index it.
+        A feature line meets put_feature's rule on its fid and document kind."""
         cid, unparsed = state.meta.id, state.unparsed
         features_name, anns_name = _snapshot_names(cid)
         features: dict[str, GeoMediaDocument] = {}
@@ -764,8 +760,11 @@ class MediaStore:
                 try:
                     wrapper = decode_json(line)
                     fid = wrapper["fid"]
-                    features[fid] = parse_obj(wrapper["document"])
-                except (ValueError, KeyError, TypeError, ParseError) as exc:
+                    _check_fid(fid)
+                    doc = parse_obj(wrapper["document"])
+                    _check_kind(doc, state.meta)
+                    features[fid] = doc
+                except (ValueError, KeyError, TypeError, GeoMediaError) as exc:
                     raise CorruptStoreError(f"{features_name} line {line_no}: {exc}") from None
             if len(features) != unparsed["features"]:
                 raise CorruptStoreError(
@@ -947,6 +946,19 @@ def _checked_lines(path: Path, sha: str):
         raise CorruptStoreError(f"{path.name}: gzip stream cut off before its end")
     if partial:
         yield n + 1, bytes(partial)
+
+
+def _check_fid(fid: str) -> None:
+    """A feature id, from a put or a snapshot line, is a non-empty str without '/'."""
+    if not isinstance(fid, str) or not fid or "/" in fid:
+        raise BadQueryError(f"feature id {fid!r} must be non-empty without '/'")
+
+
+def _check_kind(doc: GeoMediaDocument, meta: Collection) -> None:
+    """A document, put or read from a snapshot line, is of its collection's kind."""
+    if doc.kind != meta.media_type:
+        raise WrongKindError(
+            f"document kind {doc.kind} does not match collection media type {meta.media_type}")
 
 
 def _check_bbox(bbox) -> Bbox | None:

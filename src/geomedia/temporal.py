@@ -18,11 +18,7 @@ from enum import Enum
 from itertools import chain, islice
 from operator import lt
 
-from .errors import (
-    DegenerateTrackError,
-    NotASampleError,
-    OutOfRangeError,
-)
+from .errors import BadQueryError, NotASampleError
 from .geo import GeoPoint, bearing
 
 TimeStamp = int
@@ -88,7 +84,7 @@ def _locate(times: array, t: TimeStamp, mode: InterpolationMode) -> tuple[int, f
     """The sample i at or before t, and how far t is from it towards sample
     i + 1 (0.0 at a sample, and whenever the mode is stepwise)."""
     if t < times[0] or t > times[-1]:
-        raise OutOfRangeError(f"time {t} outside extent [{times[0]}, {times[-1]}]")
+        raise BadQueryError(f"time {t} outside extent [{times[0]}, {times[-1]}]")
     i = bisect_right(times, t) - 1
     if times[i] == t or mode is InterpolationMode.STEPWISE:
         return i, 0.0
@@ -241,14 +237,14 @@ class MovingPoint(_Series):
         """
         times = self.time_column
         if len(times) < 2:
-            raise DegenerateTrackError("heading undefined for a single-sample track")
+            raise BadQueryError("heading undefined for a single-sample track")
         last_seg = len(times) - 2
         i = min(_locate(times, t, InterpolationMode.LINEAR)[0], last_seg)
         lons, lats = self.lons, self.lats
         for j in chain(range(i, -1, -1), range(i + 1, last_seg + 1)):
             if lons[j] != lons[j + 1] or lats[j] != lats[j + 1]:
                 return bearing(_point(lons, lats, None, j), _point(lons, lats, None, j + 1))
-        raise DegenerateTrackError("all track points are identical")
+        raise BadQueryError("all track points are identical")
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from geomedia import MediaStore, parse_document
+from geomedia.errors import GeoMediaError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -22,6 +23,16 @@ T2 = 1533128463000
 
 def fixture_bytes(name: str) -> bytes:
     return (FIXTURES / name).read_bytes()
+
+
+def error_classes() -> list[type[GeoMediaError]]:
+    """GeoMediaError and every class below it."""
+    classes, todo = [], [GeoMediaError]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    return classes
 
 
 def snapshot_text(path: Path) -> bytes:

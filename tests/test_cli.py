@@ -9,12 +9,13 @@ import urllib.request
 
 import pytest
 
-from geomedia import MediaStore, QuerySpec, codec, evaluate, parse_document
+from geomedia import GeoMediaApi, MediaStore, QuerySpec, codec, evaluate, parse_document
+from geomedia import cli
 from geomedia import store as store_module
 from geomedia.cli import main
 from geomedia.errors import CorruptStoreError
 
-from conftest import FIXTURES, T0, edit_snapshot
+from conftest import FIXTURES, T0, edit_snapshot, error_classes
 
 
 @pytest.fixture
@@ -158,6 +159,16 @@ class TestIngest:
             "ingest", "--store", str(store_dir), "--collection", "c", "--create", str(src),
         ]) == 2
 
+    @pytest.mark.parametrize("spelling", ["MovingPoint", "movingpoint", "MOVINGPOINT"])
+    def test_media_type_spellings_are_those_of_http(self, store_dir, spelling):
+        assert main(["ingest", "--store", str(store_dir), "--collection", "c", "--create",
+                     "--media-type", spelling, f"t1={FIXTURES / 'moving_point.json'}"]) == 0
+        status, created = GeoMediaApi(MediaStore()).handle(
+            "POST", "/collections", json.dumps({"id": "c", "mediaType": spelling}).encode())
+        assert status == 201
+        kind = MediaStore.load(store_dir).get_collection("c").media_type
+        assert kind == created["mediaType"] == "MovingPoint"
+
 
 class TestQuery:
     def test_bbox_hit_prints_fid(self, store_dir, tmp_path, capsys):
@@ -255,10 +266,12 @@ class TestAtFovVisible:
         point = json.loads(capsys.readouterr().out)
         assert point["coordinates"] == [155.0, 55.0, 11.0]
 
-    def test_at_outside_extent_exits_one(self, capsys):
+    def test_at_outside_extent_exits_two(self, capsys):
         code = main(["at", "--file", str(FIXTURES / "moving_point.json"),
                      "--at", "2018-08-01T14:00:00Z"])
-        assert code == 1
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: time 1533132000000 outside extent [1533128461000, 1533128463000]\n")
 
     def test_fov_photo(self, capsys):
         code = main(["fov", "--file", str(FIXTURES / "stphoto.json")])
@@ -440,6 +453,19 @@ class TestServe:
 def test_non_finite_query_values_exit_two(store_dir, tmp_path, flag, value):
     ingest_reference_track(store_dir, tmp_path)
     assert main(["query", "--store", str(store_dir), "--collection", "taxi", f"{flag}={value}"]) == 2
+
+
+@pytest.mark.parametrize("error", error_classes(), ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_code(monkeypatch, capsys, error):
+    """As the HTTP service answers an error by its code, so does the exit code:
+    2 for a question asked wrongly (BadQuery, KindMismatch), 1 for the rest."""
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_convert", fail)
+    assert main(["convert", "--to", "iso", "doc.json"]) == (
+        2 if error.code in ("BadQuery", "KindMismatch") else 1)
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_init_ingest_and_query_load_no_http_stack(tmp_path):

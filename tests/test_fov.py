@@ -17,7 +17,7 @@ from geomedia import (
     geo_distance,
     resolve_direction,
 )
-from geomedia.errors import CoincidentPointsError, MissingHeadingError
+from geomedia.errors import BadQueryError
 from geomedia.geo import angle_between
 
 RADIUS = 6371008.8
@@ -89,7 +89,7 @@ class TestBearing:
         )
 
     def test_coincident_points(self):
-        with pytest.raises(CoincidentPointsError):
+        with pytest.raises(BadQueryError, match="bearing undefined for coincident points"):
             bearing(GeoPoint(5, 5), GeoPoint(5, 5))
 
     def test_range_and_oracle(self):
@@ -197,7 +197,7 @@ class TestResolveDirection:
         assert resolve_direction(FieldOfView(direction2d=-360), heading=37) == 37
 
     def test_missing_heading(self):
-        with pytest.raises(MissingHeadingError):
+        with pytest.raises(BadQueryError, match="relative direction -90 needs the carrier heading"):
             resolve_direction(FieldOfView(direction2d=-90))
 
     def test_output_range(self):

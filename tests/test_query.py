@@ -33,11 +33,7 @@ from geomedia import (
 )
 from geomedia import rtree
 from geomedia.cli import main
-from geomedia.errors import (
-    BadQueryError,
-    OutOfRangeError,
-    WrongKindError,
-)
+from geomedia.errors import BadQueryError, WrongKindError
 from geomedia.media import view_reach
 from geomedia.query import decode_query_spec
 
@@ -91,7 +87,7 @@ class TestPositionAt:
             position_at(stphoto_doc, T0)
 
     def test_out_of_range(self, moving_video_doc):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(BadQueryError, match="outside extent"):
             position_at(moving_video_doc, T0 - 1)
 
 

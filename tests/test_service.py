@@ -16,10 +16,9 @@ import pytest
 
 from geomedia import GeoMediaApi, GeoMediaServer, MediaStore, evaluate
 from geomedia import service
-from geomedia.errors import GeoMediaError
 from geomedia.service import decode_query_spec
 
-from conftest import T0, T1, fixture_bytes
+from conftest import T0, T1, error_classes, fixture_bytes
 
 
 @pytest.fixture
@@ -124,6 +123,39 @@ class TestRouteMatrix:
         assert "bogus" in payload["message"]
 
 
+class TestHead:
+    """HEAD is answered as GET (RFC 9110 §9.3.2); the socket sends its headers only."""
+
+    @pytest.mark.parametrize("target", [
+        "/", "/collections", "/collections/vids/items/v1",
+        "/collections/vids/items?bbox=140,40,180,70",
+    ])
+    def test_same_answer_as_get(self, seeded_api, target):
+        assert seeded_api.handle("HEAD", target) == seeded_api.handle("GET", target)
+
+    def test_answered_while_another_thread_holds_the_store_lock(self, api):
+        held, release, answers = threading.Event(), threading.Event(), []
+
+        def hold():
+            with api.store.lock:
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        asker = threading.Thread(target=lambda: answers.append(api.handle("HEAD", "/")),
+                                 daemon=True)
+        holder.start()
+        try:
+            assert held.wait(10)
+            asker.start()
+            asker.join(5)
+            assert answers == [api.handle("GET", "/")]
+        finally:
+            release.set()
+            holder.join(10)
+        assert not holder.is_alive()
+
+
 def test_readme_lists_the_route_table():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## HTTP service", 1)[1].split("```", 2)[1]
@@ -138,12 +170,8 @@ def test_readme_lists_the_route_table():
 def test_every_error_code_has_an_http_status():
     # handle() answers a GeoMediaError by its code; a code without a status
     # would raise KeyError there and drop the connection unanswered.
-    classes, todo = [], [GeoMediaError]
-    while todo:
-        cls = todo.pop()
-        classes.append(cls)
-        todo.extend(cls.__subclasses__())
-    assert {c.__name__: c.code for c in classes if c.code not in service._STATUS_BY_CODE} == {}
+    assert {c.__name__: c.code for c in error_classes()
+            if c.code not in service._STATUS_BY_CODE} == {}
 
 
 class TestCollections:

@@ -1060,6 +1060,22 @@ class TestParseChecks:
         with pytest.raises(CorruptStoreError, match=message):
             MediaStore.load(target)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data, photo: (photo.replace(b'"fid": "p1"', b'"fid": "f00"')
+                              + data.split(b"\n", 1)[1]),
+         "document kind stphoto does not match collection media type MovingPoint"),
+        (lambda data, photo: data.replace(b'"fid": "f00"', b'"fid": "f/00"', 1),
+         "feature id 'f/00' must be non-empty without '/'"),
+        (lambda data, photo: data.replace(b'"fid": "f00"', b'"fid": 5', 1),
+         "feature id 5 must be non-empty without '/'"),
+    ], ids=["kind", "fid", "fid-not-a-string"])
+    def test_feature_line_is_held_to_the_rule_of_a_put(self, tmp_path, edit, message):
+        _, target = self._flushed(tmp_path)
+        photo = snapshot_text(target / "pics.ndjson.gz")
+        edit_snapshot(target / "tracks.ndjson.gz", lambda data: edit(data, photo), reseal=True)
+        with pytest.raises(CorruptStoreError, match=f"^tracks.ndjson.gz line 1: {message}$"):
+            MediaStore.load(target)
+
     def test_annotation_of_an_unknown_feature_is_corrupt(self, tmp_path):
         _, target = self._flushed(tmp_path)
         edit_snapshot(target / "pics.ann.ndjson.gz",

@@ -14,11 +14,7 @@ from geomedia import (
     MovingPoint,
     TimeInterval,
 )
-from geomedia.errors import (
-    DegenerateTrackError,
-    NotASampleError,
-    OutOfRangeError,
-)
+from geomedia.errors import BadQueryError, NotASampleError
 from geomedia.temporal import MAX_TIME, MIN_TIME
 
 from conftest import T0, T1, T2
@@ -63,11 +59,11 @@ class TestMovingPointAt:
         assert (p.lon, p.lat, p.alt) == pytest.approx((155.0, 55.0, 11.0), abs=1e-9)
 
     def test_before_extent(self, reference_mp):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(BadQueryError, match="outside extent"):
             reference_mp.at(T0 - 1000)
 
     def test_after_extent(self, reference_mp):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(BadQueryError, match="outside extent"):
             reference_mp.at(T2 + 1)
 
     def test_discrete_rejects_off_sample(self):
@@ -92,7 +88,7 @@ class TestMovingDoubleAt:
         md = moving_double_doc.payload
         assert md.at(T0 + 500) == 5.0
         assert md.at(T1) == 9.0
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(BadQueryError, match="outside extent"):
             md.at(T0 - 1000)
 
     def test_linear(self):
@@ -113,7 +109,7 @@ class TestMovingDoubleAt:
 
     def test_after_extent(self):
         md = MovingDouble((0, 1000), (2.0, 4.0))
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(BadQueryError, match="outside extent"):
             md.at(1001)
 
     def test_vertices_follow_track(self):
@@ -282,14 +278,14 @@ class TestHeading:
         assert mp.heading_at(1500) == pytest.approx(0.0, abs=1e-9)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateTrackError):
+        with pytest.raises(BadQueryError, match="heading undefined for a single-sample track"):
             make_mp([0], [(0, 0)]).heading_at(0)
-        with pytest.raises(DegenerateTrackError):
+        with pytest.raises(BadQueryError, match="all track points are identical"):
             make_mp([0, 1000], [(2, 2), (2, 2)]).heading_at(500)
 
     def test_out_of_range(self):
         mp = make_mp([0, 1000], [(0, 0), (0, 1)])
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(BadQueryError, match="outside extent"):
             mp.heading_at(-1)
 
 
