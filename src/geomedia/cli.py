@@ -16,9 +16,9 @@ import sys
 from pathlib import Path
 
 from .codec import (
-    CANONICAL_KINDS,
     geojson_feature,
     geojson_feature_collection,
+    media_kind,
     parse_document,
     serialize_document,
 )
@@ -133,8 +133,8 @@ def _selector_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _media_type(value: str) -> str:
-    """The kind value names in any letter case, as HTTP's mediaType takes it."""
-    return CANONICAL_KINDS.get(value.lower(), value)
+    """The kind value names, as HTTP's mediaType takes it (see media_kind)."""
+    return media_kind(value) or value
 
 
 def _require_store(args) -> str:
@@ -178,7 +178,10 @@ def _cmd_ingest(args) -> int:
     if args.create:
         if not args.media_type:
             raise BadQueryError("--create requires --media-type")
-        store.create_collection(args.collection, args.collection, args.media_type)
+        try:
+            store.create_collection(args.collection, args.collection, args.media_type)
+        except ValueError as exc:  # a malformed id: --media-type is one of KINDS
+            raise BadQueryError(str(exc)) from None
     failures = 0
     ingested = 0
     for spec in args.files:
@@ -256,7 +259,7 @@ def _cmd_serve(args) -> int:
     host, _, port = args.addr.rpartition(":")
     try:
         server = GeoMediaServer(store, host or "127.0.0.1", int(port))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:  # OverflowError: port out of range
         print(f"error: cannot bind {args.addr}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(f"serving {target} on http://{server.address}", flush=True)

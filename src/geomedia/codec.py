@@ -64,6 +64,13 @@ from .temporal import (
 
 CANONICAL_KINDS = {kind.lower(): kind for kind in KINDS}
 
+
+def media_kind(name) -> str | None:
+    """The kind a document's "type", a collection's "mediaType" or the CLI's
+    --media-type names, in any letter case and with any outer white space."""
+    return CANONICAL_KINDS.get(name.strip().lower()) if isinstance(name, str) else None
+
+
 _DATETIME_RE = re.compile(
     r"^(\d{4})-(\d{1,2})-(\d{1,2})T(\d{2}):(\d{2}):(\d{2})(\.\d{1,3})?Z$"
 )
@@ -443,7 +450,7 @@ def parse_obj(obj) -> GeoMediaDocument:
     tag = obj.get("type")
     if not isinstance(tag, str):
         raise ParseError("missing 'type' member", "/type")
-    kind = CANONICAL_KINDS.get(tag.strip().lower())
+    kind = media_kind(tag)
     if kind is None:
         raise ParseError(f"unknown media type {tag!r}", "/type")
     try:

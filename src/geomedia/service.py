@@ -31,7 +31,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from . import media
-from .codec import CANONICAL_KINDS, decode_json, document_to_obj, interval_str, parse_document
+from .codec import decode_json, document_to_obj, interval_str, media_kind, parse_document
 from .errors import BadQueryError, GeoMediaError, NotFoundError, ParseError
 from .query import (
     decode_query_spec,
@@ -148,8 +148,7 @@ class GeoMediaApi:
         title = obj.get("title", "")
         if not isinstance(title, str):
             raise ParseError("'title' must be a string", "/title")
-        raw_type = obj.get("mediaType")
-        media_type = CANONICAL_KINDS.get(raw_type.lower()) if isinstance(raw_type, str) else None
+        media_type = media_kind(obj.get("mediaType"))
         if media_type is None:
             raise ParseError(f"'mediaType' must be one of {list(media.KINDS)}", "/mediaType")
         try:

@@ -41,6 +41,10 @@ a collection it never parsed where they are, hashing them again and failing
 before any rename unless they still match the manifest. So a malformed line
 in a collection that nothing touched stays as it is, and is reported by the
 first load(), or method, that parses it.
+A collection's contents keep one set of rules (_CollectionState's put, drop
+and annotate), whoever writes them: an API call, a replayed log record or a
+snapshot line. So each snapshot line meets the rule of the put or label that
+wrote it, and manifest ids are unique, as create_collection keeps them.
 Parse, serialise and hash all stream a file a line or a chunk at a time, so
 none holds a whole file in memory.
 
@@ -122,6 +126,8 @@ _GZ_CHUNK = 4 * 1024
 _GZ_LEVEL = 1  # 0.21 of the NDJSON bytes; level 6 gives 0.17 at 3.3x the time
 
 ANNOTATION_KINDS = ("text", "icon", "polygon")
+# What a malformed manifest entry, snapshot line or log record raises here.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError, GeoMediaError)
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,6 +270,72 @@ class _CollectionState:
         if bbox is not None:
             self.index.delete(fid, bbox)
 
+    def feature(self, fid: str) -> GeoMediaDocument:
+        try:
+            return self.features[fid]
+        except KeyError:
+            raise NotFoundError(f"feature {fid!r} not in collection {self.meta.id!r}") from None
+
+    def put(self, fid: str, doc: GeoMediaDocument) -> None:
+        """Insert or replace a feature, and its index entry once there is an
+        index (until then no bbox is computed). A replacement keeps the
+        feature's annotations whose time ranges fit its new extent."""
+        if not isinstance(fid, str) or not fid or "/" in fid:
+            raise BadQueryError(f"feature id {fid!r} must be non-empty without '/'")
+        if doc.kind != self.meta.media_type:
+            raise WrongKindError(f"document kind {doc.kind} does not match "
+                                 f"collection media type {self.meta.media_type}")
+        if self.index is not None:
+            old = self.features.get(fid)
+            if old is not None:
+                self.index_delete(fid, old)
+            bbox = media.spatial_bbox(doc)
+            if bbox is not None:
+                self.index.insert(fid, bbox)
+            self.reach = max(self.reach, media.view_reach(doc))
+        if fid in self.features:
+            self.bounds = None
+        elif self.bounds is not None:
+            (low, high), (start, end) = self.bounds, doc.payload.time_bounds()
+            self.bounds = (min(low, start), max(high, end))
+        self.features[fid] = doc
+        anns = self.annotations.get(fid)
+        if anns:
+            extent = media.time_extent(doc)
+            self.annotations[fid] = {aid: ann for aid, ann in anns.items()
+                                     if _fits(ann, extent)}
+
+    def drop(self, fid: str) -> None:
+        doc = self.feature(fid)
+        if self.index is not None:
+            self.index_delete(fid, doc)
+        del self.features[fid]
+        self.bounds = None
+        self.annotations.pop(fid, None)
+
+    def annotate(self, fid: str, ann: Annotation) -> None:
+        doc = self.feature(fid)
+        if ann.time_range is not None:
+            if doc.kind not in media.TIME_RANGE_KINDS:
+                raise ParseError("time ranges apply to video annotations only")
+            extent = media.time_extent(doc)
+            if not _fits(ann, extent):
+                raise ParseError(
+                    f"time range [{ann.time_range.start}, {ann.time_range.end}] "
+                    f"outside feature extent [{extent.start}, {extent.end}]"
+                )
+        self.annotations.setdefault(fid, {})[ann.aid] = ann
+
+    def annotations_of(self, fid: str) -> dict[str, Annotation]:
+        self.feature(fid)
+        return self.annotations.get(fid, {})
+
+    def annotation(self, fid: str, aid: str) -> Annotation:
+        try:
+            return self.annotations_of(fid)[aid]
+        except KeyError:
+            raise NotFoundError(f"annotation {aid!r} not on feature {fid!r}") from None
+
 
 def _fits(ann: Annotation, extent: TimeInterval) -> bool:
     """Whether an annotation's time range, if it has one, lies within extent."""
@@ -281,10 +353,6 @@ def _boxed(features):
         bbox = media.spatial_bbox(doc)
         if bbox is not None:
             yield fid, bbox
-
-
-def _now_ms() -> int:
-    return int(time.time() * 1000)
 
 
 class MediaStore:
@@ -314,10 +382,9 @@ class MediaStore:
         self, cid: str, title: str, media_type: str, created: int | None = None
     ) -> Collection:
         with self._lock:
-            if cid in self._collections:
-                raise DuplicateIdError(f"collection {cid!r} already exists")
-            meta = Collection(cid, title, media_type, _now_ms() if created is None else created)
-            self._collections[cid] = _CollectionState(meta)
+            created = int(time.time() * 1000) if created is None else created
+            meta = Collection(cid, title, media_type, created)
+            self._add_collection(meta)
             self._queue("create_collection", cid=cid, title=title, media_type=media_type,
                         created=meta.created)
             return meta
@@ -337,68 +404,34 @@ class MediaStore:
         with self._lock:
             return [self._collections[cid].meta for cid in sorted(self._collections)]
 
+    def _add_collection(self, meta: Collection, unparsed: dict | None = None) -> None:
+        if meta.id in self._collections:
+            raise DuplicateIdError(f"collection {meta.id!r} already exists")
+        self._collections[meta.id] = _CollectionState(meta, unparsed)
+
     def _state(self, cid: str) -> _CollectionState:
         """The collection's state, its snapshot files parsed if they were not yet."""
         try:
             state = self._collections[cid]
         except KeyError:
             raise NotFoundError(f"collection {cid!r} does not exist") from None
-        if state.unparsed is not None:
-            self._parse_collection(state)
-        return state
+        return state if state.unparsed is None else self._parse_collection(state)
 
     # -- features ----------------------------------------------------------
 
     def put_feature(self, cid: str, fid: str, doc: GeoMediaDocument) -> FeatureRecord:
-        """Insert or replace a feature, and its index entry once the index exists.
-
-        Without an index no bbox is computed: the first spatial search
-        bulk-loads one. Replacing a feature keeps its annotations, minus any
-        whose time range no longer fits the new temporal extent.
-        """
-        _check_fid(fid)
         with self._lock:
-            state = self._state(cid)
-            _check_kind(doc, state.meta)
-            if state.index is not None:
-                old = state.features.get(fid)
-                if old is not None:
-                    state.index_delete(fid, old)
-                bbox = media.spatial_bbox(doc)
-                if bbox is not None:
-                    state.index.insert(fid, bbox)
-                state.reach = max(state.reach, media.view_reach(doc))
-            if fid in state.features:
-                state.bounds = None
-            elif state.bounds is not None:
-                (low, high), (start, end) = state.bounds, doc.payload.time_bounds()
-                state.bounds = (min(low, start), max(high, end))
-            state.features[fid] = doc
-            anns = state.annotations.get(fid)
-            if anns:
-                extent = media.time_extent(doc)
-                state.annotations[fid] = {aid: ann for aid, ann in anns.items()
-                                          if _fits(ann, extent)}
+            self._state(cid).put(fid, doc)
             self._queue("put_feature", cid=cid, fid=fid, doc=doc)
             return FeatureRecord(fid, doc)
 
     def get_feature(self, cid: str, fid: str) -> FeatureRecord:
         with self._lock:
-            state = self._state(cid)
-            try:
-                return FeatureRecord(fid, state.features[fid])
-            except KeyError:
-                raise NotFoundError(f"feature {fid!r} not in collection {cid!r}") from None
+            return FeatureRecord(fid, self._state(cid).feature(fid))
 
     def delete_feature(self, cid: str, fid: str) -> None:
         with self._lock:
-            record = self.get_feature(cid, fid)
-            state = self._collections[cid]
-            if state.index is not None:
-                state.index_delete(fid, record.doc)
-            del state.features[fid]
-            state.bounds = None
-            state.annotations.pop(fid, None)
+            self._state(cid).drop(fid)
             self._queue("delete_feature", cid=cid, fid=fid)
 
     def has_feature(self, cid: str, fid: str) -> bool:
@@ -478,40 +511,24 @@ class MediaStore:
 
     def put_annotation(self, cid: str, fid: str, ann: Annotation) -> Annotation:
         with self._lock:
-            record = self.get_feature(cid, fid)
-            if ann.time_range is not None:
-                if record.doc.kind not in media.TIME_RANGE_KINDS:
-                    raise ParseError("time ranges apply to video annotations only")
-                extent = record.extent
-                if not _fits(ann, extent):
-                    raise ParseError(
-                        f"time range [{ann.time_range.start}, {ann.time_range.end}] "
-                        f"outside feature extent [{extent.start}, {extent.end}]"
-                    )
-            state = self._collections[cid]
-            state.annotations.setdefault(fid, {})[ann.aid] = ann
+            self._state(cid).annotate(fid, ann)
             self._queue("put_annotation", cid=cid, fid=fid, ann=ann)
             return ann
 
     def list_annotations(self, cid: str, fid: str) -> list[Annotation]:
         with self._lock:
-            self.get_feature(cid, fid)
-            anns = self._collections[cid].annotations.get(fid, {})
+            anns = self._state(cid).annotations_of(fid)
             return [anns[aid] for aid in sorted(anns)]
 
     def get_annotation(self, cid: str, fid: str, aid: str) -> Annotation:
         with self._lock:
-            self.get_feature(cid, fid)
-            anns = self._collections[cid].annotations.get(fid, {})
-            try:
-                return anns[aid]
-            except KeyError:
-                raise NotFoundError(f"annotation {aid!r} not on feature {fid!r}") from None
+            return self._state(cid).annotation(fid, aid)
 
     def delete_annotation(self, cid: str, fid: str, aid: str) -> None:
         with self._lock:
-            self.get_annotation(cid, fid, aid)
-            del self._collections[cid].annotations[fid][aid]
+            state = self._state(cid)
+            state.annotation(fid, aid)
+            del state.annotations[fid][aid]
             self._queue("delete_annotation", cid=cid, fid=fid, aid=aid)
 
     # -- durability ---------------------------------------------------------------
@@ -697,9 +714,8 @@ class MediaStore:
         anywhere is CorruptStoreError here.
         """
         store = cls.open(directory)
-        for state in store._collections.values():
-            if state.unparsed is not None:
-                store._parse_collection(state)
+        for cid in list(store._collections):
+            store._state(cid)
         return store
 
     def _replay(self, path: Path) -> None:
@@ -722,36 +738,31 @@ class MediaStore:
                 _apply(self, rec)
             except CorruptStoreError:
                 raise  # from parsing the snapshot files the record touched, not the record
-            except (GeoMediaError, AttributeError, KeyError, TypeError, ValueError) as exc:
+            except _MALFORMED as exc:
                 raise CorruptStoreError(f"{_LOG} record {n}: {exc}") from None
         self._pending.clear()
         self._log_bytes = size
 
     def _open_collection(self, entry: dict) -> int:
-        """Check one collection's snapshot files against the manifest entry and
-        add the collection unparsed; returns the files' size in bytes."""
+        """Add one collection unparsed, as create_collection would, and check its
+        snapshot files against the manifest entry; returns their size in bytes."""
         try:
-            cid = entry["id"]
-            meta = Collection(cid, entry["title"], entry["mediaType"], entry["created"])
-            want_features = entry["features"]
+            meta = Collection(entry["id"], entry["title"], entry["mediaType"], entry["created"])
             shas = entry["sha256"]
             want = {kind: shas.get(kind) for kind in ("features", "annotations")}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            self._add_collection(meta, {"features": entry["features"], "sha256": want})
+        except _MALFORMED as exc:
             raise CorruptStoreError(f"bad manifest entry: {exc}") from None
-        features_name, anns_name = _snapshot_names(cid)
-        size = (_checked_size(self._dir / features_name, want["features"])
-                + _checked_size(self._dir / anns_name, want["annotations"]))
-        self._collections[cid] = _CollectionState(
-            meta, {"features": want_features, "sha256": want})
-        return size
+        return sum(_checked_size(self._dir / name, want[kind]) for name, kind
+                   in zip(_snapshot_names(meta.id), ("features", "annotations")))
 
-    def _parse_collection(self, state: _CollectionState) -> None:
-        """Parse the snapshot files open() checked into state and index it.
-        A feature line meets put_feature's rule on its fid and document kind."""
-        cid, unparsed = state.meta.id, state.unparsed
-        features_name, anns_name = _snapshot_names(cid)
-        features: dict[str, GeoMediaDocument] = {}
-        annotations: dict[str, dict[str, Annotation]] = {}
+    def _parse_collection(self, state: _CollectionState) -> _CollectionState:
+        """Parse the snapshot files open() checked, each line through the put or
+        annotate that wrote it, into a fresh indexed state that takes state's
+        place once whole: after a failed parse the collection stays unparsed."""
+        meta, unparsed = state.meta, state.unparsed
+        fresh = _CollectionState(meta)
+        features_name, anns_name = _snapshot_names(meta.id)
         shas = unparsed["sha256"]
         feature_lines = _checked_lines(self._dir / features_name, shas["features"])
         ann_lines = _checked_lines(self._dir / anns_name, shas["annotations"])
@@ -759,31 +770,23 @@ class MediaStore:
             for line_no, line in feature_lines:
                 try:
                     wrapper = decode_json(line)
-                    fid = wrapper["fid"]
-                    _check_fid(fid)
-                    doc = parse_obj(wrapper["document"])
-                    _check_kind(doc, state.meta)
-                    features[fid] = doc
-                except (ValueError, KeyError, TypeError, GeoMediaError) as exc:
+                    fresh.put(wrapper["fid"], parse_obj(wrapper["document"]))
+                except _MALFORMED as exc:
                     raise CorruptStoreError(f"{features_name} line {line_no}: {exc}") from None
-            if len(features) != unparsed["features"]:
+            if len(fresh.features) != unparsed["features"]:
                 raise CorruptStoreError(
-                    f"{cid}: manifest says {unparsed['features']} features, "
-                    f"file has {len(features)}"
+                    f"{meta.id}: manifest says {unparsed['features']} features, "
+                    f"file has {len(fresh.features)}"
                 )
             for line_no, line in ann_lines:
                 try:
                     obj = decode_json(line)
-                    ann = annotation_from_obj(obj, "epoch")
-                    fid = obj["fid"]
-                except (ValueError, KeyError, TypeError, ParseError) as exc:
+                    fresh.annotate(obj["fid"], annotation_from_obj(obj, "epoch"))
+                except _MALFORMED as exc:
                     raise CorruptStoreError(f"{anns_name} line {line_no}: {exc}") from None
-                if fid not in features:
-                    raise CorruptStoreError(
-                        f"{anns_name} line {line_no}: unknown feature {fid!r}")
-                annotations.setdefault(fid, {})[ann.aid] = ann
-        state.features, state.annotations, state.unparsed = features, annotations, None
-        state.spatial_index()
+        fresh.spatial_index()
+        self._collections[meta.id] = fresh
+        return fresh
 
 
 # The MediaStore methods a log record may name; its other fields are their arguments.
@@ -946,19 +949,6 @@ def _checked_lines(path: Path, sha: str):
         raise CorruptStoreError(f"{path.name}: gzip stream cut off before its end")
     if partial:
         yield n + 1, bytes(partial)
-
-
-def _check_fid(fid: str) -> None:
-    """A feature id, from a put or a snapshot line, is a non-empty str without '/'."""
-    if not isinstance(fid, str) or not fid or "/" in fid:
-        raise BadQueryError(f"feature id {fid!r} must be non-empty without '/'")
-
-
-def _check_kind(doc: GeoMediaDocument, meta: Collection) -> None:
-    """A document, put or read from a snapshot line, is of its collection's kind."""
-    if doc.kind != meta.media_type:
-        raise WrongKindError(
-            f"document kind {doc.kind} does not match collection media type {meta.media_type}")
 
 
 def _check_bbox(bbox) -> Bbox | None:

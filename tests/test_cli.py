@@ -159,7 +159,8 @@ class TestIngest:
             "ingest", "--store", str(store_dir), "--collection", "c", "--create", str(src),
         ]) == 2
 
-    @pytest.mark.parametrize("spelling", ["MovingPoint", "movingpoint", "MOVINGPOINT"])
+    @pytest.mark.parametrize("spelling", ["MovingPoint", "movingpoint", "MOVINGPOINT",
+                                          " MovingPoint "])
     def test_media_type_spellings_are_those_of_http(self, store_dir, spelling):
         assert main(["ingest", "--store", str(store_dir), "--collection", "c", "--create",
                      "--media-type", spelling, f"t1={FIXTURES / 'moving_point.json'}"]) == 0
@@ -168,6 +169,14 @@ class TestIngest:
         assert status == 201
         kind = MediaStore.load(store_dir).get_collection("c").media_type
         assert kind == created["mediaType"] == "MovingPoint"
+
+    def test_bad_collection_id_is_a_usage_error(self, store_dir, capsys):
+        before = {p.name: p.read_bytes() for p in store_dir.iterdir()}
+        assert main(["ingest", "--store", str(store_dir), "--collection", "bad id!", "--create",
+                     "--media-type", "MovingPoint", str(FIXTURES / "moving_point.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: collection id 'bad id!' must match [A-Za-z0-9_-]{1,64}\n")
+        assert {p.name: p.read_bytes() for p in store_dir.iterdir()} == before
 
 
 class TestQuery:
@@ -350,6 +359,11 @@ class TestServe:
         assert main(["serve", "--store", str(tmp_path / "none"),
                      "--addr", "127.0.0.1:0"]) == 1
         assert "no store" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", ["99999", "-5"])
+    def test_port_that_cannot_be_bound_exits_one(self, store_dir, capsys, port):
+        assert main(["serve", "--store", str(store_dir), "--addr", f"127.0.0.1:{port}"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot bind 127.0.0.1:{port}: ")
 
     def test_serve_subprocess_answers_collections(self, store_dir, tmp_path):
         import subprocess

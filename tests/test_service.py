@@ -199,6 +199,12 @@ class TestCollections:
         status, body = api.handle("POST", "/collections", b'{"id": "bad id!", "mediaType": "MovingPoint"}')
         assert (status, body["code"]) == (400, "BadBody")
 
+    def test_media_type_is_spelled_as_a_document_type(self, api):
+        # parse_document takes " MovingPoint " as a document's type; mediaType too
+        status, body = api.handle("POST", "/collections",
+                                  b'{"id": "x", "mediaType": " movingpoint "}')
+        assert (status, body["mediaType"]) == (201, "MovingPoint")
+
     def test_detail_carries_counts_and_bounds(self, api):
         put_reference_track(api)
         status, body = api.handle("GET", "/collections/taxi")

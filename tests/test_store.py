@@ -1081,7 +1081,43 @@ class TestParseChecks:
         edit_snapshot(target / "pics.ann.ndjson.gz",
                       lambda data: data.replace(b'"fid": "p1"', b'"fid": "p9"'), reseal=True)
         with pytest.raises(CorruptStoreError,
-                           match="^pics.ann.ndjson.gz line 1: unknown feature 'p9'$"):
+                           match="^pics.ann.ndjson.gz line 1: feature 'p9' not in collection 'pics'$"):
+            MediaStore.load(target)
+
+    def test_annotation_line_is_held_to_the_rule_of_a_label(self, tmp_path):
+        _, target = self._flushed(tmp_path)
+        edit_snapshot(target / "pics.ann.ndjson.gz",
+                      lambda data: data.replace(b'"timeRange": null', b'"timeRange": [0, 0]', 1),
+                      reseal=True)
+        with pytest.raises(CorruptStoreError, match="^pics.ann.ndjson.gz line 1: "
+                           "time ranges apply to video annotations only$"):
+            MediaStore.load(target)
+
+    def test_annotation_time_range_must_lie_in_its_video(self, tmp_path, moving_video_doc):
+        target = tmp_path / "s"
+        store = MediaStore(target)
+        store.create_collection("cams", "cams", "MovingVideo", created=1)
+        store.put_feature("cams", "v1", moving_video_doc)
+        store.put_annotation("cams", "v1", Annotation("a1", "text", "car",
+                                                      TimeInterval(T0, T0 + 1000)))
+        store.flush()
+        edit_snapshot(target / "cams.ann.ndjson.gz",
+                      lambda data: data.replace(str(T0 + 1000).encode(), str(T0 + 9000).encode()),
+                      reseal=True)
+        with pytest.raises(CorruptStoreError, match=(
+                rf"^cams.ann.ndjson.gz line 1: time range \[{T0}, {T0 + 9000}\] "
+                rf"outside feature extent \[{T0}, {T0 + 2000}\]$")):
+            MediaStore.load(target)
+
+    def test_manifest_must_not_repeat_a_collection(self, tmp_path):
+        _, target = self._flushed(tmp_path)
+        manifest = json.loads((target / "manifest.json").read_text())
+        manifest["collections"].append(manifest["collections"][0])
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        message = "^bad manifest entry: collection 'pics' already exists$"
+        with pytest.raises(CorruptStoreError, match=message):
+            MediaStore.open(target)
+        with pytest.raises(CorruptStoreError, match=message):
             MediaStore.load(target)
 
     def test_malformed_annotation_time_range_names_the_pair(self, tmp_path):
