@@ -235,7 +235,12 @@ def _cmd_fov(args) -> int:
     if not args.arc_step > 0:
         raise BadQueryError(f"--arc-step must be > 0, got {args.arc_step}")
     doc = _select_document(args)
-    _print_json(fov_obj(doc, parse_instant(args.at) if args.at else None, args.arc_step))
+    at = parse_instant(args.at) if args.at else None
+    try:
+        polygon = fov_obj(doc, at, args.arc_step)
+    except ValueError as exc:  # an arc step too fine for the aperture
+        raise BadQueryError(f"--arc-step: {exc}") from None
+    _print_json(polygon)
     return EXIT_OK
 
 

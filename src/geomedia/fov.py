@@ -26,6 +26,7 @@ DEFAULT_H_ANGLE = 63.0   # 35mm lens horizontal aperture
 DEFAULT_V_ANGLE = 60.0
 DEFAULT_DIRECTION = 0.0  # due north
 DEFAULT_VIEW_DISTANCE = 100.0
+MAX_ARC_SEGMENTS = 3600  # most arc segments of a sector polygon: 0.1 degrees around a circle
 
 
 def check_fov(h_angle: float, v_angle: float, direction2d: float, view_distance: float) -> None:
@@ -103,6 +104,9 @@ def fov_sector_polygon(
     """
     if not arc_step_deg > 0:  # NaN too
         raise ValueError("arc step must be > 0")
+    if fov.h_angle / arc_step_deg > MAX_ARC_SEGMENTS:  # also where the quotient overflows
+        raise ValueError(f"arc step {arc_step_deg} cuts a {fov.h_angle}-degree aperture "
+                         f"into more than {MAX_ARC_SEGMENTS} segments")
     segments = max(1, math.ceil(fov.h_angle / arc_step_deg))
     start = abs_direction - fov.h_angle / 2.0
     arc = [

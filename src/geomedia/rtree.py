@@ -130,10 +130,10 @@ class RTree:
             self._levels, self._items = _pack(self._items, self._levels[0][0], live)
             self._dead = 0
 
-    def search(self, *rects: Rect) -> list:
-        """Items whose stored rectangle intersects every one of rects
-        (inclusive bounds); with none given, every item."""
-        return self._leaf_hits(rects, self._items) if rects else [it for it, _ in self.items()]
+    def search(self, rect: Rect, *rects: Rect) -> list:
+        """Items whose stored rectangle intersects rect and every one of rects
+        (inclusive bounds)."""
+        return self._leaf_hits((rect, *rects), self._items)
 
     def bounds(self) -> Rect | None:
         """The smallest rectangle holding every stored one; None when empty."""

@@ -19,11 +19,10 @@ replacement or delete drops it, and the next read works it out again.
 A store is a directory holding a snapshot and a write log. The snapshot is
 manifest.json (plain JSON) with collection metadata and content checksums,
 one <cid>.ndjson.gz of features, and one <cid>.ann.ndjson.gz of annotations
-per collection. Each data file is one gzip stream (zlib level 1, no file
-name, mtime 0, so equal contents give equal bytes) of UTF-8 NDJSON lines
-with LF endings; `zcat` reads it. The manifest's checksums and the sizes
-the store counts are of the compressed bytes on disk. This is store format
-version 2; open() refuses a version-1 store (plain .ndjson files) by name.
+per collection; disk.py owns the bytes of these files and of the log. The
+manifest's checksums and the sizes the store counts are of the compressed
+bytes on disk. This is store format version 2; open() refuses a version-1
+store (plain .ndjson files) by name.
 flush() compacts: it stages the files of every parsed collection, fsyncs
 them, renames data files first and the manifest last, so an interrupted
 flush is always detected by checksum at open time instead of loading
@@ -31,11 +30,10 @@ silently.
 
 open() reads the manifest, checks every snapshot file's checksum and replays
 the log, but parses a collection's files only when a method first needs its
-features; the parse hashes the compressed bytes as it reads and decompresses
-them and fails unless they are the bytes open() checked. load() is open()
-followed by parsing every collection, so a server opened with it answers its
-first query at full speed. The CLI commands that name one collection use
-open(); `geomedia serve` uses load().
+features; the parse fails unless they are still the bytes open() checked.
+load() is open() followed by parsing every collection, so a server opened
+with it answers its first query at full speed. The CLI commands that name
+one collection use open(); `geomedia serve` uses load().
 flush() writes a parsed collection by serialising it and leaves the files of
 a collection it never parsed where they are, hashing them again and failing
 before any rename unless they still match the manifest. So a malformed line
@@ -45,18 +43,14 @@ A collection's contents keep one set of rules (_CollectionState's put, drop
 and annotate), whoever writes them: an API call, a replayed log record or a
 snapshot line. So each snapshot line meets the rule of the put or label that
 wrote it, and manifest ids are unique, as create_collection keeps them.
-Parse, serialise and hash all stream a file a line or a chunk at a time, so
-none holds a whole file in memory.
 
 Mutating methods change memory and queue an op; commit() appends the queued
-ops to wal.log as checksummed NDJSON records and fsyncs the log. The log's
+ops to wal.log, one checksummed record each, and fsyncs the log. The log's
 first record names the SHA-256 of the manifest it extends, so open() replays
 a log only over its own snapshot and ignores one that a later flush left
-behind. A torn tail (a final record without its newline or checksum) is
-dropped at open and cut off by the next commit; a damaged record with a
-whole one after it is CorruptStoreError. A commit that fails reopens the
-store from its directory, so memory holds no mutation that a restart would
-not find.
+behind. A torn tail is dropped at open and cut off by the next commit. A
+commit that fails reopens the store from its directory, so memory holds no
+mutation that a restart would not find.
 
 Concurrency: every public method takes the store's re-entrant lock, so no
 partially applied mutation is observable; a step of several calls holds it
@@ -70,15 +64,13 @@ import contextlib
 import hashlib
 import json
 import math
-import os
 import re
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import media
+from . import disk, media
 from .codec import (
     decode_json,
     document_to_obj,
@@ -100,11 +92,10 @@ from .errors import (
 from .geo import GeoPoint, disk_bbox
 from .media import Bbox, GeoMediaDocument
 from .rtree import RTree
-from .temporal import TimeInterval
+from .temporal import MAX_TIME, MIN_TIME, TimeInterval
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 _MANIFEST = "manifest.json"
-_LOG = "wal.log"  # not *.ndjson: a collection may be called "wal"
 _FORMAT_VERSION = 2  # 1: plain <cid>.ndjson files; 2: gzip-compressed <cid>.ndjson.gz
 # A commit whose records would grow the log past
 # max(_COMPACT_MIN_BYTES, snapshot bytes // _COMPACT_SHARE) compacts instead.
@@ -118,12 +109,6 @@ _FORMAT_VERSION = 2  # 1: plain <cid>.ndjson files; 2: gzip-compressed <cid>.ndj
 # compactions.
 _COMPACT_MIN_BYTES = 64 * 1024
 _COMPACT_SHARE = 32
-_CHUNK = 64 * 1024  # bytes read at a time to checksum a snapshot file
-# Compressed bytes read at a time to parse a snapshot file; each expands about
-# 4.7-fold. 64 KiB reads raised the peak RSS of loading the 20k-feature
-# benchmark store from 39.2 to 40.7 MB.
-_GZ_CHUNK = 4 * 1024
-_GZ_LEVEL = 1  # 0.21 of the NDJSON bytes; level 6 gives 0.17 at 3.3x the time
 
 ANNOTATION_KINDS = ("text", "icon", "polygon")
 # What a malformed manifest entry, snapshot line or log record raises here.
@@ -144,6 +129,10 @@ class Collection:
             raise ValueError(f"collection id {self.id!r} must match [A-Za-z0-9_-]{{1,64}}")
         if self.media_type not in media.KINDS:
             raise ValueError(f"unknown media type {self.media_type!r}")
+        if not isinstance(self.title, str):
+            raise ValueError(f"collection title {self.title!r} must be a string")
+        if type(self.created) is not int or not MIN_TIME <= self.created <= MAX_TIME:
+            raise ValueError(f"collection time {self.created!r} is not an integer in years 1-9999")
 
 
 @dataclass(frozen=True, slots=True)
@@ -442,12 +431,6 @@ class MediaStore:
         with self._lock:
             return len(self._state(cid).features)
 
-    def list_features(self, cid: str) -> list[FeatureRecord]:
-        with self._lock:
-            state = self._state(cid)
-            features = state.features
-            return [FeatureRecord(fid, features[fid]) for fid in sorted(features)]
-
     # -- spatial index plus exact time filter ----------------------------------
 
     def st_query(
@@ -562,23 +545,19 @@ class MediaStore:
         if self._snapshot is None:
             self.flush()
             return
-        header = b"" if self._log_bytes else _log_line({"snapshot": self._snapshot})
-        data = header + b"".join(_log_line(_op_obj(op)) for op in self._pending)
+        header = b"" if self._log_bytes else disk.log_line({"snapshot": self._snapshot})
+        data = header + b"".join(disk.log_line(_op_obj(op)) for op in self._pending)
         trigger = max(_COMPACT_MIN_BYTES, self._snapshot_bytes // _COMPACT_SHARE)
         if self._log_bytes + len(data) > trigger:
             self.flush()
             return
-        try:
-            with open(self._dir / _LOG, "ab") as log:
-                log.truncate(self._log_bytes)  # a torn tail, or a log an older flush left
-                log.write(data)
-                log.flush()
-                os.fsync(log.fileno())
+        try:  # append cuts off a torn tail, or a log that an older flush left
+            disk.append(self._dir / disk.LOG, self._log_bytes, data)
             if not self._log_bytes:
-                _fsync_dir(self._dir)
+                disk.fsync_dir(self._dir)
         except OSError as exc:
-            with contextlib.suppress(OSError):
-                os.truncate(self._dir / _LOG, self._log_bytes)
+            with contextlib.suppress(OSError):  # back to the acknowledged records
+                disk.append(self._dir / disk.LOG, self._log_bytes, b"")
             raise StoreIoError(f"commit failed: {exc}") from exc
         self._log_bytes += len(data)
         self._pending.clear()
@@ -606,7 +585,7 @@ class MediaStore:
                 # earlier one's crash left
                 for stray in self._dir.glob("*.tmp"):
                     with contextlib.suppress(OSError):
-                        stray.unlink()
+                        disk.unlink(stray)
             return self._dir
 
     def _flush_locked(self) -> None:
@@ -618,17 +597,17 @@ class MediaStore:
         size = 0
         for cid in sorted(self._collections):
             state = self._collections[cid]
-            features_name, anns_name = _snapshot_names(cid)
+            features_name, anns_name = disk.snapshot_names(cid)
             features_path, anns_path = target / features_name, target / anns_name
             keep.update((features_name, anns_name))
             if state.unparsed is None:
                 count = len(state.features)
                 features = state.features  # sorted fids, not items: no tuple per feature
-                features_tmp, features_sha, features_size = _stage(features_path, _gzipped(
-                    _ndjson_line({"fid": fid, "document": document_to_obj(features[fid], "epoch")})
+                features_tmp, features_sha, features_size = disk.stage(features_path, disk.ndjson_gz(
+                    {"fid": fid, "document": document_to_obj(features[fid], "epoch")}
                     for fid in sorted(features)))
-                anns_tmp, anns_sha, anns_size = _stage(anns_path, _gzipped(
-                    _ndjson_line({"fid": fid, **annotation_to_obj(anns[aid], "epoch")})
+                anns_tmp, anns_sha, anns_size = disk.stage(anns_path, disk.ndjson_gz(
+                    {"fid": fid, **annotation_to_obj(anns[aid], "epoch")}
                     for fid, anns in sorted(state.annotations.items())
                     for aid in sorted(anns)))
                 staged.append((features_tmp, features_path))
@@ -637,8 +616,8 @@ class MediaStore:
                 # never parsed: its files stay in place, still as open() checked them
                 count, shas = state.unparsed["features"], state.unparsed["sha256"]
                 features_sha, anns_sha = shas["features"], shas["annotations"]
-                features_size = _checked_size(features_path, features_sha)
-                anns_size = _checked_size(anns_path, anns_sha)
+                features_size = disk.checked_size(features_path, features_sha)
+                anns_size = disk.checked_size(anns_path, anns_sha)
             meta = state.meta
             entries.append(
                 {
@@ -652,22 +631,22 @@ class MediaStore:
             )
             size += features_size + anns_size
         manifest = {"version": _FORMAT_VERSION, "collections": entries}
-        manifest_tmp, manifest_sha, manifest_size = _stage(
+        manifest_tmp, manifest_sha, manifest_size = disk.stage(
             target / _MANIFEST, [(json.dumps(manifest, indent=2) + "\n").encode("utf-8")])
         for tmp, final in staged:
-            tmp.replace(final)
-        manifest_tmp.replace(target / _MANIFEST)
-        _fsync_dir(target)
+            disk.rename(tmp, final)
+        disk.rename(manifest_tmp, target / _MANIFEST)
+        disk.fsync_dir(target)
         # The new snapshot holds every op: a log still on disk names the old
         # manifest, so open ignores it, and the next commit starts afresh.
         self._snapshot = manifest_sha
         self._snapshot_bytes = size + manifest_size
         self._log_bytes = 0
         self._pending.clear()
-        (target / _LOG).unlink(missing_ok=True)
+        disk.unlink(target / disk.LOG, missing_ok=True)
         for stray in target.glob("*.ndjson.gz"):
             if stray.name not in keep:
-                stray.unlink()
+                disk.unlink(stray)
 
     @classmethod
     def open(cls, directory: str | Path) -> "MediaStore":
@@ -703,7 +682,7 @@ class MediaStore:
             size += store._open_collection(entry)
         store._snapshot = hashlib.sha256(manifest_bytes).hexdigest()
         store._snapshot_bytes = size
-        store._replay(target / _LOG)
+        store._replay(target / disk.LOG)
         return store
 
     @classmethod
@@ -725,12 +704,12 @@ class MediaStore:
         except FileNotFoundError:
             return
         except OSError as exc:
-            raise CorruptStoreError(f"unreadable {_LOG}: {exc}") from None
-        records, size = _whole_records(data)
+            raise CorruptStoreError(f"unreadable {disk.LOG}: {exc}") from None
+        records, size = disk.whole_records(data)
         if not records:
             return
         if "snapshot" not in records[0]:
-            raise CorruptStoreError(f"{_LOG} does not start with its snapshot record")
+            raise CorruptStoreError(f"{disk.LOG} does not start with its snapshot record")
         if records[0]["snapshot"] != self._snapshot:
             return  # left by a flush that crashed before dropping it; its ops are in the snapshot
         for n, rec in enumerate(records[1:], 2):
@@ -739,7 +718,7 @@ class MediaStore:
             except CorruptStoreError:
                 raise  # from parsing the snapshot files the record touched, not the record
             except _MALFORMED as exc:
-                raise CorruptStoreError(f"{_LOG} record {n}: {exc}") from None
+                raise CorruptStoreError(f"{disk.LOG} record {n}: {exc}") from None
         self._pending.clear()
         self._log_bytes = size
 
@@ -753,8 +732,8 @@ class MediaStore:
             self._add_collection(meta, {"features": entry["features"], "sha256": want})
         except _MALFORMED as exc:
             raise CorruptStoreError(f"bad manifest entry: {exc}") from None
-        return sum(_checked_size(self._dir / name, want[kind]) for name, kind
-                   in zip(_snapshot_names(meta.id), ("features", "annotations")))
+        return sum(disk.checked_size(self._dir / name, want[kind]) for name, kind
+                   in zip(disk.snapshot_names(meta.id), ("features", "annotations")))
 
     def _parse_collection(self, state: _CollectionState) -> _CollectionState:
         """Parse the snapshot files open() checked, each line through the put or
@@ -762,10 +741,10 @@ class MediaStore:
         place once whole: after a failed parse the collection stays unparsed."""
         meta, unparsed = state.meta, state.unparsed
         fresh = _CollectionState(meta)
-        features_name, anns_name = _snapshot_names(meta.id)
+        features_name, anns_name = disk.snapshot_names(meta.id)
         shas = unparsed["sha256"]
-        feature_lines = _checked_lines(self._dir / features_name, shas["features"])
-        ann_lines = _checked_lines(self._dir / anns_name, shas["annotations"])
+        feature_lines = disk.checked_lines(self._dir / features_name, shas["features"])
+        ann_lines = disk.checked_lines(self._dir / anns_name, shas["annotations"])
         with contextlib.closing(feature_lines), contextlib.closing(ann_lines):
             for line_no, line in feature_lines:
                 try:
@@ -814,141 +793,6 @@ def _apply(store: MediaStore, rec: dict) -> None:
     if "ann" in rec:
         rec["ann"] = annotation_from_obj(rec["ann"], "epoch")
     getattr(store, op)(**rec)
-
-
-def _crc(rec: dict) -> int:
-    return zlib.crc32(json.dumps(rec, separators=(",", ":")).encode("utf-8"))
-
-
-def _log_line(rec: dict) -> bytes:
-    """One log record: rec with a leading "crc", the CRC-32 of rec's compact JSON."""
-    return (json.dumps({"crc": _crc(rec), **rec}, separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def _whole_records(data: bytes) -> tuple[list[dict], int]:
-    """The log's verified records and the number of bytes they span.
-
-    A line without its newline, or damaged lines with nothing whole after
-    them, are a torn tail and are dropped. A damaged line followed by a whole
-    record is not a torn tail: that is CorruptStoreError.
-    """
-    records, size, damaged = [], 0, None
-    *lines, _unterminated = data.split(b"\n")
-    for n, line in enumerate(lines, 1):
-        rec = _verified(line)
-        if rec is None:
-            damaged = damaged or n
-        elif damaged:
-            raise CorruptStoreError(f"{_LOG} record {damaged} is damaged but record {n} is whole")
-        else:
-            records.append(rec)
-            size += len(line) + 1
-    return records, size
-
-
-def _verified(line: bytes) -> dict | None:
-    try:
-        rec = decode_json(line)
-    except ParseError:
-        return None
-    if not isinstance(rec, dict) or rec.pop("crc", None) != _crc(rec):
-        return None
-    return rec
-
-
-def _snapshot_names(cid: str) -> tuple[str, str]:
-    """The file names of a collection's features and of its annotations."""
-    return f"{cid}.ndjson.gz", f"{cid}.ann.ndjson.gz"
-
-
-def _ndjson_line(obj: dict) -> bytes:
-    return (json.dumps(obj, separators=(", ", ": ")) + "\n").encode("utf-8")
-
-
-def _gzipped(lines):
-    """The byte chunks of one gzip stream of lines, compressed as they come.
-
-    Its header has no file name and mtime 0, so equal lines give equal bytes.
-    """
-    stream = zlib.compressobj(_GZ_LEVEL, zlib.DEFLATED, 31)  # 31: gzip header and trailer
-    for line in lines:
-        if data := stream.compress(line):
-            yield data
-    yield stream.flush()
-
-
-def _stage(final: Path, chunks) -> tuple[Path, str, int]:
-    """Write byte chunks to final's .tmp sibling and fsync it, one chunk at a time.
-
-    Returns the staged path and the SHA-256 hex digest and size of what it holds.
-    """
-    tmp = final.with_name(final.name + ".tmp")
-    digest, size = hashlib.sha256(), 0
-    with open(tmp, "wb") as f:
-        for data in chunks:
-            digest.update(data)
-            f.write(data)
-            size += len(data)
-        f.flush()
-        os.fsync(f.fileno())
-    return tmp, digest.hexdigest(), size
-
-
-def _fsync_dir(directory: Path) -> None:
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _checked_chunks(path: Path, sha: str, size: int):
-    """The bytes of a store file, size at a time; CorruptStoreError if it is
-    missing or unreadable, and after the last chunk unless they hash to sha."""
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as f:
-            while chunk := f.read(size):
-                digest.update(chunk)
-                yield chunk
-    except OSError as exc:
-        raise CorruptStoreError(f"missing or unreadable store file {path.name}: {exc}") from None
-    if digest.hexdigest() != sha:
-        raise CorruptStoreError(f"checksum mismatch for {path.name}")
-
-
-def _checked_size(path: Path, sha: str) -> int:
-    """The size of a store file whose bytes hash to sha (see _checked_chunks)."""
-    return sum(map(len, _checked_chunks(path, sha, _CHUNK)))
-
-
-def _checked_lines(path: Path, sha: str):
-    """The decompressed lines of a snapshot file whose bytes hash to sha (see
-    _checked_chunks), numbered from 1, without their LF.
-
-    The compressed bytes are read _GZ_CHUNK at a time; CorruptStoreError
-    also on a damaged or cut-off gzip stream, or bytes after its end.
-    """
-    stream = zlib.decompressobj(31)
-    n, partial = 0, bytearray()  # the start of a line that a later chunk ends
-    try:
-        for chunk in _checked_chunks(path, sha, _GZ_CHUNK):
-            *lines, tail = stream.decompress(chunk).split(b"\n")
-            if stream.unused_data:
-                raise CorruptStoreError(f"{path.name}: bytes after the end of its gzip stream")
-            if lines:
-                partial += lines[0]
-                lines[0], partial = bytes(partial), bytearray()
-            partial += tail
-            for line in lines:
-                n += 1
-                yield n, line
-    except zlib.error as exc:
-        raise CorruptStoreError(f"{path.name}: damaged gzip stream: {exc}") from None
-    if not stream.eof:
-        raise CorruptStoreError(f"{path.name}: gzip stream cut off before its end")
-    if partial:
-        yield n + 1, bytes(partial)
 
 
 def _check_bbox(bbox) -> Bbox | None:

@@ -1,15 +1,17 @@
-"""Shared fixtures: the four reference documents and store builders."""
+"""Shared fixtures: the four reference documents, store builders and disk faults."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import threading
 import zlib
 from pathlib import Path
 
 import pytest
 
-from geomedia import MediaStore, parse_document
+from geomedia import MediaStore, disk, parse_document
 from geomedia.errors import GeoMediaError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -91,3 +93,38 @@ def moving_video_doc():
 @pytest.fixture
 def store(tmp_path):
     return MediaStore(tmp_path / "store")
+
+
+@pytest.fixture
+def disk_faults():
+    """disk_faults(*names, at=k) is a context in which the k-th call, counted
+    from 1, of the named geomedia.disk functions (counted together) raises
+    OSError; with every=True each k-th call does, and at=None fails none.
+    The context gives the list of those calls, (name, args) in call order.
+    The store alone calls these functions, so no other file access fails.
+    The count is kept under a lock: the store's callers may be threads."""
+
+    @contextlib.contextmanager
+    def faults(*names, at=None, every=False):
+        calls, lock = [], threading.Lock()
+        real = {name: getattr(disk, name) for name in names}
+
+        def counted(name):
+            def call(*args, **kwargs):
+                with lock:
+                    calls.append((name, args))
+                    n = len(calls)
+                if at is not None and (n % at == 0 if every else n == at):
+                    raise OSError(f"injected failure of disk.{name} at call {n}")
+                return real[name](*args, **kwargs)
+            return call
+
+        for name in names:
+            setattr(disk, name, counted(name))
+        try:
+            yield calls
+        finally:
+            for name in names:
+                setattr(disk, name, real[name])
+
+    return faults

@@ -64,7 +64,7 @@ class TestIngest:
         out = capsys.readouterr().out
         assert "1 feature(s) ingested" in out
         store = MediaStore.load(store_dir)
-        assert [r.fid for r in store.list_features("taxi")] == ["t1"]
+        assert [r.fid for r in store.st_query("taxi")] == ["t1"]
 
     def test_fid_override(self, store_dir, tmp_path):
         src = tmp_path / "whatever.json"
@@ -74,7 +74,7 @@ class TestIngest:
             "--create", "--media-type", "MovingPoint", f"track-9={src}",
         ]) == 0
         store = MediaStore.load(store_dir)
-        assert [r.fid for r in store.list_features("taxi")] == ["track-9"]
+        assert [r.fid for r in store.st_query("taxi")] == ["track-9"]
 
     def test_kind_mismatch_fails_loud(self, store_dir, tmp_path, capsys):
         ingest_reference_track(store_dir, tmp_path)
@@ -301,6 +301,14 @@ class TestAtFovVisible:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --arc-step must be > 0")
 
+    def test_fov_arc_step_too_fine_is_a_usage_error(self, capsys):
+        code = main(["fov", "--file", str(FIXTURES / "stphoto.json"), "--arc-step=0.001"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --arc-step: arc step 0.001 cuts a 63.0-degree "
+                                "aperture into more than 3600 segments\n")
+
     def test_visible(self, capsys):
         code = main(["visible", "--file", str(FIXTURES / "moving_video.json"),
                      "--point", "160.0002,60"])
@@ -460,7 +468,7 @@ class TestServe:
             server.server_close()
         # restart: the PUT must have been flushed before its response
         restarted = MediaStore.load(store_dir)
-        assert {r.fid for r in restarted.list_features("taxi")} == {"t1", "t2"}
+        assert {r.fid for r in restarted.st_query("taxi")} == {"t1", "t2"}
 
 
 @pytest.mark.parametrize("flag, value", [("--bbox", "nan,nan,nan,nan"), ("--near", "1,2,inf")])

@@ -18,6 +18,7 @@ from geomedia import (
     resolve_direction,
 )
 from geomedia.errors import BadQueryError
+from geomedia.fov import MAX_ARC_SEGMENTS
 from geomedia.geo import angle_between
 
 RADIUS = 6371008.8
@@ -239,6 +240,17 @@ class TestSectorPolygon:
     def test_arc_step_must_be_positive(self, step):
         with pytest.raises(ValueError, match="arc step"):
             fov_sector_polygon(GeoPoint(0, 0), 0, FieldOfView(), step)
+
+    def test_arc_segments_are_bounded(self):
+        circle = FieldOfView(h_angle=360)
+        ring = fov_sector_polygon(GeoPoint(0, 0), 0, circle, 360 / MAX_ARC_SEGMENTS).ring
+        assert len(ring) == MAX_ARC_SEGMENTS + 1  # a full circle: no apex
+        for step in (0.09, 0.001, 5e-324):  # 5e-324: 360 / step overflows to inf
+            with pytest.raises(ValueError, match=rf"^arc step {step} cuts a 360-degree "
+                                                 rf"aperture into more than 3600 segments$"):
+                fov_sector_polygon(GeoPoint(0, 0), 0, circle, step)
+        narrow = FieldOfView(h_angle=36)  # the bound counts segments, not the step
+        assert len(fov_sector_polygon(GeoPoint(0, 0), 0, narrow, 0.01).ring) == 3603
 
     def test_arc_points_at_view_distance(self):
         camera = GeoPoint(8, 47)

@@ -59,7 +59,7 @@ def boxes_meet(a, b) -> bool:
 def linear_scan(store, cid, spec):
     """The fids evaluate must return: every feature tested with the exact predicates."""
     out = []
-    for record in store.list_features(cid):
+    for record in store.st_query(cid):
         payload = record.doc.payload
         if spec.bbox is not None and not (record.bbox and boxes_meet(record.bbox, spec.bbox)):
             continue
@@ -484,7 +484,7 @@ def query_point(rng, store, cid) -> GeoPoint:
         return rng.choice(ANCHORS)
     if roll < 0.5:
         return around(rng, rng.choice(ANCHORS))
-    payload = rng.choice(store.list_features(cid)).doc.payload
+    payload = rng.choice(store.st_query(cid)).doc.payload
     vertices = payload.vertices() or (rng.choice(ANCHORS),)
     reach = view_reach(payload) or scale(rng)
     return destination(rng.choice(vertices), rng.uniform(0, 360), rng.uniform(0, 1.2) * reach)
@@ -573,7 +573,7 @@ class TestPushDown:
         real_pack = rtree._pack
         monkeypatch.setattr(rtree, "_pack", lambda *args: packs.append(1) or real_pack(*args))
         for step in range(150):
-            fids = [r.fid for r in store.list_features("c")]
+            fids = [r.fid for r in store.st_query("c")]
             roll = rng.random()
             if roll < 0.6 or len(fids) < 20:  # a put of a new fid, or a replacement
                 fid = f"f{step + 60:03d}" if roll < 0.3 else rng.choice(fids)

@@ -226,7 +226,7 @@ def test_multi_box_search_matches_brute_force_after_bulk_load_inserts_and_delete
                 x0, y0, x1, y1 = boxes[0]
                 boxes[1] = (x0 + (x1 - x0) / 2, y0 - 10, x1 + 30, y1)
             assert sorted(tree.search(*boxes)) == brute_force_multi(entries, boxes)
-        assert sorted(tree.search()) == sorted(entries)  # no box: every item
+        assert sorted(tree.items()) == sorted(entries.items())
 
     check()
     next_id = len(entries)
@@ -299,7 +299,6 @@ def test_write_delta_matches_brute_force_across_repacks():
         for _ in range(10):
             boxes = [random_rect(rng, span=150.0) for _ in range(rng.choice((1, 2, 3)))]
             assert sorted(tree.search(*boxes)) == brute_force_multi(entries, boxes)
-        assert sorted(tree.search()) == sorted(entries)
         assert sorted(tree.items()) == sorted(entries.items())
 
     for k in range(600):

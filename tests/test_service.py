@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import re
 import socket
 import sys
@@ -575,38 +574,20 @@ class TestDurabilityThroughApi:
         assert len(body["annotations"]) == 1
 
 
-    def test_failed_commit_answers_500_and_leaves_nothing_visible(self, tmp_path, monkeypatch):
+    def test_failed_commit_answers_500_and_leaves_nothing_visible(self, tmp_path, disk_faults):
         api = GeoMediaApi(MediaStore(tmp_path / "s"))
         put_reference_track(api)
-
-        def failing_fsync(fd):
-            raise OSError("disk gone")
-
-        with monkeypatch.context() as patch:
-            patch.setattr("os.fsync", failing_fsync)
+        with disk_faults("fsync", at=1, every=True):
             status, body = api.handle("PUT", "/collections/taxi/items/t2",
                                       fixture_bytes("moving_point.json"))
         assert (status, body["code"]) == (500, "Internal")
         assert api.handle("GET", "/collections/taxi/items/t2")[0] == 404
         assert api.handle("GET", "/collections/taxi")[1]["featureCount"] == 1
 
-    def test_concurrent_puts_with_failing_commits_stay_consistent(self, tmp_path, monkeypatch):
+    def test_concurrent_puts_with_failing_commits_stay_consistent(self, tmp_path, disk_faults):
         """Under contention, the fids answered 2xx are exactly those in memory and on disk."""
         api = GeoMediaApi(MediaStore(tmp_path / "s"))
         put_reference_track(api)
-        real_fsync = os.fsync
-        calls = []
-        count_lock = threading.Lock()
-
-        def fsync_failing_every_fifth(fd):
-            with count_lock:
-                calls.append(fd)
-                fail = len(calls) % 5 == 0
-            if fail:
-                raise OSError("disk gone")
-            return real_fsync(fd)
-
-        monkeypatch.setattr("os.fsync", fsync_failing_every_fifth)
         statuses = {}
 
         def worker(n):
@@ -618,18 +599,19 @@ class TestDurabilityThroughApi:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            workers = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(30)
+            with disk_faults("fsync", "fsync_dir", at=5, every=True):
+                workers = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(30)
         finally:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert set(statuses.values()) == {201, 500}
         acknowledged = {fid for fid, status in statuses.items() if status == 201} | {"t1"}
-        assert {r.fid for r in api.store.list_features("taxi")} == acknowledged
-        assert {r.fid for r in MediaStore.load(tmp_path / "s").list_features("taxi")} == acknowledged
+        assert {r.fid for r in api.store.st_query("taxi")} == acknowledged
+        assert {r.fid for r in MediaStore.load(tmp_path / "s").st_query("taxi")} == acknowledged
 
 
 class TestHttpAdapter:

@@ -89,6 +89,18 @@ class TestCollections:
         with pytest.raises(ValueError):
             store.create_collection("c", "t", "Blob")
 
+    @pytest.mark.parametrize("title, created, message", [
+        (5, 0, "collection title 5 must be a string"),
+        ("t", "yesterday", "collection time 'yesterday' is not an integer in years 1-9999"),
+        ("t", True, "collection time True is not an integer in years 1-9999"),
+        ("t", 10**20, "is not an integer in years 1-9999"),
+        ("t", 1.5, "is not an integer in years 1-9999"),
+    ], ids=["title", "created-str", "created-bool", "created-too-late", "created-float"])
+    def test_bad_title_or_created_rejected(self, store, title, created, message):
+        with pytest.raises(ValueError, match=message):
+            store.create_collection("c", title, "MovingPoint", created=created)
+        assert store.list_collections() == []
+
 
 class TestFeatures:
     def test_put_get_roundtrip(self, store, moving_point_doc):
@@ -367,7 +379,7 @@ def _photo(rng):
 
 def _scanned_bbox(store, cid):
     """collection_bbox as a scan of every record's bbox would give it."""
-    boxes = [r.bbox for r in store.list_features(cid) if r.bbox is not None]
+    boxes = [r.bbox for r in store.st_query(cid) if r.bbox is not None]
     if not boxes:
         return None
     return (min(b[0] for b in boxes), min(b[1] for b in boxes),
@@ -422,7 +434,7 @@ class TestCollectionBounds:
                 store.put_feature("c", rng.choice(fids), make(rng))  # a replacement
             else:
                 store.delete_feature("c", fids.pop(rng.randrange(len(fids))))
-            records = store.list_features("c")
+            records = store.st_query("c")
             want = None
             if records:
                 want = TimeInterval(min(r.extent.start for r in records),
@@ -537,7 +549,7 @@ class TestIndexUpkeep:
 
     @staticmethod
     def _scan(store, cid, bbox):
-        return [r.fid for r in store.list_features(cid)
+        return [r.fid for r in store.st_query(cid)
                 if r.bbox[0] <= bbox[2] and bbox[0] <= r.bbox[2]
                 and r.bbox[1] <= bbox[3] and bbox[1] <= r.bbox[3]]
 
@@ -604,8 +616,8 @@ class TestDurability:
         assert [c.id for c in loaded.list_collections()] == ["pics", "tracks"]
         assert loaded.get_collection("tracks").created == 1000
         for cid in ("tracks", "pics"):
-            orig = {r.fid: serialize_document(r.doc) for r in store.list_features(cid)}
-            back = {r.fid: serialize_document(r.doc) for r in loaded.list_features(cid)}
+            orig = {r.fid: serialize_document(r.doc) for r in store.st_query(cid)}
+            back = {r.fid: serialize_document(r.doc) for r in loaded.st_query(cid)}
             assert orig == back
         assert loaded.list_annotations("pics", "p1") == store.list_annotations("pics", "p1")
 
@@ -629,7 +641,7 @@ class TestDurability:
         assert (md.times, md.values) == (moving_double_doc.payload.times,
                                          moving_double_doc.payload.values)
         for cid in ("tracks", "sensors", "vids"):
-            for orig, back in zip(store.list_features(cid), loaded.list_features(cid)):
+            for orig, back in zip(store.st_query(cid), loaded.st_query(cid)):
                 assert back.doc.payload == orig.doc.payload
                 assert hash(back.doc.payload) == hash(orig.doc.payload)
 
@@ -728,43 +740,30 @@ class TestDurability:
         with pytest.raises(CorruptStoreError, match="bad manifest entry"):
             MediaStore.open(target)
 
-    def test_interrupted_flush_never_loads_silently(self, tmp_path, monkeypatch):
+    def test_interrupted_flush_never_loads_silently(self, tmp_path, disk_faults):
         """Cut the flush off after each possible number of renames; every
         outcome must either load the old state or raise CorruptStoreError."""
-        import pathlib
-
         target = tmp_path / "s"
         store = MediaStore(target)
         self._populate(store)
         store.flush()
         before = {
-            cid: [r.fid for r in MediaStore.load(target).list_features(cid)]
+            cid: [r.fid for r in MediaStore.load(target).st_query(cid)]
             for cid in ("tracks", "pics")
         }
         rng = random.Random("interrupt")
-        real_replace = pathlib.Path.replace
         # 5 files: 2 collections x (features + annotations) + manifest
         for cutoff in range(5):
             store.create_collection(f"extra{cutoff}", "x", "MovingPoint")
             store.put_feature(f"extra{cutoff}", "f0", track_doc(rng))
-            calls = {"n": 0}
-
-            def exploding_replace(self, other, _cutoff=cutoff, _calls=calls):
-                if _calls["n"] >= _cutoff:
-                    raise OSError("simulated crash")
-                _calls["n"] += 1
-                return real_replace(self, other)
-
-            monkeypatch.setattr(pathlib.Path, "replace", exploding_replace)
-            with pytest.raises(StoreIoError):
+            with disk_faults("rename", at=cutoff + 1), pytest.raises(StoreIoError):
                 store.flush()
-            monkeypatch.setattr(pathlib.Path, "replace", real_replace)
             try:
                 loaded = MediaStore.load(target)
             except CorruptStoreError:
                 continue  # detected: acceptable
             loaded_fids = {
-                cid: [r.fid for r in loaded.list_features(cid)]
+                cid: [r.fid for r in loaded.st_query(cid)]
                 for cid in ("tracks", "pics")
             }
             assert loaded_fids == before  # old state must be intact
@@ -819,9 +818,7 @@ class TestDurability:
         assert loaded.feature_count("tracks") == 20
 
     def test_flush_leaves_the_files_of_a_never_parsed_collection_in_place(
-            self, tmp_path, monkeypatch):
-        import pathlib
-
+            self, tmp_path, disk_faults):
         target = tmp_path / "s"
         store = MediaStore(target)
         self._populate(store)
@@ -837,16 +834,10 @@ class TestDurability:
         before = files()
         opened = MediaStore.open(target)
         opened.put_feature("tracks", "new", track_doc(random.Random("new")))
-        replaced = []
-        real_replace = pathlib.Path.replace
-
-        def counted_replace(self, other):
-            replaced.append(pathlib.Path(other).name)
-            return real_replace(self, other)
-
-        monkeypatch.setattr(pathlib.Path, "replace", counted_replace)
-        opened.flush()
-        assert replaced == ["tracks.ndjson.gz", "tracks.ann.ndjson.gz", "manifest.json"]
+        with disk_faults("rename") as renames:
+            opened.flush()
+        assert [dst.name for _, (src, dst) in renames] == [
+            "tracks.ndjson.gz", "tracks.ann.ndjson.gz", "manifest.json"]
         assert files() == before
         loaded = MediaStore.load(target)
         assert [loaded.feature_count(cid) for cid in ("more", "pics", "tracks")] == [1, 1, 21]
@@ -955,7 +946,7 @@ class TestCompressedSnapshot:
             "manifest.json", "pics.ann.ndjson.gz", "pics.ndjson.gz",
             "tracks.ann.ndjson.gz", "tracks.ndjson.gz"]
         lines = snapshot_text(target / "tracks.ndjson.gz").splitlines(keepends=True)
-        records = store.list_features("tracks")
+        records = store.st_query("tracks")
         assert lines == [(json.dumps({"fid": r.fid, "document": json.loads(serialize_document(
             r.doc))}, separators=(", ", ": ")) + "\n").encode() for r in records]
         anns = snapshot_text(target / "pics.ann.ndjson.gz").splitlines()
@@ -963,8 +954,8 @@ class TestCompressedSnapshot:
         assert snapshot_text(target / "tracks.ann.ndjson.gz") == b""
         loaded = MediaStore.load(target)
         for cid in ("tracks", "pics"):
-            assert ([(r.fid, serialize_document(r.doc)) for r in loaded.list_features(cid)]
-                    == [(r.fid, serialize_document(r.doc)) for r in store.list_features(cid)])
+            assert ([(r.fid, serialize_document(r.doc)) for r in loaded.st_query(cid)]
+                    == [(r.fid, serialize_document(r.doc)) for r in store.st_query(cid)])
         assert loaded.list_annotations("pics", "p1") == store.list_annotations("pics", "p1")
 
     def test_line_that_spans_many_read_chunks(self, tmp_path):
@@ -976,8 +967,8 @@ class TestCompressedSnapshot:
         store.flush()
         assert (tmp_path / "s" / "tracks.ndjson.gz").stat().st_size > 20 * 4096
         loaded = MediaStore.load(tmp_path / "s")
-        assert ([serialize_document(r.doc) for r in loaded.list_features("tracks")]
-                == [serialize_document(r.doc) for r in store.list_features("tracks")])
+        assert ([serialize_document(r.doc) for r in loaded.st_query("tracks")]
+                == [serialize_document(r.doc) for r in store.st_query("tracks")])
 
     def test_two_flushes_write_the_same_bytes(self, tmp_path):
         store, target = self._flushed(tmp_path)
@@ -1119,6 +1110,19 @@ class TestParseChecks:
             MediaStore.open(target)
         with pytest.raises(CorruptStoreError, match=message):
             MediaStore.load(target)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("title", 5, "collection title 5 must be a string"),
+        ("created", "yesterday", "collection time 'yesterday' is not an integer in years 1-9999"),
+    ])
+    def test_manifest_entry_is_held_to_the_rule_of_a_create(self, tmp_path, field, value,
+                                                            message):
+        _, target = self._flushed(tmp_path)
+        manifest = json.loads((target / "manifest.json").read_text())
+        manifest["collections"][0][field] = value
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptStoreError, match=f"^bad manifest entry: {message}$"):
+            MediaStore.open(target)
 
     def test_malformed_annotation_time_range_names_the_pair(self, tmp_path):
         _, target = self._flushed(tmp_path)

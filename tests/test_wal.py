@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import pathlib
 import random
 import zlib
 
@@ -66,7 +65,7 @@ def random_annotation(rng, record, aid):
 def random_op(rng, store, serial):
     """Apply one random mutation of any kind; returns its op name."""
     collections = store.list_collections()
-    features = [(c.id, r) for c in collections for r in store.list_features(c.id)]
+    features = [(c.id, r) for c in collections for r in store.st_query(c.id)]
     annotated = [(cid, r.fid, a.aid) for cid, r in features
                  for a in store.list_annotations(cid, r.fid)]
     choice = rng.random()
@@ -79,7 +78,7 @@ def random_op(rng, store, serial):
         return "create_collection"
     if choice < 0.45 or not features:
         meta = rng.choice(collections)
-        fids = [r.fid for r in store.list_features(meta.id)]
+        fids = [r.fid for r in store.st_query(meta.id)]
         fid = rng.choice(fids) if fids and rng.random() < 0.3 else f"f{serial}"
         store.put_feature(meta.id, fid, random_doc(rng, meta.media_type))
         return "put_feature"
@@ -150,13 +149,13 @@ def test_torn_last_record_dropped_then_truncated(tmp_path, tear):
         i = len(data) - 30
         log.write_bytes(data[:i] + bytes([data[i] ^ 0x01]) + data[i + 1:])
     loaded = MediaStore.load(target)
-    assert [r.fid for r in loaded.list_features("tracks")] == ["t0", "t1"]
+    assert [r.fid for r in loaded.st_query("tracks")] == ["t0", "t1"]
     assert log.read_bytes() != whole  # load reads only
     loaded.put_feature("tracks", "t9", random_doc(random.Random(9), "MovingPoint"))
     loaded.commit()
     assert log.read_bytes().startswith(whole)
     again = MediaStore.load(target)
-    assert [r.fid for r in again.list_features("tracks")] == ["t0", "t1", "t9"]
+    assert [r.fid for r in again.st_query("tracks")] == ["t0", "t1", "t9"]
     assert fingerprint(again) == fingerprint(loaded)
 
 
@@ -184,7 +183,7 @@ def test_last_line_that_is_not_json_is_a_torn_tail(tmp_path):
     target = tmp_path / "s"
     committed_store(target)
     replace_log_line(target, 3, b"not json\n")
-    assert [r.fid for r in MediaStore.load(target).list_features("tracks")] == ["t0", "t1"]
+    assert [r.fid for r in MediaStore.load(target).st_query("tracks")] == ["t0", "t1"]
 
 
 def test_line_that_is_not_json_before_a_whole_record_is_corrupt(tmp_path):
@@ -219,7 +218,7 @@ def test_whole_record_that_names_no_mutation_is_corrupt(tmp_path, rec):
         MediaStore.load(target)
 
 
-def test_crash_between_manifest_rename_and_log_reset(tmp_path, monkeypatch):
+def test_crash_between_manifest_rename_and_log_reset(tmp_path, disk_faults):
     """The new snapshot already holds the log's ops; replaying them again would
     re-create a collection and re-delete a feature."""
     target = tmp_path / "s"
@@ -227,17 +226,9 @@ def test_crash_between_manifest_rename_and_log_reset(tmp_path, monkeypatch):
     store.create_collection("late", "late", "stphoto", created=9)
     store.delete_feature("tracks", "t0")
     store.commit()
-    real_unlink = pathlib.Path.unlink
-
-    def crash_on_log(self, *args, **kwargs):
-        if self.name == "wal.log":
-            raise OSError("simulated crash")
-        return real_unlink(self, *args, **kwargs)
-
-    monkeypatch.setattr(pathlib.Path, "unlink", crash_on_log)
-    with pytest.raises(StoreIoError):
-        store.flush()
-    monkeypatch.setattr(pathlib.Path, "unlink", real_unlink)
+    with disk_faults("unlink", at=1) as unlinks, pytest.raises(StoreIoError):
+        store.flush()  # its first unlink is the log's, after the manifest's rename
+    assert [args[0].name for _, args in unlinks] == ["wal.log"]
     assert (target / "wal.log").is_file()  # the old generation's log is still there
     loaded = MediaStore.load(target)
     assert fingerprint(loaded) == fingerprint(store)
@@ -268,23 +259,17 @@ def test_queued_op_without_commit_is_absent(tmp_path):
     store.put_feature("tracks", "queued", random_doc(random.Random(2), "MovingPoint"))
     store.delete_feature("tracks", "t1")
     loaded = MediaStore.load(target)
-    assert [r.fid for r in loaded.list_features("tracks")] == ["t0", "t1", "t2"]
+    assert [r.fid for r in loaded.st_query("tracks")] == ["t0", "t1", "t2"]
 
 
-def failing_fsync(fd):
-    raise OSError("disk gone")
-
-
-def test_failed_commit_leaves_memory_as_a_restart_finds_it(tmp_path, monkeypatch):
+def test_failed_commit_leaves_memory_as_a_restart_finds_it(tmp_path, disk_faults):
     target = tmp_path / "s"
     store = committed_store(target)
     acknowledged = fingerprint(store)
     lock = store.lock
     store.put_feature("tracks", "late", random_doc(random.Random(3), "MovingPoint"))
-    with monkeypatch.context() as patch:
-        patch.setattr("os.fsync", failing_fsync)
-        with pytest.raises(StoreIoError, match="commit failed"):
-            store.commit()
+    with disk_faults("fsync", at=1, every=True), pytest.raises(StoreIoError, match="commit failed"):
+        store.commit()
     # The records written before the failed fsync are cut off again, and
     # memory is reloaded from what is left.
     assert fingerprint(MediaStore.load(target)) == acknowledged
@@ -295,7 +280,7 @@ def test_failed_commit_leaves_memory_as_a_restart_finds_it(tmp_path, monkeypatch
     assert {p.name: p.read_bytes() for p in target.iterdir()} == files
 
 
-def test_failed_commit_reopens_without_parsing(tmp_path, monkeypatch):
+def test_failed_commit_reopens_without_parsing(tmp_path, monkeypatch, disk_faults):
     """Recovery reads what a restart finds but parses no collection: the one
     the failed op did not touch stays unparsed until a method needs it."""
     target = tmp_path / "s"
@@ -313,33 +298,62 @@ def test_failed_commit_reopens_without_parsing(tmp_path, monkeypatch):
         return parse(self, state)
 
     monkeypatch.setattr(MediaStore, "_parse_collection", recorded_parse)
-    with monkeypatch.context() as patch:
-        patch.setattr("os.fsync", failing_fsync)
-        with pytest.raises(StoreIoError, match="commit failed"):
-            store.commit()
+    with disk_faults("fsync", at=1, every=True), pytest.raises(StoreIoError, match="commit failed"):
+        store.commit()
     assert parsed == []
     assert fingerprint(store) == fingerprint(MediaStore.load(target))
-    assert [r.fid for r in store.list_features("tracks")] == ["t0", "t1", "t2"]
+    assert [r.fid for r in store.st_query("tracks")] == ["t0", "t1", "t2"]
 
 
-def test_failed_compaction_in_commit_reloads_too(tmp_path, monkeypatch):
+def test_failed_compaction_in_commit_reloads_too(tmp_path, monkeypatch, disk_faults):
     target = tmp_path / "s"
     store = committed_store(target)
     acknowledged = fingerprint(store)
     monkeypatch.setattr("geomedia.store._COMPACT_MIN_BYTES", 0)  # this commit compacts
     store.put_feature("tracks", "late", random_doc(random.Random(3), "MovingPoint"))
-    with monkeypatch.context() as patch:
-        patch.setattr("os.fsync", failing_fsync)
-        with pytest.raises(StoreIoError, match="flush failed"):
-            store.commit()
+    with disk_faults("fsync", at=1, every=True), pytest.raises(StoreIoError, match="flush failed"):
+        store.commit()
     assert fingerprint(store) == acknowledged == fingerprint(MediaStore.load(target))
 
 
-def test_failed_commit_that_cannot_reload_keeps_memory(tmp_path, monkeypatch):
+def test_failed_commit_that_cannot_reload_keeps_memory(tmp_path, disk_faults):
     store = MediaStore(tmp_path / "s")
     store.create_collection("tracks", "tracks", "MovingPoint", created=7)
-    with monkeypatch.context() as patch:
-        patch.setattr("os.fsync", failing_fsync)
-        with pytest.raises(StoreIoError, match="flush failed"):
-            store.commit()  # the first commit compacts, and no manifest is left to load
+    with disk_faults("fsync", at=1, every=True), pytest.raises(StoreIoError, match="flush failed"):
+        store.commit()  # the first commit compacts, and no manifest is left to load
     assert [c.id for c in store.list_collections()] == ["tracks"]
+
+
+@pytest.mark.parametrize("n_puts, disk_calls", [
+    (0, ["append", "fsync", "fsync_dir"]),
+    (3, ["append", "fsync"]),
+], ids=["commit-that-starts-the-log", "later-commit"])
+def test_commit_cut_at_each_disk_call_opens_to_the_old_or_the_new_state(
+        tmp_path, disk_faults, n_puts, disk_calls):
+    """Fail one log-appending commit at its first disk call, then at its
+    second, and so on until it completes. After each cut the directory opens
+    to the state before the commit or after it, and so does the store that
+    failed; an acknowledged write is never lost."""
+    target = tmp_path / "s"
+    store = committed_store(target, n_puts)
+    old = fingerprint(store)
+    doc = random_doc(random.Random("sweep"), "MovingPoint")
+    for k in range(1, len(disk_calls) + 2):
+        store.put_feature("tracks", "late", doc)
+        store.put_annotation("tracks", "late", Annotation("a1", "text", "late"))
+        new = fingerprint(store)
+        with disk_faults("stage", "append", "fsync", "fsync_dir", "rename", "unlink",
+                         at=k) as calls:
+            try:
+                store.commit()
+                cut = False
+            except StoreIoError:
+                cut = True
+        opened = fingerprint(MediaStore.open(target))
+        assert opened in (old, new)
+        assert fingerprint(store) == opened
+        if not cut:
+            break
+    assert opened == new
+    assert k == len(disk_calls) + 1  # every call was cut once
+    assert [name for name, _ in calls] == disk_calls
