@@ -23,7 +23,7 @@ from .errors import BadQueryError, WrongKindError
 from .fov import FieldOfView, fov_contains, resolve_direction
 from .geo import EARTH_RADIUS_M, GeoPoint, angle_between, destination, disk_bbox
 from .temporal import (MAX_TIME, MIN_TIME, InterpolationMode, MovingDouble, MovingPoint,
-                        TimeInterval, TimeStamp)
+                        PositionColumns, TimeInterval, TimeStamp)
 
 KIND_MOVING_POINT = "MovingPoint"
 KIND_MOVING_DOUBLE = "MovingDouble"
@@ -180,10 +180,11 @@ class MovingVideo:
             raise ValueError(
                 f"fov list length {len(column) // 4} is neither 1 nor the sample count"
             )
-        min_lon, min_lat, max_lon, max_lat = track.spatial_bbox()
-        if (min_lon, min_lat) == (max_lon, max_lat) and min(column[2::4]) < 0.0:
-            # the direction resolves against the track heading, which a still track lacks
-            raise ValueError("a mount-relative direction needs a moving track")
+        if min(column[2::4]) < 0.0:
+            min_lon, min_lat, max_lon, max_lat = track.spatial_bbox()
+            if (min_lon, min_lat) == (max_lon, max_lat):
+                # the direction resolves against the track heading, which a still track lacks
+                raise ValueError("a mount-relative direction needs a moving track")
 
     @property
     def fovs(self) -> tuple[FieldOfView, ...]:
@@ -313,6 +314,178 @@ class GeoMediaDocument:
 
 def document_of(payload: MediaPayload) -> GeoMediaDocument:
     return GeoMediaDocument(kind_of(payload), payload)
+
+
+_MODES = tuple(InterpolationMode)
+
+
+class Columns:
+    """The documents of one collection as one set of columns, a row each.
+
+    A row never changes once written: add() appends one, and a collection
+    whose rows are mostly dead copies its live ones into fresh Columns (see
+    store.py). So (columns, row) names one document for good, and
+    document() builds it on request from slices of the columns, which each
+    kind's own class takes as they are (MovingPoint.from_columns and the
+    like); a time filter reads the row's first and last time (time_bounds)
+    without building it. add() only appends, so an earlier row's document
+    can be built while another thread adds a row: each array operation is
+    atomic under the interpreter lock.
+
+    Row r's samples are times[starts[r]:starts[r + 1]] (array('q')), with
+    their values (a series) or positions (lons and lats, array('d'); a
+    photo has one sample) in step. A run that a row may lack has starts of
+    its own and is empty where the row has none: altitudes (alt_starts), a
+    series' positions (pos_starts) and a video's FoVs (fov_starts, four
+    numbers each; a photo's four are at 4 * r). A series has a mode code
+    per row and a camera a URI, and extras holds the extra members of the
+    rows that have any. reach is the largest view distance of any row ever added.
+    How each kind packs into these columns sits below, by kind.
+    """
+
+    __slots__ = ("kind", "starts", "times", "values", "lons", "lats", "pos_starts",
+                 "alts", "alt_starts", "fovs", "fov_starts", "modes", "uris", "extras", "reach")
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.starts, self.pos_starts, self.alt_starts, self.fov_starts = (
+            array("q", [0]) for _ in range(4))
+        self.times = array("q")
+        self.values, self.lons, self.lats, self.alts, self.fovs = (array("d") for _ in range(5))
+        self.modes = array("B")
+        self.uris: list[str] = []
+        self.extras: dict[int, tuple] = {}
+        self.reach = 0.0
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def add(self, doc: GeoMediaDocument) -> int:
+        """Append doc, whose kind is this collection's, as a new row; its number."""
+        row = len(self)
+        _LAYOUTS[self.kind][0](self, doc.payload)
+        if doc.extras:
+            self.extras[row] = doc.extras
+        return row
+
+    def document(self, row: int) -> GeoMediaDocument:
+        return GeoMediaDocument(self.kind, _LAYOUTS[self.kind][1](self, row),
+                                self.extras.get(row, ()))
+
+    def time_bounds(self, row: int) -> tuple[TimeStamp, TimeStamp]:
+        return self.times[self.starts[row]], self.times[self.starts[row + 1] - 1]
+
+    def bbox(self, row: int) -> Bbox | None:
+        """spatial_bbox of the row's document."""
+        return _LAYOUTS[self.kind][2](self, row)
+
+    def copy(self, rows: Iterable[int]) -> "Columns":
+        """Fresh columns of rows, in that order, numbered from 0."""
+        fresh = Columns(self.kind)
+        for row in rows:
+            fresh.add(self.document(row))
+        return fresh
+
+    # -- positions, shared by every kind --------------------------------------
+
+    def _add_positions(self, lons, lats, alts) -> None:
+        self.lons.extend(lons)
+        self.lats.extend(lats)
+        if alts is not None:
+            self.alts.extend(alts)
+        self.alt_starts.append(len(self.alts))
+
+    def _positions(self, a: int, b: int, row: int) -> PositionColumns:
+        """The position columns of samples a to b, which are the row's."""
+        p, q = self.alt_starts[row], self.alt_starts[row + 1]
+        return self.lons[a:b], self.lats[a:b], self.alts[p:q] if p < q else None
+
+    def _positions_bbox(self, a: int, b: int) -> Bbox | None:
+        if a == b:
+            return None
+        lons, lats = self.lons[a:b], self.lats[a:b]
+        return (min(lons), min(lats), max(lons), max(lats))
+
+    def _add_samples(self, series: MovingPoint | MovingDouble) -> None:
+        self.times.extend(series.time_column)
+        self.starts.append(len(self.times))
+        self.modes.append(_MODES.index(series.mode))
+
+    # -- MovingPoint: samples and positions in step ------------------------------
+
+    def _add_point(self, mp: MovingPoint) -> None:
+        self._add_samples(mp)
+        self._add_positions(mp.lons, mp.lats, mp.alts)
+
+    def _point(self, row: int) -> MovingPoint:
+        a, b = self.starts[row], self.starts[row + 1]
+        return MovingPoint.from_columns(self.times[a:b], self._positions(a, b, row),
+                                        _MODES[self.modes[row]])
+
+    def _point_bbox(self, row: int) -> Bbox:
+        return self._positions_bbox(self.starts[row], self.starts[row + 1])
+
+    # -- MovingDouble: values in step with samples, positions optional -------------
+
+    def _add_double(self, md: MovingDouble) -> None:
+        self._add_samples(md)
+        self.values.extend(md.value_column)
+        if md.lons is None:
+            self.alt_starts.append(len(self.alts))
+        else:
+            self._add_positions(md.lons, md.lats, md.alts)
+        self.pos_starts.append(len(self.lons))
+
+    def _double(self, row: int) -> MovingDouble:
+        a, b = self.starts[row], self.starts[row + 1]
+        p, q = self.pos_starts[row], self.pos_starts[row + 1]
+        return MovingDouble.from_columns(self.times[a:b], self.values[a:b], _MODES[self.modes[row]],
+                                         self._positions(p, q, row) if p < q else None)
+
+    def _double_bbox(self, row: int) -> Bbox | None:
+        return self._positions_bbox(self.pos_starts[row], self.pos_starts[row + 1])
+
+    # -- stphoto: one sample, four FoV numbers a row -------------------------------
+
+    def _add_photo(self, photo: STPhoto) -> None:
+        loc, fov = photo.loc, photo.fov
+        self.times.append(photo.t)
+        self.starts.append(len(self.times))
+        self._add_positions((loc.lon,), (loc.lat,), None if loc.alt is None else (loc.alt,))
+        self.fovs.extend((fov.h_angle, fov.v_angle, fov.direction2d, fov.view_distance))
+        self.uris.append(photo.imguri)
+        self.reach = max(self.reach, fov.view_distance)
+
+    def _photo(self, row: int) -> STPhoto:
+        a, p = self.starts[row], self.alt_starts[row]
+        alt = self.alts[p] if p < self.alt_starts[row + 1] else None
+        return STPhoto(self.uris[row], GeoPoint(self.lons[a], self.lats[a], alt),
+                       self.times[a], FieldOfView(*self.fovs[4 * row:4 * row + 4]))
+
+    def _photo_bbox(self, row: int) -> Bbox:
+        return self._photo(row).spatial_bbox()
+
+    # -- MovingVideo: a MovingPoint's columns plus a run of FoVs ---------------------
+
+    def _add_video(self, video: MovingVideo) -> None:
+        self._add_point(video.track)
+        self.fovs.extend(video._fov_column)
+        self.fov_starts.append(len(self.fovs))
+        self.uris.append(video.videouri)
+        self.reach = max(self.reach, video.view_reach())
+
+    def _video(self, row: int) -> MovingVideo:
+        f, g = self.fov_starts[row], self.fov_starts[row + 1]
+        return MovingVideo.from_column(self.uris[row], self._point(row), self.fovs[f:g])
+
+
+# Each kind's add, build and bbox on Columns.
+_LAYOUTS = {
+    KIND_MOVING_POINT: (Columns._add_point, Columns._point, Columns._point_bbox),
+    KIND_MOVING_DOUBLE: (Columns._add_double, Columns._double, Columns._double_bbox),
+    KIND_STPHOTO: (Columns._add_photo, Columns._photo, Columns._photo_bbox),
+    KIND_MOVING_VIDEO: (Columns._add_video, Columns._video, Columns._point_bbox),
+}
 
 
 def payload_of(x) -> MediaPayload:

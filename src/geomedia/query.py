@@ -51,9 +51,18 @@ class QuerySpec:
 _INT_RE = re.compile(r"-?[0-9]+")  # ASCII only: int() also takes "1_0", " 5" and "١٢"
 
 
+def _int(raw: str, name: str) -> int:
+    """raw, which _INT_RE matches, as an int. int() refuses a string of more
+    digits than Python converts (4,300 by default) with ValueError."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadQueryError(f"{name} has {len(raw.lstrip('-'))} digits, too many to read") from None
+
+
 def parse_instant(raw: str) -> int:
     if _INT_RE.fullmatch(raw):
-        return int(raw)
+        return _int(raw, "time")
     try:
         return parse_datetime(raw)
     except ParseError as exc:
@@ -81,7 +90,7 @@ def parse_lonlat(raw: str, name: str) -> GeoPoint:
 def _parse_int(raw: str, name: str) -> int:
     if not _INT_RE.fullmatch(raw):
         raise BadQueryError(f"{name} must be an integer, got {raw!r}")
-    return int(raw)
+    return _int(raw, name)
 
 
 def decode_query_spec(params: dict[str, str]) -> QuerySpec:
@@ -180,6 +189,9 @@ def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord
         boxes.append(disk_bbox(*spec.near))
     candidates = store.st_query(cid, bbox=boxes, interval=spec.interval,
                                 visible_from=spec.visible_from)
+    if spec.near is None and spec.visible_from is None:
+        # the index and the time filter are exact: no document need be built
+        return page(candidates, spec.limit, spec.offset)
     out = []
     for record in candidates:
         payload = record.doc.payload

@@ -1,18 +1,24 @@
 """Persistent collections ("layers") of geo-tagged media with a spatial index.
 
-A collection holds each feature as its document alone, keyed by fid, and a
-2-D (lon, lat) R-tree over the documents' bounding boxes. The tree is the
+A collection holds its documents in one set of columns, a row each
+(media.Columns, which packs each kind), a map from fid to live row, and a
+2-D (lon, lat) R-tree over the documents' bounding boxes. A row never
+changes: a put or replacement appends one, a delete leaves its row dead,
+and once dead rows outnumber live ones the live rows are copied into fresh
+columns. So a FeatureRecord names (columns, row) and builds its document
+when a caller reads it, after the lock is released too. The tree is the
 only holder of a bbox (it keeps them in array('d') columns): a
-FeatureRecord is built when a caller asks for one and works its bbox and
-extent out from the document, and a delete or replacement works the old
-document's bbox out again to find its entry. Time windows are not indexed
-but checked exactly on each candidate. The tree is packed (STR) when the
-collection's snapshot files are parsed, and for a collection filled since
-it was created by the first spatial search (until then a put computes no
-bbox); after that every put and delete goes to the tree's write delta,
-which it packs again now and then on its own (see rtree.py).
-Next to the tree a collection keeps its view reach, an upper bound on how
-far any of its cameras sees (the radius of st_query's visible_from box), and
+FeatureRecord works its bbox and extent out from the document, and a
+delete or replacement works the old row's bbox out again to find its
+entry. Time windows are not indexed but checked exactly on each
+candidate, by the first and last time of its row, read from the columns.
+The tree is packed (STR) when the collection's snapshot files are parsed,
+and for a collection filled since it was created by the first spatial
+search (until then a put computes no bbox); after that every put and
+delete goes to the tree's write delta, which it packs again now and then
+on its own (see rtree.py).
+The columns keep their view reach, an upper bound on how far any of their
+cameras sees (the radius of st_query's visible_from box), and a collection
 caches its time extent (collection_extent()): a fresh put widens it, a
 replacement or delete drops it, and the next read works it out again.
 
@@ -206,17 +212,38 @@ def annotation_from_obj(obj: dict, time_style: str) -> Annotation:
     return Annotation(obj.get("aid"), obj.get("kind"), obj.get("body"), time_range)
 
 
-@dataclass(frozen=True, slots=True)
 class FeatureRecord:
-    """A stored document under its feature id, built when a caller asks for it.
+    """A stored document under its feature id, built when a caller reads doc.
 
-    The store holds only the document; bbox and extent are worked out from
-    it on each read, so a caller that reads only fid and doc never computes
-    a photo's wedge.
+    The record names its collection's row, which never changes (see
+    media.Columns), so doc is right however long after the query it is
+    read. bbox and extent are worked out from the document on each read.
     """
 
-    fid: str
-    doc: GeoMediaDocument
+    __slots__ = ("fid", "_columns", "_row", "_doc")
+
+    def __init__(self, fid: str, columns: media.Columns, row: int):
+        self.fid = fid
+        self._columns = columns
+        self._row = row
+        self._doc = None
+
+    @property
+    def doc(self) -> GeoMediaDocument:
+        if self._doc is None:
+            self._doc = self._columns.document(self._row)
+        return self._doc
+
+    def __eq__(self, other):
+        if not isinstance(other, FeatureRecord):
+            return NotImplemented
+        return (self.fid, self.doc) == (other.fid, other.doc)
+
+    def __hash__(self):
+        return hash((self.fid, self.doc))
+
+    def __repr__(self) -> str:
+        return f"FeatureRecord(fid={self.fid!r}, doc={self.doc!r})"
 
     @property
     def bbox(self) -> Bbox | None:
@@ -228,19 +255,17 @@ class FeatureRecord:
 
 
 class _CollectionState:
-    __slots__ = ("meta", "features", "annotations", "index", "reach", "bounds", "unparsed")
+    __slots__ = ("meta", "columns", "rows", "annotations", "index", "bounds", "unparsed")
 
     def __init__(self, meta: Collection, unparsed: dict | None = None):
         self.meta = meta
         # The manifest entry of snapshot files that open() checked but nothing
-        # has parsed yet; features and annotations stay empty until then.
+        # has parsed yet; the collection stays empty until then.
         self.unparsed = unparsed
-        self.features: dict[str, GeoMediaDocument] = {}
+        self.columns = media.Columns(meta.media_type)
+        self.rows: dict[str, int] = {}  # fid -> its live row in columns
         self.annotations: dict[str, dict[str, Annotation]] = {}
         self.index: RTree | None = None  # built by spatial_index() when first needed
-        # With the index: the largest view reach of any feature put since it was
-        # built. Puts raise it, deletes leave it, so it only ever overestimates.
-        self.reach = 0.0
         # (earliest start, latest end) of the features' time bounds, or None
         # until collection_extent() works it out; a fresh put widens it, a
         # replacement or delete drops it.
@@ -248,66 +273,82 @@ class _CollectionState:
 
     def spatial_index(self) -> RTree:
         if self.index is None:
-            self.index = RTree.bulk_load(_boxed(self.features.items()))
-            self.reach = max(map(media.view_reach, self.features.values()), default=0.0)
+            columns = self.columns
+            self.index = RTree.bulk_load(
+                (fid, bbox) for fid, row in self.rows.items()
+                if (bbox := columns.bbox(row)) is not None)
         return self.index
 
-    def index_delete(self, fid: str, doc: GeoMediaDocument) -> None:
-        """Drop doc's entry from a built index: its bbox, worked out again
-        (a pure function of doc), finds the leaf entry."""
-        bbox = media.spatial_bbox(doc)
-        if bbox is not None:
-            self.index.delete(fid, bbox)
-
-    def feature(self, fid: str) -> GeoMediaDocument:
+    def row(self, fid: str) -> int:
         try:
-            return self.features[fid]
+            return self.rows[fid]
         except KeyError:
             raise NotFoundError(f"feature {fid!r} not in collection {self.meta.id!r}") from None
 
+    def record(self, fid: str) -> FeatureRecord:
+        return FeatureRecord(fid, self.columns, self.row(fid))
+
     def put(self, fid: str, doc: GeoMediaDocument) -> None:
-        """Insert or replace a feature, and its index entry once there is an
-        index (until then no bbox is computed). A replacement keeps the
-        feature's annotations whose time ranges fit its new extent."""
+        """Insert or replace a feature as a new row, and its index entry once
+        there is an index (until then no bbox is computed). A replacement
+        keeps the feature's annotations whose time ranges fit its new
+        extent."""
         if not isinstance(fid, str) or not fid or "/" in fid:
             raise BadQueryError(f"feature id {fid!r} must be non-empty without '/'")
         if doc.kind != self.meta.media_type:
             raise WrongKindError(f"document kind {doc.kind} does not match "
                                  f"collection media type {self.meta.media_type}")
+        old = self.rows.get(fid)
         if self.index is not None:
-            old = self.features.get(fid)
             if old is not None:
-                self.index_delete(fid, old)
+                self._index_delete(fid, old)
             bbox = media.spatial_bbox(doc)
             if bbox is not None:
                 self.index.insert(fid, bbox)
-            self.reach = max(self.reach, media.view_reach(doc))
-        if fid in self.features:
+        if old is not None:
             self.bounds = None
         elif self.bounds is not None:
             (low, high), (start, end) = self.bounds, doc.payload.time_bounds()
             self.bounds = (min(low, start), max(high, end))
-        self.features[fid] = doc
+        self.rows[fid] = self.columns.add(doc)
         anns = self.annotations.get(fid)
         if anns:
             extent = media.time_extent(doc)
             self.annotations[fid] = {aid: ann for aid, ann in anns.items()
                                      if _fits(ann, extent)}
+        self._reclaim()
 
     def drop(self, fid: str) -> None:
-        doc = self.feature(fid)
+        row = self.row(fid)
         if self.index is not None:
-            self.index_delete(fid, doc)
-        del self.features[fid]
+            self._index_delete(fid, row)
+        del self.rows[fid]
         self.bounds = None
         self.annotations.pop(fid, None)
+        self._reclaim()
+
+    def _index_delete(self, fid: str, row: int) -> None:
+        """Drop the row's entry from the built index: its bbox, worked out
+        again (a pure function of the row), finds the leaf entry."""
+        bbox = self.columns.bbox(row)
+        if bbox is not None:
+            self.index.delete(fid, bbox)
+
+    def _reclaim(self) -> None:
+        """Once dead rows (replaced or deleted) outnumber live ones, copy the
+        live ones into fresh columns. The old columns stay as they are, so a
+        FeatureRecord on them still builds its document."""
+        rows = self.rows
+        if len(self.columns) > 2 * len(rows):
+            self.columns = self.columns.copy(rows.values())
+            self.rows = dict(zip(rows, range(len(rows))))
 
     def annotate(self, fid: str, ann: Annotation) -> None:
-        doc = self.feature(fid)
+        row = self.row(fid)
         if ann.time_range is not None:
-            if doc.kind not in media.TIME_RANGE_KINDS:
+            if self.meta.media_type not in media.TIME_RANGE_KINDS:
                 raise ParseError("time ranges apply to video annotations only")
-            extent = media.time_extent(doc)
+            extent = TimeInterval(*self.columns.time_bounds(row))
             if not _fits(ann, extent):
                 raise ParseError(
                     f"time range [{ann.time_range.start}, {ann.time_range.end}] "
@@ -316,7 +357,7 @@ class _CollectionState:
         self.annotations.setdefault(fid, {})[ann.aid] = ann
 
     def annotations_of(self, fid: str) -> dict[str, Annotation]:
-        self.feature(fid)
+        self.row(fid)
         return self.annotations.get(fid, {})
 
     def annotation(self, fid: str, aid: str) -> Annotation:
@@ -330,18 +371,6 @@ def _fits(ann: Annotation, extent: TimeInterval) -> bool:
     """Whether an annotation's time range, if it has one, lies within extent."""
     return ann.time_range is None or (
         extent.contains(ann.time_range.start) and extent.contains(ann.time_range.end))
-
-
-def _meets(bounds: tuple[int, int], interval: TimeInterval) -> bool:
-    return bounds[0] <= interval.end and interval.start <= bounds[1]
-
-
-def _boxed(features):
-    """(fid, bbox) of every (fid, document) pair that has a bbox."""
-    for fid, doc in features:
-        bbox = media.spatial_bbox(doc)
-        if bbox is not None:
-            yield fid, bbox
 
 
 class MediaStore:
@@ -410,13 +439,14 @@ class MediaStore:
 
     def put_feature(self, cid: str, fid: str, doc: GeoMediaDocument) -> FeatureRecord:
         with self._lock:
-            self._state(cid).put(fid, doc)
+            state = self._state(cid)
+            state.put(fid, doc)
             self._queue("put_feature", cid=cid, fid=fid, doc=doc)
-            return FeatureRecord(fid, doc)
+            return state.record(fid)
 
     def get_feature(self, cid: str, fid: str) -> FeatureRecord:
         with self._lock:
-            return FeatureRecord(fid, self._state(cid).feature(fid))
+            return self._state(cid).record(fid)
 
     def delete_feature(self, cid: str, fid: str) -> None:
         with self._lock:
@@ -425,11 +455,11 @@ class MediaStore:
 
     def has_feature(self, cid: str, fid: str) -> bool:
         with self._lock:
-            return fid in self._state(cid).features
+            return fid in self._state(cid).rows
 
     def feature_count(self, cid: str) -> int:
         with self._lock:
-            return len(self._state(cid).features)
+            return len(self._state(cid).rows)
 
     # -- spatial index plus exact time filter ----------------------------------
 
@@ -459,18 +489,19 @@ class MediaStore:
         interval = _check_interval(interval)
         with self._lock:
             state = self._state(cid)
-            features = state.features
+            columns, rows = state.columns, state.rows
             if visible_from is not None:
-                state.spatial_index()  # works the reach out
-                boxes.append(disk_bbox(visible_from, state.reach))
+                boxes.append(disk_bbox(visible_from, columns.reach))
             boxes.sort(key=lambda b: (b[2] - b[0]) * (b[3] - b[1]))
-            fids = state.spatial_index().search(*boxes) if boxes else features
+            fids = state.spatial_index().search(*boxes) if boxes else rows
             if interval is not None:
-                # time_bounds, not time_extent: an interval object per candidate
-                # would cost more than the index search
+                # the row's first and last time, read from the columns: no
+                # document is built for a candidate
+                start, end, times, starts = interval.start, interval.end, columns.times, columns.starts
                 fids = [fid for fid in fids
-                        if _meets(features[fid].payload.time_bounds(), interval)]
-            return [FeatureRecord(fid, features[fid]) for fid in sorted(fids)]
+                        if times[starts[row := rows[fid]]] <= end
+                        and start <= times[starts[row + 1] - 1]]
+            return [FeatureRecord(fid, columns, rows[fid]) for fid in sorted(fids)]
 
     def collection_bbox(self, cid: str) -> Bbox | None:
         """Bounds of every feature's bbox: the index root's rectangle."""
@@ -482,12 +513,13 @@ class MediaStore:
         worked out again only after a replacement or delete."""
         with self._lock:
             state = self._state(cid)
-            if not state.features:
+            if not state.rows:
                 return None
             if state.bounds is None:
-                starts, ends = zip(*(doc.payload.time_bounds()
-                                     for doc in state.features.values()))
-                state.bounds = (min(starts), max(ends))
+                times, starts = state.columns.times, state.columns.starts
+                rows = state.rows.values()
+                state.bounds = (min(times[starts[row]] for row in rows),
+                                max(times[starts[row + 1] - 1] for row in rows))
             return TimeInterval(*state.bounds)
 
     # -- annotations -----------------------------------------------------------
@@ -601,11 +633,11 @@ class MediaStore:
             features_path, anns_path = target / features_name, target / anns_name
             keep.update((features_name, anns_name))
             if state.unparsed is None:
-                count = len(state.features)
-                features = state.features  # sorted fids, not items: no tuple per feature
+                columns, rows = state.columns, state.rows
+                count = len(rows)
                 features_tmp, features_sha, features_size = disk.stage(features_path, disk.ndjson_gz(
-                    {"fid": fid, "document": document_to_obj(features[fid], "epoch")}
-                    for fid in sorted(features)))
+                    {"fid": fid, "document": document_to_obj(columns.document(rows[fid]), "epoch")}
+                    for fid in sorted(rows)))
                 anns_tmp, anns_sha, anns_size = disk.stage(anns_path, disk.ndjson_gz(
                     {"fid": fid, **annotation_to_obj(anns[aid], "epoch")}
                     for fid, anns in sorted(state.annotations.items())
@@ -752,10 +784,10 @@ class MediaStore:
                     fresh.put(wrapper["fid"], parse_obj(wrapper["document"]))
                 except _MALFORMED as exc:
                     raise CorruptStoreError(f"{features_name} line {line_no}: {exc}") from None
-            if len(fresh.features) != unparsed["features"]:
+            if len(fresh.rows) != unparsed["features"]:
                 raise CorruptStoreError(
                     f"{meta.id}: manifest says {unparsed['features']} features, "
-                    f"file has {len(fresh.features)}"
+                    f"file has {len(fresh.rows)}"
                 )
             for line_no, line in ann_lines:
                 try:

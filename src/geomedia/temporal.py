@@ -142,7 +142,8 @@ class _Series:
         come checked (see _time_column and _value_column)."""
         lons, lats, alts = (None, None, None) if columns is None else columns
         object.__setattr__(self, "time_column", time_column)
-        object.__setattr__(self, "mode", InterpolationMode(mode))
+        object.__setattr__(self, "mode", mode if type(mode) is InterpolationMode
+                           else InterpolationMode(mode))
         object.__setattr__(self, "lons", lons)
         object.__setattr__(self, "lats", lats)
         object.__setattr__(self, "alts", alts)

@@ -282,6 +282,11 @@ class TestAtFovVisible:
         assert capsys.readouterr().err == (
             "error: time 1533132000000 outside extent [1533128461000, 1533128463000]\n")
 
+    def test_at_of_more_digits_than_python_reads_exits_two(self, capsys):
+        code = main(["at", "--file", str(FIXTURES / "moving_point.json"), "--at", "9" * 5000])
+        assert code == 2
+        assert capsys.readouterr().err == "error: time has 5000 digits, too many to read\n"
+
     def test_fov_photo(self, capsys):
         code = main(["fov", "--file", str(FIXTURES / "stphoto.json")])
         assert code == 0

@@ -31,7 +31,7 @@ from geomedia import (
     serialize_document,
     visible_intervals,
 )
-from geomedia import rtree
+from geomedia import media, rtree
 from geomedia.cli import main
 from geomedia.errors import BadQueryError, WrongKindError
 from geomedia.media import view_reach
@@ -592,6 +592,43 @@ class TestPushDown:
                     assert [r.fid for r in evaluate(store, "c", spec)] == want, spec
                     matched[k] += len(want)
         assert len(packs) >= 3 and min(matched) > 0
+
+    @pytest.mark.parametrize("kind", ["MovingPoint", "MovingDouble", "stphoto", "MovingVideo"])
+    def test_equals_linear_scan_through_writes_that_compact_the_rows(self, store, kind,
+                                                                      monkeypatch):
+        # Replacements and deletes leave dead rows behind; each time they
+        # outnumber the live ones the collection copies its live rows into
+        # fresh columns.
+        rng = random.Random(f"rows {kind}")
+        store.create_collection("c", "c", kind)
+        for i in range(30):
+            store.put_feature("c", f"f{i:03d}", document_of(random_payload(rng, kind, i)))
+        evaluate(store, "c", QuerySpec(near=(ANCHORS[0], 1.0)))  # builds the index
+        copies, matched = [], [0, 0, 0]
+        real_copy = media.Columns.copy
+        monkeypatch.setattr(media.Columns, "copy",
+                            lambda *args: copies.append(1) or real_copy(*args))
+        for step in range(200):
+            fids = [r.fid for r in store.st_query("c")]
+            roll = rng.random()
+            if roll < 0.7 or len(fids) < 10:  # mostly replacements, some new fids
+                fid = f"g{rng.randrange(1000):03d}" if roll < 0.15 else rng.choice(fids)
+                store.put_feature("c", fid, document_of(random_payload(rng, kind, step)))
+            else:
+                store.delete_feature("c", rng.choice(fids))
+            p = query_point(rng, store, "c")
+            w, h = 10 ** rng.uniform(-3, 1.5), 10 ** rng.uniform(-3, 1.5)
+            start = rng.randint(-1000, 3000)
+            specs = [QuerySpec(bbox=(p.lon - w, p.lat - h, p.lon + w, p.lat + h),
+                               interval=TimeInterval(start, start + rng.randint(0, 2000))),
+                     QuerySpec(near=(p, scale(rng)))]
+            if kind in ("stphoto", "MovingVideo"):
+                specs.append(QuerySpec(visible_from=p))
+            for k, spec in enumerate(specs):
+                want = linear_scan(store, "c", spec)
+                assert [r.fid for r in evaluate(store, "c", spec)] == want, (step, spec)
+                matched[k] += len(want)
+        assert len(copies) >= 3 and min(matched[:len(specs)]) > 0
 
 
 FAR = 50_000.0  # the far-seeing camera's view distance, 500 times the others'

@@ -307,6 +307,13 @@ class TestItems:
         status, body = api.handle("GET", f"/collections/taxi/items?{query}")
         assert (status, body["code"]) == (400, "BadQuery")
 
+    @pytest.mark.parametrize("name", ["datetime", "limit", "offset"])
+    def test_integer_of_more_digits_than_python_reads_is_a_bad_query(self, api, name):
+        put_reference_track(api)
+        status, body = api.handle("GET", f"/collections/taxi/items?{name}={'9' * 5000}")
+        assert (status, body["code"]) == (400, "BadQuery")
+        assert body["message"].endswith("has 5000 digits, too many to read")
+
     def test_plain_integers_accepted(self, api):
         put_reference_track(api)
         status, body = api.handle(

@@ -7,6 +7,8 @@ import hashlib
 import json
 import random
 import sys
+import threading
+import time
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -148,10 +150,12 @@ class TestFeatures:
 
 class TestMemory:
     # Bytes that geomedia's own lines hold per stored sample of a 12-sample
-    # track, parse plus put (see _held_bytes): 56.8 on Python 3.11 and 65.0
-    # on 3.10 with time and coordinate columns, against 172.8 and 181.6 with
-    # one GeoPoint per sample. Each bound is its figure plus ~15 %.
-    BYTES_PER_SAMPLE = 75 if sys.version_info < (3, 11) else 65
+    # track, parse plus put (see _held_bytes): 29.4 on Python 3.11 with one
+    # set of columns per collection, against 56.8 (65.0 on 3.10) with time
+    # and coordinate columns per track and 172.8 (181.6) with one GeoPoint
+    # per sample. The 3.11 bound is its figure plus ~15 %; the 3.10 one adds
+    # the 8.2 that 3.10 took over 3.11 with columns per track, then ~15 %.
+    BYTES_PER_SAMPLE = 43 if sys.version_info < (3, 11) else 34
 
     def test_stored_tracks_hold_no_object_per_sample(self):
         texts = [
@@ -172,10 +176,11 @@ class TestMemory:
         assert _held_bytes(put_all) / 12_000 < self.BYTES_PER_SAMPLE
 
     # Bytes that geomedia's own lines hold per stored sample of a 12-sample
-    # video with one FoV per sample, parse plus put: 100.2 (3.11) and 108.4
-    # (3.10) with the FoVs in one array('d') column, against 272.2 and 280.4
-    # with one FieldOfView per sample. Each bound is its figure plus ~15 %.
-    VIDEO_BYTES_PER_SAMPLE = 125 if sys.version_info < (3, 11) else 115
+    # video with one FoV per sample, parse plus put: 63.1 (3.11) with one set
+    # of columns per collection, against 100.2 (108.4 on 3.10) with an
+    # array('d') FoV column per video and 272.2 (280.4) with one FieldOfView
+    # per sample. Bounds as for tracks: the 3.10 one adds the old gap of 8.2.
+    VIDEO_BYTES_PER_SAMPLE = 82 if sys.version_info < (3, 11) else 73
 
     def test_stored_videos_hold_no_object_per_fov(self):
         texts = [
@@ -200,14 +205,15 @@ class TestMemory:
         assert _held_bytes(put_all) / 12_000 < self.VIDEO_BYTES_PER_SAMPLE
 
     # Bytes that geomedia's own lines hold per loaded feature (parse plus
-    # index) of 1,000 photos and 1,000 12-sample tracks: 607 on Python 3.11
-    # and 3.12 (692 on 3.10, whose objects are larger) with the documents
-    # alone in the collection and the bboxes in the R-tree's leaf columns,
-    # against 915 (996) with a FeatureRecord, a bbox tuple and an extent per
-    # feature beside a (rect, fid) tuple per leaf entry. Measured after
-    # gc.collect(), so tuples parked in the interpreter's free list after the
-    # parse freed them do not count. Each bound is its figure plus ~15 %.
-    LOADED_BYTES_PER_FEATURE = 800 if sys.version_info < (3, 11) else 700
+    # index) of 1,000 photos and 1,000 12-sample tracks: 289 on Python 3.11
+    # with one set of columns per collection and a fid -> row map, against
+    # 584 (692 on 3.10, whose objects are larger) with a document per
+    # feature, and 915 (996) with a FeatureRecord, a bbox tuple and an
+    # extent per feature beside a (rect, fid) tuple per leaf entry. Measured
+    # after gc.collect(), so tuples parked in the interpreter's free list
+    # after the parse freed them do not count. The 3.11 bound is its figure
+    # plus ~15 %; the 3.10 one adds the old gap of 85 first.
+    LOADED_BYTES_PER_FEATURE = 430 if sys.version_info < (3, 11) else 335
 
     def test_loaded_store_holds_only_documents_and_leaf_columns(self, tmp_path):
         store = MediaStore(tmp_path / "s")
@@ -241,6 +247,133 @@ class TestMemory:
         held = sum(stat.size for stat in snapshot.statistics("filename"))
         assert loaded.feature_count("pics") == loaded.feature_count("taxi") == 1000
         assert held / 2000 < self.LOADED_BYTES_PER_FEATURE
+
+
+class TestRows:
+    """A put or replacement appends a row to the collection's columns, a
+    delete leaves a dead one, and the live rows move to fresh columns once
+    the dead ones outnumber them."""
+
+    def test_replacing_and_re_adding_one_feature_holds_bounded_bytes(self):
+        store = MediaStore()
+        store.create_collection("taxi", "", "MovingPoint")
+        docs = [document_of(MovingPoint(tuple(T0 + i + k * 1000 for k in range(12)),
+                                        tuple(GeoPoint(126 + i * 1e-4, 37.5 + k * 1e-5)
+                                              for k in range(12))))
+                for i in range(10)]
+        store.put_feature("taxi", "f", docs[0])
+
+        def churn():
+            for i in range(10_000):
+                store.put_feature("taxi", "f", docs[i % 10])
+            for i in range(1_000):
+                store.delete_feature("taxi", "f")
+                store.put_feature("taxi", "f", docs[i % 10])
+
+        # 11,000 rows of 12 samples each would hold ~2.9 MB
+        assert _held_bytes(churn) < 8_000
+        assert store.get_feature("taxi", "f").doc == docs[9]
+
+    def test_record_taken_before_a_compaction_keeps_its_document(self, moving_point_doc):
+        store = MediaStore()
+        store.create_collection("taxi", "", "MovingPoint")
+        for i in range(4):
+            store.put_feature("taxi", f"f{i}", moving_point_doc)
+        other = document_of(MovingPoint((T0,), (GeoPoint(1.0, 2.0),)))
+        records = store.st_query("taxi") + [store.get_feature("taxi", "f3")]
+        columns = store._collections["taxi"].columns
+        for fid in ("f0", "f1", "f2", "f3", "f0"):
+            store.put_feature("taxi", fid, other)
+        assert store._collections["taxi"].columns is not columns  # compacted
+        assert [r.doc for r in records] == [moving_point_doc] * 5
+        assert [r.doc for r in store.st_query("taxi")] == [other] * 4
+
+    def test_concurrent_writes_leave_records_read_after_the_lock_whole(self):
+        """Readers build documents outside the store lock while writers
+        append, drop and compact rows: every document read is one written."""
+        store = MediaStore()
+        store.create_collection("taxi", "", "MovingPoint")
+        docs = [document_of(MovingPoint(tuple(T0 + i + k * 1000 for k in range(3 + i)),
+                                        tuple(GeoPoint(126 + i * 1e-3, 37.5 + k * 1e-4)
+                                              for k in range(3 + i))))
+                for i in range(8)]
+        for k in range(20):
+            store.put_feature("taxi", f"f{k}", docs[k % 8])
+        stop, bad, compactions = threading.Event(), [], set()
+
+        def writer(seed):
+            rng = random.Random(seed)
+            while not stop.is_set():
+                fid = f"f{rng.randrange(20)}"
+                if rng.random() < 0.2 and store.has_feature("taxi", fid):
+                    store.delete_feature("taxi", fid)
+                else:
+                    store.put_feature("taxi", fid, rng.choice(docs))
+
+        def reader():
+            while not stop.is_set():
+                records = store.st_query("taxi")
+                compactions.add(id(store._collections["taxi"].columns))
+                try:
+                    bad.extend(r.fid for r in records if r.doc not in docs)
+                except Exception as exc:  # a row changed under a record
+                    bad.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(n,)) for n in range(2)]
+            threads += [threading.Thread(target=reader) for _ in range(3)]
+            for t in threads:
+                t.start()
+            time.sleep(0.5)
+            stop.set()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
+        assert len(compactions) > 1
+
+    def test_load_then_flush_rewrites_every_snapshot_file_byte_identical(self, tmp_path):
+        points = tuple(GeoPoint(126 + k * 1e-3, 37.5, None if k == 1 else 10.0 + k)
+                       for k in range(3))
+        track = MovingPoint((T0, T0 + 1000, T0 + 2000), tuple(GeoPoint(p.lon, p.lat, 5.0)
+                                                               for p in points),
+                            InterpolationMode.STEPWISE)
+        per_sample = tuple(FieldOfView(60, 45, d, 80) for d in (10, 20, 30))
+        store = MediaStore(tmp_path / "s")
+        features = {
+            "taxi": {"a": document_of(track),
+                     "b": parse_document(json.dumps({
+                         "type": "MovingPoint", "coordinates": [[1, 2], [3, 4]],
+                         "timeline": [T0, T0 + 1], "interpolation": "discrete",
+                         "vendor": {"x": [1, 2]}}).encode())},
+            "sensors": {"a": document_of(MovingDouble((T0, T0 + 1000, T0 + 2000), (1, 2.5, 3),
+                                                      track=points)),
+                        "b": document_of(MovingDouble((T0,), (7,)))},
+            "pics": {"a": document_of(STPhoto("u:a", GeoPoint(126, 37.5, 3.0), T0,
+                                              FieldOfView(60, 45, 90, 30))),
+                     "b": document_of(STPhoto("u:b", GeoPoint(126, 37.5), T0))},
+            "cams": {"a": document_of(MovingVideo("u:a", track, per_sample)),
+                     "b": document_of(MovingVideo("u:b", MovingPoint(
+                         (T0, T0 + 1000), (GeoPoint(0, 0), GeoPoint(0, 1e-3))),
+                         (FieldOfView(direction2d=-90),)))},
+        }
+        for cid, docs in features.items():
+            store.create_collection(cid, cid, next(iter(docs.values())).kind, created=0)
+            for fid, doc in docs.items():
+                store.put_feature(cid, fid, doc)
+        store.put_annotation("cams", "a", Annotation("n", "text", "hello",
+                                                     TimeInterval(T0, T0 + 1000)))
+        store.flush()
+        before = {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()}
+        loaded = MediaStore.load(tmp_path / "s")
+        for cid, docs in features.items():
+            assert {r.fid: r.doc for r in loaded.st_query(cid)} == docs
+        loaded.flush()
+        assert {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()} == before
 
 
 def _twelve_sample_tracks(directory, count):
