@@ -35,6 +35,17 @@ class GeoPoint:
     def __post_init__(self):
         check_position(self.lon, self.lat, self.alt)
 
+    @classmethod
+    def of_valid(cls, lon: float, lat: float, alt: float | None = None) -> "GeoPoint":
+        """GeoPoint(lon, lat, alt) of a position already checked (see
+        check_position), as a stored column holds it, built without
+        checking it again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "lon", lon)
+        object.__setattr__(p, "lat", lat)
+        object.__setattr__(p, "alt", alt)
+        return p
+
     def same_position(self, other: "GeoPoint") -> bool:
         """True when lon/lat are exactly equal (altitude ignored)."""
         return self.lon == other.lon and self.lat == other.lat
@@ -92,9 +103,10 @@ def destination(p: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
     lam1 = math.radians(p.lon)
     theta = math.radians(bearing_deg)
     delta = distance_m / EARTH_RADIUS_M
-    phi2 = math.asin(
-        math.sin(phi1) * math.cos(delta) + math.cos(phi1) * math.sin(delta) * math.cos(theta)
-    )
+    # a path over a pole can round the sine of its latitude past +-1
+    sin_lat = (math.sin(phi1) * math.cos(delta)
+               + math.cos(phi1) * math.sin(delta) * math.cos(theta))
+    phi2 = math.asin(max(-1.0, min(1.0, sin_lat)))
     lam2 = lam1 + math.atan2(
         math.sin(theta) * math.sin(delta) * math.cos(phi1),
         math.cos(delta) - math.sin(phi1) * math.sin(phi2),

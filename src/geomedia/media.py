@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import starmap
 from typing import NamedTuple
@@ -69,6 +69,19 @@ class STPhoto:
         if isinstance(t, bool) or not isinstance(t, int) or not MIN_TIME <= t <= MAX_TIME:
             raise ValueError(f"photo time {t!r} is not an integer in years 1-9999")
 
+    @classmethod
+    def from_columns(cls, imguri: str, lon: float, lat: float, alt: float | None,
+                     t: TimeStamp, fov_row) -> "STPhoto":
+        """A photo of values that made one before (a stored row of Columns
+        did), fov_row its FoV's four numbers in field order: the photo, its
+        GeoPoint and its FieldOfView are built without checking them again."""
+        photo = object.__new__(cls)
+        object.__setattr__(photo, "imguri", imguri)
+        object.__setattr__(photo, "loc", GeoPoint.of_valid(lon, lat, alt))
+        object.__setattr__(photo, "t", t)
+        object.__setattr__(photo, "fov", FieldOfView.of_valid(*fov_row))
+        return photo
+
     def time_extent(self) -> TimeInterval:
         return TimeInterval(*self.time_bounds())
 
@@ -88,8 +101,9 @@ class STPhoto:
         bottoms out on the one nearest south, at the arc or at that radius's
         vertex. Along the arc longitude peaks at the tangent bearings theta*
         and 360 - theta*, cos(theta*) = tan(delta) * tan(phi). A view circle
-        that reaches a pole spans every longitude, and a view distance of a
-        quarter of the earth or more the whole globe.
+        that reaches a pole spans every longitude, and so does a wedge that
+        crosses the antimeridian, and a view distance of a quarter of the
+        earth or more the whole globe.
         """
         camera, fov = self.loc, self.fov
         delta = fov.view_distance / EARTH_RADIUS_M
@@ -121,6 +135,11 @@ class STPhoto:
         theta = math.degrees(math.acos(tangent))
         points += [destination(camera, b, fov.view_distance) for b in (theta, 360.0 - theta)
                    if inside(b)]
+        # east of the camera, in (-180, 180]: no wedge spans half the globe here
+        east = [(p.lon - camera.lon + 180.0) % 360.0 - 180.0 for p in points]
+        min_lon, max_lon = camera.lon + min(east), camera.lon + max(east)
+        if min_lon < -180.0 or max_lon > 180.0:
+            return (-180.0, min(lats), 180.0, max(lats))
         lons = [p.lon for p in points]
         return (min(lons), min(lats), max(lons), max(lats))
 
@@ -163,17 +182,22 @@ class MovingVideo:
         self._set(videouri, track, _pack_fovs(fovs))
 
     @classmethod
-    def from_column(cls, videouri: str, track: MovingPoint, fov_column: array) -> "MovingVideo":
+    def from_column(cls, videouri: str, track: MovingPoint, fov_column: array, *,
+                    checked: bool = False) -> "MovingVideo":
         """A video over a column of valid FoVs (see fov.check_fov), laid out as
-        _pack_fovs lays them out."""
+        _pack_fovs lays them out. checked says that they made a valid video
+        before (a stored row of Columns did), so nothing is checked again."""
         video = object.__new__(cls)
-        video._set(videouri, track, fov_column)
+        video._set(videouri, track, fov_column, checked)
         return video
 
-    def _set(self, videouri: str, track: MovingPoint, column: array) -> None:
+    def _set(self, videouri: str, track: MovingPoint, column: array,
+             checked: bool = False) -> None:
         object.__setattr__(self, "videouri", videouri)
         object.__setattr__(self, "track", track)
         object.__setattr__(self, "_fov_column", column)
+        if checked:
+            return
         if not videouri:
             raise ValueError("videouri must be non-empty")
         if len(column) // 4 not in (1, len(track)):
@@ -240,7 +264,7 @@ class MovingVideo:
             if i != segment:
                 segment = i
                 j = 4 * i if len(column) > 4 else 0
-                fov = FieldOfView(*column[j:j + 4])
+                fov = FieldOfView.of_valid(*column[j:j + 4])
                 heading = track.heading_at(t) if fov.is_relative else None
                 direction = resolve_direction(fov, heading)
             yield FovState(camera, direction, fov)
@@ -249,7 +273,7 @@ class MovingVideo:
         """Maximal runs of the instants tested at which p is in view: the track's
         sample times plus a step_ms grid over its extent, or on a discrete
         track, which has positions only at its samples, those alone."""
-        if not self._maybe_visible(p):
+        if not _reaches(p, self.view_reach(), self.track.spatial_bbox()):
             return []
         column = self.track.time_column
         times = set(column)
@@ -270,13 +294,14 @@ class MovingVideo:
             out.append(TimeInterval(run_start, run_end))
         return out
 
-    def _maybe_visible(self, p: GeoPoint) -> bool:
-        """Whether p can be in view at all: every camera position lies inside
-        the track's bbox (the rule evaluate() searches the index by), so the
-        box around p out to the view reach must meet it."""
-        lo_lon, lo_lat, hi_lon, hi_lat = disk_bbox(p, self.view_reach())
-        min_lon, min_lat, max_lon, max_lat = self.track.spatial_bbox()
-        return lo_lon <= max_lon and min_lon <= hi_lon and lo_lat <= max_lat and min_lat <= hi_lat
+
+def _reaches(p: GeoPoint, reach: float, bbox: Bbox) -> bool:
+    """Whether a camera that sees no farther than reach past bbox, which holds
+    its positions, can see p at all: the box around p out to reach must meet
+    bbox (the rule evaluate() searches the index by)."""
+    lo_lon, lo_lat, hi_lon, hi_lat = disk_bbox(p, reach)
+    min_lon, min_lat, max_lon, max_lat = bbox
+    return lo_lon <= max_lon and min_lon <= hi_lon and lo_lat <= max_lat and min_lat <= hi_lat
 
 
 MediaPayload = MovingPoint | MovingDouble | STPhoto | MovingVideo
@@ -317,6 +342,7 @@ def document_of(payload: MediaPayload) -> GeoMediaDocument:
 
 
 _MODES = tuple(InterpolationMode)
+_MODE_CODES = {mode: code for code, mode in enumerate(_MODES)}
 
 
 class Columns:
@@ -327,10 +353,11 @@ class Columns:
     store.py). So (columns, row) names one document for good, and
     document() builds it on request from slices of the columns, which each
     kind's own class takes as they are (MovingPoint.from_columns and the
-    like); a time filter reads the row's first and last time (time_bounds)
-    without building it. add() only appends, so an earlier row's document
-    can be built while another thread adds a row: each array operation is
-    atomic under the interpreter lock.
+    like), without checking them again; a time filter reads the row's first
+    and last time (time_bounds, meeting, time_span) without building it.
+    add() only appends, so an earlier row's document can be built while
+    another thread adds a row: each array operation is atomic under the
+    interpreter lock.
 
     Row r's samples are times[starts[r]:starts[r + 1]] (array('q')), with
     their values (a series) or positions (lons and lats, array('d'); a
@@ -339,7 +366,9 @@ class Columns:
     series' positions (pos_starts) and a video's FoVs (fov_starts, four
     numbers each; a photo's four are at 4 * r). A series has a mode code
     per row and a camera a URI, and extras holds the extra members of the
-    rows that have any. reach is the largest view distance of any row ever added.
+    rows that have any. reach is the farthest that a row ever added sees
+    past its bbox: a video's view reach, while a photo's bbox holds all it
+    sees (see STPhoto.spatial_bbox), so a photo adds none.
     How each kind packs into these columns sits below, by kind.
     """
 
@@ -369,15 +398,44 @@ class Columns:
         return row
 
     def document(self, row: int) -> GeoMediaDocument:
-        return GeoMediaDocument(self.kind, _LAYOUTS[self.kind][1](self, row),
-                                self.extras.get(row, ()))
+        """The row's document, built without checking it again: it was
+        checked when it was put."""
+        doc = object.__new__(GeoMediaDocument)
+        object.__setattr__(doc, "kind", self.kind)
+        object.__setattr__(doc, "payload", _LAYOUTS[self.kind][1](self, row))
+        object.__setattr__(doc, "extras", self.extras.get(row, ()))
+        return doc
 
     def time_bounds(self, row: int) -> tuple[TimeStamp, TimeStamp]:
         return self.times[self.starts[row]], self.times[self.starts[row + 1] - 1]
 
+    def meeting(self, keys: Iterable, rows: Mapping, start: TimeStamp, end: TimeStamp) -> list:
+        """The keys whose rows (rows[key]) meet the time interval [start, end],
+        read from the first and last time of each: no document is built."""
+        times, starts = self.times, self.starts
+        return [key for key in keys if times[starts[row := rows[key]]] <= end
+                and start <= times[starts[row + 1] - 1]]
+
+    def time_span(self, rows: Iterable[int]) -> tuple[TimeStamp, TimeStamp]:
+        """The earliest first time and the latest last time of rows (a
+        collection, so iterable twice), none empty."""
+        times, starts = self.times, self.starts
+        return (min(times[starts[row]] for row in rows),
+                max(times[starts[row + 1] - 1] for row in rows))
+
     def bbox(self, row: int) -> Bbox | None:
         """spatial_bbox of the row's document."""
         return _LAYOUTS[self.kind][2](self, row)
+
+    def may_see(self, row: int, p: GeoPoint) -> bool:
+        """False when the row's video cannot see p (MovingVideo's first test,
+        told from the columns without building the video); True otherwise.
+        A photo needs no such test: the index is searched around p alone,
+        which its bbox holds if it sees p."""
+        if self.kind != KIND_MOVING_VIDEO:
+            return True
+        f, g = self.fov_starts[row], self.fov_starts[row + 1]
+        return _reaches(p, max(self.fovs[f + 3:g:4]), self._point_bbox(row))
 
     def copy(self, rows: Iterable[int]) -> "Columns":
         """Fresh columns of rows, in that order, numbered from 0."""
@@ -409,7 +467,7 @@ class Columns:
     def _add_samples(self, series: MovingPoint | MovingDouble) -> None:
         self.times.extend(series.time_column)
         self.starts.append(len(self.times))
-        self.modes.append(_MODES.index(series.mode))
+        self.modes.append(_MODE_CODES[series.mode])
 
     # -- MovingPoint: samples and positions in step ------------------------------
 
@@ -420,7 +478,7 @@ class Columns:
     def _point(self, row: int) -> MovingPoint:
         a, b = self.starts[row], self.starts[row + 1]
         return MovingPoint.from_columns(self.times[a:b], self._positions(a, b, row),
-                                        _MODES[self.modes[row]])
+                                        _MODES[self.modes[row]], checked=True)
 
     def _point_bbox(self, row: int) -> Bbox:
         return self._positions_bbox(self.starts[row], self.starts[row + 1])
@@ -440,7 +498,8 @@ class Columns:
         a, b = self.starts[row], self.starts[row + 1]
         p, q = self.pos_starts[row], self.pos_starts[row + 1]
         return MovingDouble.from_columns(self.times[a:b], self.values[a:b], _MODES[self.modes[row]],
-                                         self._positions(p, q, row) if p < q else None)
+                                         self._positions(p, q, row) if p < q else None,
+                                         checked=True)
 
     def _double_bbox(self, row: int) -> Bbox | None:
         return self._positions_bbox(self.pos_starts[row], self.pos_starts[row + 1])
@@ -454,13 +513,12 @@ class Columns:
         self._add_positions((loc.lon,), (loc.lat,), None if loc.alt is None else (loc.alt,))
         self.fovs.extend((fov.h_angle, fov.v_angle, fov.direction2d, fov.view_distance))
         self.uris.append(photo.imguri)
-        self.reach = max(self.reach, fov.view_distance)
 
     def _photo(self, row: int) -> STPhoto:
         a, p = self.starts[row], self.alt_starts[row]
         alt = self.alts[p] if p < self.alt_starts[row + 1] else None
-        return STPhoto(self.uris[row], GeoPoint(self.lons[a], self.lats[a], alt),
-                       self.times[a], FieldOfView(*self.fovs[4 * row:4 * row + 4]))
+        return STPhoto.from_columns(self.uris[row], self.lons[a], self.lats[a], alt,
+                                    self.times[a], self.fovs[4 * row:4 * row + 4])
 
     def _photo_bbox(self, row: int) -> Bbox:
         return self._photo(row).spatial_bbox()
@@ -476,7 +534,8 @@ class Columns:
 
     def _video(self, row: int) -> MovingVideo:
         f, g = self.fov_starts[row], self.fov_starts[row + 1]
-        return MovingVideo.from_column(self.uris[row], self._point(row), self.fovs[f:g])
+        return MovingVideo.from_column(self.uris[row], self._point(row), self.fovs[f:g],
+                                       checked=True)
 
 
 # Each kind's add, build and bbox on Columns.

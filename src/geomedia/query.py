@@ -175,9 +175,10 @@ def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord
     A feature can only match if its bbox meets every box of the query: the
     given bbox, the box around near's disk (a matching vertex lies inside the
     feature's bbox) and the box around visibleFrom's point out to the
-    collection's view reach (so does every camera position; st_query builds
-    that box). The store's index is searched with all of them, and the exact
-    predicates decide. A query with none of them reads the whole collection.
+    collection's view reach (no camera sees farther past its bbox; st_query
+    builds that box). The store's index is searched with all of them, and the
+    exact predicates decide; a document is built only for them. A query with
+    none of the boxes reads the whole collection.
     """
     meta = store.get_collection(cid)
     if spec.visible_from is not None and meta.media_type not in CAMERA_KINDS:
@@ -189,17 +190,14 @@ def evaluate(store: MediaStore, cid: str, spec: QuerySpec) -> list[FeatureRecord
         boxes.append(disk_bbox(*spec.near))
     candidates = store.st_query(cid, bbox=boxes, interval=spec.interval,
                                 visible_from=spec.visible_from)
-    if spec.near is None and spec.visible_from is None:
-        # the index and the time filter are exact: no document need be built
-        return page(candidates, spec.limit, spec.offset)
     out = []
     for record in candidates:
-        payload = record.doc.payload
         if spec.near is not None:
             point, radius = spec.near
-            if not any(geo_distance(v, point) <= radius for v in payload.vertices()):
+            if not any(geo_distance(v, point) <= radius for v in record.doc.payload.vertices()):
                 continue
-        if spec.visible_from is not None and not visible_intervals(payload, spec.visible_from):
+        if (spec.visible_from is not None
+                and not visible_intervals(record.doc.payload, spec.visible_from)):
             continue
         out.append(record)
     return page(out, spec.limit, spec.offset)

@@ -18,7 +18,8 @@ search (until then a put computes no bbox); after that every put and
 delete goes to the tree's write delta, which it packs again now and then
 on its own (see rtree.py).
 The columns keep their view reach, an upper bound on how far any of their
-cameras sees (the radius of st_query's visible_from box), and a collection
+cameras sees past its bbox (the radius of st_query's visible_from box; a
+photo's bbox holds its whole view, so photos add none), and a collection
 caches its time extent (collection_extent()): a fresh put widens it, a
 replacement or delete drops it, and the next read works it out again.
 
@@ -473,9 +474,10 @@ class MediaStore:
         """Features intersecting bbox (one box, or a list of boxes that a
         feature must each meet) and overlapping interval, ordered by fid.
 
-        visible_from adds the box around that point out to the collection's
-        view reach: each camera position lies inside its feature's bbox and
-        no camera sees farther, so a feature that sees the point meets it.
+        visible_from adds the box around that point out to the columns'
+        view reach: no camera sees farther than that past its feature's bbox
+        (a video's bbox holds its positions, a photo's all it sees), so a
+        feature that sees the point meets it.
 
         The index holds each feature's exact bbox and tests every box,
         smallest first, under the same inclusive test, so its hits need no
@@ -495,12 +497,9 @@ class MediaStore:
             boxes.sort(key=lambda b: (b[2] - b[0]) * (b[3] - b[1]))
             fids = state.spatial_index().search(*boxes) if boxes else rows
             if interval is not None:
-                # the row's first and last time, read from the columns: no
-                # document is built for a candidate
-                start, end, times, starts = interval.start, interval.end, columns.times, columns.starts
-                fids = [fid for fid in fids
-                        if times[starts[row := rows[fid]]] <= end
-                        and start <= times[starts[row + 1] - 1]]
+                fids = columns.meeting(fids, rows, interval.start, interval.end)
+            if visible_from is not None:
+                fids = [fid for fid in fids if columns.may_see(rows[fid], visible_from)]
             return [FeatureRecord(fid, columns, rows[fid]) for fid in sorted(fids)]
 
     def collection_bbox(self, cid: str) -> Bbox | None:
@@ -516,10 +515,7 @@ class MediaStore:
             if not state.rows:
                 return None
             if state.bounds is None:
-                times, starts = state.columns.times, state.columns.starts
-                rows = state.rows.values()
-                state.bounds = (min(times[starts[row]] for row in rows),
-                                max(times[starts[row + 1] - 1] for row in rows))
+                state.bounds = state.columns.time_span(state.rows.values())
             return TimeInterval(*state.bounds)
 
     # -- annotations -----------------------------------------------------------

@@ -97,6 +97,36 @@ class TestSpatialBbox:
         assert max_lat >= max(p.lat for p in radius)
         assert max_lat > max(camera.lat, radius[-1].lat, destination(camera, 95, 200_000).lat)
 
+    @pytest.mark.parametrize("lon, direction", [(-179.691, 240.4), (179.691, 60.4)])
+    def test_photo_box_across_the_antimeridian_spans_every_longitude(self, lon, direction):
+        # the wedge reaches past +-180, where longitudes wrap: a box from
+        # the camera to the far side's longitudes would leave out the strip
+        # between the camera and the antimeridian, which the camera sees
+        from geomedia import destination
+        from geomedia.fov import fov_contains
+
+        camera = GeoPoint(lon, -0.402)
+        fov = FieldOfView(h_angle=90, direction2d=direction, view_distance=546_500)
+        box = spatial_bbox(STPhoto("u:p", camera, 0, fov))
+        seen = destination(camera, direction + 30, 1_500)
+        assert fov_contains(camera, direction, fov, seen)
+        assert abs(seen.lon) > abs(lon)  # between the camera and the antimeridian
+        assert (box[0], box[2]) == (-180.0, 180.0)
+        assert box[1] <= seen.lat <= box[3]
+
+    def test_photo_box_of_a_view_over_the_pole(self):
+        # a radius's turn point over the pole once rounded the sine of its
+        # latitude past 1, and the box raised ValueError
+        from geomedia import destination
+
+        camera = GeoPoint(179.83423743860223, 89.68269723602516)
+        fov = FieldOfView(h_angle=200, direction2d=93.73537090873825,
+                          view_distance=171559.73819578547)
+        min_lon, min_lat, max_lon, max_lat = spatial_bbox(STPhoto("u:p", camera, 0, fov))
+        assert (min_lon, max_lon, max_lat) == (-180.0, 180.0, 90.0)
+        assert min_lat <= min(destination(camera, b, fov.view_distance).lat
+                              for b in range(-7, 195))
+
     def test_video_uses_track(self, moving_video_doc):
         assert spatial_bbox(moving_video_doc) == (150.0, 50.0, 170.0, 60.0)
 

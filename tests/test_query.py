@@ -561,6 +561,37 @@ class TestPushDown:
         assert [r.fid for r in evaluate(store, "pics", QuerySpec(visible_from=seen))] == ["p0127"]
         assert len(calls) < 50
 
+    def test_visible_from_builds_only_photos_whose_box_holds_the_point(self, store,
+                                                                      monkeypatch):
+        # A photo's bbox holds all it sees, so the index is searched around
+        # the point alone: a photo that sees 50 km does not widen the search
+        # to every photo within 50 km of it.
+        store.create_collection("pics", "p", "stphoto")
+        for i in range(100):  # ~110 m apart, each seeing 100 m north
+            loc = GeoPoint(10 + i * 1e-3, 10)
+            store.put_feature("pics", f"p{i:03d}",
+                              document_of(STPhoto(f"u:{i}", loc, 0, FieldOfView(direction2d=0))))
+        far = FieldOfView(direction2d=180, view_distance=50_000)
+        store.put_feature("pics", "far", document_of(STPhoto("u:far", GeoPoint(10.05, 9.99),
+                                                             0, far)))
+        built = []
+        real_document = media.Columns.document
+        monkeypatch.setattr(media.Columns, "document",
+                            lambda columns, row: built.append(row) or real_document(columns, row))
+        seen = destination(GeoPoint(10.05, 10), 0, 50)
+        assert [r.fid for r in evaluate(store, "pics", QuerySpec(visible_from=seen))] == ["p050"]
+        assert len(built) == 1
+
+    def test_photo_across_the_antimeridian_is_found_by_box_and_by_visible_from(self, store):
+        store.create_collection("pics", "p", "stphoto")
+        camera = GeoPoint(-179.691, -0.402)
+        fov = FieldOfView(h_angle=90, direction2d=240.4, view_distance=546_500)
+        store.put_feature("pics", "west", document_of(STPhoto("u:w", camera, 0, fov)))
+        seen = destination(camera, 270.4, 1_500)  # between the camera and -180
+        box = (seen.lon - 1e-4, seen.lat - 1e-4, seen.lon + 1e-4, seen.lat + 1e-4)
+        for spec in (QuerySpec(bbox=box), QuerySpec(visible_from=seen)):
+            assert [r.fid for r in evaluate(store, "pics", spec)] == ["west"], spec
+
     @pytest.mark.parametrize("kind", ["stphoto", "MovingVideo"])
     def test_equals_linear_scan_through_writes_that_repack_the_index(self, store, kind,
                                                                       monkeypatch):
@@ -653,6 +684,19 @@ class TestViewReach:
 
     def visible(self, store, cid):
         return [r.fid for r in evaluate(store, cid, QuerySpec(visible_from=self.SEEN))]
+
+    def test_video_out_of_its_own_reach_is_not_built(self, store, monkeypatch):
+        # n1 lies inside the box that the far camera's reach opens around
+        # SEEN, ~10 km away, but sees only 100 m: the columns rule it out.
+        store.create_collection("c", "c", "MovingVideo")
+        store.put_feature("c", "far", camera("MovingVideo", 20, FAR))
+        store.put_feature("c", "n1", camera("MovingVideo", 20.5))
+        built = []
+        real_document = media.Columns.document
+        monkeypatch.setattr(media.Columns, "document",
+                            lambda columns, row: built.append(row) or real_document(columns, row))
+        assert self.visible(store, "c") == ["far"]
+        assert built == [0]
 
     @pytest.mark.parametrize("kind", ["stphoto", "MovingVideo"])
     def test_put_then_load_then_flush(self, tmp_path, kind):

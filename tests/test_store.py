@@ -150,12 +150,11 @@ class TestFeatures:
 
 class TestMemory:
     # Bytes that geomedia's own lines hold per stored sample of a 12-sample
-    # track, parse plus put (see _held_bytes): 29.4 on Python 3.11 with one
-    # set of columns per collection, against 56.8 (65.0 on 3.10) with time
-    # and coordinate columns per track and 172.8 (181.6) with one GeoPoint
-    # per sample. The 3.11 bound is its figure plus ~15 %; the 3.10 one adds
-    # the 8.2 that 3.10 took over 3.11 with columns per track, then ~15 %.
-    BYTES_PER_SAMPLE = 43 if sys.version_info < (3, 11) else 34
+    # track, parse plus put (see _held_bytes): 29.4 on Python 3.11 to 3.13
+    # and 31.4 on 3.10 with one set of columns per collection, against 56.8
+    # (65.0 on 3.10) with time and coordinate columns per track and 172.8
+    # (181.6) with one GeoPoint per sample. Each bound is its figure plus ~15 %.
+    BYTES_PER_SAMPLE = 36 if sys.version_info < (3, 11) else 34
 
     def test_stored_tracks_hold_no_object_per_sample(self):
         texts = [
@@ -176,11 +175,11 @@ class TestMemory:
         assert _held_bytes(put_all) / 12_000 < self.BYTES_PER_SAMPLE
 
     # Bytes that geomedia's own lines hold per stored sample of a 12-sample
-    # video with one FoV per sample, parse plus put: 63.1 (3.11) with one set
-    # of columns per collection, against 100.2 (108.4 on 3.10) with an
+    # video with one FoV per sample, parse plus put: 63.1 (65.2 on 3.10) with
+    # one set of columns per collection, against 100.2 (108.4) with an
     # array('d') FoV column per video and 272.2 (280.4) with one FieldOfView
-    # per sample. Bounds as for tracks: the 3.10 one adds the old gap of 8.2.
-    VIDEO_BYTES_PER_SAMPLE = 82 if sys.version_info < (3, 11) else 73
+    # per sample. Each bound is its figure plus ~15 %.
+    VIDEO_BYTES_PER_SAMPLE = 75 if sys.version_info < (3, 11) else 73
 
     def test_stored_videos_hold_no_object_per_fov(self):
         texts = [
@@ -206,14 +205,14 @@ class TestMemory:
 
     # Bytes that geomedia's own lines hold per loaded feature (parse plus
     # index) of 1,000 photos and 1,000 12-sample tracks: 289 on Python 3.11
-    # with one set of columns per collection and a fid -> row map, against
-    # 584 (692 on 3.10, whose objects are larger) with a document per
-    # feature, and 915 (996) with a FeatureRecord, a bbox tuple and an
+    # to 3.13 (313 on 3.10, whose objects are larger) with one set of columns
+    # per collection and a fid -> row map, against 584 (692) with a document
+    # per feature, and 915 (996) with a FeatureRecord, a bbox tuple and an
     # extent per feature beside a (rect, fid) tuple per leaf entry. Measured
     # after gc.collect(), so tuples parked in the interpreter's free list
-    # after the parse freed them do not count. The 3.11 bound is its figure
-    # plus ~15 %; the 3.10 one adds the old gap of 85 first.
-    LOADED_BYTES_PER_FEATURE = 430 if sys.version_info < (3, 11) else 335
+    # after the parse freed them do not count. Each bound is its figure plus
+    # ~15 %.
+    LOADED_BYTES_PER_FEATURE = 360 if sys.version_info < (3, 11) else 335
 
     def test_loaded_store_holds_only_documents_and_leaf_columns(self, tmp_path):
         store = MediaStore(tmp_path / "s")
@@ -305,10 +304,11 @@ class TestRows:
             rng = random.Random(seed)
             while not stop.is_set():
                 fid = f"f{rng.randrange(20)}"
-                if rng.random() < 0.2 and store.has_feature("taxi", fid):
-                    store.delete_feature("taxi", fid)
-                else:
-                    store.put_feature("taxi", fid, rng.choice(docs))
+                with store.lock:  # the other writer may delete fid in between
+                    if rng.random() < 0.2 and store.has_feature("taxi", fid):
+                        store.delete_feature("taxi", fid)
+                    else:
+                        store.put_feature("taxi", fid, rng.choice(docs))
 
         def reader():
             while not stop.is_set():
