@@ -549,7 +549,7 @@ def document_to_obj(doc: GeoMediaDocument, time_style: str = "epoch") -> dict:
 
 def serialize_document(doc: GeoMediaDocument, time_style: str = "epoch") -> bytes:
     """Serialize to canonical single-line UTF-8 JSON (deterministic bytes)."""
-    return json.dumps(document_to_obj(doc, time_style), separators=(", ", ": ")).encode("utf-8")
+    return json.dumps(document_to_obj(doc, time_style)).encode("utf-8")
 
 
 # -- GeoJSON interoperability ---------------------------------------------------

@@ -18,10 +18,18 @@ from .errors import CorruptStoreError, ParseError
 LOG = "wal.log"  # not *.ndjson: a collection may be called "wal"
 _CHUNK = 64 * 1024  # bytes read at a time to checksum a snapshot file
 # Compressed bytes read at a time to parse a snapshot file; each expands about
-# 4.7-fold. 64 KiB reads raised the peak RSS of loading the 20k-feature
-# benchmark store from 39.2 to 40.7 MB.
+# 5.8-fold. 64 KiB reads raised the peak RSS of loading the 20k-feature
+# benchmark store from 30.6 to 32.8 MB.
 _GZ_CHUNK = 4 * 1024
-_GZ_LEVEL = 1  # 0.21 of the NDJSON bytes; level 6 gives 0.17 at 3.3x the time
+# On the 20k-feature benchmark store, level 5 keeps 0.174 of the NDJSON bytes
+# in 1.9 times level 1's compression time (which keeps 0.213); level 6 keeps
+# 0.172 in 2.8 times, level 9 0.169 in 10 times. Each decompresses in ~0.04 s.
+_GZ_LEVEL = 5
+# json.dumps's encoder without its cycle check, which visits every list and
+# dict (each position is one) and can find nothing here: the store builds a
+# snapshot's objects from its columns and from parsed JSON. A flush of the
+# 20k-feature benchmark store takes ~0.07 s less.
+_encode = json.JSONEncoder(check_circular=False).encode
 
 
 def snapshot_names(cid: str) -> tuple[str, str]:
@@ -31,12 +39,12 @@ def snapshot_names(cid: str) -> tuple[str, str]:
 
 def ndjson_gz(objs):
     """The bytes of a snapshot data file of objs, a chunk at a time as they
-    are compressed: one gzip stream (zlib level 1, no file name, mtime 0, so
+    are compressed: one gzip stream (zlib level 5, no file name, mtime 0, so
     equal objs give equal bytes) of UTF-8 NDJSON lines with LF endings, which
     `zcat` reads."""
     stream = zlib.compressobj(_GZ_LEVEL, zlib.DEFLATED, 31)  # 31: gzip header and trailer
     for obj in objs:
-        if data := stream.compress((json.dumps(obj, separators=(", ", ": ")) + "\n").encode()):
+        if data := stream.compress((_encode(obj) + "\n").encode()):
             yield data
     yield stream.flush()
 

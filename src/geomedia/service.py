@@ -5,13 +5,13 @@ GeoMediaApi is framework-agnostic: handle() maps (method, target, body) to
 without sockets. GeoMediaServer wraps it in a threading stdlib HTTP server.
 
 Contract notes: unknown or repeated query parameters are rejected with 400
-(fail-closed against filter typos); a client that sends part of a body and
-then nothing for 60 s gets a 408 and the connection closes, and an idle
-keep-alive connection is closed after as long; every mutation is appended
-to the store's log and fsynced before its response, and one that fails to
-commit answers 500 and is gone from memory too; responses contain no
-wall-clock values, only stored data, so they are deterministic given store
-state.
+(fail-closed against filter typos); a client that sends part of a header
+block or a body and then nothing for 60 s gets a 408 and the connection
+closes, and an idle keep-alive connection is closed after as long; every
+mutation is appended to the store's log and fsynced before its response,
+and one that fails to commit answers 500 and is gone from memory too;
+responses contain no wall-clock values, only stored data, so they are
+deterministic given store state.
 
 Every route but a GET changes the store, and no GET does (RFC 9110's safe
 methods). So handle() runs any other request and its commit as one step
@@ -311,8 +311,8 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "geomedia/0.1"
     protocol_version = "HTTP/1.1"
     # Seconds each socket read or write may wait (StreamRequestHandler.setup
-    # applies it): a body that stops mid-read is answered 408 and an idle
-    # keep-alive connection is closed.
+    # applies it): a header block or a body that stops mid-read is answered
+    # 408 and an idle keep-alive connection is closed.
     timeout = 60.0
 
     def _dispatch(self):
@@ -338,12 +338,26 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             message = f"Content-Length must be a byte count, got {raw_length!r}"
             status, payload = _api_error("BadBody", message, urlsplit(self.path).path)
+        self._send(status, payload, close=not read)  # the unread body cannot be skipped
+
+    def parse_request(self):
+        # The stdlib's handle_one_request would swallow a TimeoutError from the
+        # header block's read and close the connection without an answer.
+        try:
+            return super().parse_request()
+        except TimeoutError:
+            message = f"request headers not received within {self.timeout:g} s"
+            self._send(*_api_error("Timeout", message, urlsplit(self.path).path), close=True)
+            return False
+
+    def _send(self, status: int, payload, close: bool) -> None:
+        """Answer with payload as JSON; close ends the connection after it."""
         data = b"" if payload is None else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
-        if not read:
-            self.send_header("Connection", "close")  # the unread body cannot be skipped
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         if data and self.command != "HEAD":  # a HEAD answer has headers only
             self.wfile.write(data)

@@ -108,11 +108,11 @@ _FORMAT_VERSION = 2  # 1: plain <cid>.ndjson files; 2: gzip-compressed <cid>.ndj
 # max(_COMPACT_MIN_BYTES, snapshot bytes // _COMPACT_SHARE) compacts instead.
 # Both sides count bytes on disk: compressed snapshot files, a plain log. So
 # the log adds at most 1/32 = 3.1 % to a large store's bytes on disk, less
-# where its records add live data: a store that takes 0.226 bytes per byte of
-# data after a compaction takes about 0.226 * 1.031 = 0.233 just before one.
-# At 5k features per kind (a 2.76 MB snapshot) that is ~86 KB of log between
+# where its records add live data: a store that takes 0.183 bytes per byte of
+# data after a compaction takes about 0.183 * 1.031 = 0.189 just before one.
+# At 5k features per kind (a 2.25 MB snapshot) that is ~70 KB of log between
 # compactions. Below 2 MB of snapshot the 64 KiB floor holds: at 1k features
-# per kind (a 0.56 MB snapshot) the log may add ~12 %, ~140 mutations between
+# per kind (a 0.45 MB snapshot) the log may add ~15 %, ~140 mutations between
 # compactions.
 _COMPACT_MIN_BYTES = 64 * 1024
 _COMPACT_SHARE = 32

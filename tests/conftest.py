@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from geomedia import MediaStore, disk, parse_document
+from geomedia import MediaStore, disk, parse_document, serialize_document
 from geomedia.errors import GeoMediaError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -37,6 +37,18 @@ def error_classes() -> list[type[GeoMediaError]]:
     return classes
 
 
+def fingerprint(store):
+    """Everything a reader can see: collections, documents by both query paths, annotations."""
+    out = []
+    for meta in store.list_collections():
+        out.append(repr(meta))
+        for record in store.st_query(meta.id, bbox=(-180, -90, 180, 90)) + store.st_query(meta.id):
+            out.append((meta.id, record.fid, serialize_document(record.doc, "epoch")))
+            for ann in store.list_annotations(meta.id, record.fid):
+                out.append((meta.id, record.fid, repr(ann)))
+    return out
+
+
 def snapshot_text(path: Path) -> bytes:
     """The NDJSON lines a store's gzip-compressed snapshot file holds."""
     return zlib.decompress(path.read_bytes(), 31)
@@ -44,7 +56,8 @@ def snapshot_text(path: Path) -> bytes:
 
 def edit_snapshot(path: Path, edit, reseal: bool = False) -> bytes:
     """Decompress a snapshot file, edit its NDJSON bytes (edit: bytes -> bytes)
-    and write them back as one gzip stream; returns the new file bytes.
+    and write them back as one gzip stream at zlib level 1, not the store's
+    own level; returns the new file bytes.
 
     With reseal, the manifest takes the new bytes' checksum too (see
     reseal_snapshot), so only a parse can find what the edit did.

@@ -783,6 +783,18 @@ class TestReadTimeout:
             "message": "request body not received within 0.2 s"}
         assert self.TIMEOUT * 0.9 <= waited < 4
 
+    def test_half_sent_header_block_gets_408_then_the_connection_closes(self, tmp_path,
+                                                                          monkeypatch):
+        data, waited = self.exchange(tmp_path, monkeypatch, b"GET /collections HTTP/1.1\r\n"
+                                                            b"Host: t\r\nX-Partial: ab")
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert b"Connection: close" in head
+        assert json.loads(body) == {
+            "httpStatus": 408, "code": "Timeout", "path": "/collections",
+            "message": "request headers not received within 0.2 s"}
+        assert self.TIMEOUT * 0.9 <= waited < 4
+
     def test_idle_keep_alive_connection_closes_quietly(self, tmp_path, monkeypatch):
         data, waited = self.exchange(tmp_path, monkeypatch, b"GET /collections HTTP/1.1\r\nHost: t\r\n\r\n")
         head, _, body = data.partition(b"\r\n\r\n")

@@ -45,7 +45,7 @@ from geomedia.errors import (
 from geomedia.codec import interval_str
 from geomedia.rtree import RTree
 
-from conftest import T0, edit_snapshot, fixture_bytes, reseal_snapshot, snapshot_text
+from conftest import T0, edit_snapshot, fingerprint, fixture_bytes, reseal_snapshot, snapshot_text
 
 
 def track_doc(rng, n=None):
@@ -421,12 +421,12 @@ def _transient_bytes(call):
 class TestStreaming:
     """flush() and load() stream each snapshot file: neither holds a whole copy of one."""
 
-    # A whole file in memory is 1x its uncompressed size (0.16x compressed);
+    # A whole file in memory is 1x its uncompressed size (0.13x compressed);
     # what streaming holds at once is one line, a read chunk and one zlib
-    # stream's state: 0.20x (flush) and 0.16x (load) here. Deflate's ~0.3 MB
+    # stream's state: 0.17x (flush) and 0.16x (load) here. Deflate's ~0.3 MB
     # of state does not grow with the file, so the file is 2.3 MB of NDJSON:
     # large enough for that state to fit under the bound, small enough that a
-    # whole compressed copy on top of it does not (0.33x).
+    # whole compressed copy on top of it does not (0.29x).
     PEAK_SHARE = 0.25
     TRACKS = 4000
 
@@ -1115,6 +1115,33 @@ class TestCompressedSnapshot:
         head = first["tracks.ndjson.gz"][:10]
         # gzip magic, deflate, no flags (so no file name), mtime 0
         assert head[:4] == b"\x1f\x8b\x08\x00" and head[4:8] == b"\0\0\0\0"
+
+    @staticmethod
+    def _level_5(path) -> bytes:
+        """The bytes of one zlib level-5 gzip stream of a snapshot file's lines."""
+        stream = zlib.compressobj(5, zlib.DEFLATED, 31)
+        return stream.compress(snapshot_text(path)) + stream.flush()
+
+    def test_each_file_is_one_level_5_stream(self, tmp_path):
+        _, target = self._flushed(tmp_path)
+        for path in target.glob("*.ndjson.gz"):
+            assert path.read_bytes() == self._level_5(path), path.name
+
+    def test_level_1_files_load_and_the_next_flush_writes_level_5(self, tmp_path):
+        store, target = self._flushed(tmp_path)
+        files = sorted(target.glob("*.ndjson.gz"))
+        lines = [snapshot_text(path) for path in files]
+        for path in files:
+            edit_snapshot(path, lambda data: data, reseal=True)  # a level-1 stream
+        tracks = target / "tracks.ndjson.gz"
+        assert tracks.read_bytes() != self._level_5(tracks)
+        assert fingerprint(MediaStore.open(target)) == fingerprint(store)
+        loaded = MediaStore.load(target)
+        assert fingerprint(loaded) == fingerprint(store)
+        loaded.flush()
+        assert [snapshot_text(path) for path in files] == lines
+        for path in files:
+            assert path.read_bytes() == self._level_5(path), path.name
 
     @pytest.mark.parametrize("damage, message", [
         (lambda raw: raw[:-9], "tracks.ndjson.gz: gzip stream cut off before its end"),

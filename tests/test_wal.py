@@ -18,24 +18,12 @@ from geomedia import (
     STPhoto,
     TimeInterval,
     document_of,
-    serialize_document,
 )
 from geomedia.errors import CorruptStoreError, StoreIoError
 
+from conftest import fingerprint
+
 KINDS = ("MovingPoint", "stphoto", "MovingVideo")
-WORLD = (-180, -90, 180, 90)
-
-
-def fingerprint(store):
-    """Everything a reader can see: collections, documents by both query paths, annotations."""
-    out = []
-    for meta in store.list_collections():
-        out.append(repr(meta))
-        for record in store.st_query(meta.id, bbox=WORLD) + store.st_query(meta.id):
-            out.append((meta.id, record.fid, serialize_document(record.doc, "epoch")))
-            for ann in store.list_annotations(meta.id, record.fid):
-                out.append((meta.id, record.fid, repr(ann)))
-    return out
 
 
 def random_doc(rng, kind):
