@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Mapping
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import starmap
 from typing import NamedTuple
@@ -364,35 +364,46 @@ class Columns:
     photo has one sample) in step. A run that a row may lack has starts of
     its own and is empty where the row has none: altitudes (alt_starts), a
     series' positions (pos_starts) and a video's FoVs (fov_starts, four
-    numbers each; a photo's four are at 4 * r). A series has a mode code
-    per row and a camera a URI, and extras holds the extra members of the
-    rows that have any. reach is the farthest that a row ever added sees
-    past its bbox: a video's view reach, while a photo's bbox holds all it
-    sees (see STPhoto.spatial_bbox), so a photo adds none.
+    numbers each; a photo's four are at 4 * r). These four offset columns
+    are 4-byte array('i')s: no collection can hold 2**31 samples in memory
+    (each takes 24 bytes or more). Each row's feature id, and a camera's
+    URI, is UTF-8 in one bytearray (ids, uris) with 8-byte offsets
+    (id_starts, uri_starts), so the collection holds no str per row; the
+    'surrogatepass' error handler lets every str through, lone surrogates
+    too, and UTF-8 bytes sort as the str does, so a list of rows in fid
+    order is searched by the bytes (locate). A series has a mode code per
+    row, and extras holds the extra members of the rows that have any.
+    reach is the farthest that a row ever added sees past its bbox: a
+    video's view reach, while a photo's bbox holds all it sees (see
+    STPhoto.spatial_bbox), so a photo adds none.
     How each kind packs into these columns sits below, by kind.
     """
 
     __slots__ = ("kind", "starts", "times", "values", "lons", "lats", "pos_starts",
-                 "alts", "alt_starts", "fovs", "fov_starts", "modes", "uris", "extras", "reach")
+                 "alts", "alt_starts", "fovs", "fov_starts", "modes", "ids", "id_starts",
+                 "uris", "uri_starts", "extras", "reach")
 
     def __init__(self, kind: str):
         self.kind = kind
         self.starts, self.pos_starts, self.alt_starts, self.fov_starts = (
-            array("q", [0]) for _ in range(4))
+            array("i", [0]) for _ in range(4))
         self.times = array("q")
         self.values, self.lons, self.lats, self.alts, self.fovs = (array("d") for _ in range(5))
         self.modes = array("B")
-        self.uris: list[str] = []
+        self.ids, self.uris = bytearray(), bytearray()
+        self.id_starts, self.uri_starts = array("q", [0]), array("q", [0])
         self.extras: dict[int, tuple] = {}
         self.reach = 0.0
 
     def __len__(self) -> int:
         return len(self.starts) - 1
 
-    def add(self, doc: GeoMediaDocument) -> int:
-        """Append doc, whose kind is this collection's, as a new row; its number."""
+    def add(self, fid: str, doc: GeoMediaDocument) -> int:
+        """Append doc, whose kind is this collection's, as a new row under
+        fid; its number."""
         row = len(self)
         _LAYOUTS[self.kind][0](self, doc.payload)
+        _add_text(self.ids, self.id_starts, fid)
         if doc.extras:
             self.extras[row] = doc.extras
         return row
@@ -406,14 +417,35 @@ class Columns:
         object.__setattr__(doc, "extras", self.extras.get(row, ()))
         return doc
 
+    def fid(self, row: int) -> str:
+        """The feature id the row was added under."""
+        return _text(self.ids, self.id_starts, row)
+
+    def _id_key(self, row: int) -> bytearray:
+        return self.ids[self.id_starts[row]:self.id_starts[row + 1]]
+
+    def locate(self, rows: array, fid: str) -> tuple[int, bool]:
+        """Where fid's row is in rows, rows of these columns in fid order, or
+        where it would go, and whether it is there. The last fid or one that
+        sorts after it takes no search: a snapshot's lines are sorted, and
+        MediaStore.put_feature looks up the fid it has just put."""
+        key, n = fid.encode("utf-8", "surrogatepass"), len(rows)
+        if not n:
+            return 0, False
+        last = self._id_key(rows[n - 1])
+        if last <= key:
+            return (n - 1, True) if last == key else (n, False)
+        i = bisect_left(rows, key, key=self._id_key)
+        return i, self._id_key(rows[i]) == key
+
     def time_bounds(self, row: int) -> tuple[TimeStamp, TimeStamp]:
         return self.times[self.starts[row]], self.times[self.starts[row + 1] - 1]
 
-    def meeting(self, keys: Iterable, rows: Mapping, start: TimeStamp, end: TimeStamp) -> list:
-        """The keys whose rows (rows[key]) meet the time interval [start, end],
+    def meeting(self, rows: Iterable[int], start: TimeStamp, end: TimeStamp) -> list[int]:
+        """The rows, in their order, that meet the time interval [start, end],
         read from the first and last time of each: no document is built."""
         times, starts = self.times, self.starts
-        return [key for key in keys if times[starts[row := rows[key]]] <= end
+        return [row for row in rows if times[starts[row]] <= end
                 and start <= times[starts[row + 1] - 1]]
 
     def time_span(self, rows: Iterable[int]) -> tuple[TimeStamp, TimeStamp]:
@@ -441,7 +473,7 @@ class Columns:
         """Fresh columns of rows, in that order, numbered from 0."""
         fresh = Columns(self.kind)
         for row in rows:
-            fresh.add(self.document(row))
+            fresh.add(self.fid(row), self.document(row))
         return fresh
 
     # -- positions, shared by every kind --------------------------------------
@@ -512,12 +544,13 @@ class Columns:
         self.starts.append(len(self.times))
         self._add_positions((loc.lon,), (loc.lat,), None if loc.alt is None else (loc.alt,))
         self.fovs.extend((fov.h_angle, fov.v_angle, fov.direction2d, fov.view_distance))
-        self.uris.append(photo.imguri)
+        _add_text(self.uris, self.uri_starts, photo.imguri)
 
     def _photo(self, row: int) -> STPhoto:
         a, p = self.starts[row], self.alt_starts[row]
         alt = self.alts[p] if p < self.alt_starts[row + 1] else None
-        return STPhoto.from_columns(self.uris[row], self.lons[a], self.lats[a], alt,
+        return STPhoto.from_columns(_text(self.uris, self.uri_starts, row),
+                                    self.lons[a], self.lats[a], alt,
                                     self.times[a], self.fovs[4 * row:4 * row + 4])
 
     def _photo_bbox(self, row: int) -> Bbox:
@@ -529,13 +562,22 @@ class Columns:
         self._add_point(video.track)
         self.fovs.extend(video._fov_column)
         self.fov_starts.append(len(self.fovs))
-        self.uris.append(video.videouri)
+        _add_text(self.uris, self.uri_starts, video.videouri)
         self.reach = max(self.reach, video.view_reach())
 
     def _video(self, row: int) -> MovingVideo:
         f, g = self.fov_starts[row], self.fov_starts[row + 1]
-        return MovingVideo.from_column(self.uris[row], self._point(row), self.fovs[f:g],
-                                       checked=True)
+        return MovingVideo.from_column(_text(self.uris, self.uri_starts, row), self._point(row),
+                                       self.fovs[f:g], checked=True)
+
+
+def _add_text(column: bytearray, starts: array, text: str) -> None:
+    column += text.encode("utf-8", "surrogatepass")
+    starts.append(len(column))
+
+
+def _text(column: bytearray, starts: array, row: int) -> str:
+    return column[starts[row]:starts[row + 1]].decode("utf-8", "surrogatepass")
 
 
 # Each kind's add, build and bbox on Columns.

@@ -1,6 +1,7 @@
 """In-memory 2D R-tree: a packed tree plus a small write delta.
 
-Keys are (minx, miny, maxx, maxy) rectangles; items are opaque hashable ids.
+Keys are (minx, miny, maxx, maxy) rectangles; items are ints from 0 up (the
+store's row numbers), held in one array('q').
 Search is inclusive: touching rectangles intersect. search() keeps an item
 only if its rectangle meets every box it is given, and prunes a subtree as
 soon as one box misses the subtree's box.
@@ -11,11 +12,12 @@ rectangles, four numbers per entry, and an array of node starts, so node j
 holds entries starts[j] up to starts[j + 1] and entry j of the level above
 holds node j's box. Each leaf is one STR run of at most MAX_ENTRIES, each
 level above is STR over the boxes below, and a node's children sit next to
-each other. The leaves keep their items in one list: no tuple or float per
+each other. The leaves keep their items in one array('q'): no object per
 entry. insert() appends to the delta, an unsorted last leaf that no node
 points to and every search scans. delete() takes an entry out of the
-delta, or makes a packed entry's rectangle an empty box and the boxes on
-its path exact again, so bounds() reads only the root and the delta. Once
+delta, or makes a packed entry's rectangle an empty box, its item -1, and
+the boxes on its path exact again, so bounds() reads only the root and the
+delta. relabel() gives every item a new number in place. Once
 the delta and the deleted entries outnumber max(MAX_ENTRIES, isqrt(len)),
 the live entries are packed again.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import accumulate
 from operator import itemgetter
 
@@ -34,7 +36,7 @@ Rect = tuple[float, float, float, float]
 MAX_ENTRIES = 16
 
 _EMPTY = array("d", (math.inf, math.inf, -math.inf, -math.inf))  # meets no rectangle
-_GONE = object()  # the item of a deleted packed entry
+_GONE = -1  # the item of a deleted packed entry
 
 
 def _union(rects: array) -> Rect:
@@ -61,16 +63,16 @@ class RTree:
     def __init__(self):
         # (rects, starts) per level, leaves first, and the leaves' items, _GONE
         # where deleted; the leaves' starts end with the delta's
-        self._levels, self._items = _pack([], array("d"), [])
+        self._levels, self._items = _pack(array("q"), array("d"), [])
         self._size = self._dead = 0  # live entries; deleted entries in the leaves
 
     def __len__(self) -> int:
         return self._size
 
     @classmethod
-    def bulk_load(cls, entries: Iterable[tuple[object, Rect]]) -> "RTree":
+    def bulk_load(cls, entries: Iterable[tuple[int, Rect]]) -> "RTree":
         """A packed tree of (item, rect) entries."""
-        tree, items, rects = cls(), [], array("d")
+        tree, items, rects = cls(), array("q"), array("d")
         for item, rect in entries:
             items.append(item)
             rects.extend(rect)
@@ -78,7 +80,7 @@ class RTree:
         tree._size = len(items)
         return tree
 
-    def insert(self, item, rect: Rect) -> None:
+    def insert(self, item: int, rect: Rect) -> None:
         leaf, starts = self._levels[0]
         self._items.append(item)
         leaf.extend(rect)
@@ -86,7 +88,7 @@ class RTree:
         self._size += 1
         self._tidy()
 
-    def delete(self, item, rect: Rect) -> None:
+    def delete(self, item: int, rect: Rect) -> None:
         """Remove one (item, rect) entry; KeyError when absent."""
         key = array("d", rect)
         corner = (key[0], key[1], key[0], key[1])  # in every box that holds key
@@ -126,11 +128,11 @@ class RTree:
         stale = len(self._items) - self._levels[0][1][-2] + self._dead
         if stale > min(self._size, max(MAX_ENTRIES, math.isqrt(self._size))):
             live = range(len(self._items)) if not self._dead else \
-                [i for i, item in enumerate(self._items) if item is not _GONE]
+                [i for i, item in enumerate(self._items) if item != _GONE]
             self._levels, self._items = _pack(self._items, self._levels[0][0], live)
             self._dead = 0
 
-    def search(self, rect: Rect, *rects: Rect) -> list:
+    def search(self, rect: Rect, *rects: Rect) -> list[int]:
         """Items whose stored rectangle intersects rect and every one of rects
         (inclusive bounds)."""
         return self._leaf_hits((rect, *rects), self._items)
@@ -140,12 +142,18 @@ class RTree:
         leaf, starts = self._levels[0]
         return _union(self._levels[-1][0] + leaf[4 * starts[-2] :]) if self._size else None
 
-    def items(self) -> list[tuple[object, Rect]]:
+    def items(self) -> list[tuple[int, Rect]]:
         it = iter(self._levels[0][0])
-        return [entry for entry in zip(self._items, zip(it, it, it, it)) if entry[0] is not _GONE]
+        return [entry for entry in zip(self._items, zip(it, it, it, it)) if entry[0] != _GONE]
+
+    def relabel(self, new_item: Sequence[int]) -> None:
+        """Make each item i new_item[i] (0 or more); every entry keeps its
+        rectangle and its place."""
+        self._items = array("q", [_GONE if item == _GONE else new_item[item]
+                                  for item in self._items])
 
 
-def _pack(items: list, rects: array, entries) -> tuple[list[tuple[array, array]], list]:
+def _pack(items: array, rects: array, entries) -> tuple[list[tuple[array, array]], array]:
     """The levels, leaves first, over the entries numbered in entries, and
     their items in leaf order: grouped bottom-up, laid out top-down."""
     columns, groupings = [rects], []
@@ -165,7 +173,7 @@ def _pack(items: list, rects: array, entries) -> tuple[list[tuple[array, array]]
         levels.append((laid, array("q", accumulate(map(len, nodes), initial=0))))
     levels.reverse()
     levels[0][1].append(len(order))  # the delta: one more leaf, after the packed ones
-    return levels, [items[i] for i in order]
+    return levels, array("q", map(items.__getitem__, order))
 
 
 def _str_runs(rects: array, entries) -> list[list[int]]:

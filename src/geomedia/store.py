@@ -1,16 +1,17 @@
 """Persistent collections ("layers") of geo-tagged media with a spatial index.
 
 A collection holds its documents in one set of columns, a row each
-(media.Columns, which packs each kind), a map from fid to live row, and a
-2-D (lon, lat) R-tree over the documents' bounding boxes. A row never
-changes: a put or replacement appends one, a delete leaves its row dead,
-and once dead rows outnumber live ones the live rows are copied into fresh
-columns. So a FeatureRecord names (columns, row) and builds its document
-when a caller reads it, after the lock is released too. The tree is the
-only holder of a bbox (it keeps them in array('d') columns): a
-FeatureRecord works its bbox and extent out from the document, and a
-delete or replacement works the old row's bbox out again to find its
-entry. Time windows are not indexed but checked exactly on each
+(media.Columns, which packs each kind and each row's fid), an array of its
+live rows in fid order, and a 2-D (lon, lat) R-tree over the documents'
+bounding boxes whose items are row numbers. A row never changes: a put or
+replacement appends one, a delete leaves its row dead, and once dead rows
+outnumber live ones the live rows are copied into fresh columns and the
+tree's items renumbered. So a FeatureRecord names (columns, row) and
+builds its document when a caller reads it, after the lock is released
+too. The tree is the only holder of a bbox (it keeps them in array('d')
+columns): a FeatureRecord works its bbox and extent out from the
+document, and a delete or replacement works the old row's bbox out again
+to find its entry. Time windows are not indexed but checked exactly on each
 candidate, by the first and last time of its row, read from the columns.
 The tree is packed (STR) when the collection's snapshot files are parsed,
 and for a collection filled since it was created by the first spatial
@@ -74,6 +75,7 @@ import math
 import re
 import threading
 import time
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -256,6 +258,17 @@ class FeatureRecord:
 
 
 class _CollectionState:
+    """One collection: its columns, the live rows among them, its index and
+    its annotations, and the rules of every write to them.
+
+    rows holds the live rows' numbers (array('i')) in fid order, the order
+    of st_query's answers and of the snapshot file, and is searched by the
+    fids packed in the columns (Columns.locate); a put of a fid that sorts
+    after every other appends. The index's items are row numbers, renumbered
+    when a compaction renumbers the rows. So no str or int object is held
+    per feature.
+    """
+
     __slots__ = ("meta", "columns", "rows", "annotations", "index", "bounds", "unparsed")
 
     def __init__(self, meta: Collection, unparsed: dict | None = None):
@@ -264,7 +277,7 @@ class _CollectionState:
         # has parsed yet; the collection stays empty until then.
         self.unparsed = unparsed
         self.columns = media.Columns(meta.media_type)
-        self.rows: dict[str, int] = {}  # fid -> its live row in columns
+        self.rows = array("i")  # the live rows of columns, in fid order
         self.annotations: dict[str, dict[str, Annotation]] = {}
         self.index: RTree | None = None  # built by spatial_index() when first needed
         # (earliest start, latest end) of the features' time bounds, or None
@@ -276,15 +289,24 @@ class _CollectionState:
         if self.index is None:
             columns = self.columns
             self.index = RTree.bulk_load(
-                (fid, bbox) for fid, row in self.rows.items()
-                if (bbox := columns.bbox(row)) is not None)
+                (row, bbox) for row in self.rows if (bbox := columns.bbox(row)) is not None)
         return self.index
 
+    def locate(self, fid: str) -> tuple[int, bool]:
+        """Where fid is, or would go, in rows, and whether it is there."""
+        if not isinstance(fid, str):
+            return 0, False
+        return self.columns.locate(self.rows, fid)
+
+    def position(self, fid: str) -> int:
+        """Where fid is in rows; NotFoundError if it is not there."""
+        i, found = self.locate(fid)
+        if not found:
+            raise NotFoundError(f"feature {fid!r} not in collection {self.meta.id!r}")
+        return i
+
     def row(self, fid: str) -> int:
-        try:
-            return self.rows[fid]
-        except KeyError:
-            raise NotFoundError(f"feature {fid!r} not in collection {self.meta.id!r}") from None
+        return self.rows[self.position(fid)]
 
     def record(self, fid: str) -> FeatureRecord:
         return FeatureRecord(fid, self.columns, self.row(fid))
@@ -299,19 +321,22 @@ class _CollectionState:
         if doc.kind != self.meta.media_type:
             raise WrongKindError(f"document kind {doc.kind} does not match "
                                  f"collection media type {self.meta.media_type}")
-        old = self.rows.get(fid)
+        i, replaced = self.locate(fid)
+        row = self.columns.add(fid, doc)
         if self.index is not None:
-            if old is not None:
-                self._index_delete(fid, old)
+            if replaced:
+                self._index_delete(self.rows[i])
             bbox = media.spatial_bbox(doc)
             if bbox is not None:
-                self.index.insert(fid, bbox)
-        if old is not None:
+                self.index.insert(row, bbox)
+        if replaced:
+            self.rows[i] = row
             self.bounds = None
-        elif self.bounds is not None:
-            (low, high), (start, end) = self.bounds, doc.payload.time_bounds()
-            self.bounds = (min(low, start), max(high, end))
-        self.rows[fid] = self.columns.add(doc)
+        else:
+            self.rows.insert(i, row)
+            if self.bounds is not None:
+                (low, high), (start, end) = self.bounds, doc.payload.time_bounds()
+                self.bounds = (min(low, start), max(high, end))
         anns = self.annotations.get(fid)
         if anns:
             extent = media.time_extent(doc)
@@ -320,29 +345,35 @@ class _CollectionState:
         self._reclaim()
 
     def drop(self, fid: str) -> None:
-        row = self.row(fid)
+        i = self.position(fid)
         if self.index is not None:
-            self._index_delete(fid, row)
-        del self.rows[fid]
+            self._index_delete(self.rows[i])
+        del self.rows[i]
         self.bounds = None
         self.annotations.pop(fid, None)
         self._reclaim()
 
-    def _index_delete(self, fid: str, row: int) -> None:
+    def _index_delete(self, row: int) -> None:
         """Drop the row's entry from the built index: its bbox, worked out
         again (a pure function of the row), finds the leaf entry."""
         bbox = self.columns.bbox(row)
         if bbox is not None:
-            self.index.delete(fid, bbox)
+            self.index.delete(row, bbox)
 
     def _reclaim(self) -> None:
         """Once dead rows (replaced or deleted) outnumber live ones, copy the
-        live ones into fresh columns. The old columns stay as they are, so a
-        FeatureRecord on them still builds its document."""
+        live ones, in fid order, into fresh columns, and renumber the index's
+        items to match. The old columns stay as they are, so a FeatureRecord
+        on them still builds its document."""
         rows = self.rows
         if len(self.columns) > 2 * len(rows):
-            self.columns = self.columns.copy(rows.values())
-            self.rows = dict(zip(rows, range(len(rows))))
+            if self.index is not None:
+                new_row = array("i", [-1]) * len(self.columns)  # old row -> new; -1 if dead
+                for new, old in enumerate(rows):
+                    new_row[old] = new
+                self.index.relabel(new_row)
+            self.columns = self.columns.copy(rows)
+            self.rows = array("i", range(len(rows)))
 
     def annotate(self, fid: str, ann: Annotation) -> None:
         row = self.row(fid)
@@ -456,7 +487,7 @@ class MediaStore:
 
     def has_feature(self, cid: str, fid: str) -> bool:
         with self._lock:
-            return fid in self._state(cid).rows
+            return self._state(cid).locate(fid)[1]
 
     def feature_count(self, cid: str) -> int:
         with self._lock:
@@ -491,16 +522,19 @@ class MediaStore:
         interval = _check_interval(interval)
         with self._lock:
             state = self._state(cid)
-            columns, rows = state.columns, state.rows
+            columns = state.columns
             if visible_from is not None:
                 boxes.append(disk_bbox(visible_from, columns.reach))
             boxes.sort(key=lambda b: (b[2] - b[0]) * (b[3] - b[1]))
-            fids = state.spatial_index().search(*boxes) if boxes else rows
+            # the index's hits come in no order; the live rows in fid order
+            rows = state.spatial_index().search(*boxes) if boxes else state.rows
             if interval is not None:
-                fids = columns.meeting(fids, rows, interval.start, interval.end)
+                rows = columns.meeting(rows, interval.start, interval.end)
             if visible_from is not None:
-                fids = [fid for fid in fids if columns.may_see(rows[fid], visible_from)]
-            return [FeatureRecord(fid, columns, rows[fid]) for fid in sorted(fids)]
+                rows = [row for row in rows if columns.may_see(row, visible_from)]
+            found = zip(map(columns.fid, rows), rows)
+            return [FeatureRecord(fid, columns, row)
+                    for fid, row in (sorted(found) if boxes else found)]
 
     def collection_bbox(self, cid: str) -> Bbox | None:
         """Bounds of every feature's bbox: the index root's rectangle."""
@@ -515,7 +549,7 @@ class MediaStore:
             if not state.rows:
                 return None
             if state.bounds is None:
-                state.bounds = state.columns.time_span(state.rows.values())
+                state.bounds = state.columns.time_span(state.rows)
             return TimeInterval(*state.bounds)
 
     # -- annotations -----------------------------------------------------------
@@ -599,7 +633,9 @@ class MediaStore:
         checksum mismatch that open() reports as CorruptStoreError. The
         files of a collection never parsed are left in place; if one no
         longer matches its checksum, CorruptStoreError is raised before any
-        rename. Staged files left by a failed flush are removed.
+        rename. Staged files left by a failed flush are removed. Once the
+        directory is fsynced after the manifest's rename the flush has
+        succeeded, even if the old log or data files cannot be removed.
         """
         with self._lock:
             if self._dir is None:
@@ -632,8 +668,9 @@ class MediaStore:
                 columns, rows = state.columns, state.rows
                 count = len(rows)
                 features_tmp, features_sha, features_size = disk.stage(features_path, disk.ndjson_gz(
-                    {"fid": fid, "document": document_to_obj(columns.document(rows[fid]), "epoch")}
-                    for fid in sorted(rows)))
+                    {"fid": columns.fid(row), "document": document_to_obj(columns.document(row),
+                                                                          "epoch")}
+                    for row in rows))
                 anns_tmp, anns_sha, anns_size = disk.stage(anns_path, disk.ndjson_gz(
                     {"fid": fid, **annotation_to_obj(anns[aid], "epoch")}
                     for fid, anns in sorted(state.annotations.items())
@@ -665,16 +702,19 @@ class MediaStore:
             disk.rename(tmp, final)
         disk.rename(manifest_tmp, target / _MANIFEST)
         disk.fsync_dir(target)
-        # The new snapshot holds every op: a log still on disk names the old
-        # manifest, so open ignores it, and the next commit starts afresh.
+        # Committed: the new snapshot holds every op. What is left of the old
+        # one is garbage, so a failure to remove it does not fail the flush:
+        # a log still on disk names the old manifest, so open ignores it and
+        # the next commit truncates it, and open reads no file that the
+        # manifest does not name.
         self._snapshot = manifest_sha
         self._snapshot_bytes = size + manifest_size
         self._log_bytes = 0
         self._pending.clear()
-        disk.unlink(target / disk.LOG, missing_ok=True)
-        for stray in target.glob("*.ndjson.gz"):
-            if stray.name not in keep:
-                disk.unlink(stray)
+        for path in [target / disk.LOG, *target.glob("*.ndjson.gz")]:
+            if path.name not in keep:
+                with contextlib.suppress(OSError):
+                    disk.unlink(path, missing_ok=True)
 
     @classmethod
     def open(cls, directory: str | Path) -> "MediaStore":

@@ -204,48 +204,65 @@ class TestMemory:
         assert _held_bytes(put_all) / 12_000 < self.VIDEO_BYTES_PER_SAMPLE
 
     # Bytes that geomedia's own lines hold per loaded feature (parse plus
-    # index) of 1,000 photos and 1,000 12-sample tracks: 289 on Python 3.11
-    # to 3.13 (313 on 3.10, whose objects are larger) with one set of columns
-    # per collection and a fid -> row map, against 584 (692) with a document
-    # per feature, and 915 (996) with a FeatureRecord, a bbox tuple and an
-    # extent per feature beside a (rect, fid) tuple per leaf entry. Measured
-    # after gc.collect(), so tuples parked in the interpreter's free list
-    # after the parse freed them do not count. Each bound is its figure plus
-    # ~15 %.
-    LOADED_BYTES_PER_FEATURE = 360 if sys.version_info < (3, 11) else 335
+    # index) of 1,000 photos and 1,000 12-sample tracks: 268 on Python 3.11
+    # to 3.13 (270 on 3.10, 282 as the first load in the process) with fids
+    # and URIs packed in the columns and an array of live rows, against 289
+    # (301 to 313) with a fid -> row map, 584 (692) with a document per
+    # feature, and 915 (996) with a FeatureRecord, a bbox tuple and an extent
+    # per feature beside a (rect, fid) tuple per leaf entry. Measured after
+    # gc.collect(), so tuples parked in the interpreter's free list after the
+    # parse freed them do not count. Each bound is its figure plus ~15 %.
+    LOADED_BYTES_PER_FEATURE = 325 if sys.version_info < (3, 11) else 310
 
     def test_loaded_store_holds_only_documents_and_leaf_columns(self, tmp_path):
-        store = MediaStore(tmp_path / "s")
-        store.create_collection("pics", "", "stphoto", created=0)
-        store.create_collection("taxi", "", "MovingPoint", created=0)
-        for i in range(1000):
-            store.put_feature("pics", f"p{i:04d}", parse_document(json.dumps({
-                "type": "stphoto", "uri": f"https://media.example/photo/{i}.jpg",
-                "coordinates": [126 + i * 1e-4, 37.5 + (i % 7) * 1e-3],
-                "timeline": [T0 + i * 1000],
-                "fov": {"horizontalAngle": 60, "verticalAngle": 45,
-                        "direction2d": (i * 37) % 360, "distance": 80},
-            }).encode()))
-            store.put_feature("taxi", f"f{i:04d}", parse_document(json.dumps({
-                "type": "MovingPoint",
-                "coordinates": [[126 + i * 1e-4 + k * 1e-5, 37.5 + k * 1e-5] for k in range(12)],
-                "timeline": [T0 + i * 60_000 + k * 1000 for k in range(12)],
-            }).encode()))
-        store.flush()
-        del store
-        gc.collect()
-        tracemalloc.start()
-        try:
-            loaded = MediaStore.load(tmp_path / "s")
-            gc.collect()
-            snapshot = tracemalloc.take_snapshot()
-        finally:
-            tracemalloc.stop()
-        package = str(Path(geomedia.__file__).parent / "*")
-        snapshot = snapshot.filter_traces([tracemalloc.Filter(True, package)])
-        held = sum(stat.size for stat in snapshot.statistics("filename"))
-        assert loaded.feature_count("pics") == loaded.feature_count("taxi") == 1000
+        directory, loaded = _photos_and_tracks(tmp_path / "s", 1000), []
+        held = _held_bytes(lambda: loaded.append(MediaStore.load(directory)))
+        assert loaded[0].feature_count("pics") == loaded[0].feature_count("taxi") == 1000
         assert held / 2000 < self.LOADED_BYTES_PER_FEATURE
+
+    # Bytes held per loaded feature of n photos and n 12-sample tracks, every
+    # allocation counted, so the strs that json decodes too, after a first
+    # load has filled the interpreter's one-time caches: 281 at n = 250 and
+    # 269 at n = 1,000 on Python 3.11 to 3.13 (296 and 270 on 3.10) with
+    # fids and URIs packed in the columns, in 114 to 129 blocks (149 to 159
+    # on 3.10) at either size; against 361 to 398 and 373 to 397 bytes, in
+    # ~850 to 900 and ~4,600 blocks, with a str per fid and URI, an int per
+    # row and a fid -> row map. Each bound is the largest figure plus ~15 %.
+    # The block bound is the same for every n: the load holds no object per
+    # feature.
+    ALL_BYTES_PER_FEATURE = 340 if sys.version_info < (3, 11) else 325
+    HELD_BLOCKS = 185 if sys.version_info < (3, 11) else 150
+
+    @pytest.mark.parametrize("n", [250, 1000])
+    def test_loaded_store_holds_no_object_per_feature(self, tmp_path, n):
+        directory, loaded = _photos_and_tracks(tmp_path / "s", n), []
+        MediaStore.load(directory)
+        held, blocks = _held(lambda: loaded.append(MediaStore.load(directory)), everything=True)
+        assert loaded[0].feature_count("pics") == loaded[0].feature_count("taxi") == n
+        assert held / (2 * n) < self.ALL_BYTES_PER_FEATURE
+        assert blocks < self.HELD_BLOCKS
+
+
+def _photos_and_tracks(directory, n) -> Path:
+    """A flushed store of n photos ("pics") and n 12-sample tracks ("taxi")."""
+    store = MediaStore(directory)
+    store.create_collection("pics", "", "stphoto", created=0)
+    store.create_collection("taxi", "", "MovingPoint", created=0)
+    for i in range(n):
+        store.put_feature("pics", f"p{i:04d}", parse_document(json.dumps({
+            "type": "stphoto", "uri": f"https://media.example/photo/{i}.jpg",
+            "coordinates": [126 + i * 1e-4, 37.5 + (i % 7) * 1e-3],
+            "timeline": [T0 + i * 1000],
+            "fov": {"horizontalAngle": 60, "verticalAngle": 45,
+                    "direction2d": (i * 37) % 360, "distance": 80},
+        }).encode()))
+        store.put_feature("taxi", f"f{i:04d}", parse_document(json.dumps({
+            "type": "MovingPoint",
+            "coordinates": [[126 + i * 1e-4 + k * 1e-5, 37.5 + k * 1e-5] for k in range(12)],
+            "timeline": [T0 + i * 60_000 + k * 1000 for k in range(12)],
+        }).encode()))
+    store.flush()
+    return directory
 
 
 class TestRows:
@@ -376,6 +393,70 @@ class TestRows:
         assert {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()} == before
 
 
+class TestFeatureIds:
+    """A collection packs each row's fid as UTF-8 in its columns and keeps its
+    live rows in fid order: every fid the put rule accepts comes back as it
+    went in, and listings are in str order, through puts out of order,
+    replacements, deletes and row compactions, and after a flush and load.
+    (A high and a low surrogate in a row would not: JSON reads the pair as
+    one astral character, in the log and the snapshot alike.)"""
+
+    ODD = ["\u00e9t\u00e9", "\u00e4", "\u00df", "\u65e5\u672c", "\U0001f600", "\uffff",
+           "\ud7ff", "\ue000", "\ud800", "x\udfff", "\udbffz", "a\x00", "A", "a",
+           "ab", "~", "\x7f", "\u0080"]
+
+    def check(self, store, live):
+        whole = (-180, -90, 180, 90)
+        assert [r.fid for r in store.st_query("c")] == sorted(live)
+        assert [(r.fid, r.doc) for r in store.st_query("c", bbox=whole)] == sorted(live.items())
+        for fid, doc in live.items():
+            assert store.has_feature("c", fid) and store.get_feature("c", fid).doc == doc
+        assert store.feature_count("c") == len(live)
+
+    def test_odd_fids_in_any_order_round_trip_and_list_in_str_order(self, tmp_path):
+        rng = random.Random("fids")
+        store = MediaStore(tmp_path / "s")
+        store.create_collection("c", "", "MovingPoint", created=0)
+        store.flush()
+        fids = self.ODD + [f"f{i:02d}" for i in range(30)]
+        rng.shuffle(fids)
+        live = {}
+        for fid in fids:
+            live[fid] = track_doc(rng)
+            store.put_feature("c", fid, live[fid])
+        self.check(store, live)
+        store.st_query("c", bbox=(0, 0, 1, 1))  # builds the index
+        columns, gone = store._collections["c"].columns, set()
+        for step in range(300):
+            fid = rng.choice(fids)
+            if fid in live and rng.random() < 0.3:
+                store.delete_feature("c", fid)
+                del live[fid]
+                gone.add(fid)
+            else:
+                live[fid] = track_doc(rng)
+                store.put_feature("c", fid, live[fid])
+                gone.discard(fid)
+            if step % 50 == 0:
+                self.check(store, live)
+        assert store._collections["c"].columns is not columns  # compacted
+        self.check(store, live)
+        for fid in gone:
+            assert not store.has_feature("c", fid)
+            with pytest.raises(NotFoundError):
+                store.get_feature("c", fid)
+        store.commit()
+        self.check(MediaStore.load(tmp_path / "s"), live)  # replayed from the log
+        store.flush()
+        lines = snapshot_text(tmp_path / "s" / "c.ndjson.gz").splitlines()
+        assert [json.loads(line)["fid"] for line in lines] == sorted(live)
+        loaded = MediaStore.load(tmp_path / "s")
+        self.check(loaded, live)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()}
+        loaded.flush()
+        assert {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()} == before
+
+
 def _twelve_sample_tracks(directory, count):
     store = MediaStore(directory)
     store.create_collection("taxi", "", "MovingPoint", created=0)
@@ -386,8 +467,9 @@ def _twelve_sample_tracks(directory, count):
     return store
 
 
-def _held_bytes(call) -> int:
-    """Bytes that geomedia's own lines allocate in call() and still hold.
+def _held(call, everything: bool = False) -> tuple[int, int]:
+    """Bytes, and blocks, that call() allocates and still holds: of
+    geomedia's own lines, or with everything of every line.
 
     Measured after gc.collect(), which also empties the interpreter's free
     lists, so objects that call() freed into them do not count; a
@@ -402,9 +484,15 @@ def _held_bytes(call) -> int:
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    package = str(Path(geomedia.__file__).parent / "*")
-    snapshot = snapshot.filter_traces([tracemalloc.Filter(True, package)])
-    return sum(stat.size for stat in snapshot.statistics("filename"))
+    if not everything:
+        package = str(Path(geomedia.__file__).parent / "*")
+        snapshot = snapshot.filter_traces([tracemalloc.Filter(True, package)])
+    stats = snapshot.statistics("filename")
+    return sum(stat.size for stat in stats), sum(stat.count for stat in stats)
+
+
+def _held_bytes(call) -> int:
+    return _held(call)[0]
 
 
 def _transient_bytes(call):
