@@ -53,18 +53,6 @@ class FieldOfView:
     def __post_init__(self):
         check_fov(self.h_angle, self.v_angle, self.direction2d, self.view_distance)
 
-    @classmethod
-    def of_valid(cls, h_angle: float, v_angle: float, direction2d: float,
-                 view_distance: float) -> "FieldOfView":
-        """A FieldOfView of numbers already checked (see check_fov), as a
-        stored column holds them, built without checking them again."""
-        fov = object.__new__(cls)
-        object.__setattr__(fov, "h_angle", h_angle)
-        object.__setattr__(fov, "v_angle", v_angle)
-        object.__setattr__(fov, "direction2d", direction2d)
-        object.__setattr__(fov, "view_distance", view_distance)
-        return fov
-
     @property
     def is_relative(self) -> bool:
         """True when direction2d encodes a mount-relative (fixed-camera) offset."""

@@ -35,17 +35,6 @@ class GeoPoint:
     def __post_init__(self):
         check_position(self.lon, self.lat, self.alt)
 
-    @classmethod
-    def of_valid(cls, lon: float, lat: float, alt: float | None = None) -> "GeoPoint":
-        """GeoPoint(lon, lat, alt) of a position already checked (see
-        check_position), as a stored column holds it, built without
-        checking it again."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "lon", lon)
-        object.__setattr__(p, "lat", lat)
-        object.__setattr__(p, "alt", alt)
-        return p
-
     def same_position(self, other: "GeoPoint") -> bool:
         """True when lon/lat are exactly equal (altitude ignored)."""
         return self.lon == other.lon and self.lat == other.lat

@@ -69,19 +69,6 @@ class STPhoto:
         if isinstance(t, bool) or not isinstance(t, int) or not MIN_TIME <= t <= MAX_TIME:
             raise ValueError(f"photo time {t!r} is not an integer in years 1-9999")
 
-    @classmethod
-    def from_columns(cls, imguri: str, lon: float, lat: float, alt: float | None,
-                     t: TimeStamp, fov_row) -> "STPhoto":
-        """A photo of values that made one before (a stored row of Columns
-        did), fov_row its FoV's four numbers in field order: the photo, its
-        GeoPoint and its FieldOfView are built without checking them again."""
-        photo = object.__new__(cls)
-        object.__setattr__(photo, "imguri", imguri)
-        object.__setattr__(photo, "loc", GeoPoint.of_valid(lon, lat, alt))
-        object.__setattr__(photo, "t", t)
-        object.__setattr__(photo, "fov", FieldOfView.of_valid(*fov_row))
-        return photo
-
     def time_extent(self) -> TimeInterval:
         return TimeInterval(*self.time_bounds())
 
@@ -182,22 +169,17 @@ class MovingVideo:
         self._set(videouri, track, _pack_fovs(fovs))
 
     @classmethod
-    def from_column(cls, videouri: str, track: MovingPoint, fov_column: array, *,
-                    checked: bool = False) -> "MovingVideo":
+    def from_column(cls, videouri: str, track: MovingPoint, fov_column: array) -> "MovingVideo":
         """A video over a column of valid FoVs (see fov.check_fov), laid out as
-        _pack_fovs lays them out. checked says that they made a valid video
-        before (a stored row of Columns did), so nothing is checked again."""
+        _pack_fovs lays them out, checked as __init__ checks it."""
         video = object.__new__(cls)
-        video._set(videouri, track, fov_column, checked)
+        video._set(videouri, track, fov_column)
         return video
 
-    def _set(self, videouri: str, track: MovingPoint, column: array,
-             checked: bool = False) -> None:
+    def _set(self, videouri: str, track: MovingPoint, column: array) -> None:
         object.__setattr__(self, "videouri", videouri)
         object.__setattr__(self, "track", track)
         object.__setattr__(self, "_fov_column", column)
-        if checked:
-            return
         if not videouri:
             raise ValueError("videouri must be non-empty")
         if len(column) // 4 not in (1, len(track)):
@@ -264,7 +246,7 @@ class MovingVideo:
             if i != segment:
                 segment = i
                 j = 4 * i if len(column) > 4 else 0
-                fov = FieldOfView.of_valid(*column[j:j + 4])
+                fov = FieldOfView(*column[j:j + 4])
                 heading = track.heading_at(t) if fov.is_relative else None
                 direction = resolve_direction(fov, heading)
             yield FovState(camera, direction, fov)
@@ -351,10 +333,11 @@ class Columns:
     A row never changes once written: add() appends one, and a collection
     whose rows are mostly dead copies its live ones into fresh Columns (see
     store.py). So (columns, row) names one document for good, and
-    document() builds it on request from slices of the columns, which each
-    kind's own class takes as they are (MovingPoint.from_columns and the
-    like), without checking them again; a time filter reads the row's first
-    and last time (time_bounds, meeting, time_span) without building it.
+    document() builds it on request from slices of the columns through each
+    kind's own constructor (MovingPoint.from_columns and the like), which
+    checks them as it checks any other; a time filter and a bounding box
+    read the row's columns (time_bounds, meeting, time_span, bbox) without
+    building it.
     add() only appends, so an earlier row's document can be built while
     another thread adds a row: each array operation is atomic under the
     interpreter lock.
@@ -409,13 +392,9 @@ class Columns:
         return row
 
     def document(self, row: int) -> GeoMediaDocument:
-        """The row's document, built without checking it again: it was
-        checked when it was put."""
-        doc = object.__new__(GeoMediaDocument)
-        object.__setattr__(doc, "kind", self.kind)
-        object.__setattr__(doc, "payload", _LAYOUTS[self.kind][1](self, row))
-        object.__setattr__(doc, "extras", self.extras.get(row, ()))
-        return doc
+        """The row's document, built from its slices of the columns."""
+        return GeoMediaDocument(self.kind, _LAYOUTS[self.kind][1](self, row),
+                                self.extras.get(row, ()))
 
     def fid(self, row: int) -> str:
         """The feature id the row was added under."""
@@ -510,7 +489,7 @@ class Columns:
     def _point(self, row: int) -> MovingPoint:
         a, b = self.starts[row], self.starts[row + 1]
         return MovingPoint.from_columns(self.times[a:b], self._positions(a, b, row),
-                                        _MODES[self.modes[row]], checked=True)
+                                        _MODES[self.modes[row]])
 
     def _point_bbox(self, row: int) -> Bbox:
         return self._positions_bbox(self.starts[row], self.starts[row + 1])
@@ -530,8 +509,7 @@ class Columns:
         a, b = self.starts[row], self.starts[row + 1]
         p, q = self.pos_starts[row], self.pos_starts[row + 1]
         return MovingDouble.from_columns(self.times[a:b], self.values[a:b], _MODES[self.modes[row]],
-                                         self._positions(p, q, row) if p < q else None,
-                                         checked=True)
+                                         self._positions(p, q, row) if p < q else None)
 
     def _double_bbox(self, row: int) -> Bbox | None:
         return self._positions_bbox(self.pos_starts[row], self.pos_starts[row + 1])
@@ -549,9 +527,9 @@ class Columns:
     def _photo(self, row: int) -> STPhoto:
         a, p = self.starts[row], self.alt_starts[row]
         alt = self.alts[p] if p < self.alt_starts[row + 1] else None
-        return STPhoto.from_columns(_text(self.uris, self.uri_starts, row),
-                                    self.lons[a], self.lats[a], alt,
-                                    self.times[a], self.fovs[4 * row:4 * row + 4])
+        return STPhoto(_text(self.uris, self.uri_starts, row),
+                       GeoPoint(self.lons[a], self.lats[a], alt),
+                       self.times[a], FieldOfView(*self.fovs[4 * row:4 * row + 4]))
 
     def _photo_bbox(self, row: int) -> Bbox:
         return self._photo(row).spatial_bbox()
@@ -568,7 +546,7 @@ class Columns:
     def _video(self, row: int) -> MovingVideo:
         f, g = self.fov_starts[row], self.fov_starts[row + 1]
         return MovingVideo.from_column(_text(self.uris, self.uri_starts, row), self._point(row),
-                                       self.fovs[f:g], checked=True)
+                                       self.fovs[f:g])
 
 
 def _add_text(column: bytearray, starts: array, text: str) -> None:
@@ -605,16 +583,6 @@ def payload_of_kind(x, kinds: frozenset[str], lacks: str) -> MediaPayload:
 def time_extent(x) -> TimeInterval:
     """[first, last] sample time of a media value or document."""
     return payload_of(x).time_extent()
-
-
-def view_reach(x) -> float:
-    """How far any camera of a media value sees, in meters; 0 for a kind with none.
-
-    Every camera position lies inside the value's spatial_bbox, so whatever
-    it sees lies within this distance of that box.
-    """
-    payload = payload_of(x)
-    return payload.view_reach() if kind_of(payload) in CAMERA_KINDS else 0.0
 
 
 def spatial_bbox(x) -> Bbox | None:

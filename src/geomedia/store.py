@@ -104,6 +104,9 @@ from .rtree import RTree
 from .temporal import MAX_TIME, MIN_TIME, TimeInterval
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
+# A high surrogate then a low one: JSON writes the two as an escape pair and
+# reads that back as one astral character, so such a fid would not round-trip.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 _MANIFEST = "manifest.json"
 _FORMAT_VERSION = 2  # 1: plain <cid>.ndjson files; 2: gzip-compressed <cid>.ndjson.gz
 # A commit whose records would grow the log past
@@ -220,7 +223,8 @@ class FeatureRecord:
 
     The record names its collection's row, which never changes (see
     media.Columns), so doc is right however long after the query it is
-    read. bbox and extent are worked out from the document on each read.
+    read. bbox and extent are read from the row's columns on each read,
+    without building the document.
     """
 
     __slots__ = ("fid", "_columns", "_row", "_doc")
@@ -250,11 +254,11 @@ class FeatureRecord:
 
     @property
     def bbox(self) -> Bbox | None:
-        return media.spatial_bbox(self.doc)
+        return self._columns.bbox(self._row)
 
     @property
     def extent(self) -> TimeInterval:
-        return media.time_extent(self.doc)
+        return TimeInterval(*self._columns.time_bounds(self._row))
 
 
 class _CollectionState:
@@ -318,6 +322,9 @@ class _CollectionState:
         extent."""
         if not isinstance(fid, str) or not fid or "/" in fid:
             raise BadQueryError(f"feature id {fid!r} must be non-empty without '/'")
+        if _SURROGATE_PAIR.search(fid):
+            raise BadQueryError(f"feature id {fid!r} must not hold a high surrogate "
+                                "followed by a low one")
         if doc.kind != self.meta.media_type:
             raise WrongKindError(f"document kind {doc.kind} does not match "
                                  f"collection media type {self.meta.media_type}")
@@ -326,7 +333,7 @@ class _CollectionState:
         if self.index is not None:
             if replaced:
                 self._index_delete(self.rows[i])
-            bbox = media.spatial_bbox(doc)
+            bbox = self.columns.bbox(row)
             if bbox is not None:
                 self.index.insert(row, bbox)
         if replaced:
@@ -335,11 +342,11 @@ class _CollectionState:
         else:
             self.rows.insert(i, row)
             if self.bounds is not None:
-                (low, high), (start, end) = self.bounds, doc.payload.time_bounds()
+                (low, high), (start, end) = self.bounds, self.columns.time_bounds(row)
                 self.bounds = (min(low, start), max(high, end))
         anns = self.annotations.get(fid)
         if anns:
-            extent = media.time_extent(doc)
+            extent = TimeInterval(*self.columns.time_bounds(row))
             self.annotations[fid] = {aid: ann for aid, ann in anns.items()
                                      if _fits(ann, extent)}
         self._reclaim()

@@ -112,7 +112,7 @@ def _columns_of(points) -> PositionColumns:
 def _point(lons: array, lats: array, alts: array | None, i: int) -> GeoPoint:
     """Position i of a series' columns, which hold valid positions."""
     alt = None if alts is None or math.isnan(alts[i]) else alts[i]
-    return GeoPoint.of_valid(lons[i], lats[i], alt)
+    return GeoPoint(lons[i], lats[i], alt)
 
 
 def _same_alts(a: array | None, b: array | None) -> bool:
@@ -135,12 +135,12 @@ class _Series:
     alts: array | None
 
     def _set(self, time_column: array, mode, columns: PositionColumns | None,
-             value_column: array | None = None, checked: bool = False) -> None:
-        """Set every field once; unless checked, ValueError unless they make a
-        valid series: a moving point (no values) has positions, with altitudes
-        on all or none, and positions and values match the timeline in length
-        (a moving double's positions may mix altitudes). The time and value
-        columns come checked (see _time_column and _value_column)."""
+             value_column: array | None = None) -> None:
+        """Set every field once; ValueError unless they make a valid series: a
+        moving point (no values) has positions, with altitudes on all or none,
+        and positions and values match the timeline in length (a moving
+        double's positions may mix altitudes). The time and value columns come
+        checked (see _time_column and _value_column)."""
         lons, lats, alts = (None, None, None) if columns is None else columns
         object.__setattr__(self, "time_column", time_column)
         object.__setattr__(self, "mode", mode if type(mode) is InterpolationMode
@@ -150,8 +150,6 @@ class _Series:
         object.__setattr__(self, "alts", alts)
         if value_column is not None:
             object.__setattr__(self, "value_column", value_column)
-        if checked:
-            return
         if value_column is None:
             if lons is None:
                 raise ValueError("a moving point needs positions")
@@ -207,13 +205,12 @@ class MovingPoint(_Series):
 
     @classmethod
     def from_columns(cls, time_column: array, columns: PositionColumns,
-                     mode=InterpolationMode.LINEAR, *, checked: bool = False) -> "MovingPoint":
+                     mode=InterpolationMode.LINEAR) -> "MovingPoint":
         """A track over a checked time column (see _time_column) and columns
-        of valid positions (see geo.check_position). checked says that they
-        made a valid track before (a stored row of media.Columns did), so
-        nothing is checked again."""
+        of valid positions (see geo.check_position), checked as __init__
+        checks them."""
         mp = object.__new__(cls)
-        mp._set(time_column, mode, columns, checked=checked)
+        mp._set(time_column, mode, columns)
         return mp
 
     @property
@@ -269,15 +266,12 @@ class MovingDouble(_Series):
     @classmethod
     def from_columns(cls, time_column: array, value_column: array,
                      mode=InterpolationMode.LINEAR,
-                     columns: PositionColumns | None = None, *,
-                     checked: bool = False) -> "MovingDouble":
+                     columns: PositionColumns | None = None) -> "MovingDouble":
         """A series over checked time and value columns (see _time_column and
         _value_column) and columns of valid positions (see
-        geo.check_position), or none. checked says that they made a valid
-        series before (a stored row of media.Columns did), so nothing is
-        checked again."""
+        geo.check_position), or none, checked as __init__ checks them."""
         md = object.__new__(cls)
-        md._set(time_column, mode, columns, value_column, checked)
+        md._set(time_column, mode, columns, value_column)
         return md
 
     @property

@@ -34,7 +34,6 @@ from geomedia import (
 from geomedia import media, rtree
 from geomedia.cli import main
 from geomedia.errors import BadQueryError, WrongKindError
-from geomedia.media import view_reach
 from geomedia.query import decode_query_spec
 
 from conftest import T0, T1, T2
@@ -486,7 +485,7 @@ def query_point(rng, store, cid) -> GeoPoint:
         return around(rng, rng.choice(ANCHORS))
     payload = rng.choice(store.st_query(cid)).doc.payload
     vertices = payload.vertices() or (rng.choice(ANCHORS),)
-    reach = view_reach(payload) or scale(rng)
+    reach = payload.view_reach() if media.kind_of(payload) in media.CAMERA_KINDS else scale(rng)
     return destination(rng.choice(vertices), rng.uniform(0, 360), rng.uniform(0, 1.2) * reach)
 
 

@@ -290,19 +290,20 @@ class TestRows:
         assert _held_bytes(churn) < 8_000
         assert store.get_feature("taxi", "f").doc == docs[9]
 
-    def test_record_taken_before_a_compaction_keeps_its_document(self, moving_point_doc):
+    @pytest.mark.parametrize("cid", ["taxi", "sensors", "pics", "cams"])
+    def test_record_taken_before_a_compaction_keeps_its_document(self, cid):
+        doc, other = _edge_documents()[cid].values()
         store = MediaStore()
-        store.create_collection("taxi", "", "MovingPoint")
-        for i in range(4):
-            store.put_feature("taxi", f"f{i}", moving_point_doc)
-        other = document_of(MovingPoint((T0,), (GeoPoint(1.0, 2.0),)))
-        records = store.st_query("taxi") + [store.get_feature("taxi", "f3")]
-        columns = store._collections["taxi"].columns
-        for fid in ("f0", "f1", "f2", "f3", "f0"):
-            store.put_feature("taxi", fid, other)
-        assert store._collections["taxi"].columns is not columns  # compacted
-        assert [r.doc for r in records] == [moving_point_doc] * 5
-        assert [r.doc for r in store.st_query("taxi")] == [other] * 4
+        store.create_collection(cid, "", doc.kind)
+        for fid in ("f0", "f1", "f2", "f3", "g"):
+            store.put_feature(cid, fid, doc)
+        records = store.st_query(cid) + [store.get_feature(cid, "f3")]
+        columns = store._collections[cid].columns
+        for fid in ("f0", "f1", "f2", "f3", "f0", "f1"):
+            store.put_feature(cid, fid, other)
+        assert store._collections[cid].columns is not columns  # compacted
+        assert [r.doc for r in records] == [doc] * 6
+        assert [r.doc for r in store.st_query(cid)] == [other] * 4 + [doc]
 
     def test_concurrent_writes_leave_records_read_after_the_lock_whole(self):
         """Readers build documents outside the store lock while writers
@@ -354,30 +355,8 @@ class TestRows:
         assert len(compactions) > 1
 
     def test_load_then_flush_rewrites_every_snapshot_file_byte_identical(self, tmp_path):
-        points = tuple(GeoPoint(126 + k * 1e-3, 37.5, None if k == 1 else 10.0 + k)
-                       for k in range(3))
-        track = MovingPoint((T0, T0 + 1000, T0 + 2000), tuple(GeoPoint(p.lon, p.lat, 5.0)
-                                                               for p in points),
-                            InterpolationMode.STEPWISE)
-        per_sample = tuple(FieldOfView(60, 45, d, 80) for d in (10, 20, 30))
         store = MediaStore(tmp_path / "s")
-        features = {
-            "taxi": {"a": document_of(track),
-                     "b": parse_document(json.dumps({
-                         "type": "MovingPoint", "coordinates": [[1, 2], [3, 4]],
-                         "timeline": [T0, T0 + 1], "interpolation": "discrete",
-                         "vendor": {"x": [1, 2]}}).encode())},
-            "sensors": {"a": document_of(MovingDouble((T0, T0 + 1000, T0 + 2000), (1, 2.5, 3),
-                                                      track=points)),
-                        "b": document_of(MovingDouble((T0,), (7,)))},
-            "pics": {"a": document_of(STPhoto("u:a", GeoPoint(126, 37.5, 3.0), T0,
-                                              FieldOfView(60, 45, 90, 30))),
-                     "b": document_of(STPhoto("u:b", GeoPoint(126, 37.5), T0))},
-            "cams": {"a": document_of(MovingVideo("u:a", track, per_sample)),
-                     "b": document_of(MovingVideo("u:b", MovingPoint(
-                         (T0, T0 + 1000), (GeoPoint(0, 0), GeoPoint(0, 1e-3))),
-                         (FieldOfView(direction2d=-90),)))},
-        }
+        features = _edge_documents()
         for cid, docs in features.items():
             store.create_collection(cid, cid, next(iter(docs.values())).kind, created=0)
             for fid, doc in docs.items():
@@ -397,9 +376,7 @@ class TestFeatureIds:
     """A collection packs each row's fid as UTF-8 in its columns and keeps its
     live rows in fid order: every fid the put rule accepts comes back as it
     went in, and listings are in str order, through puts out of order,
-    replacements, deletes and row compactions, and after a flush and load.
-    (A high and a low surrogate in a row would not: JSON reads the pair as
-    one astral character, in the log and the snapshot alike.)"""
+    replacements, deletes and row compactions, and after a flush and load."""
 
     ODD = ["\u00e9t\u00e9", "\u00e4", "\u00df", "\u65e5\u672c", "\U0001f600", "\uffff",
            "\ud7ff", "\ue000", "\ud800", "x\udfff", "\udbffz", "a\x00", "A", "a",
@@ -455,6 +432,45 @@ class TestFeatureIds:
         before = {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()}
         loaded.flush()
         assert {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()} == before
+
+    @pytest.mark.parametrize("fid", ["\udbff\udc00", "a\ud800\udfffz"])
+    def test_surrogate_pair_fid_is_refused(self, fid):
+        # JSON would read the pair back as one astral character: another fid
+        store = MediaStore()
+        store.create_collection("c", "", "MovingPoint", created=0)
+        with pytest.raises(BadQueryError, match="must not hold a high surrogate followed by a low one"):
+            store.put_feature("c", fid, track_doc(random.Random(0)))
+        assert store.feature_count("c") == 0
+
+
+def _edge_documents() -> dict[str, dict]:
+    """Two documents of each kind, by collection: a track with altitudes and
+    one with extras; a series with mixed altitudes and one without
+    positions; a photo with an altitude and one without; a video with a FoV
+    per sample and a mount-relative one on a moving track."""
+    points = tuple(GeoPoint(126 + k * 1e-3, 37.5, None if k == 1 else 10.0 + k)
+                   for k in range(3))
+    track = MovingPoint((T0, T0 + 1000, T0 + 2000), tuple(GeoPoint(p.lon, p.lat, 5.0)
+                                                           for p in points),
+                        InterpolationMode.STEPWISE)
+    per_sample = tuple(FieldOfView(60, 45, d, 80) for d in (10, 20, 30))
+    return {
+        "taxi": {"a": document_of(track),
+                 "b": parse_document(json.dumps({
+                     "type": "MovingPoint", "coordinates": [[1, 2], [3, 4]],
+                     "timeline": [T0, T0 + 1], "interpolation": "discrete",
+                     "vendor": {"x": [1, 2]}}).encode())},
+        "sensors": {"a": document_of(MovingDouble((T0, T0 + 1000, T0 + 2000), (1, 2.5, 3),
+                                                  track=points)),
+                    "b": document_of(MovingDouble((T0,), (7,)))},
+        "pics": {"a": document_of(STPhoto("u:a", GeoPoint(126, 37.5, 3.0), T0,
+                                          FieldOfView(60, 45, 90, 30))),
+                 "b": document_of(STPhoto("u:b", GeoPoint(126, 37.5), T0))},
+        "cams": {"a": document_of(MovingVideo("u:a", track, per_sample)),
+                 "b": document_of(MovingVideo("u:b", MovingPoint(
+                     (T0, T0 + 1000), (GeoPoint(0, 0), GeoPoint(0, 1e-3))),
+                     (FieldOfView(direction2d=-90),)))},
+    }
 
 
 def _twelve_sample_tracks(directory, count):
