@@ -2,16 +2,23 @@
 
 GeoMediaApi is framework-agnostic: handle() maps (method, target, body) to
 (status, JSON-serializable payload), which keeps every route testable
-without sockets. GeoMediaServer wraps it in a threading stdlib HTTP server.
+without sockets. GeoMediaServer serves it over HTTP/1.1 with its own framing
+(RFC 9112) on socketserver, so a serving process loads no http.server,
+http.client, ssl or email.
 
 Contract notes: unknown or repeated query parameters are rejected with 400
-(fail-closed against filter typos); a client that sends part of a header
-block or a body and then nothing for 60 s gets a 408 and the connection
-closes, and an idle keep-alive connection is closed after as long; every
-mutation is appended to the store's log and fsynced before its response,
-and one that fails to commit answers 500 and is gone from memory too;
-responses contain no wall-clock values, only stored data, so they are
-deterministic given store state.
+(fail-closed against filter typos); a request has 60 s from its first byte
+to its last, each read waiting only the time left, and one that is not whole
+by then gets a 408 and the connection closes, and an idle keep-alive
+connection is closed after as long; the adapter's own errors (a malformed
+request line 400, one over 64 KiB 414, more than 100 header fields 431, an
+HTTP version other than 1.x 505) come in the same JSON shape as handle()'s;
+a fixed pool of worker threads serves the connections, which wait in a
+bounded queue, and one that finds the queue full gets 503; every mutation is
+appended to the store's log and fsynced before its response, and one that
+fails to commit answers 500 and is gone from memory too; response bodies
+contain no wall-clock values, only stored data, so they are deterministic
+given store state.
 
 Every route but a GET changes the store, and no GET does (RFC 9110's safe
 methods). So handle() runs any other request and its commit as one step
@@ -27,7 +34,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import queue
+import socket
+import socketserver
+import threading
+import time
+from http import HTTPStatus
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from . import media
@@ -56,6 +68,11 @@ _STATUS_BY_CODE = {
     "BadBody": 400,
     "TooLarge": 413,
     "Timeout": 408,
+    "BadRequest": 400,
+    "UriTooLong": 414,
+    "HeadersTooLarge": 431,
+    "VersionNotSupported": 505,
+    "Unavailable": 503,
     "KindMismatch": 422,
     "Conflict": 409,
     "Internal": 500,
@@ -77,7 +94,10 @@ class GeoMediaApi:
         """Dispatch one request; returns (HTTP status, JSON payload or None).
         HEAD is answered as GET; a request of any other method but GET holds
         the store lock to its commit."""
-        parts = urlsplit(target)
+        try:
+            parts = urlsplit(target)
+        except ValueError as exc:  # "http://[" opens an IPv6 host it never closes
+            return _api_error("BadQuery", f"malformed request target: {exc}", target)
         path = parts.path
         try:
             params = _decode_params(parts.query)
@@ -304,79 +324,261 @@ def _echo_query(params: dict[str, str]) -> dict:
     return {key: params[key] for key in sorted(params)}
 
 
-# -- stdlib HTTP adapter --------------------------------------------------------------
+# -- HTTP/1.1 adapter on socketserver ---------------------------------------------------
+
+WORKERS = 8  # threads that serve connections, each one connection at a time
+QUEUE_SLOTS = 32  # accepted connections that wait for a worker; one more gets 503
+_MAX_LINE = 64 * 1024  # bytes of a request line (414 past it) or a header line (431)
+_MAX_HEADERS = 100  # header fields of a request (431 past it)
+_READ = 64 * 1024  # bytes asked of one recv
+_DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()  # the HTTP date's names, in no locale
+_MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "geomedia/0.1"
-    protocol_version = "HTTP/1.1"
-    # Seconds each socket read or write may wait (StreamRequestHandler.setup
-    # applies it): a header block or a body that stops mid-read is answered
-    # 408 and an idle keep-alive connection is closed.
+class _Refusal(Exception):
+    """A request the adapter answers itself, with a JSON error and a close."""
+
+    def __init__(self, code: str, message: str, path: str = ""):
+        super().__init__(message)
+        self.reply = _api_error(code, message, path)
+
+
+def _head(status: int, length: int, close: bool) -> bytes:
+    """The status line and header block of a JSON answer of length bytes."""
+    t = time.gmtime()  # the date in RFC 9110 §5.6.7's IMF-fixdate form
+    date = (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+            f"{time.strftime('%Y %H:%M:%S', t)} GMT")
+    lines = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}", "Server: geomedia/0.1",
+             f"Date: {date}", "Content-Type: application/json"]
+    if status != 204:  # a 204 carries no Content-Length (RFC 9110 §8.6)
+        lines.append(f"Content-Length: {length}")
+    if close:
+        lines.append("Connection: close")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """Reads HTTP/1.1 requests off one connection (RFC 9112) and answers each
+    through GeoMediaApi.handle, until the client or an error closes it."""
+
+    # Seconds from a request's first byte to its last, and that a keep-alive
+    # connection may sit idle before its next request. Each read waits only
+    # the time left, so a request that is not whole by then gets 408, however
+    # its bytes trickle in.
     timeout = 60.0
 
-    def _dispatch(self):
-        raw_length = (self.headers.get("Content-Length") or "0").strip()
-        length = int(raw_length) if raw_length.isascii() and raw_length.isdigit() else None
-        chunked = "Transfer-Encoding" in self.headers
-        read = length is not None and length <= MAX_BODY_BYTES and not chunked
-        if read:
-            try:
-                body = self.rfile.read(length) if length else None
-            except TimeoutError:
-                read = False
-                message = f"request body not received within {self.timeout:g} s"
-                status, payload = _api_error("Timeout", message, urlsplit(self.path).path)
-            else:
-                status, payload = self.server.api.handle(self.command, self.path, body)
-        elif chunked:
-            message = "Transfer-Encoding is not supported; send a Content-Length"
-            status, payload = _api_error("BadBody", message, urlsplit(self.path).path)
-        elif length is not None:
-            message = f"body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}"
-            status, payload = _api_error("TooLarge", message, urlsplit(self.path).path)
-        else:
-            message = f"Content-Length must be a byte count, got {raw_length!r}"
-            status, payload = _api_error("BadBody", message, urlsplit(self.path).path)
-        self._send(status, payload, close=not read)  # the unread body cannot be skipped
-
-    def parse_request(self):
-        # The stdlib's handle_one_request would swallow a TimeoutError from the
-        # header block's read and close the connection without an answer.
+    def handle(self):
+        self._buf = bytearray()  # bytes read and not yet taken by a request
         try:
-            return super().parse_request()
-        except TimeoutError:
-            message = f"request headers not received within {self.timeout:g} s"
-            self._send(*_api_error("Timeout", message, urlsplit(self.path).path), close=True)
-            return False
+            try:
+                while self._exchange():
+                    pass
+            except _Refusal as refusal:
+                self._send(*refusal.reply, close=True)
+                self._linger()
+        except OSError:
+            pass  # the client hung up, or stopped reading for a whole timeout
 
-    def _send(self, status: int, payload, close: bool) -> None:
+    def _exchange(self) -> bool:
+        """Read one request and answer it; whether the connection stays open."""
+        try:
+            if not self._buf and not self._fill(time.monotonic() + self.timeout):
+                return False
+        except TimeoutError:
+            return False  # idle for a whole timeout
+        self._deadline = time.monotonic() + self.timeout
+        part, path = "line", ""
+        try:
+            request = self._request_line()
+            if request is None:
+                return False
+            method, target, minor = request
+            part, path = "headers", target.partition("?")[0]
+            headers: dict[str, list[str]] = {}
+            fields = 0
+            while line := self._line("HeadersTooLarge", "header line", path):
+                name, colon, value = line.decode("latin-1").partition(":")
+                if not colon or not name or name != name.strip():
+                    raise _Refusal("BadRequest", "malformed header line", path)
+                fields += 1
+                if fields > _MAX_HEADERS:
+                    message = f"more than {_MAX_HEADERS} header fields"
+                    raise _Refusal("HeadersTooLarge", message, path)
+                headers.setdefault(name.lower(), []).append(value.strip())
+            if line is None:
+                return False
+            length = self._length(headers, path)
+            part = "body"
+            if length and minor and "100-continue" in map(str.lower, headers.get("expect", ())):
+                self._write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            while len(self._buf) < length:
+                if not self._fill(self._deadline):
+                    return False  # a body cut short is incomplete (RFC 9112 §8): not dispatched
+        except TimeoutError:
+            message = f"request {part} not received within {self.timeout:g} s"
+            raise _Refusal("Timeout", message, path) from None
+        body = bytes(self._buf[:length]) if length else None
+        del self._buf[:length]
+        tokens = {t.strip().lower() for v in headers.get("connection", ()) for t in v.split(",")}
+        close = "close" in tokens or (not minor and "keep-alive" not in tokens)
+        status, payload = self.server.api.handle(method, target, body)
+        self._send(status, payload, close, head_only=method == "HEAD")
+        return not close
+
+    def _request_line(self) -> tuple[str, str, int] | None:
+        """(method, target, HTTP/1 minor version) of the next request line
+        (RFC 9112 §3); None if the stream ends first."""
+        line = self._line("UriTooLong", "request line", "")
+        if line is None:
+            return None
+        words = line.decode("latin-1").split()
+        version = words[2][5:] if len(words) == 3 and words[2][:5] == "HTTP/" else ""
+        major, dot, minor = version.partition(".")
+        if not (dot and (major + minor).isascii() and major.isdigit() and minor.isdigit()):
+            raise _Refusal("BadRequest", "malformed request line")
+        if major != "1":
+            raise _Refusal("VersionNotSupported", f"HTTP/{version} is not supported; send HTTP/1.1",
+                           words[1].partition("?")[0])
+        return words[0], words[1], int(minor)
+
+    @staticmethod
+    def _length(headers: dict[str, list[str]], path: str) -> int:
+        """The body length the headers declare (RFC 9112 §6.3): a Content-Length
+        only, one value, at most MAX_BODY_BYTES."""
+        if "transfer-encoding" in headers:
+            raise _Refusal("BadBody", "Transfer-Encoding is not supported; send a Content-Length",
+                           path)
+        values = set(headers.get("content-length", ["0"]))
+        if len(values) > 1:
+            raise _Refusal("BadBody", f"conflicting Content-Length headers: {sorted(values)}", path)
+        raw = values.pop()
+        if not (raw.isascii() and raw.isdigit()):
+            raise _Refusal("BadBody", f"Content-Length must be a byte count, got {raw!r}", path)
+        if int(raw) > MAX_BODY_BYTES:  # refused unread
+            raise _Refusal("TooLarge", f"body of {raw} bytes exceeds the limit of {MAX_BODY_BYTES}",
+                           path)
+        return int(raw)
+
+    def _fill(self, deadline: float) -> bool:
+        """Append one read to the buffer, waiting at most until deadline
+        (TimeoutError past it); False once the client has stopped sending."""
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError
+        self.connection.settimeout(left)
+        chunk = self.connection.recv(_READ)
+        self._buf += chunk
+        return bool(chunk)
+
+    def _line(self, code: str, what: str, path: str) -> bytes | None:
+        """The next line without its line end; None if the stream ends first."""
+        start = 0
+        while (end := self._buf.find(b"\n", start)) < 0 and len(self._buf) <= _MAX_LINE:
+            start = len(self._buf)
+            if not self._fill(self._deadline):
+                return None
+        if not 0 <= end <= _MAX_LINE:
+            raise _Refusal(code, f"{what} longer than {_MAX_LINE} bytes", path)
+        line = bytes(self._buf[:end]).rstrip(b"\r")
+        del self._buf[:end + 1]
+        return line
+
+    def _send(self, status: int, payload, close: bool, head_only: bool = False) -> None:
         """Answer with payload as JSON; close ends the connection after it."""
         data = b"" if payload is None else json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        if close:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        if data and self.command != "HEAD":  # a HEAD answer has headers only
-            self.wfile.write(data)
+        self._write(_head(status, len(data), close))
+        if data and not head_only:
+            # A second write, as the stdlib server made: with Nagle's algorithm
+            # on, it waits for the client's delayed ACK of the header block.
+            self._write(data)
 
-    # Methods no route declares get the same JSON 404 as from handle(),
-    # not the stdlib's HTML 501.
-    do_GET = do_POST = do_PUT = do_DELETE = _dispatch
-    do_HEAD = do_PATCH = do_OPTIONS = _dispatch
+    def _write(self, data: bytes) -> None:
+        self.connection.settimeout(self.timeout)  # each write may wait a whole timeout
+        self.wfile.write(data)
 
-    def log_message(self, fmt, *args):
-        LOGGER.debug("%s %s", self.address_string(), fmt % args)
+    def _linger(self) -> None:
+        """After an error answer, drop what the client still sends until it
+        closes or the request's deadline passes: closing with unread bytes
+        would reset the connection, and the client could lose the answer."""
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while self._fill(self._deadline):
+                self._buf.clear()
+        except OSError:  # TimeoutError included
+            pass
 
 
-class GeoMediaServer(ThreadingHTTPServer):
-    daemon_threads = True
+class _PooledServer(socketserver.TCPServer):
+    """A TCP server whose accepted connections wait in a bounded queue for one
+    of at most WORKERS threads, started as the first connections come; a
+    connection that finds the queue full gets a 503 and is closed. Its names
+    are private, so that a tracer that wraps the public names of this module
+    finds GeoMediaApi.handle at the bottom of a worker's stack."""
 
+    allow_reuse_address = True
+
+    def __init__(self, address, handler):
+        self._queue: queue.Queue = queue.Queue(QUEUE_SLOTS)
+        self._lock = threading.Lock()
+        self._serving: set[socket.socket] = set()
+        self._closing = False
+        self._workers: list[threading.Thread] = []
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        if len(self._workers) < WORKERS:  # one more thread for each of the first connections
+            self._workers.append(threading.Thread(target=self._work, daemon=True))
+            self._workers[-1].start()
+        try:
+            self._queue.put_nowait((request, client_address))
+        except queue.Full:
+            message = f"{WORKERS} connections served and {QUEUE_SLOTS} waiting; retry later"
+            status, payload = _api_error("Unavailable", message, "")
+            data = json.dumps(payload).encode("utf-8")
+            try:
+                request.sendall(_head(status, len(data), close=True) + data)
+            except OSError:
+                pass
+            self.shutdown_request(request)
+
+    def _work(self) -> None:
+        while (item := self._queue.get()) is not None:
+            request, client_address = item
+            with self._lock:
+                serve = not self._closing
+                if serve:
+                    self._serving.add(request)
+            try:
+                if serve:
+                    self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                with self._lock:
+                    self._serving.discard(request)
+                self.shutdown_request(request)
+
+    def server_close(self):
+        """Stop listening, end each connection at its next read, and join the workers."""
+        super().server_close()
+        with self._lock:
+            self._closing = True
+            for request in self._serving:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+        workers, self._workers = self._workers, []
+        for _ in workers:
+            self._queue.put(None)
+        for worker in workers:
+            worker.join()
+
+
+class GeoMediaServer(_PooledServer):
     def __init__(self, store: MediaStore, host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _Handler)
         self.api = GeoMediaApi(store)
+        super().__init__((host, port), _Handler)
 
     @property
     def address(self) -> str:

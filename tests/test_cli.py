@@ -518,4 +518,41 @@ def test_init_ingest_and_query_load_no_http_stack(tmp_path):
         [sys.executable, "-c", script, str(tmp_path / "s"), str(FIXTURES / "moving_point.json")],
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-2:] == ["[]", "geomedia.service True"]
+    assert done.stdout.splitlines()[-2:] == ["[]", "geomedia.service False"]
+
+
+def test_serve_loads_no_http_client_tls_or_email(store_dir):
+    """serve frames HTTP itself: once it has answered a request, the process
+    holds none of http.server, http.client, ssl and email. The request goes
+    over a raw socket, because urllib would load ssl into the process."""
+    import socket
+    import subprocess
+    import sys
+
+    script = """if True:
+        import sys, threading
+        from geomedia.cli import main
+        args = ["serve", "--store", sys.argv[1], "--addr", "127.0.0.1:0"]
+        threading.Thread(target=main, args=(args,), daemon=True).start()
+        sys.stdin.readline()  # the parent has had its answer
+        print(sorted(m for m in ("http.server", "http.client", "ssl", "email") if m in sys.modules))
+    """
+    with subprocess.Popen([sys.executable, "-c", script, str(store_dir)], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            banner = proc.stdout.readline()
+            assert "http://" in banner, proc.stderr.read()
+            host, _, port = banner.strip().rsplit("http://", 1)[1].rpartition(":")
+            with socket.create_connection((host, int(port)), timeout=5) as sock:
+                sock.sendall(b"GET / HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+                data = b""
+                while chunk := sock.recv(65536):
+                    data += chunk
+            assert data.startswith(b"HTTP/1.1 200 ")
+            out, err = proc.communicate("\n", timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    assert proc.returncode == 0, err
+    assert out.splitlines() == ["[]"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import socket
+import struct
 import sys
 import threading
 import time
@@ -47,6 +48,12 @@ class TestRoot:
         assert status == 404
         assert body["code"] == "NotFound"
         assert body["path"] == "/nope"
+
+    def test_target_that_is_no_url_is_a_bad_query(self, api):
+        status, body = api.handle("GET", "http://[/collections")
+        assert status == 400
+        assert body["code"] == "BadQuery"
+        assert body["path"] == "http://[/collections"
 
 
 # Every route of the service, with a query and a body that succeed against
@@ -673,22 +680,49 @@ class TestHttpAdapter:
         assert json.loads(body)["code"] == "BadBody"
 
 
+def read_to_close(sock: socket.socket) -> bytes:
+    """All the server sends on sock until it closes."""
+    chunks = []
+    while chunk := sock.recv(65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def talk(server, request: bytes, half_close: bool = False) -> bytes:
+    """Send raw bytes to a live server; all it sends before closing. With
+    half_close the client then shuts its sending side, as at the end of a stream."""
+    # the timeout turns a hung server into a failure, not a hung test
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(request)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        return read_to_close(sock)
+
+
+@pytest.fixture
+def live(tmp_path):
+    """A GeoMediaServer on an ephemeral port, serving from a thread."""
+    server = GeoMediaServer(MediaStore(tmp_path / "s"), "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(5)
+    assert not thread.is_alive()
+
+
 def raw_exchange(tmp_path, request: bytes) -> tuple[bytes, bytes]:
     """Send raw bytes to a live server; (head, body) of all it sends before closing."""
     server = GeoMediaServer(MediaStore(tmp_path / "s"), "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        # the timeout turns a hung server into a failure, not a hung test
-        with socket.create_connection(server.server_address[:2], timeout=5) as sock:
-            sock.sendall(request)
-            chunks = []
-            while chunk := sock.recv(65536):
-                chunks.append(chunk)
+        data = talk(server, request)
     finally:
         server.shutdown()
         server.server_close()
-    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    head, _, body = data.partition(b"\r\n\r\n")
     return head, body
 
 
@@ -744,6 +778,90 @@ def test_undeclared_method_gets_json_error_and_stream_stays_framed(tmp_path, met
     second_head, _, second_body = rest[len(body):].partition(b"\r\n\r\n")
     assert second_head.startswith(b"HTTP/1.1 200 ")
     assert json.loads(second_body) == {"collections": []}
+
+
+DOC = b'{"id": "taxi", "title": "T", "mediaType": "MovingPoint"}'
+
+
+def test_body_cut_short_is_not_dispatched(live):
+    """A body that ends before its Content-Length is incomplete (RFC 9112 §8):
+    the connection closes without an answer and the store is unchanged."""
+    data = talk(live, b"POST /collections HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n" + DOC,
+                half_close=True)
+    assert data == b""
+    assert live.api.store.list_collections() == []
+
+
+def test_conflicting_content_lengths_refused(live):
+    data = talk(live, b"POST /collections HTTP/1.1\r\nHost: t\r\nContent-Length: 56\r\n"
+                      b"Content-Length: 2\r\n\r\n" + DOC)
+    head, _, body = data.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    assert json.loads(body) == {
+        "httpStatus": 400, "code": "BadBody", "path": "/collections",
+        "message": "conflicting Content-Length headers: ['2', '56']"}
+    assert live.api.store.list_collections() == []
+
+
+@pytest.mark.parametrize("request_bytes, status, code, path", [
+    (b"GARBAGE\r\n\r\n", 400, "BadRequest", ""),
+    (b"GET /collections HTTP/1.1 extra\r\n\r\n", 400, "BadRequest", ""),
+    (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414, "UriTooLong", ""),
+    (b"GET /collections?x=1 HTTP/2.0\r\n\r\n", 505, "VersionNotSupported", "/collections"),
+    (b"GET /collections HTTP/1.1\r\n" + b"X-A: 1\r\n" * 101 + b"\r\n",
+     431, "HeadersTooLarge", "/collections"),
+    (b"GET /collections HTTP/1.1\r\nX-A: " + b"a" * 65536 + b"\r\n\r\n",
+     431, "HeadersTooLarge", "/collections"),
+    (b"GET /collections HTTP/1.1\r\nX-A : 1\r\n\r\n", 400, "BadRequest", "/collections"),
+    (b"GET /collections HTTP/1.1\r\n folded\r\n\r\n", 400, "BadRequest", "/collections"),
+], ids=["garbage", "four-words", "long-line", "http2", "101-headers", "long-header",
+        "space-before-colon", "folded"])
+def test_framing_error_answers_json_and_closes(live, request_bytes, status, code, path):
+    data = talk(live, request_bytes)
+    head, _, body = data.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode())
+    assert b"Content-Type: application/json" in head
+    assert b"Connection: close" in head
+    answer = json.loads(body)
+    assert (answer["httpStatus"], answer["code"], answer["path"]) == (status, code, path)
+
+
+def test_http_1_0_closes_after_its_answer(live):
+    """HTTP/1.0 closes by default (RFC 9112 §9.3); the read ends only at the close."""
+    head, _, body = talk(live, b"GET /collections HTTP/1.0\r\n\r\n").partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert b"Connection: close" in head
+    assert b"\r\nServer: geomedia/0.1\r\n" in head
+    date = re.search(rb"\r\nDate: ([^\r]+)", head)[1].decode()
+    assert re.fullmatch(r"\w{3}, \d\d \w{3} \d{4} \d\d:\d\d:\d\d GMT", date)
+    import email.utils  # the test process may load what the server does without
+
+    sent = email.utils.parsedate_to_datetime(date).timestamp()
+    assert abs(sent - time.time()) < 60
+    assert json.loads(body) == {"collections": []}
+
+
+def test_no_content_answer_carries_no_content_length(live):
+    """RFC 9110 §8.6; the pipelined GET after the 204 is still framed."""
+    data = talk(live, b"POST /collections HTTP/1.1\r\nHost: t\r\nContent-Length: 56\r\n\r\n" + DOC
+                      + b"DELETE /collections/taxi HTTP/1.1\r\nHost: t\r\n\r\n"
+                        b"GET /collections HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+    answers = re.split(rb"(?=HTTP/1\.1 )", data)[1:]
+    assert [a[:12] for a in answers] == [b"HTTP/1.1 201", b"HTTP/1.1 204", b"HTTP/1.1 200"]
+    assert b"Content-Length" not in answers[1]
+    assert answers[2].endswith(b'{"collections": []}')
+
+
+def test_client_that_hangs_up_ends_its_connection_quietly(live, capsys):
+    with socket.create_connection(live.server_address[:2], timeout=5) as sock:
+        sock.sendall(b"GET /collections HTTP/1.1\r\nHost: t\r\n\r\n")
+        assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+        # close with a reset: the server's next read or write fails
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    live.shutdown()
+    live.server_close()  # joins the worker, so it is done with the connection
+    assert capsys.readouterr().err == ""
 
 
 class TestReadTimeout:
@@ -802,6 +920,87 @@ class TestReadTimeout:
         assert b"Connection: close" not in head
         assert json.loads(body) == {"collections": []}  # and no bytes after it
         assert self.TIMEOUT * 0.9 <= waited < 4
+
+
+    def test_cut_off_request_line_gets_408_then_the_connection_closes(self, tmp_path,
+                                                                      monkeypatch):
+        data, waited = self.exchange(tmp_path, monkeypatch, b"GET /collec")
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert b"Connection: close" in head
+        assert json.loads(body) == {
+            "httpStatus": 408, "code": "Timeout", "path": "",
+            "message": "request line not received within 0.2 s"}
+        assert self.TIMEOUT * 0.9 <= waited < 4
+
+    def test_trickled_body_is_cut_at_the_deadline(self, tmp_path, monkeypatch, live):
+        """One deadline from the request's first byte, not one per read: a body
+        sent one byte per 0.15 s would take 3 s in all."""
+        monkeypatch.setattr(service._Handler, "timeout", self.TIMEOUT)
+        with socket.create_connection(live.server_address[:2], timeout=5) as sock:
+            sock.sendall(b"PUT /collections/c/items/f HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Length: 20\r\n\r\n")
+            start = time.monotonic()
+            sock.settimeout(0.15)
+            data = b""
+            for _ in range(20):
+                sock.sendall(b"1")
+                try:
+                    data = sock.recv(65536)
+                    break
+                except TimeoutError:
+                    pass
+            sock.settimeout(5)
+            try:
+                data += read_to_close(sock)
+            except ConnectionResetError:  # a byte that came after the close
+                pass
+            waited = time.monotonic() - start
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert json.loads(body)["message"] == "request body not received within 0.2 s"
+        assert self.TIMEOUT * 0.9 <= waited < 1.5
+
+    def test_expect_100_continue_gets_the_interim_answer_first(self, live):
+        with socket.create_connection(live.server_address[:2], timeout=5) as sock:
+            sock.sendall(b"POST /collections HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\n"
+                         b"Connection: close\r\nContent-Length: 56\r\n\r\n")
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(65536)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(DOC)
+            data = read_to_close(sock)
+        assert data.startswith(b"HTTP/1.1 201 ")
+        assert [c.id for c in live.api.store.list_collections()] == ["taxi"]
+
+    def test_connection_past_a_full_queue_gets_503_then_a_close(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service, "WORKERS", 2)
+        monkeypatch.setattr(service, "QUEUE_SLOTS", 1)
+        server = GeoMediaServer(MediaStore(tmp_path / "s"))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        address = server.server_address[:2]
+        socks = []
+        try:
+            for _ in range(2):  # each keeps a worker waiting for its next request
+                socks.append(socket.create_connection(address, timeout=5))
+                socks[-1].sendall(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n")
+                assert socks[-1].recv(65536).startswith(b"HTTP/1.1 200 ")
+            socks.append(socket.create_connection(address, timeout=5))  # takes the queue's slot
+            socks.append(socket.create_connection(address, timeout=5))
+            data = read_to_close(socks[-1])
+        finally:
+            for sock in socks:
+                sock.close()
+            server.shutdown()
+            server.server_close()
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 503 ")
+        assert b"Connection: close" in head
+        assert json.loads(body) == {
+            "httpStatus": 503, "code": "Unavailable", "path": "",
+            "message": "2 connections served and 1 waiting; retry later"}
 
 
 class TestOutsideNumbers:
