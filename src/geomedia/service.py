@@ -14,7 +14,8 @@ connection is closed after as long; the adapter's own errors (a malformed
 request line 400, one over 64 KiB 414, more than 100 header fields 431, an
 HTTP version other than 1.x 505) come in the same JSON shape as handle()'s;
 a fixed pool of worker threads serves the connections, which wait in a
-bounded queue, and one that finds the queue full gets 503; every mutation is
+bounded queue, and one that finds the queue full gets 503, while one with
+no request in flight gives up its worker to a waiting one; every mutation is
 appended to the store's log and fsynced before its response, and one that
 fails to commit answers 500 and is gone from memory too; response bodies
 contain no wall-clock values, only stored data, so they are deterministic
@@ -31,6 +32,7 @@ and neither does a HEAD, which handle() answers as the GET of its target
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import logging
@@ -326,8 +328,14 @@ def _echo_query(params: dict[str, str]) -> dict:
 
 # -- HTTP/1.1 adapter on socketserver ---------------------------------------------------
 
+# The pool's sizes are not measured against any concurrent workload: the
+# benchmark drives one keep-alive connection. WORKERS covers the 6 connections
+# a browser opens to one host, and a connection with no request in flight
+# gives up its worker as soon as another connection waits for one.
 WORKERS = 8  # threads that serve connections, each one connection at a time
 QUEUE_SLOTS = 32  # accepted connections that wait for a worker; one more gets 503
+_IDLE_SLICE = 0.1  # seconds an idle connection waits before it looks at the queue
+_LINGER = 1.0  # seconds a refused connection stays open for its client to read the 503
 _MAX_LINE = 64 * 1024  # bytes of a request line (414 past it) or a header line (431)
 _MAX_HEADERS = 100  # header fields of a request (431 past it)
 _READ = 64 * 1024  # bytes asked of one recv
@@ -357,7 +365,7 @@ def _head(status: int, length: int, close: bool) -> bytes:
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
-class _Handler(socketserver.StreamRequestHandler):
+class _Handler(socketserver.BaseRequestHandler):
     """Reads HTTP/1.1 requests off one connection (RFC 9112) and answers each
     through GeoMediaApi.handle, until the client or an error closes it."""
 
@@ -381,11 +389,8 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _exchange(self) -> bool:
         """Read one request and answer it; whether the connection stays open."""
-        try:
-            if not self._buf and not self._fill(time.monotonic() + self.timeout):
-                return False
-        except TimeoutError:
-            return False  # idle for a whole timeout
+        if not self._buf and not self._await_request():
+            return False
         self._deadline = time.monotonic() + self.timeout
         part, path = "line", ""
         try:
@@ -417,13 +422,27 @@ class _Handler(socketserver.StreamRequestHandler):
         except TimeoutError:
             message = f"request {part} not received within {self.timeout:g} s"
             raise _Refusal("Timeout", message, path) from None
-        body = bytes(self._buf[:length]) if length else None
+        with memoryview(self._buf) as view:
+            body = bytes(view[:length]) if length else None
         del self._buf[:length]
         tokens = {t.strip().lower() for v in headers.get("connection", ()) for t in v.split(",")}
         close = "close" in tokens or (not minor and "keep-alive" not in tokens)
         status, payload = self.server.api.handle(method, target, body)
+        close = close or not self.server._queue.empty()  # give the worker to a waiting connection
         self._send(status, payload, close, head_only=method == "HEAD")
         return not close
+
+    def _await_request(self) -> bool:
+        """Wait for the first byte of a next request; False if the client
+        closes, stays idle for a whole timeout, or stays idle while another
+        connection waits for a worker, which then takes this one's place."""
+        idle_until = time.monotonic() + self.timeout
+        while True:
+            try:
+                return self._fill(min(idle_until, time.monotonic() + _IDLE_SLICE))
+            except TimeoutError:
+                if time.monotonic() >= idle_until or not self.server._queue.empty():
+                    return False
 
     def _request_line(self) -> tuple[str, str, int] | None:
         """(method, target, HTTP/1 minor version) of the next request line
@@ -465,8 +484,8 @@ class _Handler(socketserver.StreamRequestHandler):
         left = deadline - time.monotonic()
         if left <= 0:
             raise TimeoutError
-        self.connection.settimeout(left)
-        chunk = self.connection.recv(_READ)
+        self.request.settimeout(left)
+        chunk = self.request.recv(_READ)
         self._buf += chunk
         return bool(chunk)
 
@@ -493,15 +512,15 @@ class _Handler(socketserver.StreamRequestHandler):
             self._write(data)
 
     def _write(self, data: bytes) -> None:
-        self.connection.settimeout(self.timeout)  # each write may wait a whole timeout
-        self.wfile.write(data)
+        self.request.settimeout(self.timeout)  # each write may wait a whole timeout
+        self.request.sendall(data)
 
     def _linger(self) -> None:
         """After an error answer, drop what the client still sends until it
         closes or the request's deadline passes: closing with unread bytes
         would reset the connection, and the client could lose the answer."""
         try:
-            self.connection.shutdown(socket.SHUT_WR)
+            self.request.shutdown(socket.SHUT_WR)
             while self._fill(self._deadline):
                 self._buf.clear()
         except OSError:  # TimeoutError included
@@ -511,9 +530,10 @@ class _Handler(socketserver.StreamRequestHandler):
 class _PooledServer(socketserver.TCPServer):
     """A TCP server whose accepted connections wait in a bounded queue for one
     of at most WORKERS threads, started as the first connections come; a
-    connection that finds the queue full gets a 503 and is closed. Its names
-    are private, so that a tracer that wraps the public names of this module
-    finds GeoMediaApi.handle at the bottom of a worker's stack."""
+    connection that finds the queue full gets a 503 and is closed _LINGER
+    seconds later. Its names are private, so that a tracer that wraps the
+    public names of this module finds GeoMediaApi.handle at the bottom of a
+    worker's stack."""
 
     allow_reuse_address = True
 
@@ -523,6 +543,7 @@ class _PooledServer(socketserver.TCPServer):
         self._serving: set[socket.socket] = set()
         self._closing = False
         self._workers: list[threading.Thread] = []
+        self._refused: collections.deque = collections.deque()  # (time to close, socket)
         super().__init__(address, handler)
 
     def process_request(self, request, client_address):
@@ -537,9 +558,26 @@ class _PooledServer(socketserver.TCPServer):
             data = json.dumps(payload).encode("utf-8")
             try:
                 request.sendall(_head(status, len(data), close=True) + data)
+                request.shutdown(socket.SHUT_WR)
             except OSError:
                 pass
-            self.shutdown_request(request)
+            # Closed later, not now: a close with the request unread would reset
+            # the connection, and the client could lose the answer.
+            self._refused.append((time.monotonic() + _LINGER, request))
+
+    def service_actions(self):
+        """Close the refused connections whose linger has passed, or past
+        QUEUE_SLOTS of them, each after dropping what its client sent."""
+        now = time.monotonic()
+        while self._refused and (self._refused[0][0] <= now or len(self._refused) > QUEUE_SLOTS):
+            request = self._refused.popleft()[1]
+            try:
+                request.setblocking(False)
+                while request.recv(_READ):
+                    pass
+            except OSError:  # nothing more to read now
+                pass
+            request.close()
 
     def _work(self) -> None:
         while (item := self._queue.get()) is not None:
@@ -561,6 +599,8 @@ class _PooledServer(socketserver.TCPServer):
     def server_close(self):
         """Stop listening, end each connection at its next read, and join the workers."""
         super().server_close()
+        while self._refused:
+            self._refused.popleft()[1].close()
         with self._lock:
             self._closing = True
             for request in self._serving:

@@ -983,12 +983,16 @@ class TestReadTimeout:
         address = server.server_address[:2]
         socks = []
         try:
-            for _ in range(2):  # each keeps a worker waiting for its next request
+            for _ in range(2):  # each keeps a worker reading its next request's header block
                 socks.append(socket.create_connection(address, timeout=5))
                 socks[-1].sendall(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n")
                 assert socks[-1].recv(65536).startswith(b"HTTP/1.1 200 ")
+                socks[-1].sendall(b"GET / HTTP/1.1\r\n")
+            time.sleep(0.05)  # the workers have read those bytes, so neither is idle
             socks.append(socket.create_connection(address, timeout=5))  # takes the queue's slot
             socks.append(socket.create_connection(address, timeout=5))
+            # a request sent before the answer is read does not reset the connection
+            socks[-1].sendall(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n")
             data = read_to_close(socks[-1])
         finally:
             for sock in socks:
@@ -1001,6 +1005,47 @@ class TestReadTimeout:
         assert json.loads(body) == {
             "httpStatus": 503, "code": "Unavailable", "path": "",
             "message": "2 connections served and 1 waiting; retry later"}
+
+
+class TestIdleConnections:
+    """A connection with no request in flight gives its worker to one that waits."""
+
+    @pytest.mark.parametrize("first", [b"GET / HTTP/1.1\r\nHost: t\r\n\r\n", b""],
+                             ids=["kept-alive", "silent"])
+    def test_idle_connection_does_not_hold_back_a_waiting_one(self, live, monkeypatch, first):
+        monkeypatch.setattr(service, "WORKERS", 1)
+        with socket.create_connection(live.server_address[:2], timeout=5) as idle:
+            idle.sendall(first)
+            if first:
+                answer = b""
+                while not answer.endswith(b"}"):  # the body comes in a second write
+                    answer += idle.recv(65536)
+                assert answer.startswith(b"HTTP/1.1 200 ")
+            else:
+                time.sleep(0.05)  # the one worker has taken the connection
+            start = time.monotonic()
+            data = talk(live, b"GET / HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+            waited = time.monotonic() - start
+            assert read_to_close(idle) == b""  # closed between requests, not cut off in one
+        assert data.startswith(b"HTTP/1.1 200 ")
+        assert waited < 2  # the handler timeout is 60 s
+
+    def test_answer_closes_the_connection_while_another_waits(self, live, monkeypatch):
+        monkeypatch.setattr(service, "WORKERS", 1)
+        address = live.server_address[:2]
+        with socket.create_connection(address, timeout=5) as first, \
+                socket.create_connection(address, timeout=5) as second:
+            first.sendall(b"GET / HTTP/1.1\r\nHost: t\r\n")  # the worker waits for the rest
+            time.sleep(0.05)
+            second.sendall(b"GET / HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+            time.sleep(0.05)  # second waits in the queue
+            first.sendall(b"\r\n")
+            answer = read_to_close(first)
+            assert read_to_close(second).startswith(b"HTTP/1.1 200 ")
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"Connection: close" in head
+        assert json.loads(body)["title"]
 
 
 class TestOutsideNumbers:
