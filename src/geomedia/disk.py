@@ -6,7 +6,6 @@ and no other code's.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import zlib
@@ -16,7 +15,7 @@ from .codec import decode_json
 from .errors import CorruptStoreError, ParseError
 
 LOG = "wal.log"  # not *.ndjson: a collection may be called "wal"
-_CHUNK = 64 * 1024  # bytes read at a time to checksum a snapshot file
+_CHUNK = 64 * 1024  # bytes read at a time to check a snapshot file's CRC-32
 # Compressed bytes read at a time to parse a snapshot file; each expands about
 # 5.8-fold. 64 KiB reads raised the peak RSS of loading the 20k-feature
 # benchmark store from 30.6 to 32.8 MB.
@@ -32,9 +31,10 @@ _GZ_LEVEL = 5
 _encode = json.JSONEncoder(check_circular=False).encode
 
 
-def snapshot_names(cid: str) -> tuple[str, str]:
-    """The data file names of a manifest entry: features, then annotations."""
-    return f"{cid}.ndjson.gz", f"{cid}.ann.ndjson.gz"
+def snapshot_names(cid: str, generation: int) -> tuple[str, str]:
+    """The data file names, features then annotations, that flush number
+    generation gives collection cid; an id holds no dot, so none meet."""
+    return f"{cid}.{generation}.ndjson.gz", f"{cid}.{generation}.ann.ndjson.gz"
 
 
 def ndjson_gz(objs):
@@ -49,28 +49,28 @@ def ndjson_gz(objs):
     yield stream.flush()
 
 
-def _checked_chunks(path: Path, sha: str, size: int):
+def _checked_chunks(path: Path, crc: int, size: int):
     """The bytes of a store file, size at a time; CorruptStoreError if it is
-    missing or unreadable, and after the last chunk unless they hash to sha."""
-    digest = hashlib.sha256()
+    missing or unreadable, and after the last chunk unless their CRC-32 is crc."""
+    got = 0
     try:
         with open(path, "rb") as f:
             while chunk := f.read(size):
-                digest.update(chunk)
+                got = zlib.crc32(chunk, got)
                 yield chunk
     except OSError as exc:
         raise CorruptStoreError(f"missing or unreadable store file {path.name}: {exc}") from None
-    if digest.hexdigest() != sha:
+    if got != crc:
         raise CorruptStoreError(f"checksum mismatch for {path.name}")
 
 
-def checked_size(path: Path, sha: str) -> int:
-    """The size of a store file whose bytes hash to sha (see _checked_chunks)."""
-    return sum(map(len, _checked_chunks(path, sha, _CHUNK)))
+def checked_size(path: Path, crc: int) -> int:
+    """The size of a store file whose CRC-32 is crc (see _checked_chunks)."""
+    return sum(map(len, _checked_chunks(path, crc, _CHUNK)))
 
 
-def checked_lines(path: Path, sha: str):
-    """The decompressed lines of a snapshot file whose bytes hash to sha (see
+def checked_lines(path: Path, crc: int):
+    """The decompressed lines of a snapshot file whose CRC-32 is crc (see
     _checked_chunks), numbered from 1, without their LF.
 
     The compressed bytes are read _GZ_CHUNK at a time; CorruptStoreError
@@ -79,7 +79,7 @@ def checked_lines(path: Path, sha: str):
     stream = zlib.decompressobj(31)
     n, partial = 0, bytearray()  # the start of a line that a later chunk ends
     try:
-        for chunk in _checked_chunks(path, sha, _GZ_CHUNK):
+        for chunk in _checked_chunks(path, crc, _GZ_CHUNK):
             *lines, tail = stream.decompress(chunk).split(b"\n")
             if stream.unused_data:
                 raise CorruptStoreError(f"{path.name}: bytes after the end of its gzip stream")
@@ -138,20 +138,20 @@ def _verified(line: bytes) -> dict | None:
     return rec
 
 
-def stage(final: Path, chunks) -> tuple[Path, str, int]:
+def stage(final: Path, chunks) -> tuple[Path, int, int]:
     """Write byte chunks to final's .tmp sibling and fsync it, one chunk at a time.
 
-    Returns the staged path and the SHA-256 hex digest and size of what it holds.
+    Returns the staged path and the CRC-32 and size of what it holds.
     """
     tmp = final.with_name(final.name + ".tmp")
-    digest, size = hashlib.sha256(), 0
+    crc = size = 0
     with open(tmp, "wb") as f:
         for data in chunks:
-            digest.update(data)
+            crc = zlib.crc32(data, crc)
             f.write(data)
             size += len(data)
         fsync(f)
-    return tmp, digest.hexdigest(), size
+    return tmp, crc, size
 
 
 def append(path: Path, keep: int, data: bytes) -> None:

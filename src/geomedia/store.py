@@ -25,27 +25,27 @@ caches its time extent (collection_extent()): a fresh put widens it, a
 replacement or delete drops it, and the next read works it out again.
 
 A store is a directory holding a snapshot and a write log. The snapshot is
-manifest.json (plain JSON) with collection metadata and content checksums,
-one <cid>.ndjson.gz of features, and one <cid>.ann.ndjson.gz of annotations
-per collection; disk.py owns the bytes of these files and of the log. The
-manifest's checksums and the sizes the store counts are of the compressed
-bytes on disk. This is store format version 2; open() refuses a version-1
-store (plain .ndjson files) by name.
-flush() compacts: it stages the files of every parsed collection, fsyncs
-them, renames data files first and the manifest last, so an interrupted
-flush is always detected by checksum at open time instead of loading
-silently.
+manifest.json (plain JSON), which names its generation (the number of the
+flush that wrote it) and each collection's metadata, file generation and
+CRC-32s, plus one <cid>.<g>.ndjson.gz of features and one
+<cid>.<g>.ann.ndjson.gz of annotations per collection; disk.py owns the
+bytes of these files and of the log. This is store format version 3; open()
+refuses versions 1 and 2 by name.
+flush() compacts: it writes each parsed collection's files under the next
+generation's names, which no manifest holds, then renames the manifest in.
+That rename is the one commit, so an interrupted flush leaves the old
+snapshot or the new one, each whole.
 
-open() reads the manifest, checks every snapshot file's checksum and replays
+open() reads the manifest, checks every snapshot file's CRC-32 and replays
 the log, but parses a collection's files only when a method first needs its
 features; the parse fails unless they are still the bytes open() checked.
 load() is open() followed by parsing every collection, so a server opened
 with it answers its first query at full speed. The CLI commands that name
 one collection use open(); `geomedia serve` uses load().
-flush() writes a parsed collection by serialising it and leaves the files of
-a collection it never parsed where they are, hashing them again and failing
-before any rename unless they still match the manifest. So a malformed line
-in a collection that nothing touched stays as it is, and is reported by the
+flush() writes a parsed collection by serialising it and keeps the entry and
+files of a collection it never parsed, checking their CRC-32s again and
+failing before any rename unless they still match. So a malformed line in a
+collection that nothing touched stays as it is, and is reported by the
 first load(), or method, that parses it.
 A collection's contents keep one set of rules (_CollectionState's put, drop
 and annotate), whoever writes them: an API call, a replayed log record or a
@@ -54,9 +54,9 @@ wrote it, and manifest ids are unique, as create_collection keeps them.
 
 Mutating methods change memory and queue an op; commit() appends the queued
 ops to wal.log, one checksummed record each, and fsyncs the log. The log's
-first record names the SHA-256 of the manifest it extends, so open() replays
-a log only over its own snapshot and ignores one that a later flush left
-behind. A torn tail is dropped at open and cut off by the next commit. A
+first record names the generation of the manifest it extends, so open()
+replays a log only over its own snapshot and ignores one that a later flush
+left behind. A torn tail is dropped at open and cut off by the next commit. A
 commit that fails reopens the store from its directory, so memory holds no
 mutation that a restart would not find.
 
@@ -69,7 +69,6 @@ one step: it holds the lock across each non-GET request and its commit.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import math
 import re
@@ -108,7 +107,7 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 # reads that back as one astral character, so such a fid would not round-trip.
 _SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 _MANIFEST = "manifest.json"
-_FORMAT_VERSION = 2  # 1: plain <cid>.ndjson files; 2: gzip-compressed <cid>.ndjson.gz
+_FORMAT_VERSION = 3  # 1: plain .ndjson; 2: .ndjson.gz by SHA-256; 3: named by generation
 # A commit whose records would grow the log past
 # max(_COMPACT_MIN_BYTES, snapshot bytes // _COMPACT_SHARE) compacts instead.
 # Both sides count bytes on disk: compressed snapshot files, a plain log. So
@@ -420,7 +419,7 @@ class MediaStore:
         self._collections: dict[str, _CollectionState] = {}
         self._lock = threading.RLock()
         self._pending: list[dict] = []  # {"op": method name, **its arguments}, not yet committed
-        self._snapshot: str | None = None  # sha256 of the manifest the log extends
+        self._generation = 0  # of the manifest the log extends; 0 before the first flush
         self._snapshot_bytes = 0
         self._log_bytes = 0  # length of the log's whole records; 0 starts a new log
 
@@ -611,10 +610,10 @@ class MediaStore:
     def _commit_locked(self) -> None:
         if not self._pending:
             return
-        if self._snapshot is None:
+        if not self._generation:
             self.flush()
             return
-        header = b"" if self._log_bytes else disk.log_line({"snapshot": self._snapshot})
+        header = b"" if self._log_bytes else disk.log_line({"snapshot": self._generation})
         data = header + b"".join(disk.log_line(_op_obj(op)) for op in self._pending)
         trigger = max(_COMPACT_MIN_BYTES, self._snapshot_bytes // _COMPACT_SHARE)
         if self._log_bytes + len(data) > trigger:
@@ -634,14 +633,14 @@ class MediaStore:
     def flush(self) -> Path:
         """Compact: write the whole store as a new snapshot and drop the log.
 
-        Each staged file is fsynced before its rename, data files are renamed
-        before the manifest, and the directory is fsynced after it. Any
-        interruption leaves either the previous consistent state or a
-        checksum mismatch that open() reports as CorruptStoreError. The
-        files of a collection never parsed are left in place; if one no
-        longer matches its checksum, CorruptStoreError is raised before any
-        rename. Staged files left by a failed flush are removed. Once the
-        directory is fsynced after the manifest's rename the flush has
+        The files of every parsed collection are staged, fsynced and renamed
+        to the next generation's names, which no manifest holds; the
+        manifest's rename then commits, and the directory is fsynced. So an
+        interruption leaves the old snapshot or the new one. A never-parsed
+        collection keeps its files, which must still match their CRC-32s
+        (else CorruptStoreError before any rename). Staged files left by a
+        failed flush are removed. Memory names the new snapshot once the
+        manifest is renamed in; once the directory is fsynced the flush has
         succeeded, even if the old log or data files cannot be removed.
         """
         with self._lock:
@@ -662,62 +661,50 @@ class MediaStore:
     def _flush_locked(self) -> None:
         target = self._dir
         target.mkdir(parents=True, exist_ok=True)
+        generation = self._generation + 1
         staged: list[tuple[Path, Path]] = []
-        keep = {_MANIFEST}
         entries = []
         size = 0
         for cid in sorted(self._collections):
             state = self._collections[cid]
-            features_name, anns_name = disk.snapshot_names(cid)
-            features_path, anns_path = target / features_name, target / anns_name
-            keep.update((features_name, anns_name))
-            if state.unparsed is None:
-                columns, rows = state.columns, state.rows
-                count = len(rows)
-                features_tmp, features_sha, features_size = disk.stage(features_path, disk.ndjson_gz(
-                    {"fid": columns.fid(row), "document": document_to_obj(columns.document(row),
-                                                                          "epoch")}
-                    for row in rows))
-                anns_tmp, anns_sha, anns_size = disk.stage(anns_path, disk.ndjson_gz(
-                    {"fid": fid, **annotation_to_obj(anns[aid], "epoch")}
-                    for fid, anns in sorted(state.annotations.items())
-                    for aid in sorted(anns)))
-                staged.append((features_tmp, features_path))
-                staged.append((anns_tmp, anns_path))
-            else:
-                # never parsed: its files stay in place, still as open() checked them
-                count, shas = state.unparsed["features"], state.unparsed["sha256"]
-                features_sha, anns_sha = shas["features"], shas["annotations"]
-                features_size = disk.checked_size(features_path, features_sha)
-                anns_size = disk.checked_size(anns_path, anns_sha)
+            if state.unparsed is not None:
+                size += self._checked_size(state.unparsed)  # never parsed: as open() checked it
+                entries.append(state.unparsed)
+                continue
+            columns, rows = state.columns, state.rows
+            features_path, anns_path = map(target.joinpath, disk.snapshot_names(cid, generation))
+            features_tmp, features_crc, features_size = disk.stage(features_path, disk.ndjson_gz(
+                {"fid": columns.fid(row), "document": document_to_obj(columns.document(row),
+                                                                      "epoch")}
+                for row in rows))
+            anns_tmp, anns_crc, anns_size = disk.stage(anns_path, disk.ndjson_gz(
+                {"fid": fid, **annotation_to_obj(anns[aid], "epoch")}
+                for fid, anns in sorted(state.annotations.items())
+                for aid in sorted(anns)))
+            staged += [(features_tmp, features_path), (anns_tmp, anns_path)]
             meta = state.meta
-            entries.append(
-                {
-                    "id": meta.id,
-                    "title": meta.title,
-                    "mediaType": meta.media_type,
-                    "created": meta.created,
-                    "features": count,
-                    "sha256": {"features": features_sha, "annotations": anns_sha},
-                }
-            )
+            entries.append({"id": meta.id, "title": meta.title, "mediaType": meta.media_type,
+                            "created": meta.created, "features": len(rows),
+                            "generation": generation,
+                            "crc32": {"features": features_crc, "annotations": anns_crc}})
             size += features_size + anns_size
-        manifest = {"version": _FORMAT_VERSION, "collections": entries}
-        manifest_tmp, manifest_sha, manifest_size = disk.stage(
+        manifest = {"version": _FORMAT_VERSION, "generation": generation, "collections": entries}
+        manifest_tmp, _, manifest_size = disk.stage(
             target / _MANIFEST, [(json.dumps(manifest, indent=2) + "\n").encode("utf-8")])
         for tmp, final in staged:
-            disk.rename(tmp, final)
+            disk.rename(tmp, final)  # to a name no manifest holds: this commits nothing
         disk.rename(manifest_tmp, target / _MANIFEST)
-        disk.fsync_dir(target)
-        # Committed: the new snapshot holds every op. What is left of the old
-        # one is garbage, so a failure to remove it does not fail the flush:
-        # a log still on disk names the old manifest, so open ignores it and
-        # the next commit truncates it, and open reads no file that the
-        # manifest does not name.
-        self._snapshot = manifest_sha
+        # Committed, so memory names the new snapshot before anything else can
+        # fail. Failing to remove the old one's garbage does not fail the flush:
+        # open ignores a log that names an older generation, and the next commit
+        # truncates it; open reads no file that the manifest does not name.
+        self._generation = generation
         self._snapshot_bytes = size + manifest_size
         self._log_bytes = 0
         self._pending.clear()
+        disk.fsync_dir(target)
+        keep = {_MANIFEST}.union(*(disk.snapshot_names(entry["id"], entry["generation"])
+                                   for entry in entries))
         for path in [target / disk.LOG, *target.glob("*.ndjson.gz")]:
             if path.name not in keep:
                 with contextlib.suppress(OSError):
@@ -728,7 +715,7 @@ class MediaStore:
         """Open a store from its snapshot plus its log, parsing a collection's
         files only when a method first needs its features.
 
-        Every snapshot file's checksum is checked here, so a missing or
+        Every snapshot file's CRC-32 is checked here, so a missing or
         altered file is CorruptStoreError before anything is parsed; a
         malformed line is CorruptStoreError from the method that parses its
         collection. Reads only: a torn log tail is skipped here and cut off
@@ -747,15 +734,17 @@ class MediaStore:
         if version != _FORMAT_VERSION:
             raise CorruptStoreError(
                 f"unsupported store version {version!r} in {manifest_path}: this geomedia "
-                f"reads version {_FORMAT_VERSION} (gzip-compressed <cid>.ndjson.gz files) only")
+                f"reads version {_FORMAT_VERSION} (<cid>.<g>.ndjson.gz, checked by CRC-32) only")
         store = cls(target)
         size = len(manifest_bytes)
+        generation = store._generation = manifest.get("generation")
+        if type(generation) is not int or generation < 1:  # type(), not isinstance: True == 1
+            raise CorruptStoreError(f"bad manifest: generation {generation!r} is not an int >= 1")
         entries = manifest.get("collections", [])
         if not isinstance(entries, list):
             raise CorruptStoreError(f"bad manifest: 'collections' must be a list, got {entries!r}")
         for entry in entries:
             size += store._open_collection(entry)
-        store._snapshot = hashlib.sha256(manifest_bytes).hexdigest()
         store._snapshot_bytes = size
         store._replay(target / disk.LOG)
         return store
@@ -783,9 +772,10 @@ class MediaStore:
         records, size = disk.whole_records(data)
         if not records:
             return
-        if "snapshot" not in records[0]:
+        generation = records[0].get("snapshot")
+        if type(generation) is not int:
             raise CorruptStoreError(f"{disk.LOG} does not start with its snapshot record")
-        if records[0]["snapshot"] != self._snapshot:
+        if generation != self._generation:
             return  # left by a flush that crashed before dropping it; its ops are in the snapshot
         for n, rec in enumerate(records[1:], 2):
             try:
@@ -802,13 +792,23 @@ class MediaStore:
         snapshot files against the manifest entry; returns their size in bytes."""
         try:
             meta = Collection(entry["id"], entry["title"], entry["mediaType"], entry["created"])
-            shas = entry["sha256"]
-            want = {kind: shas.get(kind) for kind in ("features", "annotations")}
-            self._add_collection(meta, {"features": entry["features"], "sha256": want})
+            count, generation = entry["features"], entry["generation"]
+            if type(count) is not int or count < 0:
+                raise ValueError(f"feature count {count!r} is not a non-negative integer")
+            if type(generation) is not int or not 0 < generation <= self._generation:
+                raise ValueError(f"generation {generation!r} is not an int in 1-{self._generation}")
+            self._add_collection(meta, entry)
+            return self._checked_size(entry)
+        except CorruptStoreError:
+            raise  # a file that does not match the entry
         except _MALFORMED as exc:
             raise CorruptStoreError(f"bad manifest entry: {exc}") from None
-        return sum(disk.checked_size(self._dir / name, want[kind]) for name, kind
-                   in zip(disk.snapshot_names(meta.id), ("features", "annotations")))
+
+    def _checked_size(self, entry: dict) -> int:
+        """The size of a manifest entry's files, each checked against its CRC-32."""
+        return sum(disk.checked_size(self._dir / name, entry["crc32"][kind]) for name, kind in
+                   zip(disk.snapshot_names(entry["id"], entry["generation"]),
+                       ("features", "annotations")))
 
     def _parse_collection(self, state: _CollectionState) -> _CollectionState:
         """Parse the snapshot files open() checked, each line through the put or
@@ -816,10 +816,10 @@ class MediaStore:
         place once whole: after a failed parse the collection stays unparsed."""
         meta, unparsed = state.meta, state.unparsed
         fresh = _CollectionState(meta)
-        features_name, anns_name = disk.snapshot_names(meta.id)
-        shas = unparsed["sha256"]
-        feature_lines = disk.checked_lines(self._dir / features_name, shas["features"])
-        ann_lines = disk.checked_lines(self._dir / anns_name, shas["annotations"])
+        features_name, anns_name = disk.snapshot_names(meta.id, unparsed["generation"])
+        crcs = unparsed["crc32"]
+        feature_lines = disk.checked_lines(self._dir / features_name, crcs["features"])
+        ann_lines = disk.checked_lines(self._dir / anns_name, crcs["annotations"])
         with contextlib.closing(feature_lines), contextlib.closing(ann_lines):
             for line_no, line in feature_lines:
                 try:

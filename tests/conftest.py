@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import threading
 import zlib
@@ -49,6 +48,31 @@ def fingerprint(store):
     return out
 
 
+def snapshot_path(target: Path, cid: str, kind: str = "features") -> Path:
+    """The data file of kind ("features" or "annotations") that the manifest
+    of the store at target names for collection cid."""
+    manifest = json.loads((target / "manifest.json").read_text())
+    [entry] = [entry for entry in manifest["collections"] if entry["id"] == cid]
+    features, annotations = disk.snapshot_names(cid, entry["generation"])
+    return target / (features if kind == "features" else annotations)
+
+
+def snapshot_files(target: Path) -> tuple[int, dict]:
+    """The manifest's generation of the store at target, and its files: each
+    data file's bytes by (cid, kind) and, under "manifest.json", the
+    manifest without any generation. The directory must hold no other file."""
+    manifest = json.loads((target / "manifest.json").read_text())
+    files = {}
+    for entry in manifest["collections"]:
+        names = disk.snapshot_names(entry["id"], entry.pop("generation"))
+        for kind, name in zip(("features", "annotations"), names):
+            files[entry["id"], kind] = (target / name).read_bytes()
+    assert len(list(target.iterdir())) == 1 + len(files)
+    generation = manifest.pop("generation")
+    files["manifest.json"] = manifest
+    return generation, files
+
+
 def snapshot_text(path: Path) -> bytes:
     """The NDJSON lines a store's gzip-compressed snapshot file holds."""
     return zlib.decompress(path.read_bytes(), 31)
@@ -72,14 +96,14 @@ def edit_snapshot(path: Path, edit, reseal: bool = False) -> bytes:
 
 def reseal_snapshot(path: Path) -> None:
     """Set the checksum that the manifest beside a snapshot file holds for it
-    to the SHA-256 of the file's bytes as they are now."""
+    to the CRC-32 of the file's bytes as they are now."""
     manifest_path = path.parent / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    cid, _, rest = path.name.partition(".")
-    kind = "annotations" if rest.startswith("ann.") else "features"
+    cid = path.name.partition(".")[0]
+    kind = "annotations" if path.name.endswith(".ann.ndjson.gz") else "features"
     for entry in manifest["collections"]:
         if entry["id"] == cid:
-            entry["sha256"][kind] = hashlib.sha256(path.read_bytes()).hexdigest()
+            entry["crc32"][kind] = zlib.crc32(path.read_bytes())
     manifest_path.write_text(json.dumps(manifest))
 
 

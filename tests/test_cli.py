@@ -15,7 +15,7 @@ from geomedia import store as store_module
 from geomedia.cli import main
 from geomedia.errors import CorruptStoreError
 
-from conftest import FIXTURES, T0, edit_snapshot, error_classes
+from conftest import FIXTURES, T0, edit_snapshot, error_classes, snapshot_path
 
 
 @pytest.fixture
@@ -140,12 +140,12 @@ class TestIngest:
         """A bad line whose checksum matches is carried over byte for byte and
         still fails the next load the same way."""
         self._three_collections(store_dir)
-        victim = store_dir / "pics.ndjson.gz"
+        victim = snapshot_path(store_dir, "pics")
         data = edit_snapshot(victim, lambda text: text.replace(
             b'"type": "stphoto"', b'"type": "nophoto"', 1), reseal=True)
         with pytest.raises(CorruptStoreError) as before:
             MediaStore.load(store_dir)
-        assert "pics.ndjson.gz line 1" in str(before.value)
+        assert f"{victim.name} line 1" in str(before.value)
         assert self._ingest_sensors(store_dir) == 0
         assert victim.read_bytes() == data
         with pytest.raises(CorruptStoreError) as after:
@@ -521,10 +521,12 @@ def test_init_ingest_and_query_load_no_http_stack(tmp_path):
     assert done.stdout.splitlines()[-2:] == ["[]", "geomedia.service False"]
 
 
-def test_serve_loads_no_http_client_tls_or_email(store_dir):
-    """serve frames HTTP itself: once it has answered a request, the process
-    holds none of http.server, http.client, ssl and email. The request goes
-    over a raw socket, because urllib would load ssl into the process."""
+def test_serve_loads_no_http_client_tls_email_or_hashlib(store_dir):
+    """serve frames HTTP itself and its store checks files by CRC-32: once it
+    has answered a request, the process holds none of http.server,
+    http.client, ssl, email, hashlib and _hashlib (which maps OpenSSL's
+    libcrypto). The request goes over a raw socket, because urllib would load
+    ssl into the process."""
     import socket
     import subprocess
     import sys
@@ -535,7 +537,8 @@ def test_serve_loads_no_http_client_tls_or_email(store_dir):
         args = ["serve", "--store", sys.argv[1], "--addr", "127.0.0.1:0"]
         threading.Thread(target=main, args=(args,), daemon=True).start()
         sys.stdin.readline()  # the parent has had its answer
-        print(sorted(m for m in ("http.server", "http.client", "ssl", "email") if m in sys.modules))
+        print(sorted(m for m in ("http.server", "http.client", "ssl", "email", "hashlib",
+                                 "_hashlib") if m in sys.modules))
     """
     with subprocess.Popen([sys.executable, "-c", script, str(store_dir)], stdin=subprocess.PIPE,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import random
 import sys
@@ -45,7 +44,16 @@ from geomedia.errors import (
 from geomedia.codec import interval_str
 from geomedia.rtree import RTree
 
-from conftest import T0, edit_snapshot, fingerprint, fixture_bytes, reseal_snapshot, snapshot_text
+from conftest import (
+    T0,
+    edit_snapshot,
+    fingerprint,
+    fixture_bytes,
+    reseal_snapshot,
+    snapshot_files,
+    snapshot_path,
+    snapshot_text,
+)
 
 
 def track_doc(rng, n=None):
@@ -364,12 +372,12 @@ class TestRows:
         store.put_annotation("cams", "a", Annotation("n", "text", "hello",
                                                      TimeInterval(T0, T0 + 1000)))
         store.flush()
-        before = {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()}
+        generation, before = snapshot_files(tmp_path / "s")
         loaded = MediaStore.load(tmp_path / "s")
         for cid, docs in features.items():
             assert {r.fid: r.doc for r in loaded.st_query(cid)} == docs
         loaded.flush()
-        assert {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()} == before
+        assert snapshot_files(tmp_path / "s") == (generation + 1, before)
 
 
 class TestFeatureIds:
@@ -425,13 +433,13 @@ class TestFeatureIds:
         store.commit()
         self.check(MediaStore.load(tmp_path / "s"), live)  # replayed from the log
         store.flush()
-        lines = snapshot_text(tmp_path / "s" / "c.ndjson.gz").splitlines()
+        lines = snapshot_text(snapshot_path(tmp_path / "s", "c")).splitlines()
         assert [json.loads(line)["fid"] for line in lines] == sorted(live)
         loaded = MediaStore.load(tmp_path / "s")
         self.check(loaded, live)
-        before = {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()}
+        generation, before = snapshot_files(tmp_path / "s")
         loaded.flush()
-        assert {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()} == before
+        assert snapshot_files(tmp_path / "s") == (generation + 1, before)
 
     @pytest.mark.parametrize("fid", ["\udbff\udc00", "a\ud800\udfffz"])
     def test_surrogate_pair_fid_is_refused(self, fid):
@@ -536,7 +544,7 @@ class TestStreaming:
 
     def test_load_peak(self, tmp_path):
         _twelve_sample_tracks(tmp_path / "s", self.TRACKS).flush()
-        size = len(snapshot_text(tmp_path / "s" / "taxi.ndjson.gz"))
+        size = len(snapshot_text(snapshot_path(tmp_path / "s", "taxi")))
         assert size > 2_000_000
         transient, loaded = _transient_bytes(lambda: MediaStore.load(tmp_path / "s"))
         assert loaded.feature_count("taxi") == self.TRACKS
@@ -545,7 +553,7 @@ class TestStreaming:
     def test_flush_peak(self, tmp_path):
         store = _twelve_sample_tracks(tmp_path / "s", self.TRACKS)
         transient, _ = _transient_bytes(store.flush)
-        size = len(snapshot_text(tmp_path / "s" / "taxi.ndjson.gz"))
+        size = len(snapshot_text(snapshot_path(tmp_path / "s", "taxi")))
         assert size > 2_000_000
         assert transient < self.PEAK_SHARE * size
 
@@ -869,10 +877,10 @@ class TestDurability:
         store.create_collection("vids", "Videos", "MovingVideo", created=4000)
         store.put_feature("vids", "v1", moving_video_doc)
         store.flush()
-        first = {p.name: p.read_bytes() for p in sorted(target.iterdir())}
+        generation, first = snapshot_files(target)
         loaded = getattr(MediaStore, reopen)(target)
         loaded.flush()
-        assert {p.name: p.read_bytes() for p in sorted(target.iterdir())} == first
+        assert snapshot_files(target) == (generation + 1, first)
         md = loaded.get_feature("sensors", "d1").doc.payload
         assert type(md.times) is type(md.values) is tuple
         assert (md.times, md.values) == (moving_double_doc.payload.times,
@@ -904,7 +912,7 @@ class TestDurability:
         store = MediaStore(tmp_path / "s")
         self._populate(store)
         store.flush()
-        victim = tmp_path / "s" / "tracks.ndjson.gz"
+        victim = snapshot_path(tmp_path / "s", "tracks")
         victim.write_bytes(victim.read_bytes()[:-20])
         with pytest.raises(CorruptStoreError):
             MediaStore.load(tmp_path / "s")
@@ -913,7 +921,7 @@ class TestDurability:
         store = MediaStore(tmp_path / "s")
         self._populate(store)
         store.flush()
-        (tmp_path / "s" / "pics.ann.ndjson.gz").unlink()
+        snapshot_path(tmp_path / "s", "pics", "annotations").unlink()
         with pytest.raises(CorruptStoreError):
             MediaStore.load(tmp_path / "s")
 
@@ -927,8 +935,8 @@ class TestDurability:
         store.put_feature("vids", "v1", document_of(moving))
         store.flush()
         # the library refuses to build the still video, so stop the track in the file
-        edit_snapshot(target / "vids.ndjson.gz", lambda data: data.replace(b"[1, 0]", b"[0, 0]"),
-                      reseal=True)
+        edit_snapshot(snapshot_path(target, "vids"),
+                      lambda data: data.replace(b"[1, 0]", b"[0, 0]"), reseal=True)
         with pytest.raises(CorruptStoreError, match="/fov/0/direction2d: a mount-relative"):
             MediaStore.load(target)
 
@@ -966,44 +974,38 @@ class TestDurability:
         with pytest.raises(CorruptStoreError, match="bad manifest"):
             MediaStore.open(target)
 
-    def test_manifest_entry_without_sha256_detected(self, tmp_path):
+    @pytest.mark.parametrize("field", ["crc32", "generation"])
+    def test_manifest_entry_without_crc32_or_generation_detected(self, tmp_path, field):
         target = tmp_path / "s"
         store = MediaStore(target)
         self._populate(store)
         store.flush()
         manifest = json.loads((target / "manifest.json").read_text())
-        del manifest["collections"][0]["sha256"]
+        del manifest["collections"][0][field]
         (target / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(CorruptStoreError, match="bad manifest entry"):
             MediaStore.open(target)
 
     def test_interrupted_flush_never_loads_silently(self, tmp_path, disk_faults):
-        """Cut the flush off after each possible number of renames; every
-        outcome must either load the old state or raise CorruptStoreError."""
+        """Cut a flush that changes every collection off after each possible
+        number of renames; every outcome loads the old state: a data file's
+        rename commits nothing."""
         target = tmp_path / "s"
         store = MediaStore(target)
         self._populate(store)
         store.flush()
-        before = {
-            cid: [r.fid for r in MediaStore.load(target).st_query(cid)]
-            for cid in ("tracks", "pics")
-        }
-        rng = random.Random("interrupt")
-        # 5 files: 2 collections x (features + annotations) + manifest
-        for cutoff in range(5):
-            store.create_collection(f"extra{cutoff}", "x", "MovingPoint")
-            store.put_feature(f"extra{cutoff}", "f0", track_doc(rng))
+        before = fingerprint(MediaStore.load(target))
+        store.create_collection("extra", "x", "MovingPoint")
+        store.put_feature("extra", "f0", track_doc(random.Random("interrupt")))
+        store.delete_feature("tracks", "f00")
+        store.put_annotation("pics", "p1", Annotation("a3", "text", "late"))
+        # 7 files: 3 collections x (features + annotations) + manifest
+        for cutoff in range(7):
             with disk_faults("rename", at=cutoff + 1), pytest.raises(StoreIoError):
                 store.flush()
-            try:
-                loaded = MediaStore.load(target)
-            except CorruptStoreError:
-                continue  # detected: acceptable
-            loaded_fids = {
-                cid: [r.fid for r in loaded.st_query(cid)]
-                for cid in ("tracks", "pics")
-            }
-            assert loaded_fids == before  # old state must be intact
+            assert fingerprint(MediaStore.load(target)) == before  # old state must be intact
+        store.flush()
+        assert fingerprint(MediaStore.load(target)) == fingerprint(store)
 
     def test_open_checks_every_checksum_before_any_parse(self, tmp_path, monkeypatch):
         import geomedia.store
@@ -1012,11 +1014,11 @@ class TestDurability:
         store = MediaStore(target)
         self._populate(store)
         store.flush()
-        victim = target / "tracks.ndjson.gz"  # the last collection: pics comes first
+        victim = snapshot_path(target, "tracks")  # the last collection: pics comes first
         victim.write_bytes(victim.read_bytes()[:-20])
         parsed = []
         monkeypatch.setattr(geomedia.store, "parse_obj", parsed.append)
-        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson.gz"):
+        with pytest.raises(CorruptStoreError, match=f"checksum mismatch for {victim.name}"):
             MediaStore.open(target)
         assert parsed == []
 
@@ -1026,12 +1028,12 @@ class TestDurability:
         self._populate(store)
         store.flush()
         opened = MediaStore.open(target)
-        edit_snapshot(target / "tracks.ndjson.gz",
-                      lambda data: data.replace(b'"fid": "f00"', b'"fid": "f99"', 1))
+        victim = snapshot_path(target, "tracks")
+        edit_snapshot(victim, lambda data: data.replace(b'"fid": "f00"', b'"fid": "f99"', 1))
         assert [c.id for c in opened.list_collections()] == ["pics", "tracks"]
         assert opened.feature_count("pics") == 1
         for _ in range(2):  # a failed parse leaves the collection unparsed, not half-filled
-            with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson.gz"):
+            with pytest.raises(CorruptStoreError, match=f"checksum mismatch for {victim.name}"):
                 opened.feature_count("tracks")
 
     def test_flush_fails_before_any_rename_if_a_file_changed_since_open(self, tmp_path):
@@ -1043,13 +1045,13 @@ class TestDurability:
         opened = MediaStore.open(target)
         opened.create_collection("extra", "x", "MovingPoint")
         opened.put_feature("extra", "f0", track_doc(random.Random("changed")))
-        victim = target / "tracks.ndjson.gz"  # the last collection: extra and pics are staged first
+        victim = snapshot_path(target, "tracks")  # the last collection: extra and pics are staged first
         changed = edit_snapshot(victim, lambda data: data.replace(b'"fid": "f00"', b'"fid": "f99"', 1))
-        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson.gz"):
+        with pytest.raises(CorruptStoreError, match=f"checksum mismatch for {victim.name}"):
             opened.flush()
         after = {p.name: p.read_bytes() for p in target.iterdir() if p.suffix != ".tmp"}
-        assert after == {**before, "tracks.ndjson.gz": changed}
-        victim.write_bytes(before["tracks.ndjson.gz"])
+        assert after == {**before, victim.name: changed}
+        victim.write_bytes(before[victim.name])
         loaded = MediaStore.load(target)
         assert [c.id for c in loaded.list_collections()] == ["pics", "tracks"]
         assert loaded.feature_count("tracks") == 20
@@ -1062,11 +1064,11 @@ class TestDurability:
         store.create_collection("more", "More tracks", "MovingPoint", created=3000)
         store.put_feature("more", "m0", track_doc(random.Random("more")))
         store.flush()
-        untouched = ("more.ndjson.gz", "more.ann.ndjson.gz", "pics.ndjson.gz", "pics.ann.ndjson.gz")
+        untouched = [snapshot_path(target, cid, kind) for cid in ("more", "pics")
+                     for kind in ("features", "annotations")]
 
         def files():
-            return {name: ((target / name).read_bytes(), (target / name).stat().st_ino)
-                    for name in untouched}
+            return {path.name: (path.read_bytes(), path.stat().st_ino) for path in untouched}
 
         before = files()
         opened = MediaStore.open(target)
@@ -1074,8 +1076,10 @@ class TestDurability:
         with disk_faults("rename") as renames:
             opened.flush()
         assert [dst.name for _, (src, dst) in renames] == [
-            "tracks.ndjson.gz", "tracks.ann.ndjson.gz", "manifest.json"]
+            snapshot_path(target, "tracks").name,
+            snapshot_path(target, "tracks", "annotations").name, "manifest.json"]
         assert files() == before
+        assert [snapshot_path(target, cid) for cid in ("more", "pics")] == untouched[::2]
         loaded = MediaStore.load(target)
         assert [loaded.feature_count(cid) for cid in ("more", "pics", "tracks")] == [1, 1, 21]
 
@@ -1087,14 +1091,14 @@ class TestDurability:
         opened = MediaStore.open(target)
         opened.create_collection("extra", "x", "MovingPoint")
         opened.put_feature("extra", "f0", track_doc(random.Random("changed")))
-        victim = target / "tracks.ndjson.gz"
+        victim = snapshot_path(target, "tracks")
         good = victim.read_bytes()
         edit_snapshot(victim, lambda data: data.replace(b'"fid": "f00"', b'"fid": "f99"', 1))
-        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson.gz"):
+        with pytest.raises(CorruptStoreError, match=f"checksum mismatch for {victim.name}"):
             opened.flush()
         assert sorted(target.glob("*.tmp")) == []
         victim.write_bytes(good)
-        (target / "gone.ndjson.gz.tmp").write_bytes(b"staged by a flush that crashed")
+        (target / "gone.2.ndjson.gz.tmp").write_bytes(b"staged by a flush that crashed")
         opened.flush()
         assert sorted(target.glob("*.tmp")) == []
         assert MediaStore.load(target).feature_count("extra") == 1
@@ -1103,10 +1107,10 @@ class TestDurability:
         store = MediaStore(tmp_path / "s")
         self._populate(store)
         store.flush()
-        assert (tmp_path / "s" / "tracks.ndjson.gz").exists()
+        assert snapshot_path(tmp_path / "s", "tracks").exists()
         store.delete_collection("tracks")
         store.flush()
-        assert not (tmp_path / "s" / "tracks.ndjson.gz").exists()
+        assert sorted((tmp_path / "s").glob("tracks.*")) == []
         loaded = MediaStore.load(tmp_path / "s")
         assert [c.id for c in loaded.list_collections()] == ["pics"]
 
@@ -1123,8 +1127,9 @@ class TestDurability:
             record["document"]["timeline"][0] = -10**20
             return json.dumps(record).encode() + b"\n" + rest
 
-        edit_snapshot(target / "tracks.ndjson.gz", edit, reseal=True)
-        with pytest.raises(CorruptStoreError, match="tracks.ndjson.gz line 1: /timeline/0"):
+        victim = snapshot_path(target, "tracks")
+        edit_snapshot(victim, edit, reseal=True)
+        with pytest.raises(CorruptStoreError, match=f"{victim.name} line 1: /timeline/0"):
             MediaStore.load(target)
 
     def test_flush_requires_directory(self):
@@ -1135,18 +1140,18 @@ class TestDurability:
         store = MediaStore(tmp_path / "s")
         self._populate(store)
         store.flush()
-        raw = snapshot_text(tmp_path / "s" / "pics.ndjson.gz")
+        raw = snapshot_text(snapshot_path(tmp_path / "s", "pics"))
         assert b"\r" not in raw
         line = json.loads(raw.decode("utf-8").splitlines()[0])
         assert line["fid"] == "p1"
         assert line["document"]["type"] == "stphoto"
 
-    @pytest.mark.parametrize("file, member, repeat", [
-        ("tracks.ndjson.gz", "fid", b'"f99", "fid": '),
-        ("tracks.ndjson.gz", "interpolation", b'"stepwise", "interpolation": '),
-        ("pics.ann.ndjson.gz", "kind", b'"icon", "kind": '),
+    @pytest.mark.parametrize("cid, kind, member, repeat", [
+        ("tracks", "features", "fid", b'"f99", "fid": '),
+        ("tracks", "features", "interpolation", b'"stepwise", "interpolation": '),
+        ("pics", "annotations", "kind", b'"icon", "kind": '),
     ], ids=["wrapper", "document", "annotation"])
-    def test_duplicate_member_in_store_line_detected(self, tmp_path, file, member, repeat):
+    def test_duplicate_member_in_store_line_detected(self, tmp_path, cid, kind, member, repeat):
         """A line that repeats a member is corrupt even when its checksum matches."""
         target = tmp_path / "s"
         store = MediaStore(target)
@@ -1160,13 +1165,14 @@ class TestDurability:
             assert line != first
             return data.replace(first, line, 1)
 
-        edit_snapshot(target / file, edit, reseal=True)
-        with pytest.raises(CorruptStoreError, match=f"{file} line 1: duplicate member"):
+        victim = snapshot_path(target, cid, kind)
+        edit_snapshot(victim, edit, reseal=True)
+        with pytest.raises(CorruptStoreError, match=f"{victim.name} line 1: duplicate member"):
             MediaStore.load(target)
 
 
 class TestCompressedSnapshot:
-    """Store format 2: each snapshot file is one gzip stream of NDJSON lines."""
+    """Each snapshot file is one gzip stream of NDJSON lines (since store format 2)."""
 
     _populate = TestDurability._populate
 
@@ -1180,15 +1186,15 @@ class TestCompressedSnapshot:
     def test_round_trip_and_lines_as_json_dumps_writes_them(self, tmp_path):
         store, target = self._flushed(tmp_path)
         assert sorted(p.name for p in target.iterdir()) == [
-            "manifest.json", "pics.ann.ndjson.gz", "pics.ndjson.gz",
-            "tracks.ann.ndjson.gz", "tracks.ndjson.gz"]
-        lines = snapshot_text(target / "tracks.ndjson.gz").splitlines(keepends=True)
+            "manifest.json", "pics.1.ann.ndjson.gz", "pics.1.ndjson.gz",
+            "tracks.1.ann.ndjson.gz", "tracks.1.ndjson.gz"]
+        lines = snapshot_text(target / "tracks.1.ndjson.gz").splitlines(keepends=True)
         records = store.st_query("tracks")
         assert lines == [(json.dumps({"fid": r.fid, "document": json.loads(serialize_document(
             r.doc))}, separators=(", ", ": ")) + "\n").encode() for r in records]
-        anns = snapshot_text(target / "pics.ann.ndjson.gz").splitlines()
+        anns = snapshot_text(target / "pics.1.ann.ndjson.gz").splitlines()
         assert [json.loads(line)["aid"] for line in anns] == ["a1", "a2"]
-        assert snapshot_text(target / "tracks.ann.ndjson.gz") == b""
+        assert snapshot_text(target / "tracks.1.ann.ndjson.gz") == b""
         loaded = MediaStore.load(target)
         for cid in ("tracks", "pics"):
             assert ([(r.fid, serialize_document(r.doc)) for r in loaded.st_query(cid)]
@@ -1202,21 +1208,21 @@ class TestCompressedSnapshot:
         for fid in ("a", "long", "z"):
             store.put_feature("tracks", fid, track_doc(rng, 5000 if fid == "long" else 3))
         store.flush()
-        assert (tmp_path / "s" / "tracks.ndjson.gz").stat().st_size > 20 * 4096
+        assert snapshot_path(tmp_path / "s", "tracks").stat().st_size > 20 * 4096
         loaded = MediaStore.load(tmp_path / "s")
         assert ([serialize_document(r.doc) for r in loaded.st_query("tracks")]
                 == [serialize_document(r.doc) for r in store.st_query("tracks")])
 
     def test_two_flushes_write_the_same_bytes(self, tmp_path):
         store, target = self._flushed(tmp_path)
-        first = {p.name: p.read_bytes() for p in target.iterdir()}
+        generation, first = snapshot_files(target)
         store.flush()
-        assert {p.name: p.read_bytes() for p in target.iterdir()} == first
+        assert snapshot_files(target) == (generation + 1, first)
         again = MediaStore(tmp_path / "again")
         self._populate(again)
         again.flush()
-        assert {p.name: p.read_bytes() for p in (tmp_path / "again").iterdir()} == first
-        head = first["tracks.ndjson.gz"][:10]
+        assert snapshot_files(tmp_path / "again") == (generation, first)
+        head = first["tracks", "features"][:10]
         # gzip magic, deflate, no flags (so no file name), mtime 0
         assert head[:4] == b"\x1f\x8b\x08\x00" and head[4:8] == b"\0\0\0\0"
 
@@ -1233,39 +1239,40 @@ class TestCompressedSnapshot:
 
     def test_level_1_files_load_and_the_next_flush_writes_level_5(self, tmp_path):
         store, target = self._flushed(tmp_path)
-        files = sorted(target.glob("*.ndjson.gz"))
-        lines = [snapshot_text(path) for path in files]
-        for path in files:
-            edit_snapshot(path, lambda data: data, reseal=True)  # a level-1 stream
-        tracks = target / "tracks.ndjson.gz"
+        keys = [(cid, kind) for cid in ("pics", "tracks") for kind in ("features", "annotations")]
+        lines = [snapshot_text(snapshot_path(target, *key)) for key in keys]
+        for key in keys:
+            edit_snapshot(snapshot_path(target, *key), lambda data: data, reseal=True)  # level 1
+        tracks = snapshot_path(target, "tracks")
         assert tracks.read_bytes() != self._level_5(tracks)
         assert fingerprint(MediaStore.open(target)) == fingerprint(store)
         loaded = MediaStore.load(target)
         assert fingerprint(loaded) == fingerprint(store)
         loaded.flush()
+        files = [snapshot_path(target, *key) for key in keys]
         assert [snapshot_text(path) for path in files] == lines
         for path in files:
             assert path.read_bytes() == self._level_5(path), path.name
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda raw: raw[:-9], "tracks.ndjson.gz: gzip stream cut off before its end"),
-        (lambda raw: raw[:len(raw) // 2], "tracks.ndjson.gz: gzip stream cut off before its end"),
-        (lambda raw: raw + b"\n", "tracks.ndjson.gz: bytes after the end of its gzip stream"),
-        (lambda raw: raw + raw, "tracks.ndjson.gz: bytes after the end of its gzip stream"),
-        (lambda raw: raw[:3] + b"\xff" + raw[4:], "tracks.ndjson.gz: damaged gzip stream"),
-        (lambda raw: raw[:-8] + bytes(8), "tracks.ndjson.gz: damaged gzip stream"),
-        (lambda raw: b"", "tracks.ndjson.gz: gzip stream cut off before its end"),
+        (lambda raw: raw[:-9], "gzip stream cut off before its end"),
+        (lambda raw: raw[:len(raw) // 2], "gzip stream cut off before its end"),
+        (lambda raw: raw + b"\n", "bytes after the end of its gzip stream"),
+        (lambda raw: raw + raw, "bytes after the end of its gzip stream"),
+        (lambda raw: raw[:3] + b"\xff" + raw[4:], "damaged gzip stream"),
+        (lambda raw: raw[:-8] + bytes(8), "damaged gzip stream"),
+        (lambda raw: b"", "gzip stream cut off before its end"),
     ], ids=["trailer-cut", "half", "trailing-newline", "second-member", "bad-flags",
             "bad-crc", "empty"])
     def test_damaged_stream_whose_checksum_matches_is_corrupt(self, tmp_path, damage, message):
         _, target = self._flushed(tmp_path)
-        victim = target / "tracks.ndjson.gz"
+        victim = snapshot_path(target, "tracks")
         victim.write_bytes(damage(victim.read_bytes()))
         reseal_snapshot(victim)
         opened = MediaStore.open(target)  # the checksum matches
-        with pytest.raises(CorruptStoreError, match=message):
+        with pytest.raises(CorruptStoreError, match=f"{victim.name}: {message}"):
             opened.feature_count("tracks")
-        with pytest.raises(CorruptStoreError, match=message):
+        with pytest.raises(CorruptStoreError, match=f"{victim.name}: {message}"):
             MediaStore.load(target)
 
     @pytest.mark.parametrize("damage", [
@@ -1277,24 +1284,25 @@ class TestCompressedSnapshot:
     def test_file_altered_after_open_is_corrupt(self, tmp_path, damage):
         _, target = self._flushed(tmp_path)
         opened = MediaStore.open(target)
-        victim = target / "tracks.ndjson.gz"
+        victim = snapshot_path(target, "tracks")
         victim.write_bytes(damage(victim.read_bytes()))
-        with pytest.raises(CorruptStoreError, match="tracks.ndjson.gz"):
+        with pytest.raises(CorruptStoreError, match=victim.name):
             opened.feature_count("tracks")
-        with pytest.raises(CorruptStoreError, match="checksum mismatch for tracks.ndjson.gz"):
+        with pytest.raises(CorruptStoreError, match=f"checksum mismatch for {victim.name}"):
             MediaStore.open(target)
 
-    def test_version_1_store_is_refused_by_name(self, tmp_path):
+    def test_version_1_and_2_stores_are_refused_by_name(self, tmp_path):
         _, target = self._flushed(tmp_path)
         manifest = json.loads((target / "manifest.json").read_text())
-        assert manifest["version"] == 2
-        manifest["version"] = 1
-        (target / "manifest.json").write_text(json.dumps(manifest))
-        for reopen in (MediaStore.open, MediaStore.load):
-            with pytest.raises(CorruptStoreError) as err:
-                reopen(target)
-            assert "unsupported store version 1 " in str(err.value)
-            assert "reads version 2" in str(err.value)
+        assert manifest["version"] == 3
+        for version in (1, 2):
+            manifest["version"] = version
+            (target / "manifest.json").write_text(json.dumps(manifest))
+            for reopen in (MediaStore.open, MediaStore.load):
+                with pytest.raises(CorruptStoreError) as err:
+                    reopen(target)
+                assert f"unsupported store version {version} " in str(err.value)
+                assert "reads version 3" in str(err.value)
 
 
 class TestParseChecks:
@@ -1306,7 +1314,7 @@ class TestParseChecks:
 
     def test_feature_count_must_match_the_manifest(self, tmp_path):
         _, target = self._flushed(tmp_path)
-        edit_snapshot(target / "tracks.ndjson.gz", lambda data: data.split(b"\n", 1)[1],
+        edit_snapshot(snapshot_path(target, "tracks"), lambda data: data.split(b"\n", 1)[1],
                       reseal=True)
         opened = MediaStore.open(target)  # the checksum matches
         message = "^tracks: manifest says 20 features, file has 19$"
@@ -1326,25 +1334,27 @@ class TestParseChecks:
     ], ids=["kind", "fid", "fid-not-a-string"])
     def test_feature_line_is_held_to_the_rule_of_a_put(self, tmp_path, edit, message):
         _, target = self._flushed(tmp_path)
-        photo = snapshot_text(target / "pics.ndjson.gz")
-        edit_snapshot(target / "tracks.ndjson.gz", lambda data: edit(data, photo), reseal=True)
-        with pytest.raises(CorruptStoreError, match=f"^tracks.ndjson.gz line 1: {message}$"):
+        photo = snapshot_text(snapshot_path(target, "pics"))
+        victim = snapshot_path(target, "tracks")
+        edit_snapshot(victim, lambda data: edit(data, photo), reseal=True)
+        with pytest.raises(CorruptStoreError, match=f"^{victim.name} line 1: {message}$"):
             MediaStore.load(target)
 
     def test_annotation_of_an_unknown_feature_is_corrupt(self, tmp_path):
         _, target = self._flushed(tmp_path)
-        edit_snapshot(target / "pics.ann.ndjson.gz",
-                      lambda data: data.replace(b'"fid": "p1"', b'"fid": "p9"'), reseal=True)
+        victim = snapshot_path(target, "pics", "annotations")
+        edit_snapshot(victim, lambda data: data.replace(b'"fid": "p1"', b'"fid": "p9"'), reseal=True)
         with pytest.raises(CorruptStoreError,
-                           match="^pics.ann.ndjson.gz line 1: feature 'p9' not in collection 'pics'$"):
+                           match=f"^{victim.name} line 1: feature 'p9' not in collection 'pics'$"):
             MediaStore.load(target)
 
     def test_annotation_line_is_held_to_the_rule_of_a_label(self, tmp_path):
         _, target = self._flushed(tmp_path)
-        edit_snapshot(target / "pics.ann.ndjson.gz",
+        victim = snapshot_path(target, "pics", "annotations")
+        edit_snapshot(victim,
                       lambda data: data.replace(b'"timeRange": null', b'"timeRange": [0, 0]', 1),
                       reseal=True)
-        with pytest.raises(CorruptStoreError, match="^pics.ann.ndjson.gz line 1: "
+        with pytest.raises(CorruptStoreError, match=f"^{victim.name} line 1: "
                            "time ranges apply to video annotations only$"):
             MediaStore.load(target)
 
@@ -1356,11 +1366,12 @@ class TestParseChecks:
         store.put_annotation("cams", "v1", Annotation("a1", "text", "car",
                                                       TimeInterval(T0, T0 + 1000)))
         store.flush()
-        edit_snapshot(target / "cams.ann.ndjson.gz",
+        victim = snapshot_path(target, "cams", "annotations")
+        edit_snapshot(victim,
                       lambda data: data.replace(str(T0 + 1000).encode(), str(T0 + 9000).encode()),
                       reseal=True)
         with pytest.raises(CorruptStoreError, match=(
-                rf"^cams.ann.ndjson.gz line 1: time range \[{T0}, {T0 + 9000}\] "
+                rf"^{victim.name} line 1: time range \[{T0}, {T0 + 9000}\] "
                 rf"outside feature extent \[{T0}, {T0 + 2000}\]$")):
             MediaStore.load(target)
 
@@ -1388,30 +1399,52 @@ class TestParseChecks:
         with pytest.raises(CorruptStoreError, match=f"^bad manifest entry: {message}$"):
             MediaStore.open(target)
 
+    @pytest.mark.parametrize("value", [0, True, "1", 1.0])
+    def test_manifest_generation_must_be_a_positive_int(self, tmp_path, value):
+        _, target = self._flushed(tmp_path)
+        manifest = json.loads((target / "manifest.json").read_text())
+        manifest["generation"] = value
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptStoreError,
+                           match=f"^bad manifest: generation {value!r} is not an int >= 1$"):
+            MediaStore.open(target)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("generation", 2, "generation 2 is not an int in 1-1"),
+        ("generation", True, "generation True is not an int in 1-1"),
+        ("features", "1", "feature count '1' is not a non-negative integer"),
+    ], ids=["after-the-manifest", "bool", "count"])
+    def test_manifest_entry_generation_and_count_are_checked(self, tmp_path, field, value,
+                                                             message):
+        """An entry's files come from a flush no later than the manifest's, so
+        the next flush can never write over a file that a manifest names."""
+        _, target = self._flushed(tmp_path)
+        manifest = json.loads((target / "manifest.json").read_text())
+        manifest["collections"][0][field] = value
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptStoreError, match=f"^bad manifest entry: {message}$"):
+            MediaStore.open(target)
+
     def test_malformed_annotation_time_range_names_the_pair(self, tmp_path):
         _, target = self._flushed(tmp_path)
-        edit_snapshot(target / "pics.ann.ndjson.gz",
+        victim = snapshot_path(target, "pics", "annotations")
+        edit_snapshot(victim,
                       lambda data: data.replace(b'"timeRange": null', b'"timeRange": [5]', 1),
                       reseal=True)
         with pytest.raises(CorruptStoreError) as err:
             MediaStore.load(target)
-        assert str(err.value) == ("pics.ann.ndjson.gz line 1: /timeRange: bad timeRange [5]: "
+        assert str(err.value) == (f"{victim.name} line 1: /timeRange: bad timeRange [5]: "
                                   "expected a [start, end] pair of epoch milliseconds")
 
     def test_log_record_over_a_malformed_snapshot_line_names_the_line(self, tmp_path):
         store, target = self._flushed(tmp_path)
         store.put_feature("tracks", "new", track_doc(random.Random("new")))
         store.commit()
-        edit_snapshot(target / "tracks.ndjson.gz",
+        victim = snapshot_path(target, "tracks")
+        edit_snapshot(victim,
                       lambda data: data.replace(b'{"fid": "f00"', b'{"fid": f00', 1), reseal=True)
-        # the resealed manifest is a new snapshot: point the log's first record at it
-        log = target / "wal.log"
-        _, put = log.read_bytes().splitlines(keepends=True)
-        snapshot = hashlib.sha256((target / "manifest.json").read_bytes()).hexdigest()
-        body = json.dumps({"snapshot": snapshot}, separators=(",", ":")).encode()
-        header = {"crc": zlib.crc32(body), "snapshot": snapshot}
-        log.write_bytes(json.dumps(header, separators=(",", ":")).encode() + b"\n" + put)
+        # the resealed manifest keeps its generation, which the log's first record names;
         # replaying the put parses the collection: the fault is the line's, not the record's
-        with pytest.raises(CorruptStoreError, match="^tracks.ndjson.gz line 1: ") as err:
+        with pytest.raises(CorruptStoreError, match=f"^{victim.name} line 1: ") as err:
             MediaStore.open(target)
         assert "wal.log" not in str(err.value)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 import zlib
@@ -191,6 +192,19 @@ def test_log_must_start_with_its_snapshot_record(tmp_path):
         MediaStore.load(target)
 
 
+def test_snapshot_record_must_name_an_int_generation(tmp_path):
+    """A header of true names no generation, though true == 1 in Python."""
+    target = tmp_path / "s"
+    committed_store(target)  # generation 1
+    log = target / "wal.log"
+    header = {"snapshot": True}
+    body = json.dumps(header, separators=(",", ":")).encode()
+    line = json.dumps({"crc": zlib.crc32(body), **header}, separators=(",", ":")) + "\n"
+    log.write_bytes(line.encode() + b"".join(log.read_bytes().splitlines(keepends=True)[1:]))
+    with pytest.raises(CorruptStoreError, match="snapshot record"):
+        MediaStore.load(target)
+
+
 @pytest.mark.parametrize("rec", [
     {"op": "flush"},
     {"op": "put_feature", "cid": "tracks", "fid": "x", "document": {}},
@@ -217,7 +231,9 @@ def test_crash_between_manifest_rename_and_log_reset(tmp_path, disk_faults):
     store.commit()
     with disk_faults("unlink", at=1) as unlinks:
         store.flush()  # its first unlink is the log's, after the manifest's rename
-    assert [args[0].name for _, args in unlinks] == ["wal.log"]
+    assert unlinks[0][1][0].name == "wal.log"
+    assert sorted(args[0].name for _, args in unlinks[1:]) == [
+        "tracks.1.ann.ndjson.gz", "tracks.1.ndjson.gz"]  # the old generation's files
     assert (target / "wal.log").is_file()  # the old generation's log is still there
     loaded = MediaStore.load(target)
     assert fingerprint(loaded) == fingerprint(store)
@@ -245,11 +261,13 @@ def test_compacting_commit_cut_at_the_log_unlink_returns_the_new_state(
     monkeypatch.setattr("geomedia.store._COMPACT_MIN_BYTES", 0)  # the next commit compacts
     store.put_annotation("tracks", "late", Annotation("a1", "text", "late"))
     new = fingerprint(store)
+    old = sorted(p.name for p in target.iterdir() if p.name != "manifest.json")
     with disk_faults("unlink", at=1, every=True) as unlinks:
         store.commit()
-    assert sorted(args[0].name for _, args in unlinks) == [
-        "gone.ann.ndjson.gz", "gone.ndjson.gz", "wal.log"]
-    assert (target / "wal.log").is_file() and (target / "gone.ndjson.gz").is_file()
+    assert old == ["gone.2.ann.ndjson.gz", "gone.2.ndjson.gz",
+                   "tracks.2.ann.ndjson.gz", "tracks.2.ndjson.gz", "wal.log"]
+    assert sorted(args[0].name for _, args in unlinks) == old
+    assert all((target / name).is_file() for name in old)
     assert fingerprint(store) == new == fingerprint(MediaStore.open(target))
     monkeypatch.undo()
     store.put_feature("tracks", "later", random_doc(random.Random(4), "MovingPoint"))
@@ -269,7 +287,8 @@ def test_collection_named_wal_round_trips(tmp_path):
     assert {p.name for p in target.iterdir()} == {"manifest.json", "wal.log"}
     assert fingerprint(MediaStore.load(target)) == fingerprint(store)
     store.flush()
-    assert {p.name for p in target.iterdir()} == {"manifest.json", "wal.ndjson.gz", "wal.ann.ndjson.gz"}
+    assert {p.name for p in target.iterdir()} == {"manifest.json", "wal.2.ndjson.gz",
+                                                   "wal.2.ann.ndjson.gz"}
     assert fingerprint(MediaStore.load(target)) == fingerprint(store)
 
 
@@ -377,3 +396,65 @@ def test_commit_cut_at_each_disk_call_opens_to_the_old_or_the_new_state(
     assert opened == new
     assert k == len(disk_calls) + 1  # every call was cut once
     assert [name for name, _ in calls] == disk_calls
+
+
+def test_flush_that_fails_at_its_directory_fsync_loses_no_later_write(tmp_path, disk_faults):
+    """Once the manifest is renamed in, memory names the new snapshot even if
+    the directory's fsync then fails, so the next commit starts a log over
+    that snapshot instead of appending to the old one's, which open ignores."""
+    target = tmp_path / "s"
+    store = MediaStore(target)
+    store.create_collection("tracks", "tracks", "MovingPoint", created=7)
+    rng = random.Random("fsync_dir")
+    store.put_feature("tracks", "a", random_doc(rng, "MovingPoint"))
+    store.flush()
+    store.put_feature("tracks", "b", random_doc(rng, "MovingPoint"))
+    store.commit()
+    store.put_feature("tracks", "c1", random_doc(rng, "MovingPoint"))
+    with disk_faults("fsync_dir", at=1), pytest.raises(StoreIoError, match="flush failed"):
+        store.flush()
+    store.put_feature("tracks", "d", random_doc(rng, "MovingPoint"))
+    store.commit()
+    loaded = MediaStore.load(target)
+    assert [r.fid for r in loaded.st_query("tracks")] == ["a", "b", "c1", "d"]
+    assert fingerprint(loaded) == fingerprint(store)
+
+
+@pytest.mark.parametrize("operation", ["flush", "commit"])
+def test_compaction_cut_at_each_disk_call_loads_the_old_or_the_new_state(
+        tmp_path, monkeypatch, disk_faults, operation):
+    """Cut one flush, or one commit that compacts, over three collections at
+    its first disk call, then at its second, and so on until it runs through
+    uncut. After each cut the directory loads to the state before it or
+    after it, never CorruptStoreError: a data file's rename goes to a name
+    no manifest holds, and the manifest's rename is the one commit. A failed
+    commit reopens to what the directory holds; a failed flush keeps memory."""
+    monkeypatch.setattr("geomedia.store._COMPACT_MIN_BYTES", 0)  # every commit compacts
+    rng = random.Random("crash points")
+    docs = {kind: [random_doc(rng, kind) for _ in range(2)] for kind in KINDS}
+    k = 0
+    while True:
+        k += 1
+        target = tmp_path / f"cut{k}"
+        store = MediaStore(target)
+        for n, kind in enumerate(KINDS):
+            store.create_collection(f"c{n}", kind, kind, created=n)
+            store.put_feature(f"c{n}", "f0", docs[kind][0])
+        store.commit()  # the first commit writes the snapshot
+        old = fingerprint(store)
+        for n, kind in enumerate(KINDS):
+            store.put_feature(f"c{n}", "f1", docs[kind][1])
+            store.put_annotation(f"c{n}", "f0", Annotation("a1", "text", "late"))
+        store.delete_feature("c0", "f0")
+        new = fingerprint(store)
+        with disk_faults("stage", "append", "fsync", "fsync_dir", "rename", "unlink",
+                         at=k) as calls:
+            with contextlib.suppress(StoreIoError):
+                getattr(store, operation)()
+        loaded = fingerprint(MediaStore.load(target))
+        assert loaded in (old, new), f"cut at disk call {k}"
+        assert fingerprint(store) == (new if operation == "flush" else loaded)
+        if len(calls) < k:  # ran through uncut
+            break
+    assert loaded == new
+    assert [name for name, _ in calls].count("rename") == 7  # 3 collections x 2 files + manifest
